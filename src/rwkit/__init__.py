@@ -65,6 +65,7 @@ from .reconstruct import (
     defend,
     ista_reconstruct,
     purify,
+    purify_many,
 )
 from .sensing import (
     RwpParameters,
@@ -100,6 +101,7 @@ __all__ = [
     "PurifiedSignal",
     "ista_reconstruct",
     "purify",
+    "purify_many",
     "defend",
     # defect
     "DefectParams",

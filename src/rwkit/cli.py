@@ -2,16 +2,13 @@
 
     rwkit <gen-data|purify|defect|certify|eval> --config <path> [--seed N] [--out <path>]
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.  The
-``RWKIT_THREADS`` environment variable caps eval parallelism; outputs are
-schedule-independent because every sample uses a seed derived from
-(master seed, epsilon index, sample index).
+Exit codes: 0 success, 2 configuration error, 3 numeric failure.  Eval
+reports are byte-identical across reruns and batch sizes because every
+sample uses a seed derived from (master seed, epsilon index, sample index).
 """
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -145,38 +142,28 @@ def _cmd_certify(cfg, args):
         sys.stdout.write(text)
 
 
-def _eval_sample(cfg, dataset, clf, eps_index, epsilon, sample_index, seed):
-    x = dataset.signals[sample_index]
-    label = dataset.labels[sample_index]
-    sample_seed = sensing.derived_seed(seed, eps_index, sample_index)
-    purify_seed, probe_seed = sample_seed.spawn(2)
-    params = _recon_params(cfg)
-    clean_defended = predict(clf, reconstruct.purify(x, params, purify_seed).value)
-    if epsilon > 0:
-        rng = np.random.default_rng(probe_seed)
-        delta = rng.standard_normal(x.shape)
-        delta *= epsilon / np.linalg.norm(delta)
-        probed = x + delta
-    else:
-        probed = x
-    purified = reconstruct.purify(probed, params, purify_seed)
-    defended = predict(clf, purified.value)
-    recon_error = float(np.linalg.norm(purified.value - x))
-    op = sensing.make_partial_fourier(x.shape, cfg.subsample_prob, purify_seed)
-    d = defect.sparsity_defect(x, op, _frame(cfg), _defect_params(cfg))
-    return (
-        clean_defended == label,
-        defended == label,
-        recon_error,
-        np.nan if d.failed else d.defect,
-    )
+def _probe(x, epsilon, probe_seed):
+    # A random perturbation of norm epsilon, seeded per sample.
+    if epsilon == 0:
+        return x
+    rng = np.random.default_rng(probe_seed)
+    delta = rng.standard_normal(x.shape)
+    delta *= epsilon / np.linalg.norm(delta)
+    return x + delta
 
 
-def run_eval(cfg, seed, threads=1):
+def run_eval(cfg, seed):
     """Evaluate the defended pipeline over the config's epsilon grid.
+
+    For each epsilon, the clean and the probed copy of every sample are
+    purified together in one batch.  Sample i at epsilon index e uses the
+    operator and probe drawn from (seed, e, i), shared by both copies and
+    by its defect, so the report does not depend on the batch size.
 
     Returns the report rows (list of dicts, one per epsilon).
     """
+    if not cfg.epsilon_grid:
+        raise ConfigError("eval needs a non-empty epsilon_grid")
     dataset = data.gen_data(
         cfg.n,
         cfg.count,
@@ -186,19 +173,26 @@ def run_eval(cfg, seed, threads=1):
         weights_seed=cfg.weights_seed,
     )
     clf = dataset.classifier
+    signals = dataset.signals
+    params = _recon_params(cfg)
+    frame = _frame(cfg)
+    defect_params = _defect_params(cfg)
     rows = []
     for eps_index, epsilon in enumerate(cfg.epsilon_grid):
-        indices = range(len(dataset.signals))
-        task = lambda i: _eval_sample(cfg, dataset, clf, eps_index, epsilon, i, seed)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(task, indices))
-        else:
-            results = [task(i) for i in indices]
-        clean_ok = [r[0] for r in results]
-        defended_ok = [r[1] for r in results]
-        errors = [r[2] for r in results]
-        defects = [r[3] for r in results if not np.isnan(r[3])]
+        ops, probed = [], []
+        for i, x in enumerate(signals):
+            purify_seed, probe_seed = sensing.derived_seed(seed, eps_index, i).spawn(2)
+            ops.append(sensing.make_partial_fourier(x.shape, cfg.subsample_prob, purify_seed))
+            probed.append(_probe(x, epsilon, probe_seed))
+        purified = reconstruct.purify_many(list(signals) + probed, params, ops + ops)
+        clean, attacked = purified[: len(signals)], purified[len(signals) :]
+        clean_ok = [predict(clf, p.value) == y for p, y in zip(clean, dataset.labels)]
+        defended_ok = [predict(clf, p.value) == y for p, y in zip(attacked, dataset.labels)]
+        errors = [float(np.linalg.norm(p.value - x)) for p, x in zip(attacked, signals)]
+        results = [
+            defect.sparsity_defect(x, op, frame, defect_params) for x, op in zip(signals, ops)
+        ]
+        defects = [d.defect for d in results if not d.failed and not np.isnan(d.defect)]
         mean_defect = float(np.mean(defects)) if defects else float("nan")
         cert_radius = cert_prob = cert_gain = float("nan")
         try:
@@ -239,8 +233,7 @@ _REPORT_COLUMNS = [
 
 def _cmd_eval(cfg, args):
     seed = args.seed if args.seed is not None else cfg.master_seed
-    threads = max(1, int(os.environ.get("RWKIT_THREADS", "1")))
-    rows = run_eval(cfg, seed, threads=threads)
+    rows = run_eval(cfg, seed)
     out = args.out or "report.csv"
     lines = [f"# rwkit-report v1 config={config_hash(cfg)} master_seed={seed}"]
     lines.append(",".join(_REPORT_COLUMNS))

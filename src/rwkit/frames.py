@@ -15,6 +15,7 @@ All transforms are square and invertible, so coefficient arrays have the
 same shape as the signal they came from.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,31 @@ def _highpass(h):
     g = h[::-1].copy()
     g[1::2] *= -1.0
     return g
+
+
+def _filter_bank(h):
+    # (lowpass, highpass, polyphase synthesis matrix).  Column r of the
+    # matrix holds the taps that reach output 2p+r: h[r::2] then g[r::2].
+    g = _highpass(h)
+    synth = np.stack([np.concatenate([h[r::2], g[r::2]]) for r in (0, 1)], axis=1)
+    return h, g, synth
+
+
+_BANKS = {kind: _filter_bank(h) for kind, h in _LOWPASS.items()}
+
+
+def _fft(x):
+    # Unitary FFT of a batch over its trailing signal axes (axis 0 is the batch).
+    if x.ndim == 2:
+        return np.fft.fft(x, norm="ortho")
+    return np.fft.fft2(x, norm="ortho")
+
+
+def _ifft(x):
+    # Inverse of _fft.
+    if x.ndim == 2:
+        return np.fft.ifft(x, norm="ortho")
+    return np.fft.ifft2(x, norm="ortho")
 
 
 def as_signal(x):
@@ -102,103 +128,121 @@ def _check_levels(frame, shape):
             )
 
 
-def _dwt_step(x, h, g):
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.lru_cache(maxsize=None)
+def _window_index(n, taps):
+    # Row i of the periodized analysis windows reads x[2i .. 2i+taps-1] (mod n).
+    return _read_only((2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n)
+
+
+@functools.lru_cache(maxsize=None)
+def _polyphase_index(n, taps):
+    # Row p reads a[p-j] for j < taps/2, then d[p-j], from c = [a | d] (mod n/2).
+    half = n // 2
+    lag = (np.arange(half)[:, None] - np.arange(taps // 2)[None, :]) % half
+    return _read_only(np.concatenate([lag, lag + half], axis=1))
+
+
+def _dwt_step(x, bank):
     # One periodized analysis step along the last axis (length must be even).
-    n = x.shape[-1]
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
-    windows = x[..., idx]
+    # take() keeps the windows C-contiguous at any batch size, so every row
+    # goes through the same matmul kernel and batching cannot move its bits.
+    h, g, _ = bank
+    windows = x.take(_window_index(x.shape[-1], h.size), axis=-1)
     return windows @ h, windows @ g
 
 
-def _idwt_step(a, d, h, g):
-    # Adjoint (= inverse, by orthonormality) of _dwt_step along the last axis.
-    n = 2 * a.shape[-1]
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
-    out = np.zeros(a.shape[:-1] + (n,), dtype=np.complex128)
-    contrib = a[..., :, None] * h + d[..., :, None] * g
-    flat = out.reshape(-1, n)
-    cflat = contrib.reshape(-1, n // 2, h.size)
-    for row in range(flat.shape[0]):
-        np.add.at(flat[row], idx.ravel(), cflat[row].ravel())
-    return out
+def _idwt_step(c, bank):
+    # Adjoint (= inverse, by orthonormality) of _dwt_step along the last
+    # axis of c = [a | d]: output 2p+r sums h[2j+r] a[p-j] + g[2j+r] d[p-j].
+    h, _, synth = bank
+    windows = c.take(_polyphase_index(c.shape[-1], h.size), axis=-1)
+    return (windows @ synth).reshape(c.shape)
 
 
-def _dwt_1d(x, h, g, levels):
+def _dwt_1d(x, bank, levels):
     c = x.copy()
-    m = c.size
+    m = c.shape[-1]
     for _ in range(levels):
-        a, d = _dwt_step(c[:m], h, g)
-        c[: m // 2] = a
-        c[m // 2 : m] = d
+        a, d = _dwt_step(c[..., :m], bank)
+        c[..., : m // 2] = a
+        c[..., m // 2 : m] = d
         m //= 2
     return c
 
 
-def _idwt_1d(c, h, g, levels):
+def _idwt_1d(c, bank, levels):
     x = c.copy()
-    m = x.size >> levels
+    m = x.shape[-1] >> levels
     for _ in range(levels):
-        x[: 2 * m] = _idwt_step(x[:m], x[m : 2 * m], h, g)
+        x[..., : 2 * m] = _idwt_step(x[..., : 2 * m], bank)
         m *= 2
     return x
 
 
-def _dwt_2d(x, h, g, levels):
+def _dwt_2d(x, bank, levels):
     c = x.copy()
-    mh, mw = c.shape
+    mh, mw = c.shape[-2:]
     for _ in range(levels):
-        block = c[:mh, :mw]
-        a, d = _dwt_step(block, h, g)
-        block = np.concatenate([a, d], axis=-1)
-        a, d = _dwt_step(block.T, h, g)
-        c[:mh, :mw] = np.concatenate([a, d], axis=-1).T
+        a, d = _dwt_step(c[..., :mh, :mw], bank)
+        block = np.concatenate([a, d], axis=-1).swapaxes(-1, -2)
+        a, d = _dwt_step(block, bank)
+        c[..., :mh, :mw] = np.concatenate([a, d], axis=-1).swapaxes(-1, -2)
         mh //= 2
         mw //= 2
     return c
 
 
-def _idwt_2d(c, h, g, levels):
+def _idwt_2d(c, bank, levels):
     x = c.copy()
-    mh = x.shape[0] >> levels
-    mw = x.shape[1] >> levels
+    mh = x.shape[-2] >> levels
+    mw = x.shape[-1] >> levels
     for _ in range(levels):
-        block = x[: 2 * mh, : 2 * mw]
-        cols = _idwt_step(block.T[:, :mh], block.T[:, mh : 2 * mh], h, g)
-        rows = _idwt_step(cols.T[:, :mw], cols.T[:, mw : 2 * mw], h, g)
-        x[: 2 * mh, : 2 * mw] = rows
+        block = x[..., : 2 * mh, : 2 * mw]
+        cols = _idwt_step(block.swapaxes(-1, -2), bank)
+        x[..., : 2 * mh, : 2 * mw] = _idwt_step(cols.swapaxes(-1, -2), bank)
         mh *= 2
         mw *= 2
     return x
 
 
+def _analyze_batch(frame, x):
+    # analyze() over a batch: axis 0 indexes signals, the trailing one or two
+    # axes are transformed.  Every operation is row-local.
+    if frame.kind == "identity":
+        return x.copy()
+    if frame.kind == "unitary-dft":
+        return _fft(x)
+    _check_levels(frame, x.shape[1:])
+    if x.ndim == 2:
+        return _dwt_1d(x, _BANKS[frame.kind], frame.levels)
+    return _dwt_2d(x, _BANKS[frame.kind], frame.levels)
+
+
+def _synthesize_batch(frame, coeffs):
+    # synthesize() over a batch, with the same axis convention.
+    if frame.kind == "identity":
+        return coeffs.copy()
+    if frame.kind == "unitary-dft":
+        return _ifft(coeffs)
+    _check_levels(frame, coeffs.shape[1:])
+    if coeffs.ndim == 2:
+        return _idwt_1d(coeffs, _BANKS[frame.kind], frame.levels)
+    return _idwt_2d(coeffs, _BANKS[frame.kind], frame.levels)
+
+
 def analyze(frame, x):
     """Map a signal to its frame coefficients (same shape as the input)."""
-    arr = as_signal(x)
-    if frame.kind == "identity":
-        return arr.copy()
-    if frame.kind == "unitary-dft":
-        return np.fft.fftn(arr, norm="ortho")
-    _check_levels(frame, arr.shape)
-    h = _LOWPASS[frame.kind]
-    g = _highpass(h)
-    if arr.ndim == 1:
-        return _dwt_1d(arr, h, g, frame.levels)
-    return _dwt_2d(arr, h, g, frame.levels)
+    return _analyze_batch(frame, as_signal(x)[None])[0]
 
 
 def synthesize(frame, coeffs):
     """Invert :func:`analyze`; exact to round-off for all supported kinds."""
-    arr = as_signal(coeffs)
-    if frame.kind == "identity":
-        return arr.copy()
-    if frame.kind == "unitary-dft":
-        return np.fft.ifftn(arr, norm="ortho")
-    _check_levels(frame, arr.shape)
-    h = _LOWPASS[frame.kind]
-    g = _highpass(h)
-    if arr.ndim == 1:
-        return _idwt_1d(arr, h, g, frame.levels)
-    return _idwt_2d(arr, h, g, frame.levels)
+    return _synthesize_batch(frame, as_signal(coeffs)[None])[0]
 
 
 def sparsity_norm(frame, x):

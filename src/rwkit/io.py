@@ -75,15 +75,32 @@ def read_signal(path):
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("shape="):
-                    shape = tuple(int(s) for s in body[6:].split("x"))
+                    shape = _parse_shape(path, body[6:])
                 continue
             if line.startswith("index,"):
                 continue
             parts = line.split(",")
             if len(parts) != 3:
                 raise ConfigError(f"{path}: malformed signal row {line!r}")
-            values.append(complex(float(parts[1]), float(parts[2])))
+            try:
+                values.append(complex(float(parts[1]), float(parts[2])))
+            except ValueError:
+                raise ConfigError(f"{path}: malformed signal row {line!r}") from None
     x = np.array(values, dtype=np.complex128)
-    if shape is not None and len(shape) == 2:
-        return x.reshape(shape)
-    return x
+    if shape is None:
+        return x
+    if int(np.prod(shape)) != x.size:
+        raise ConfigError(
+            f"{path}: shape={'x'.join(map(str, shape))} does not match {x.size} rows"
+        )
+    return x.reshape(shape)
+
+
+def _parse_shape(path, text):
+    try:
+        shape = tuple(int(s) for s in text.split("x"))
+    except ValueError:
+        raise ConfigError(f"{path}: malformed shape line {text!r}") from None
+    if len(shape) not in (1, 2):
+        raise ConfigError(f"{path}: shape must have 1 or 2 axes, got {text!r}")
+    return shape

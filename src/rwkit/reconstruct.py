@@ -4,6 +4,10 @@ The purifier senses the input through a freshly sampled partial Fourier
 operator and reconstructs it by running a fixed number of proximal gradient
 steps on the frame coefficients.  There is deliberately no early stopping:
 the iteration count is part of the reproducibility contract.
+
+There is one reconstruction loop.  It runs over a batch whose axis 0
+indexes independent signals, each with its own mask; ``purify``,
+``ista_reconstruct`` and ``defend`` are batches of one.
 """
 
 from dataclasses import dataclass
@@ -12,13 +16,15 @@ import numpy as np
 
 from . import sensing
 from .errors import NumericError, ParameterError, ShapeError
-from .frames import Frame, analyze, as_signal, soft_threshold, synthesize
+from .frames import Frame, _analyze_batch, _synthesize_batch, as_signal, soft_threshold
+from .sensing import _adjoint_batch, _apply_batch
 
 __all__ = [
     "ReconstructionParams",
     "PurifiedSignal",
     "ista_reconstruct",
     "purify",
+    "purify_many",
     "defend",
 ]
 
@@ -57,14 +63,18 @@ class PurifiedSignal:
     imag_residual: float = 0.0
 
 
-def _ista_coefficients(y, op, params):
-    """Run the thresholded gradient iteration; returns final coefficients."""
+def _ista_coefficients(y, mask, params):
+    """Run the thresholded gradient iteration; returns final coefficients.
+
+    Axis 0 of ``y`` and ``mask`` indexes independent rows.  Every step is
+    row-local, so a row's result does not depend on the rows beside it.
+    """
     frame = params.frame
     lam = params.threshold
     u = np.zeros(y.shape, dtype=np.complex128)
     for t in range(1, params.iterations + 1):
-        residual = y - sensing.apply(op, synthesize(frame, u))
-        z = u + analyze(frame, sensing.adjoint(op, residual))
+        residual = y - _apply_batch(mask, _synthesize_batch(frame, u))
+        z = u + _analyze_batch(frame, _adjoint_batch(mask, residual))
         if not np.all(np.isfinite(z)):
             raise NumericError(f"non-finite iterate at iteration {t}")
         u = soft_threshold(z, lam)
@@ -80,7 +90,60 @@ def ista_reconstruct(y, op, params):
     arr = as_signal(y)
     if arr.shape != op.shape:
         raise ShapeError(f"expected shape {op.shape}, got {arr.shape}")
-    return synthesize(params.frame, _ista_coefficients(arr, op, params))
+    u = _ista_coefficients(arr[None], op.mask[None], params)
+    return _synthesize_batch(params.frame, u)[0]
+
+
+def _operator(seed, shape, params):
+    if not isinstance(seed, sensing.SensingOperator):
+        return sensing.make_partial_fourier(shape, params.subsample_prob, seed)
+    if seed.shape != shape:
+        raise ShapeError(f"operator shape {seed.shape} does not match signal shape {shape}")
+    if seed.subsample_prob != params.subsample_prob:
+        raise ParameterError(
+            f"operator was drawn with q={seed.subsample_prob}, "
+            f"params ask for q={params.subsample_prob}"
+        )
+    return seed
+
+
+def purify_many(xs, params, seeds):
+    """Purify a batch of same-shape signals in one reconstruction loop.
+
+    Row i is sensed through the operator drawn from ``seeds[i]``; an entry
+    may also be a :class:`~rwkit.sensing.SensingOperator` already drawn, so
+    that rows can share one draw.  Returns one :class:`PurifiedSignal` per
+    row, bit-identical to ``purify(xs[i], params, seeds[i])``.
+    """
+    if len(xs) != len(seeds):
+        raise ShapeError(f"{len(xs)} signals but {len(seeds)} seeds")
+    if len(xs) == 0:
+        return []
+    rows = [as_signal(x) for x in xs]
+    shape = rows[0].shape
+    for arr in rows:
+        if arr.shape != shape:
+            raise ShapeError(f"batch mixes signal shapes {shape} and {arr.shape}")
+    ops = [_operator(seed, shape, params) for seed in seeds]
+    mask = np.stack([op.mask for op in ops])
+    u = _ista_coefficients(_apply_batch(mask, np.stack(rows)), mask, params)
+    values = _synthesize_batch(params.frame, u)
+    out = []
+    for x, op, value, coeffs in zip(xs, ops, values, u):
+        imag_residual = 0.0
+        if np.isrealobj(x):
+            imag_residual = float(np.max(np.abs(value.imag)))
+            value = value.real
+        out.append(
+            PurifiedSignal(
+                value=value,
+                operator_seed=op.seed,
+                iterations_run=params.iterations,
+                final_coefficient_l1=float(np.sum(np.abs(coeffs))),
+                imag_residual=imag_residual,
+            )
+        )
+    return out
 
 
 def purify(x, params, seed):
@@ -90,23 +153,7 @@ def purify(x, params, seed):
     as real signals; the discarded imaginary part is recorded in
     ``imag_residual``.
     """
-    input_real = np.isrealobj(np.asarray(x))
-    arr = as_signal(x)
-    op = sensing.make_partial_fourier(arr.shape, params.subsample_prob, seed)
-    y = sensing.apply(op, arr)
-    u = _ista_coefficients(y, op, params)
-    value = synthesize(params.frame, u)
-    imag_residual = 0.0
-    if input_real:
-        imag_residual = float(np.max(np.abs(value.imag)))
-        value = value.real
-    return PurifiedSignal(
-        value=value,
-        operator_seed=op.seed,
-        iterations_run=params.iterations,
-        final_coefficient_l1=float(np.sum(np.abs(u))),
-        imag_residual=imag_residual,
-    )
+    return purify_many([x], params, [seed])[0]
 
 
 def defend(classifier, x, params, seed):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .frames import as_signal
+from .frames import _fft, _ifft, as_signal
 
 __all__ = [
     "SensingOperator",
@@ -105,15 +105,25 @@ def _check_shape(op, arr):
         raise ShapeError(f"expected shape {op.shape}, got {arr.shape}")
 
 
+def _apply_batch(mask, x):
+    # apply() over a batch: row i of x is sensed through mask[i].
+    return mask * _fft(x)
+
+
+def _adjoint_batch(mask, y):
+    # adjoint() over a batch, with the same one-mask-per-row convention.
+    return _ifft(mask * y)
+
+
 def apply(op, x):
     """Masked unitary Fourier coefficients of x; off-mask entries are 0."""
     arr = as_signal(x)
     _check_shape(op, arr)
-    return op.mask * np.fft.fftn(arr, norm="ortho")
+    return _apply_batch(op.mask[None], arr[None])[0]
 
 
 def adjoint(op, y):
     """Adjoint of :func:`apply`: inverse unitary FFT of the masked input."""
     arr = as_signal(y)
     _check_shape(op, arr)
-    return np.fft.ifftn(op.mask * arr, norm="ortho")
+    return _adjoint_batch(op.mask[None], arr[None])[0]

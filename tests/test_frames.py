@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwkit import frames
 from rwkit import (
     FRAME_KINDS,
     CsSpace,
@@ -35,6 +36,29 @@ def frames_for(n):
         yield Frame(kind="haar-dwt", levels=lv)
     if n >= 16:
         yield Frame(kind="db4-dwt", levels=1)
+
+
+def reference_idwt_step(a, d, h, g):
+    """Oracle: the scatter-add inverse DWT step that polyphase synthesis replaced.
+
+    Each analysis window's contribution h[k] a[i] + g[k] d[i] is added back
+    at position (2i + k) mod n, one row at a time.
+    """
+    n = 2 * a.shape[-1]
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
+    out = np.zeros(a.shape[:-1] + (n,), dtype=np.complex128)
+    contrib = a[..., :, None] * h + d[..., :, None] * g
+    flat = out.reshape(-1, n)
+    cflat = contrib.reshape(-1, n // 2, h.size)
+    for row in range(flat.shape[0]):
+        np.add.at(flat[row], idx.ravel(), cflat[row].ravel())
+    return out
+
+
+def _reference_step(c, bank):
+    half = c.shape[-1] // 2
+    h, g, _ = bank
+    return reference_idwt_step(c[..., :half], c[..., half:], h, g)
 
 
 class TestSoftThreshold:
@@ -166,6 +190,26 @@ class TestAnalyzeSynthesize:
         f = Frame(kind="haar-dwt", levels=4)
         with pytest.raises(ShapeError):
             analyze(f, np.ones(8))  # too few samples for 4 dyadic levels
+
+
+class TestPolyphaseSynthesis:
+    @pytest.mark.parametrize("kind", ["haar-dwt", "db4-dwt"])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("batch_shape", [(1, 64), (1, 16, 32), (3, 64), (3, 16, 32)])
+    def test_matches_scatter_add_oracle(self, kind, levels, batch_shape, monkeypatch):
+        # Axis 0 is the batch: one or three 1D or 2D coefficient arrays.
+        f = Frame(kind=kind, levels=levels)
+        c = random_signal(batch_shape, levels)
+        fast = frames._synthesize_batch(f, c)
+        monkeypatch.setattr(frames, "_idwt_step", _reference_step)
+        slow = frames._synthesize_batch(f, c)
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+    def test_oracle_inverts_analysis(self, monkeypatch):
+        monkeypatch.setattr(frames, "_idwt_step", _reference_step)
+        f = Frame(kind="db4-dwt", levels=2)
+        x = random_signal((16, 16), 5)
+        np.testing.assert_allclose(synthesize(f, analyze(f, x)), x, atol=1e-10)
 
 
 class TestSparsityNorm:

@@ -48,6 +48,23 @@ class TestSignalIO:
         with pytest.raises(ConfigError):
             read_signal(path)
 
+    @pytest.mark.parametrize(
+        "shape_line,rows",
+        [("2x4", 3), ("8", 3), ("4", 8), ("2x2", 5), ("abc", 4), ("2x2x1", 4)],
+    )
+    def test_csv_shape_row_mismatch_rejected(self, tmp_path, shape_line, rows):
+        path = tmp_path / "sig.csv"
+        body = "".join(f"{i},{i}.5,0\n" for i in range(rows))
+        path.write_text(f"# shape={shape_line}\nindex,real,imag\n{body}")
+        with pytest.raises(ConfigError):
+            read_signal(path)
+
+    def test_csv_malformed_number_rejected(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("# shape=2\nindex,real,imag\n0,1,0\n1,x,0\n")
+        with pytest.raises(ConfigError):
+            read_signal(path)
+
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "sig.bin"
         write_signal(path, np.ones(8))

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.stats import spearmanr
 
 from rwkit import (
+    FRAME_KINDS,
     Frame,
     LinearClassifier,
+    NumericError,
     ParameterError,
     ReconstructionParams,
     ShapeError,
@@ -19,6 +23,7 @@ from rwkit import (
     margin,
     predict,
     purify,
+    purify_many,
 )
 
 IDENTITY = Frame(kind="identity")
@@ -163,6 +168,80 @@ class TestPurify:
         params = ReconstructionParams(iterations=1, threshold=0.0, subsample_prob=1.0, frame=IDENTITY)
         x = np.random.default_rng(3).standard_normal((16, 16))
         np.testing.assert_allclose(purify(x, params, 0).value, x, atol=1e-10)
+
+
+SHAPES = {1: [(8,), (16,), (64,)], 2: [(8, 8), (8, 16), (16, 16)]}
+
+
+@st.composite
+def purify_batches(draw):
+    kind = draw(st.sampled_from(FRAME_KINDS))
+    levels = draw(st.integers(1, 3)) if kind.endswith("-dwt") else 0
+    shape = draw(st.sampled_from(SHAPES[draw(st.sampled_from((1, 2)))]))
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.standard_normal((rows,) + shape)
+    if draw(st.booleans()):
+        xs = xs + 1j * rng.standard_normal(xs.shape)
+    params = ReconstructionParams(
+        iterations=draw(st.integers(1, 6)),
+        threshold=draw(st.sampled_from((0.0, 0.01, 0.3))),
+        subsample_prob=draw(st.sampled_from((0.3, 0.7, 1.0))),
+        frame=Frame(kind=kind, levels=levels),
+    )
+    seeds = [int(s) for s in rng.integers(0, 2**31, rows)]
+    return xs, params, seeds
+
+
+def assert_bit_identical(got, want):
+    assert got.value.dtype == want.value.dtype
+    assert got.value.shape == want.value.shape
+    assert got.value.tobytes() == want.value.tobytes()
+    assert (got.operator_seed, got.iterations_run) == (want.operator_seed, want.iterations_run)
+    assert got.final_coefficient_l1 == want.final_coefficient_l1
+    assert got.imag_residual == want.imag_residual
+
+
+class TestPurifyMany:
+    @settings(max_examples=80, deadline=None)
+    @given(purify_batches())
+    def test_rows_match_single_purify_bit_for_bit(self, case):
+        xs, params, seeds = case
+        batch = purify_many(xs, params, seeds)
+        assert len(batch) == len(xs)
+        for x, seed, got in zip(xs, seeds, batch):
+            assert_bit_identical(got, purify(x, params, seed))
+
+    def test_shared_operator_matches_its_seed(self):
+        params = ReconstructionParams(iterations=20, threshold=0.01, subsample_prob=0.6, frame=IDENTITY)
+        seed = derived_seed(3, 1)
+        op = make_partial_fourier(64, 0.6, seed)
+        x, probed = sparse_signal(64, 3, 1), sparse_signal(64, 3, 2)
+        clean, attacked = purify_many([x, probed], params, [op, op])
+        assert_bit_identical(clean, purify(x, params, seed))
+        assert_bit_identical(attacked, purify(probed, params, seed))
+
+    def test_empty_batch(self):
+        params = ReconstructionParams(iterations=1, threshold=0.0, subsample_prob=0.5, frame=IDENTITY)
+        assert purify_many([], params, []) == []
+
+    def test_rejects_inconsistent_batches(self):
+        params = ReconstructionParams(iterations=1, threshold=0.0, subsample_prob=0.5, frame=IDENTITY)
+        with pytest.raises(ShapeError):
+            purify_many([np.zeros(8), np.zeros(16)], params, [0, 1])
+        with pytest.raises(ShapeError):
+            purify_many([np.zeros(8)], params, [0, 1])
+        with pytest.raises(ShapeError):
+            purify_many([np.zeros(8)], params, [make_partial_fourier(16, 0.5, 0)])
+        with pytest.raises(ParameterError):
+            purify_many([np.zeros(8)], params, [make_partial_fourier(8, 0.7, 0)])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_iterate_in_any_row_fails_the_batch(self):
+        params = ReconstructionParams(iterations=3, threshold=0.0, subsample_prob=1.0, frame=IDENTITY)
+        overflowing = np.full(64, 1e308)  # finite, but its DFT is not
+        with pytest.raises(NumericError):
+            purify_many([np.zeros(64), overflowing], params, [0, 1])
 
 
 class TestDefend:
