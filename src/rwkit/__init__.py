@@ -40,7 +40,6 @@ from .defect import (
     DefectParams,
     DefectResult,
     ExpectedDefect,
-    bregman_defect,
     brute_force_defect,
     coefficient_defect,
     expected_defect,
@@ -48,15 +47,13 @@ from .defect import (
 )
 from .errors import (
     ConfigError,
-    EstimationError,
     InfeasibleError,
-    IterationCapError,
     NumericError,
     ParameterError,
     RwkitError,
     ShapeError,
 )
-from .frames import FRAME_KINDS, CsSpace, Frame, analyze, as_signal, soft_threshold, sparsity_norm, synthesize
+from .frames import FRAME_KINDS, Frame, analyze, as_signal, soft_threshold, sparsity_norm, synthesize
 from .io import read_signal, write_signal
 from .kernels import BACKEND, HAS_NUMBA
 from .reconstruct import (
@@ -83,7 +80,6 @@ __all__ = [
     # frames
     "FRAME_KINDS",
     "Frame",
-    "CsSpace",
     "as_signal",
     "analyze",
     "synthesize",
@@ -107,7 +103,6 @@ __all__ = [
     "DefectParams",
     "DefectResult",
     "ExpectedDefect",
-    "bregman_defect",
     "coefficient_defect",
     "sparsity_defect",
     "brute_force_defect",
@@ -151,8 +146,6 @@ __all__ = [
     "ParameterError",
     "ShapeError",
     "NumericError",
-    "IterationCapError",
     "InfeasibleError",
-    "EstimationError",
     "ConfigError",
 ]

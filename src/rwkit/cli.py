@@ -38,15 +38,6 @@ def _recon_params(cfg):
     )
 
 
-def _defect_params(cfg):
-    return defect.DefectParams(
-        solution_bound=cfg.defect_bound,
-        bregman_lambda=cfg.bregman_lambda,
-        tolerance=cfg.defect_tolerance,
-        max_iterations=cfg.defect_max_iterations,
-    )
-
-
 def _header(cfg, seed):
     return [f"rwkit v1 config={config_hash(cfg)} master_seed={seed}"]
 
@@ -97,13 +88,12 @@ def _cmd_defect(cfg, args):
     seed = args.seed if args.seed is not None else cfg.master_seed
     x = io.read_signal(args.infile)
     op = sensing.make_partial_fourier(x.shape, cfg.subsample_prob, seed)
-    result = defect.sparsity_defect(x, op, _frame(cfg), _defect_params(cfg))
-    lines = _header(cfg, seed) + [
-        f"failed={result.failed}",
-        f"defect={'nan' if result.defect is None else _fmt(result.defect)}",
-        f"iterations={result.iterations}",
+    params = defect.DefectParams(solution_bound=cfg.defect_bound)
+    result = defect.sparsity_defect(x, op, _frame(cfg), params)
+    lines = [
+        f"rwkit-defect v2 config={config_hash(cfg)} master_seed={seed}",
+        f"defect={_fmt(result.defect)}",
         f"final_l1={_fmt(result.final_l1)}",
-        f"lambda_used={_fmt(result.lambda_used)}",
     ]
     text = "\n".join(f"# {lines[0]}" if i == 0 else l for i, l in enumerate(lines)) + "\n"
     if args.out:
@@ -156,9 +146,10 @@ def run_eval(cfg, seed):
     """Evaluate the defended pipeline over the config's epsilon grid.
 
     For each epsilon, the clean and the probed copy of every sample are
-    purified together in one batch.  Sample i at epsilon index e uses the
-    operator and probe drawn from (seed, e, i), shared by both copies and
-    by its defect, so the report does not depend on the batch size.
+    purified together in one batch, and the defects of all samples are
+    computed in another.  Sample i at epsilon index e uses the operator and
+    probe drawn from (seed, e, i), shared by both copies and by its defect,
+    so the report does not depend on the batch size.
 
     Returns the report rows (list of dicts, one per epsilon).
     """
@@ -176,7 +167,7 @@ def run_eval(cfg, seed):
     signals = dataset.signals
     params = _recon_params(cfg)
     frame = _frame(cfg)
-    defect_params = _defect_params(cfg)
+    xs = np.asarray(signals, dtype=np.complex128)
     rows = []
     for eps_index, epsilon in enumerate(cfg.epsilon_grid):
         ops, probed = [], []
@@ -189,11 +180,8 @@ def run_eval(cfg, seed):
         clean_ok = [predict(clf, p.value) == y for p, y in zip(clean, dataset.labels)]
         defended_ok = [predict(clf, p.value) == y for p, y in zip(attacked, dataset.labels)]
         errors = [float(np.linalg.norm(p.value - x)) for p, x in zip(attacked, signals)]
-        results = [
-            defect.sparsity_defect(x, op, frame, defect_params) for x, op in zip(signals, ops)
-        ]
-        defects = [d.defect for d in results if not d.failed and not np.isnan(d.defect)]
-        mean_defect = float(np.mean(defects)) if defects else float("nan")
+        l1 = defect._l1_batch(np.stack([op.mask for op in ops]), xs, frame)
+        mean_defect = float(np.mean(defect._excess(l1, cfg.defect_bound)))
         cert_radius = cert_prob = cert_gain = float("nan")
         try:
             cert = certify.certify_probabilistic(
@@ -235,7 +223,7 @@ def _cmd_eval(cfg, args):
     seed = args.seed if args.seed is not None else cfg.master_seed
     rows = run_eval(cfg, seed)
     out = args.out or "report.csv"
-    lines = [f"# rwkit-report v1 config={config_hash(cfg)} master_seed={seed}"]
+    lines = [f"# rwkit-report v2 config={config_hash(cfg)} master_seed={seed}"]
     lines.append(",".join(_REPORT_COLUMNS))
     for row in rows:
         lines.append(

@@ -2,6 +2,9 @@
 
 The on-disk format is one ``key=value`` pair per line with ``#`` comments
 and blank lines ignored.  ``epsilon_grid`` is a comma-separated list.
+The keys of the retired iterative defect solver (``bregman_lambda``,
+``defect_tolerance``, ``defect_max_iterations``) are accepted and ignored;
+any other unknown key is an error.
 Serialization is canonical (fixed key order, %.17g floats) so the config
 hash is stable and parse(serialize(c)) == c.
 """
@@ -14,6 +17,9 @@ from .frames import FRAME_KINDS
 
 __all__ = ["ExperimentConfig", "parse_config", "serialize_config", "config_hash", "load_config"]
 
+# Keys of the iterative defect solver, which the closed form replaced.
+_RETIRED_KEYS = frozenset({"bregman_lambda", "defect_tolerance", "defect_max_iterations"})
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -23,11 +29,8 @@ class ExperimentConfig:
     threshold: float = 0.11
     iterations: int = 49
     subsample_prob: float = 0.7494
-    # sparsity-defect solver
+    # sparsity defect
     defect_bound: float = 1.0
-    bregman_lambda: float = 0.5
-    defect_tolerance: float = 1e-6
-    defect_max_iterations: int = 10_000
     defect_operators: int = 1
     # certificate inputs
     alpha: float = 4.0
@@ -57,12 +60,6 @@ class ExperimentConfig:
             raise ConfigError("subsample_prob: must lie in [0, 1]")
         if self.defect_bound <= 0:
             raise ConfigError("defect_bound: must be positive")
-        if self.bregman_lambda <= 0:
-            raise ConfigError("bregman_lambda: must be positive")
-        if self.defect_tolerance <= 0:
-            raise ConfigError("defect_tolerance: must be positive")
-        if self.defect_max_iterations < 1:
-            raise ConfigError("defect_max_iterations: must be >= 1")
         if self.defect_operators < 1:
             raise ConfigError("defect_operators: must be >= 1")
         if not 0.0 <= self.rwp_prob <= 1.0:
@@ -114,6 +111,8 @@ def parse_config(text):
     known = {f.name: f for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, value in raw.items():
+        if key in _RETIRED_KEYS:
+            continue
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
         try:

@@ -1,158 +1,93 @@
 """Sparsity defect: distance (in the sparsity norm) from a signal to the
 L1 ball of radius T in coefficient space.
 
-The solver is the split-Bregman iteration operating on the analysis
-coefficients w of the back-projected signal.  The iteration's fixed point
-is the soft-thresholding of w at the Bregman shrinkage parameter, so that
-parameter controls where the loop lands.  When w lies outside the budget
-ball the minimizer sits on its boundary, so whenever the fixed point
-reached with the configured parameter misses the boundary — infeasible
-(L1 norm above T, parameter too small) or strictly interior (over-shrunk,
-parameter too large) — the solver recalibrates the parameter by bisection
-to the value whose fixed point has L1 norm T and reruns the loop; the
-result then matches the exhaustive oracle.
+The defect of a coefficient vector w is min ||w - a||_1 over ||a||_1 <= T.
+By the triangle inequality no point of the ball is closer than
+||w||_1 - T, and shrinking every entry toward zero until the L1 norm is T
+attains that distance, so the defect is max(0, ||w||_1 - T), with complex
+entries taken as moduli.  ``brute_force_defect`` is an exhaustive grid
+oracle for it, kept for tests.
 
-``bregman_defect`` exposes the raw single-parameter loop, including its
-"no solution found" failure branch, for callers that want the unadorned
-iteration.
+The coefficients of a signal x are its back-projection through a sensing
+operator, w = analyze(adjoint(x)).  With the unitary-dft frame ``analyze``
+undoes the inverse FFT inside ``adjoint``, so the composition is diagonal
+and w is the mask times x up to round-off; every frame still takes the
+same path through the transforms.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, sensing
-from .errors import EstimationError, IterationCapError, ParameterError, ShapeError
-from .frames import analyze
+from . import sensing
+from .errors import ParameterError, ShapeError
+from .frames import _analyze_batch, as_signal
+from .sensing import _adjoint_batch
 
 __all__ = [
     "DefectParams",
     "DefectResult",
     "ExpectedDefect",
-    "bregman_defect",
     "coefficient_defect",
     "sparsity_defect",
     "brute_force_defect",
     "expected_defect",
 ]
 
-_FEASIBILITY_SLACK = 1e-8
-
 
 @dataclass(frozen=True)
 class DefectParams:
     solution_bound: float
-    bregman_lambda: float = 0.5
-    tolerance: float = 1e-6
-    max_iterations: int = 10_000
 
     def __post_init__(self):
         if self.solution_bound <= 0:
             raise ParameterError(
                 f"solution_bound must be positive, got {self.solution_bound}"
             )
-        if self.bregman_lambda <= 0:
-            raise ParameterError(
-                f"bregman_lambda must be positive, got {self.bregman_lambda}"
-            )
-        if self.tolerance <= 0:
-            raise ParameterError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ParameterError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
 
 
 @dataclass(frozen=True)
 class DefectResult:
-    """Solver outcome: ``defect`` is None iff ``failed`` (infeasible exit)."""
+    """``defect`` is the distance to the ball; ``final_l1`` is the L1 norm
+    of the nearest point of the ball, min(||w||_1, T)."""
 
-    defect: float | None
-    failed: bool
-    iterations: int
+    defect: float
     final_l1: float
-    lambda_used: float
-
-    def __post_init__(self):
-        if not self.failed and (self.defect is None or self.defect < 0):
-            raise ParameterError("successful result must carry a nonnegative defect")
 
 
-def _effective_tolerance(tol, n):
-    # Loop tolerance is an L1 norm over n entries; scale for large signals.
-    return tol * max(1.0, n / 256.0)
+def _excess(l1, bound):
+    # Distance from a point of L1 norm l1 to the L1 ball of radius bound.
+    return np.maximum(l1 - bound, 0.0)
 
 
-def bregman_defect(w, solution_bound, lam, tolerance, max_iterations):
-    """Split-Bregman loop on a coefficient vector, single shrinkage parameter.
-
-    Returns a DefectResult whose ``failed`` flag is set when the converged
-    iterate violates the L1 budget.  Raises IterationCapError if the loop
-    does not reach its tolerance within ``max_iterations``.
-    """
-    w = np.asarray(w, dtype=np.complex128).ravel()
-    tol = _effective_tolerance(tolerance, w.size)
-    d, iterations, converged = kernels.bregman_loop(
-        w, float(lam), float(tol), int(max_iterations)
-    )
-    if not converged:
-        raise IterationCapError(
-            f"no convergence within {max_iterations} iterations (tol={tol:g})"
-        )
-    final_l1 = float(np.sum(np.abs(d)))
-    if final_l1 > solution_bound + _FEASIBILITY_SLACK:
-        return DefectResult(None, True, iterations, final_l1, float(lam))
-    defect = float(np.sum(np.abs(w - d)))
-    return DefectResult(defect, False, iterations, final_l1, float(lam))
+def _result(l1, bound):
+    return DefectResult(defect=float(_excess(l1, bound)), final_l1=min(float(l1), bound))
 
 
-def _smallest_feasible_lambda(w, budget):
-    # ||S_lam(w)||_1 is continuous and decreasing in lam; bisect for the
-    # smallest lam whose fixed point fits the budget, with a tiny feasible
-    # margin so the rerun loop exits strictly inside it.
-    mags = np.abs(w)
-    target = budget * (1.0 - 1e-12) - 1e-12
-    lo, hi = 0.0, float(mags.max())
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(np.sum(np.maximum(mags - mid, 0.0))) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _l1_batch(mask, xs, frame):
+    # Row i is ||analyze(adjoint(mask[i], xs[i]))||_1, in the batch
+    # convention of sensing._adjoint_batch: axis 0 indexes signals, and
+    # every row is computed independently of the rows beside it.
+    w = _analyze_batch(frame, _adjoint_batch(mask, xs))
+    return np.sum(np.abs(w.reshape(len(w), -1)), axis=1)
 
 
 def coefficient_defect(w, params):
-    """Defect of a raw coefficient vector w: min ||w - a||_1, ||a||_1 <= T.
-
-    Points already inside the ball have defect 0 and skip the solver.
-    Otherwise the Bregman loop runs at the configured shrinkage parameter
-    and, if its fixed point misses the ball boundary (infeasible or
-    strictly interior), at the recalibrated one.
-    """
+    """Defect of a raw coefficient vector w: min ||w - a||_1, ||a||_1 <= T."""
     w = np.asarray(w, dtype=np.complex128).ravel()
-    l1 = float(np.sum(np.abs(w)))
-    budget = params.solution_bound
-    if l1 <= budget + _FEASIBILITY_SLACK:
-        return DefectResult(0.0, False, 0, l1, params.bregman_lambda)
-    result = bregman_defect(
-        w, budget, params.bregman_lambda, params.tolerance, params.max_iterations
-    )
-    boundary_slack = 1e-6 * max(1.0, budget)
-    if not result.failed and result.final_l1 >= budget - boundary_slack:
-        return result
-    lam = _smallest_feasible_lambda(w, budget)
-    return bregman_defect(w, budget, lam, params.tolerance, params.max_iterations)
+    return _result(np.sum(np.abs(w)), params.solution_bound)
 
 
 def sparsity_defect(x, op, frame, params):
     """Sparsity defect of the back-projection of ``x`` through ``op``.
 
-    Computes w = analyze(adjoint(x)) and minimizes ||w - a||_1 over the L1
-    ball of radius ``params.solution_bound``.
+    The defect of w = analyze(adjoint(x)) with respect to the L1 ball of
+    radius ``params.solution_bound``.
     """
-    w = analyze(frame, sensing.adjoint(op, x))
-    return coefficient_defect(w, params)
+    arr = as_signal(x)
+    sensing._check_shape(op, arr)
+    l1 = _l1_batch(op.mask[None], arr[None], frame)[0]
+    return _result(l1, params.solution_bound)
 
 
 def brute_force_defect(x, solution_bound, grid_step):
@@ -198,45 +133,33 @@ class ExpectedDefect:
 
     estimate: float
     num_operators: int
-    failed_instances: int
 
 
 def expected_defect(samples, frame, params, num_operators, master_seed, subsample_prob=1.0):
     """Average over seeded operators of the per-operator maximum defect.
 
     Each operator i is drawn from the stream SeedSequence(master_seed,
-    spawn_key=(i,)).  (sample, operator) instances whose solver run fails
-    are skipped and counted; it is an error for all instances of every
-    operator to fail.
+    spawn_key=(i,)), and all samples are back-projected through it in one
+    batch.
     """
     if num_operators < 1:
         raise ParameterError(f"num_operators must be >= 1, got {num_operators}")
-    samples = [np.asarray(s) for s in samples]
+    samples = [as_signal(s) for s in samples]
     if not samples:
         raise ParameterError("at least one sample is required")
     shape = samples[0].shape
     for s in samples:
         if s.shape != shape:
             raise ShapeError("all samples must share one shape")
+    xs = np.stack(samples)
     per_operator_max = []
-    failed = 0
     for i in range(num_operators):
         op = sensing.make_partial_fourier(
             shape, subsample_prob, sensing.derived_seed(master_seed, i)
         )
-        defects = []
-        for s in samples:
-            result = sparsity_defect(s, op, frame, params)
-            if result.failed:
-                failed += 1
-            else:
-                defects.append(result.defect)
-        if defects:
-            per_operator_max.append(max(defects))
-    if not per_operator_max:
-        raise EstimationError("every (sample, operator) instance failed")
+        l1 = _l1_batch(op.mask[None], xs, frame)
+        per_operator_max.append(float(np.max(_excess(l1, params.solution_bound))))
     return ExpectedDefect(
         estimate=float(np.mean(per_operator_max)),
         num_operators=num_operators,
-        failed_instances=failed,
     )

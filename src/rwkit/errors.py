@@ -17,16 +17,8 @@ class NumericError(RwkitError, ArithmeticError):
     """A computation produced non-finite values."""
 
 
-class IterationCapError(RwkitError):
-    """An iterative solver hit its iteration cap before converging."""
-
-
 class InfeasibleError(RwkitError):
     """A certificate precondition is violated (e.g. tau * alpha <= 2 * epsilon)."""
-
-
-class EstimationError(RwkitError):
-    """An estimator had no usable instances to aggregate."""
 
 
 class ConfigError(RwkitError):

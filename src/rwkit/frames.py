@@ -261,25 +261,3 @@ def soft_threshold(u, lam):
     arr = np.asarray(u, dtype=np.complex128)
     out = kernels.soft_threshold_flat(arr.ravel(), float(lam))
     return out.reshape(arr.shape)
-
-
-@dataclass(frozen=True)
-class CsSpace:
-    """A compressed-sensing space: frame, L1 budget and space constant.
-
-    ``solution_bound`` is the sparsity-norm radius of the solution set;
-    ``cs_bound`` is the decomposition constant (sqrt(K) in the canonical
-    K-sparse setting).
-    """
-
-    frame: Frame
-    solution_bound: float
-    cs_bound: float
-
-    def __post_init__(self):
-        if self.solution_bound <= 0:
-            raise ParameterError(
-                f"solution_bound must be positive, got {self.solution_bound}"
-            )
-        if self.cs_bound <= 0:
-            raise ParameterError(f"cs_bound must be positive, got {self.cs_bound}")

@@ -51,8 +51,21 @@ def write_signal(path, x, comments=()):
 
 
 def read_signal(path):
-    """Read a signal written by :func:`write_signal`."""
+    """Read a signal written by :func:`write_signal`.
+
+    A file that cannot be opened or decoded, or does not hold a signal in
+    either format, raises :class:`ConfigError`.
+    """
     path = str(path)
+    try:
+        return _read_signal(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read signal {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text signal file ({exc})") from exc
+
+
+def _read_signal(path):
     if path.endswith(".bin"):
         with open(path, "rb") as fh:
             header = fh.read(16)

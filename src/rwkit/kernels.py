@@ -1,15 +1,20 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Complex soft-thresholding, with a numba fast path and a pure-numpy fallback.
+
+Soft-thresholding is the one nonlinear step of the purifier.  With the
+unitary-dft frame the sensing operator is diagonal in coefficient space, so
+the whole reconstruction reduces to one call of it on the masked
+measurements (see ``reconstruct``).
 
 The backend is selected once at import time from the environment variable
 ``RWKIT_BACKEND``:
 
-* ``numba`` (default): use ``@njit``-compiled kernels, falling back to numpy
-  if numba is not importable.
-* ``numpy``: force the pure-numpy implementations.
+* ``numba`` (default): use the ``@njit``-compiled kernel, falling back to
+  numpy if numba is not importable.
+* ``numpy``: force the pure-numpy implementation.
 
-Both implementations of each kernel are always exported (``*_numpy`` and,
-when numba is available, ``*_numba``) so they can be benchmarked and
-cross-checked against each other; see ``benchmarks/bench_kernels.py``.
+Both implementations are exported (``soft_threshold_numpy`` and, when numba
+is available, ``soft_threshold_numba``) so they can be cross-checked against
+each other.
 """
 
 import os
@@ -21,8 +26,6 @@ __all__ = [
     "HAS_NUMBA",
     "soft_threshold_flat",
     "soft_threshold_numpy",
-    "bregman_loop",
-    "bregman_loop_numpy",
 ]
 
 
@@ -31,35 +34,6 @@ def soft_threshold_numpy(u, lam):
     mag = np.abs(u)
     scale = np.maximum(mag - lam, 0.0) / np.where(mag == 0.0, 1.0, mag)
     return u * scale
-
-
-def bregman_loop_numpy(w, lam, tol, cap):
-    """Split-Bregman iteration for the sparsity-defect program.
-
-    Starting from d = w, b = 0 the loop runs
-
-        u <- S_lam(d - b - w) + w
-        d <- S_lam(u + b)
-        b <- b + u - d
-
-    until the L1 change of d drops to ``tol``.  Returns
-    ``(d, iterations, converged)``; ``converged`` is False when ``cap``
-    iterations were spent without reaching the tolerance.
-    """
-    d = w.copy()
-    d_prev = np.zeros_like(w)
-    b = np.zeros_like(w)
-    it = 0
-    while np.sum(np.abs(d - d_prev)) > tol:
-        if it >= cap:
-            return d, it, False
-        u = soft_threshold_numpy(d - b - w, lam) + w
-        d_new = soft_threshold_numpy(u + b, lam)
-        b = b + u - d_new
-        d_prev = d
-        d = d_new
-        it += 1
-    return d, it, True
 
 
 HAS_NUMBA = False
@@ -88,45 +62,8 @@ if HAS_NUMBA:
                 out[j] = u[j] * ((mag - lam) / mag)
         return out
 
-    @njit(cache=True)
-    def bregman_loop_numba(w, lam, tol, cap):
-        n = w.size
-        d = w.copy()
-        d_prev = np.zeros_like(w)
-        b = np.zeros_like(w)
-        u = np.empty_like(w)
-        it = 0
-        while True:
-            diff = 0.0
-            for j in range(n):
-                diff += abs(d[j] - d_prev[j])
-            if diff <= tol:
-                return d, it, True
-            if it >= cap:
-                return d, it, False
-            for j in range(n):
-                z = d[j] - b[j] - w[j]
-                mag = abs(z)
-                if mag <= lam:
-                    u[j] = w[j]
-                else:
-                    u[j] = z * ((mag - lam) / mag) + w[j]
-            for j in range(n):
-                d_prev[j] = d[j]
-            for j in range(n):
-                z = u[j] + b[j]
-                mag = abs(z)
-                if mag <= lam:
-                    d[j] = 0.0
-                else:
-                    d[j] = z * ((mag - lam) / mag)
-                b[j] = b[j] + u[j] - d[j]
-            it += 1
-
     BACKEND = "numba"
     soft_threshold_flat = soft_threshold_numba
-    bregman_loop = bregman_loop_numba
 else:
     BACKEND = "numpy"
     soft_threshold_flat = soft_threshold_numpy
-    bregman_loop = bregman_loop_numpy

@@ -8,6 +8,12 @@ the iteration count is part of the reproducibility contract.
 There is one reconstruction loop.  It runs over a batch whose axis 0
 indexes independent signals, each with its own mask; ``purify``,
 ``ista_reconstruct`` and ``defend`` are batches of one.
+
+With the unitary-dft frame the operator the loop inverts, the sensing
+operator composed with synthesis, is the 0/1 mask itself: diagonal and
+idempotent.  The first step lands on the soft-thresholded masked
+measurements and every later step maps that iterate to itself, so this
+frame skips the loop and returns that first iterate directly.
 """
 
 from dataclasses import dataclass
@@ -68,9 +74,19 @@ def _ista_coefficients(y, mask, params):
 
     Axis 0 of ``y`` and ``mask`` indexes independent rows.  Every step is
     row-local, so a row's result does not depend on the rows beside it.
+
+    For the unitary-dft frame the result is S_lam(mask * y) in closed form:
+    it is the iterate at every step t >= 1, so it is the iterate after
+    ``params.iterations`` steps, which ``iterations_run`` reports.  ``y`` is
+    masked first, as the adjoint inside the loop would mask it.
     """
     frame = params.frame
     lam = params.threshold
+    if frame.kind == "unitary-dft":
+        z = mask * y
+        if not np.all(np.isfinite(z)):
+            raise NumericError("non-finite iterate at iteration 1")
+        return soft_threshold(z, lam)
     u = np.zeros(y.shape, dtype=np.complex128)
     for t in range(1, params.iterations + 1):
         residual = y - _apply_batch(mask, _synthesize_batch(frame, u))

@@ -63,6 +63,20 @@ class TestExitCodes:
         bad.write_text(f"# shape={shape_line}\nindex,real,imag\n0,1,0\n1,2,0\n2,3,0\n")
         assert main(["purify", "--config", config_path, "--in", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["purify", "defect"])
+    @pytest.mark.parametrize("name", ["nope.csv", "nope.bin"])
+    def test_missing_input_file_is_config_error(self, config_path, tmp_path, capsys, command, name):
+        path = tmp_path / name
+        assert main([command, "--config", config_path, "--in", str(path)]) == 2
+        assert "config error: cannot read signal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["purify", "defect"])
+    def test_undecodable_input_file_is_config_error(self, config_path, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"# shape=2\nindex,real,imag\n0,\xe9\xff,0\n1,2,0\n")
+        assert main([command, "--config", config_path, "--in", str(bad)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_eval_empty_epsilon_grid_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(FAST_CONFIG.replace("epsilon_grid=0.01,0.05", "epsilon_grid="))
@@ -95,9 +109,11 @@ class TestSubcommands:
 
     def test_defect_reports_value(self, config_path, signal_path, tmp_path, capsys):
         assert main(["defect", "--config", config_path, "--in", signal_path]) == 0
-        captured = capsys.readouterr().out
-        assert "defect=" in captured
-        assert "failed=False" in captured
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("# rwkit-defect v2 config=")
+        assert "master_seed=0" in lines[0]
+        assert [line.split("=")[0] for line in lines[1:]] == ["defect", "final_l1"]
+        assert float(lines[1].split("=")[1]) >= 0.0
 
     def test_certify_zero_defect_prints_q(self, config_path, capsys):
         assert main(["certify", "--config", config_path, "--expected-defect", "0"]) == 0
@@ -108,7 +124,7 @@ class TestSubcommands:
         out = tmp_path / "report.csv"
         assert main(["eval", "--config", config_path, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("# rwkit-report v1 config=")
+        assert lines[0].startswith("# rwkit-report v2 config=")
         assert lines[1] == (
             "epsilon,clean_accuracy,defended_accuracy_under_probe,"
             "mean_reconstruction_error,mean_defect,cert_radius,"

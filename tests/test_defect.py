@@ -1,17 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwkit import defect
 from rwkit import (
+    FRAME_KINDS,
     DefectParams,
-    EstimationError,
     Frame,
-    IterationCapError,
     ParameterError,
-    bregman_defect,
+    ShapeError,
     brute_force_defect,
     coefficient_defect,
+    derived_seed,
     expected_defect,
     make_partial_fourier,
     sparsity_defect,
@@ -30,19 +33,14 @@ class TestDefectParams:
         with pytest.raises(ParameterError):
             DefectParams(solution_bound=0.0)
         with pytest.raises(ParameterError):
-            DefectParams(solution_bound=1.0, bregman_lambda=0.0)
-        with pytest.raises(ParameterError):
-            DefectParams(solution_bound=1.0, tolerance=0.0)
-        with pytest.raises(ParameterError):
-            DefectParams(solution_bound=1.0, max_iterations=0)
+            DefectParams(solution_bound=-1.0)
 
 
 class TestCoefficientDefect:
     def test_interior_point_has_zero_defect(self):
         result = coefficient_defect(np.array([0.2, -0.3]), DefectParams(solution_bound=1.0))
         assert result.defect == 0.0
-        assert not result.failed
-        assert result.iterations == 0
+        assert result.final_l1 == pytest.approx(0.5, abs=1e-15)
 
     def test_worked_scalar_example(self):
         result = coefficient_defect(np.array([3.0]), DefectParams(solution_bound=1.0))
@@ -82,11 +80,21 @@ class TestCoefficientDefect:
         scaled = coefficient_defect(scale * w, params).defect
         assert scaled >= base - 1e-8
 
-    def test_iteration_cap_raises(self):
-        with pytest.raises(IterationCapError):
-            bregman_defect(
-                np.array([3.0, -2.0, 1.5]), 1.0, lam=0.5, tolerance=1e-14, max_iterations=1
-            )
+    @given(
+        st.integers(1, 64),
+        st.floats(0.01, 10.0),
+        st.floats(0.01, 10.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_complex_matches_analytic_excess(self, n, scale, budget, seed):
+        rng = np.random.default_rng(seed)
+        w = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        l1 = math.fsum(np.hypot(w.real, w.imag))
+        result = coefficient_defect(w, DefectParams(solution_bound=budget))
+        # Relative to ||w||_1: the excess cancels when ||w||_1 is near T.
+        assert result.defect == pytest.approx(max(0.0, l1 - budget), abs=1e-12 * l1)
+        assert result.final_l1 == pytest.approx(min(l1, budget), rel=1e-12)
 
 
 class TestBruteForce:
@@ -178,7 +186,6 @@ class TestExpectedDefect:
         samples = [np.eye(8)[i] * 0.5 for i in range(4)]
         est = expected_defect(samples, dft, params, num_operators=3, master_seed=0)
         assert est.estimate == pytest.approx(0.0, abs=1e-10)
-        assert est.failed_instances == 0
 
     def test_monotone_in_budget(self):
         rng = np.random.default_rng(9)
@@ -202,3 +209,59 @@ class TestExpectedDefect:
             expected_defect([], IDENTITY, params, num_operators=1, master_seed=0)
         with pytest.raises(ParameterError):
             expected_defect([np.ones(8)], IDENTITY, params, num_operators=0, master_seed=0)
+
+    def test_mean_over_operators_of_max_over_samples(self):
+        params = DefectParams(solution_bound=1.0)
+        rng = np.random.default_rng(11)
+        samples = [rng.standard_normal(16) for _ in range(5)]
+        est = expected_defect(samples, IDENTITY, params, 4, master_seed=3, subsample_prob=0.6)
+        maxima = []
+        for i in range(4):
+            op = make_partial_fourier(16, 0.6, derived_seed(3, i))
+            maxima.append(max(sparsity_defect(s, op, IDENTITY, params).defect for s in samples))
+        assert est.estimate == pytest.approx(np.mean(maxima), rel=1e-15)
+        assert est.num_operators == 4
+
+    def test_rejects_mixed_shapes(self):
+        params = DefectParams(solution_bound=1.0)
+        with pytest.raises(ShapeError):
+            expected_defect([np.ones(8), np.ones(16)], IDENTITY, params, 1, master_seed=0)
+
+
+SHAPES = {1: [(8,), (16,), (64,)], 2: [(8, 8), (8, 16), (16, 16)]}
+
+
+@st.composite
+def defect_batches(draw):
+    kind = draw(st.sampled_from(FRAME_KINDS))
+    levels = draw(st.integers(1, 3)) if kind.endswith("-dwt") else 0
+    shape = draw(st.sampled_from(SHAPES[draw(st.sampled_from((1, 2)))]))
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.standard_normal((rows,) + shape)
+    if draw(st.booleans()):
+        xs = xs + 1j * rng.standard_normal(xs.shape)
+    q = draw(st.sampled_from((0.3, 0.7, 1.0)))
+    ops = [make_partial_fourier(shape, q, int(s)) for s in rng.integers(0, 2**31, rows)]
+    budget = draw(st.sampled_from((0.5, 2.0, 50.0)))
+    return xs, ops, Frame(kind=kind, levels=levels), DefectParams(solution_bound=budget)
+
+
+class TestDefectBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(defect_batches())
+    def test_rows_match_sparsity_defect_bit_for_bit(self, case):
+        xs, ops, frame, params = case
+        mask = np.stack([op.mask for op in ops])
+        l1 = defect._l1_batch(mask, xs.astype(np.complex128), frame)
+        assert l1.shape == (len(xs),)
+        for x, op, row in zip(xs, ops, l1):
+            single = sparsity_defect(x, op, frame, params)
+            batched = defect._result(row, params.solution_bound)
+            assert batched.defect == single.defect
+            assert batched.final_l1 == single.final_l1
+
+    def test_shape_mismatch_rejected(self):
+        op = make_partial_fourier(16, 0.5, 0)
+        with pytest.raises(ShapeError):
+            sparsity_defect(np.ones(8), op, IDENTITY, DefectParams(solution_bound=1.0))

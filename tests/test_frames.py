@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from rwkit import frames
 from rwkit import (
     FRAME_KINDS,
-    CsSpace,
     Frame,
     ParameterError,
     ShapeError,
@@ -108,12 +107,6 @@ class TestFrameConstruction:
     def test_negative_levels_rejected(self):
         with pytest.raises(ParameterError):
             Frame(kind="haar-dwt", levels=-1)
-
-    def test_cs_space_bounds(self):
-        space = CsSpace(frame=Frame(kind="identity"), solution_bound=2.0, cs_bound=2.0)
-        assert space.solution_bound == 2.0
-        with pytest.raises(ParameterError):
-            CsSpace(frame=Frame(kind="identity"), solution_bound=0.0, cs_bound=1.0)
 
 
 class TestAsSignal:

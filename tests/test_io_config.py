@@ -65,6 +65,17 @@ class TestSignalIO:
         with pytest.raises(ConfigError):
             read_signal(path)
 
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_missing_file_rejected(self, tmp_path, suffix):
+        with pytest.raises(ConfigError, match="cannot read signal"):
+            read_signal(tmp_path / f"nope{suffix}")
+
+    def test_undecodable_csv_rejected(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(b"# shape=2\nindex,real,imag\n0,1,0\n1,\xff\xfe,0\n")
+        with pytest.raises(ConfigError, match="not a text signal file"):
+            read_signal(path)
+
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "sig.bin"
         write_signal(path, np.ones(8))
@@ -96,6 +107,12 @@ class TestConfig:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config("bogus=1\n")
+
+    def test_retired_solver_keys_accepted_and_ignored(self):
+        text = "n=64\nbregman_lambda=0.5\ndefect_tolerance=1e-06\ndefect_max_iterations=10000\n"
+        cfg = parse_config(text)
+        assert cfg == ExperimentConfig(n=64)
+        assert "bregman_lambda" not in serialize_config(cfg)
 
     def test_bad_value_names_field(self):
         with pytest.raises(ConfigError, match="iterations"):

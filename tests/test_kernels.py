@@ -32,22 +32,6 @@ class TestBackendAgreement:
         np.testing.assert_array_equal(kernels.soft_threshold_numba(u, 0.5), u)
         np.testing.assert_array_equal(kernels.soft_threshold_numpy(u, 0.5), u)
 
-    def test_bregman_loop_matches(self):
-        for seed in range(10):
-            w = random_coefficients(32, seed) * 2
-            d_nb, it_nb, ok_nb = kernels.bregman_loop_numba(w, 0.5, 1e-8, 10_000)
-            d_np, it_np, ok_np = kernels.bregman_loop_numpy(w, 0.5, 1e-8, 10_000)
-            assert ok_nb and ok_np
-            assert it_nb == it_np
-            np.testing.assert_allclose(d_nb, d_np, atol=1e-12)
-
-    def test_bregman_cap_agreement(self):
-        w = random_coefficients(16, 0) * 3
-        d_nb, it_nb, ok_nb = kernels.bregman_loop_numba(w, 0.5, 1e-15, 1)
-        d_np, it_np, ok_np = kernels.bregman_loop_numpy(w, 0.5, 1e-15, 1)
-        assert not ok_nb and not ok_np
-        assert it_nb == it_np == 1
-
 
 def run_with_backend(backend, code):
     return subprocess.run(

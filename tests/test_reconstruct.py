@@ -24,9 +24,35 @@ from rwkit import (
     predict,
     purify,
     purify_many,
+    soft_threshold,
 )
+from rwkit.frames import _analyze_batch, _synthesize_batch
+from rwkit.sensing import _adjoint_batch, _apply_batch
 
 IDENTITY = Frame(kind="identity")
+DFT = Frame(kind="unitary-dft")
+
+
+def ista_loop(y, mask, params):
+    """Reference: the thresholded gradient loop, run step by step.
+
+    Axis 0 of ``y`` and ``mask`` indexes rows.  The purifier runs this loop
+    for every frame but unitary-dft, whose answer it computes in closed form.
+    """
+    frame = params.frame
+    u = np.zeros(y.shape, dtype=np.complex128)
+    for _ in range(params.iterations):
+        residual = y - _apply_batch(mask, _synthesize_batch(frame, u))
+        z = u + _analyze_batch(frame, _adjoint_batch(mask, residual))
+        u = soft_threshold(z, params.threshold)
+    return u
+
+
+def assert_close_rel(got, want, rel=1e-12):
+    # Entrywise within ``rel`` of the largest entry of ``want``.
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
 
 
 def lp_basis_pursuit(y, op):
@@ -239,6 +265,59 @@ class TestPurifyMany:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_iterate_in_any_row_fails_the_batch(self):
         params = ReconstructionParams(iterations=3, threshold=0.0, subsample_prob=1.0, frame=IDENTITY)
+        overflowing = np.full(64, 1e308)  # finite, but its DFT is not
+        with pytest.raises(NumericError):
+            purify_many([np.zeros(64), overflowing], params, [0, 1])
+
+
+@st.composite
+def dft_cases(draw):
+    shape = draw(st.sampled_from(SHAPES[draw(st.sampled_from((1, 2)))]))
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.standard_normal((rows,) + shape)
+    if draw(st.booleans()):
+        xs = xs + 1j * rng.standard_normal(xs.shape)
+    params = ReconstructionParams(
+        iterations=draw(st.sampled_from((1, 2, 49))),
+        threshold=draw(st.sampled_from((0.0, 0.11, 0.3, 1.0))),
+        subsample_prob=draw(st.sampled_from((0.3, 0.7494, 1.0))),
+        frame=DFT,
+    )
+    seeds = [int(s) for s in rng.integers(0, 2**31, rows)]
+    return xs, params, seeds
+
+
+class TestUnitaryDftClosedForm:
+    @settings(max_examples=80, deadline=None)
+    @given(dft_cases())
+    def test_purify_many_matches_the_loop(self, case):
+        xs, params, seeds = case
+        ops = [make_partial_fourier(xs.shape[1:], params.subsample_prob, s) for s in seeds]
+        mask = np.stack([op.mask for op in ops])
+        u = ista_loop(_apply_batch(mask, xs.astype(np.complex128)), mask, params)
+        want = _synthesize_batch(DFT, u)
+        for x, got, w, coeffs in zip(xs, purify_many(xs, params, seeds), want, u):
+            assert got.iterations_run == params.iterations
+            if np.isrealobj(x):
+                assert got.value.dtype == np.float64
+                assert got.imag_residual == pytest.approx(np.max(np.abs(w.imag)), abs=1e-12)
+                w = w.real
+            assert_close_rel(got.value, w)
+            assert got.final_coefficient_l1 == pytest.approx(np.sum(np.abs(coeffs)), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dft_cases())
+    def test_ista_reconstruct_with_off_mask_measurements(self, case):
+        xs, params, seeds = case
+        op = make_partial_fourier(xs.shape[1:], params.subsample_prob, seeds[0])
+        y = np.fft.fftn(xs[0], norm="ortho") + 0.5  # nonzero off the mask too
+        u = ista_loop(y[None], op.mask[None], params)
+        assert_close_rel(ista_reconstruct(y, op, params), _synthesize_batch(DFT, u)[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_measurements_fail(self):
+        params = ReconstructionParams(iterations=3, threshold=0.0, subsample_prob=1.0, frame=DFT)
         overflowing = np.full(64, 1e308)  # finite, but its DFT is not
         with pytest.raises(NumericError):
             purify_many([np.zeros(64), overflowing], params, [0, 1])
