@@ -4,12 +4,14 @@ The on-disk format is one ``key=value`` pair per line with ``#`` comments
 and blank lines ignored.  ``epsilon_grid`` is a comma-separated list.
 The keys of the retired iterative defect solver (``bregman_lambda``,
 ``defect_tolerance``, ``defect_max_iterations``) are accepted and ignored;
-any other unknown key is an error.
+any other unknown key is an error.  Every float value and every
+``epsilon_grid`` entry must be finite.
 Serialization is canonical (fixed key order, %.17g floats) so the config
 hash is stable and parse(serialize(c)) == c.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -48,6 +50,12 @@ class ExperimentConfig:
     epsilon_grid: tuple = (0.01, 0.02, 0.05, 0.1)
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type in (float, "float") and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name}: must be finite")
+        grid = tuple(float(e) for e in self.epsilon_grid)
+        if not all(math.isfinite(e) for e in grid):
+            raise ConfigError("epsilon_grid: entries must be finite")
         if self.frame not in FRAME_KINDS:
             raise ConfigError(f"frame: unknown kind {self.frame!r}")
         if self.levels < 0:
@@ -72,7 +80,6 @@ class ExperimentConfig:
             raise ConfigError("sparsity: must lie in [1, n]")
         if self.margin_floor <= 0:
             raise ConfigError("margin_floor: must be positive")
-        grid = tuple(float(e) for e in self.epsilon_grid)
         if any(e < 0 for e in grid):
             raise ConfigError("epsilon_grid: entries must be >= 0")
         if any(b <= a for a, b in zip(grid, grid[1:])):

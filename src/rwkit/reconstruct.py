@@ -123,6 +123,17 @@ def _operator(seed, shape, params):
     return seed
 
 
+def _purify_block(xs, mask, params):
+    """Purified values and final coefficients of a stacked batch.
+
+    Row i of the complex array ``xs`` is sensed through ``mask[i]`` and
+    reconstructed; the rows are not validated.  Returns ``(values, u)``,
+    both complex, with the batch on axis 0.
+    """
+    u = _ista_coefficients(_apply_batch(mask, xs), mask, params)
+    return _synthesize_batch(params.frame, u), u
+
+
 def purify_many(xs, params, seeds):
     """Purify a batch of same-shape signals in one reconstruction loop.
 
@@ -141,9 +152,7 @@ def purify_many(xs, params, seeds):
         if arr.shape != shape:
             raise ShapeError(f"batch mixes signal shapes {shape} and {arr.shape}")
     ops = [_operator(seed, shape, params) for seed in seeds]
-    mask = np.stack([op.mask for op in ops])
-    u = _ista_coefficients(_apply_batch(mask, np.stack(rows)), mask, params)
-    values = _synthesize_batch(params.frame, u)
+    values, u = _purify_block(np.stack(rows), np.stack([op.mask for op in ops]), params)
     out = []
     for x, op, value, coeffs in zip(xs, ops, values, u):
         imag_residual = 0.0

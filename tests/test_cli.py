@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rwkit import read_signal, write_signal
+from rwkit import FRAME_KINDS, ExperimentConfig, read_signal, write_signal
+from rwkit import certify, cli, data, defect, reconstruct, sensing
+from rwkit.classifier import predict
 from rwkit.cli import main
+from rwkit.errors import InfeasibleError, ParameterError
 
 FAST_CONFIG = """\
 n=32
@@ -84,6 +89,26 @@ class TestExitCodes:
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "threshold=nan",
+            "defect_bound=nan",
+            "alpha=inf",
+            "rho=-inf",
+            "tau=nan",
+            "epsilon_grid=nan",
+            "epsilon_grid=0.1,inf",
+        ],
+    )
+    def test_eval_non_finite_config_value_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_CONFIG + line + "\n")
+        out = tmp_path / "report.csv"
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_certify_empty_epsilon_grid_falls_back_to_zero(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(FAST_CONFIG.replace("epsilon_grid=0.01,0.05", "epsilon_grid="))
@@ -163,3 +188,105 @@ class TestDeterminism:
         main(["gen-data", "--config", config_path, "--out", str(a)])
         main(["gen-data", "--config", config_path, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def reference_eval(cfg, seed):
+    """Reference: eval one epsilon at a time, with one purify_many call per
+    epsilon and a scalar ``predict`` per purified row."""
+    dataset = data.gen_data(
+        cfg.n,
+        cfg.count,
+        cfg.sparsity,
+        seed,
+        margin_floor=cfg.margin_floor,
+        weights_seed=cfg.weights_seed,
+    )
+    clf = dataset.classifier
+    signals = dataset.signals
+    params = cli._recon_params(cfg)
+    frame = cli._frame(cfg)
+    xs = np.asarray(signals, dtype=np.complex128)
+    rows = []
+    for eps_index, epsilon in enumerate(cfg.epsilon_grid):
+        ops, probed = [], []
+        for i, x in enumerate(signals):
+            purify_seed, probe_seed = sensing.derived_seed(seed, eps_index, i).spawn(2)
+            ops.append(sensing.make_partial_fourier(x.shape, cfg.subsample_prob, purify_seed))
+            probed.append(cli._probe(x, epsilon, probe_seed))
+        purified = reconstruct.purify_many(list(signals) + probed, params, ops + ops)
+        clean, attacked = purified[: len(signals)], purified[len(signals) :]
+        clean_ok = [predict(clf, p.value) == y for p, y in zip(clean, dataset.labels)]
+        defended_ok = [predict(clf, p.value) == y for p, y in zip(attacked, dataset.labels)]
+        errors = [float(np.linalg.norm(p.value - x)) for p, x in zip(attacked, signals)]
+        l1 = defect._l1_batch(np.stack([op.mask for op in ops]), xs, frame)
+        mean_defect = float(np.mean(defect._excess(l1, cfg.defect_bound)))
+        cert_radius = cert_prob = cert_gain = float("nan")
+        try:
+            cert = certify.certify_probabilistic(
+                cfg.rwp_prob, cfg.alpha, cfg.rho, cfg.tau, epsilon, mean_defect
+            )
+            cert_radius, cert_prob, cert_gain = cert.radius, cert.probability, cert.gain
+        except (InfeasibleError, ParameterError):
+            pass
+        rows.append(
+            {
+                "epsilon": epsilon,
+                "clean_accuracy": float(np.mean(clean_ok)),
+                "defended_accuracy_under_probe": float(np.mean(defended_ok)),
+                "mean_reconstruction_error": float(np.mean(errors)),
+                "mean_defect": mean_defect,
+                "cert_radius": cert_radius,
+                "cert_probability": cert_prob,
+                "cert_gain": cert_gain,
+                "seed": seed,
+            }
+        )
+    return rows
+
+
+def same_bits(a, b):
+    # Equal floats bit for bit, with any NaN equal to any NaN.
+    if isinstance(a, float) and isinstance(b, float) and np.isnan(a) and np.isnan(b):
+        return True
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@st.composite
+def eval_cases(draw):
+    kind = draw(st.sampled_from(FRAME_KINDS))
+    n = draw(st.sampled_from((16, 32)))
+    grid = draw(st.lists(st.sampled_from((0.0, 0.01, 0.05, 0.3)), min_size=1, max_size=4, unique=True))
+    cfg = ExperimentConfig(
+        frame=kind,
+        levels=draw(st.integers(1, 2)) if kind.endswith("-dwt") else 0,
+        threshold=draw(st.sampled_from((0.0, 0.002, 0.05))),
+        iterations=draw(st.integers(1, 6)),
+        subsample_prob=draw(st.sampled_from((0.5, 0.7494, 1.0))),
+        defect_bound=draw(st.sampled_from((0.5, 1.0, 3.0))),
+        n=n,
+        count=draw(st.integers(1, 12)),
+        sparsity=2,
+        margin_floor=0.05,
+        epsilon_grid=tuple(sorted(grid)),
+    )
+    # Block sizes of 1, 2 and 3 cells split an epsilon's samples and make
+    # blocks straddle epsilon boundaries; None keeps the shipped size.
+    block_cells = draw(st.sampled_from((1, 2, 3, None)))
+    return cfg, draw(st.integers(0, 2**31 - 1)), block_cells
+
+
+class TestBlockedEval:
+    @settings(max_examples=100, deadline=None)
+    @given(eval_cases())
+    def test_rows_match_per_epsilon_reference_bit_for_bit(self, case):
+        cfg, seed, block_cells = case
+        with pytest.MonkeyPatch.context() as mp:
+            if block_cells is not None:
+                mp.setattr(cli, "_BLOCK_ENTRIES", block_cells * 2 * cfg.n)
+            got = cli.run_eval(cfg, seed)
+        want = reference_eval(cfg, seed)
+        assert len(got) == len(want) == len(cfg.epsilon_grid)
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys()
+            for key in w:
+                assert same_bits(g[key], w[key]), (key, g[key], w[key])

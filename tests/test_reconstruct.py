@@ -238,6 +238,19 @@ class TestPurifyMany:
         for x, seed, got in zip(xs, seeds, batch):
             assert_bit_identical(got, purify(x, params, seed))
 
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_eval_sized_batch_matches_single_purify_bit_for_bit(self, kind):
+        # rwkit eval purifies blocks of 64 rows at n=128, beyond the sizes
+        # the property above draws.
+        frame = Frame(kind=kind, levels=3 if kind.endswith("-dwt") else 0)
+        params = ReconstructionParams(iterations=20, threshold=0.002, subsample_prob=0.5, frame=frame)
+        xs = np.random.default_rng(5).standard_normal((64, 128))
+        seeds = [derived_seed(5, i) for i in range(64)]
+        batch = purify_many(xs, params, seeds)
+        assert len(batch) == 64
+        for x, seed, got in zip(xs, seeds, batch):
+            assert_bit_identical(got, purify(x, params, seed))
+
     def test_shared_operator_matches_its_seed(self):
         params = ReconstructionParams(iterations=20, threshold=0.01, subsample_prob=0.6, frame=IDENTITY)
         seed = derived_seed(3, 1)
