@@ -13,6 +13,7 @@ index) and every step is row-local.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -110,6 +111,9 @@ def _cmd_defect(cfg, args):
 
 def _cmd_certify(cfg, args):
     seed = args.seed if args.seed is not None else cfg.master_seed
+    for flag, value in (("--expected-defect", args.expected_defect), ("--epsilon", args.epsilon)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag}: must be finite")
     expected = args.expected_defect
     if expected is None:
         expected = 0.0
@@ -308,6 +312,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed: must be >= 0")
         cfg = load_config(args.config)
         _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

@@ -5,7 +5,7 @@ and blank lines ignored.  ``epsilon_grid`` is a comma-separated list.
 The keys of the retired iterative defect solver (``bregman_lambda``,
 ``defect_tolerance``, ``defect_max_iterations``) are accepted and ignored;
 any other unknown key is an error.  Every float value and every
-``epsilon_grid`` entry must be finite.
+``epsilon_grid`` entry must be finite, and the seeds must be >= 0.
 Serialization is canonical (fixed key order, %.17g floats) so the config
 hash is stable and parse(serialize(c)) == c.
 """
@@ -80,6 +80,9 @@ class ExperimentConfig:
             raise ConfigError("sparsity: must lie in [1, n]")
         if self.margin_floor <= 0:
             raise ConfigError("margin_floor: must be positive")
+        for name in ("weights_seed", "master_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name}: must be >= 0")
         if any(e < 0 for e in grid):
             raise ConfigError("epsilon_grid: entries must be >= 0")
         if any(b <= a for a, b in zip(grid, grid[1:])):

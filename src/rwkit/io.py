@@ -21,10 +21,6 @@ MAGIC = b"RWKSIG1\x00"
 __all__ = ["read_signal", "write_signal", "MAGIC"]
 
 
-def _fmt(v):
-    return f"{v:.17g}"
-
-
 def write_signal(path, x, comments=()):
     """Write a complex signal to ``path`` (.bin for binary, else CSV)."""
     x = np.asarray(x, dtype=np.complex128)
@@ -44,8 +40,10 @@ def write_signal(path, x, comments=()):
     lines.append(f"# shape={shape}")
     lines.append("index,real,imag")
     flat = x.ravel()
-    for i, v in enumerate(flat):
-        lines.append(f"{i},{_fmt(v.real)},{_fmt(v.imag)}")
+    lines.extend(
+        f"{i},{re:.17g},{im:.17g}"
+        for i, (re, im) in enumerate(zip(flat.real.tolist(), flat.imag.tolist()))
+    )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

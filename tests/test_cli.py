@@ -109,6 +109,31 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "gen-data", "purify", "defect", "certify"])
+    def test_negative_seed_flag_is_config_error(self, config_path, signal_path, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", config_path, "--seed", "-1", "--out", str(out)]
+        if command in ("purify", "defect"):
+            argv += ["--in", signal_path]
+        assert main(argv) == 2
+        assert "config error: --seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["master_seed", "weights_seed"])
+    def test_negative_config_seed_is_config_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_CONFIG + f"{key}=-1\n")
+        out = tmp_path / "report.csv"
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {key}: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--expected-defect"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_certify_non_finite_flag_is_config_error(self, config_path, capsys, flag, value):
+        assert main(["certify", "--config", config_path, f"{flag}={value}"]) == 2
+        assert f"config error: {flag}: must be finite" in capsys.readouterr().err
+
     def test_certify_empty_epsilon_grid_falls_back_to_zero(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(FAST_CONFIG.replace("epsilon_grid=0.01,0.05", "epsilon_grid="))

@@ -60,6 +60,37 @@ def _reference_step(c, bank):
     return reference_idwt_step(c[..., :half], c[..., half:], h, g)
 
 
+def reference_dwt_2d(x, bank, levels):
+    """Oracle: the filter-step 2D analysis that the dense level matrices
+    replaced.  Each level filters the rows of the top-left block, then its
+    columns, with the 1D periodized step."""
+    c = x.copy()
+    mh, mw = c.shape[-2:]
+    for _ in range(levels):
+        a, d = frames._dwt_step(c[..., :mh, :mw], bank)
+        block = np.concatenate([a, d], axis=-1).swapaxes(-1, -2)
+        a, d = frames._dwt_step(block, bank)
+        c[..., :mh, :mw] = np.concatenate([a, d], axis=-1).swapaxes(-1, -2)
+        mh //= 2
+        mw //= 2
+    return c
+
+
+def reference_idwt_2d(c, bank, levels):
+    """Oracle: the inverse of :func:`reference_dwt_2d`, one polyphase
+    synthesis step along the columns, then the rows, per level."""
+    x = c.copy()
+    mh = x.shape[-2] >> levels
+    mw = x.shape[-1] >> levels
+    for _ in range(levels):
+        block = x[..., : 2 * mh, : 2 * mw]
+        cols = frames._idwt_step(block.swapaxes(-1, -2), bank)
+        x[..., : 2 * mh, : 2 * mw] = frames._idwt_step(cols.swapaxes(-1, -2), bank)
+        mh *= 2
+        mw *= 2
+    return x
+
+
 class TestSoftThreshold:
     def test_below_threshold_zeroes(self):
         assert soft_threshold(np.array([0.3]), 0.5)[0] == 0.0
@@ -224,3 +255,35 @@ class TestSparsityNorm:
     def test_complex_modulus_summed(self):
         f = Frame(kind="identity")
         assert sparsity_norm(f, np.array([3.0 + 4.0j])) == pytest.approx(5.0)
+
+
+@st.composite
+def dwt_2d_cases(draw):
+    kind = draw(st.sampled_from(("haar-dwt", "db4-dwt")))
+    levels = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(((8, 16), (64, 32), (64, 64))))
+    rows = draw(st.integers(1, 4))
+    x = random_signal((rows,) + shape, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+    return Frame(kind=kind, levels=levels), x
+
+
+class TestDenseLevels2D:
+    @settings(max_examples=60, deadline=None)
+    @given(dwt_2d_cases())
+    def test_match_filter_step_oracle(self, case):
+        f, x = case
+        bank = frames._BANKS[f.kind]
+        xs = x.astype(np.complex128)
+        want = reference_dwt_2d(xs, bank, f.levels)
+        got = frames._analyze_batch(f, xs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        want = reference_idwt_2d(xs, bank, f.levels)
+        got = frames._synthesize_batch(f, xs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["haar-dwt", "db4-dwt"])
+    @pytest.mark.parametrize("m", [2, 4, 8, 64])
+    def test_level_matrix_is_orthogonal_and_read_only(self, kind, m):
+        d = frames._level_matrix(kind, m)
+        np.testing.assert_allclose(d @ d.T, np.eye(m), atol=1e-10)
+        assert not d.flags.writeable

@@ -19,7 +19,42 @@ from rwkit import (
 )
 
 
+def reference_write_csv(path, x, comments=()):
+    """Oracle: the per-element CSV writer that row-at-a-time formatting
+    replaced; each numpy scalar's parts are formatted one call at a time."""
+
+    def fmt(v):
+        return f"{v:.17g}"
+
+    x = np.asarray(x, dtype=np.complex128)
+    lines = [f"# {c}" for c in comments]
+    lines.append(f"# shape={'x'.join(str(s) for s in x.shape)}")
+    lines.append("index,real,imag")
+    for i, v in enumerate(x.ravel()):
+        lines.append(f"{i},{fmt(v.real)},{fmt(v.imag)}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, np.nan, np.inf, -np.inf]
+
+
 class TestSignalIO:
+    @pytest.mark.parametrize("shape", [(1 << 17,), (64, 128), (1,)])
+    @pytest.mark.parametrize("comments", [(), ("rwkit v1 config=abc master_seed=0", "iterations_run=50")])
+    def test_csv_bytes_match_per_element_writer(self, tmp_path, shape, comments):
+        # The 1D shape reaches six-digit indices.
+        rng = np.random.default_rng(len(shape))
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        flat = x.reshape(-1)
+        for k, v in enumerate(EDGE_VALUES):
+            flat[(37 * k) % flat.size] = complex(v, EDGE_VALUES[-1 - k])
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_signal(got, x, comments=comments)
+        reference_write_csv(want, x, comments=comments)
+        assert got.read_bytes() == want.read_bytes()
+
+
     @pytest.mark.parametrize("suffix", [".csv", ".bin"])
     def test_round_trip_1d(self, tmp_path, suffix):
         x = np.random.default_rng(0).standard_normal(16) + 1j * np.random.default_rng(1).standard_normal(16)

@@ -251,6 +251,20 @@ class TestPurifyMany:
         for x, seed, got in zip(xs, seeds, batch):
             assert_bit_identical(got, purify(x, params, seed))
 
+    @pytest.mark.parametrize("kind", ["haar-dwt", "db4-dwt"])
+    def test_image_batch_matches_single_purify_bit_for_bit(self, kind):
+        # 64x64 images run the dense 2D wavelet levels, beyond the shapes
+        # the property above draws.
+        frame = Frame(kind=kind, levels=3)
+        params = ReconstructionParams(iterations=10, threshold=0.01, subsample_prob=0.5, frame=frame)
+        rng = np.random.default_rng(9)
+        xs = rng.standard_normal((4, 64, 64)) + 0j
+        xs[2:] += 1j * rng.standard_normal((2, 64, 64))
+        seeds = [derived_seed(9, i) for i in range(4)]
+        batch = purify_many(xs, params, seeds)
+        for x, seed, got in zip(xs, seeds, batch):
+            assert_bit_identical(got, purify(x, params, seed))
+
     def test_shared_operator_matches_its_seed(self):
         params = ReconstructionParams(iterations=20, threshold=0.01, subsample_prob=0.6, frame=IDENTITY)
         seed = derived_seed(3, 1)
