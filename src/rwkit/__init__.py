@@ -55,7 +55,6 @@ from .errors import (
 )
 from .frames import FRAME_KINDS, Frame, analyze, as_signal, soft_threshold, sparsity_norm, synthesize
 from .io import read_signal, write_signal
-from .kernels import BACKEND, HAS_NUMBA
 from .reconstruct import (
     PurifiedSignal,
     ReconstructionParams,
@@ -138,9 +137,6 @@ __all__ = [
     "serialize_config",
     "load_config",
     "config_hash",
-    # backend
-    "BACKEND",
-    "HAS_NUMBA",
     # errors
     "RwkitError",
     "ParameterError",

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import certify, data, defect, io, reconstruct, sensing
 from .config import config_hash, load_config
-from .errors import ConfigError, InfeasibleError, NumericError, ParameterError, RwkitError
-from .frames import Frame
+from .errors import ConfigError, InfeasibleError, NumericError, ParameterError, RwkitError, ShapeError
+from .frames import Frame, _check_levels
 
 __all__ = ["main", "run_eval"]
 
@@ -47,8 +47,18 @@ def _header(cfg, seed):
     return [f"rwkit v1 config={config_hash(cfg)} master_seed={seed}"]
 
 
-def _cmd_gen_data(cfg, args):
-    seed = args.seed if args.seed is not None else cfg.master_seed
+def _write_text(out, lines):
+    # The first line is a header comment; the text goes to out, or stdout.
+    text = "\n".join([f"# {lines[0]}"] + lines[1:]) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+        print(out)
+    else:
+        sys.stdout.write(text)
+
+
+def _cmd_gen_data(cfg, args, seed):
     dataset = data.gen_data(
         cfg.n,
         cfg.count,
@@ -65,10 +75,9 @@ def _cmd_gen_data(cfg, args):
     print(out)
 
 
-def _cmd_purify(cfg, args):
+def _cmd_purify(cfg, args, seed):
     if not args.infile:
         raise ConfigError("purify requires --in <signal file>")
-    seed = args.seed if args.seed is not None else cfg.master_seed
     x = io.read_signal(args.infile)
     x = x.real if np.all(x.imag == 0) else x
     result = reconstruct.purify(x, _recon_params(cfg), seed)
@@ -87,10 +96,9 @@ def _cmd_purify(cfg, args):
     print(out)
 
 
-def _cmd_defect(cfg, args):
+def _cmd_defect(cfg, args, seed):
     if not args.infile:
         raise ConfigError("defect requires --in <signal file>")
-    seed = args.seed if args.seed is not None else cfg.master_seed
     x = io.read_signal(args.infile)
     op = sensing.make_partial_fourier(x.shape, cfg.subsample_prob, seed)
     params = defect.DefectParams(solution_bound=cfg.defect_bound)
@@ -100,17 +108,10 @@ def _cmd_defect(cfg, args):
         f"defect={_fmt(result.defect)}",
         f"final_l1={_fmt(result.final_l1)}",
     ]
-    text = "\n".join(f"# {lines[0]}" if i == 0 else l for i, l in enumerate(lines)) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(args.out)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, lines)
 
 
-def _cmd_certify(cfg, args):
-    seed = args.seed if args.seed is not None else cfg.master_seed
+def _cmd_certify(cfg, args, seed):
     for flag, value in (("--expected-defect", args.expected_defect), ("--epsilon", args.epsilon)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{flag}: must be finite")
@@ -131,13 +132,7 @@ def _cmd_certify(cfg, args):
         f"alpha={_fmt(cfg.alpha)} rho={_fmt(cfg.rho)} tau={_fmt(cfg.tau)} "
         f"rwp_prob={_fmt(cfg.rwp_prob)} expected_defect={_fmt(expected)}",
     ]
-    text = "\n".join(f"# {lines[0]}" if i == 0 else l for i, l in enumerate(lines)) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(args.out)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, lines)
 
 
 # Most purified signal entries eval stacks into one block: the clean and
@@ -177,6 +172,11 @@ def run_eval(cfg, seed):
     """
     if not cfg.epsilon_grid:
         raise ConfigError("eval needs a non-empty epsilon_grid")
+    frame = _frame(cfg)
+    try:
+        _check_levels(frame, (cfg.n,))
+    except ShapeError as exc:
+        raise ConfigError(f"levels: {exc}") from None
     dataset = data.gen_data(
         cfg.n,
         cfg.count,
@@ -189,7 +189,6 @@ def run_eval(cfg, seed):
     signals = dataset.signals
     labels = np.asarray(dataset.labels)
     params = _recon_params(cfg)
-    frame = _frame(cfg)
     grid = cfg.epsilon_grid
     count = len(signals)
     shape = signals[0].shape
@@ -262,8 +261,7 @@ _REPORT_COLUMNS = [
 ]
 
 
-def _cmd_eval(cfg, args):
-    seed = args.seed if args.seed is not None else cfg.master_seed
+def _cmd_eval(cfg, args, seed):
     rows = run_eval(cfg, seed)
     out = args.out or "report.csv"
     lines = [f"# rwkit-report v2 config={config_hash(cfg)} master_seed={seed}"]
@@ -315,7 +313,8 @@ def main(argv=None):
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed: must be >= 0")
         cfg = load_config(args.config)
-        _COMMANDS[args.command](cfg, args)
+        seed = args.seed if args.seed is not None else cfg.master_seed
+        _COMMANDS[args.command](cfg, args, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

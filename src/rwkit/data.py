@@ -87,6 +87,32 @@ def write_dataset(path, dataset, comments=()):
 
 
 def read_dataset(path):
+    """Read a dataset written by :func:`write_dataset`.
+
+    A file that cannot be opened or decoded, a malformed row, and weight or
+    signal indices that are not exactly ``0..n-1`` raise :class:`ConfigError`.
+    """
+    try:
+        weights, signals = _read_rows(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text dataset file ({exc})") from exc
+    if not weights:
+        raise ConfigError(f"{path}: no weight rows")
+    w = _dense(path, "weight", weights)
+    clf = LinearClassifier(weights=w)
+    sigs = []
+    labels = []
+    for s in sorted(signals):
+        x = _dense(path, f"signal {s}", signals[s])
+        x = x.real if np.all(x.imag == 0) else x
+        sigs.append(x)
+        labels.append(predict(clf, x))
+    return Dataset(weights=w, signals=sigs, labels=labels)
+
+
+def _read_rows(path):
     weights = {}
     signals = {}
     with open(path) as fh:
@@ -98,24 +124,22 @@ def read_dataset(path):
             if len(parts) != 5:
                 raise ConfigError(f"{path}: malformed dataset row {line!r}")
             record, sample, index, re_v, im_v = parts
-            value = float(re_v) + 1j * float(im_v)
+            try:
+                sample, index, re_v, im_v = int(sample), int(index), float(re_v), float(im_v)
+            except ValueError:
+                raise ConfigError(f"{path}: malformed dataset row {line!r}") from None
             if record == "weight":
-                weights[int(index)] = float(re_v)
+                weights[index] = re_v
             elif record == "signal":
-                signals.setdefault(int(sample), {})[int(index)] = value
+                signals.setdefault(sample, {})[index] = re_v + 1j * im_v
             else:
                 raise ConfigError(f"{path}: unknown record kind {record!r}")
-    if not weights:
-        raise ConfigError(f"{path}: no weight rows")
-    n = max(weights) + 1
-    w = np.array([weights[i] for i in range(n)])
-    clf = LinearClassifier(weights=w)
-    sigs = []
-    labels = []
-    for s in sorted(signals):
-        entries = signals[s]
-        x = np.array([entries[i] for i in range(len(entries))])
-        x = x.real if np.all(x.imag == 0) else x
-        sigs.append(x)
-        labels.append(predict(clf, x))
-    return Dataset(weights=w, signals=sigs, labels=labels)
+    return weights, signals
+
+
+def _dense(path, what, entries):
+    # entries maps index -> value; the indices must be exactly 0..len-1.
+    n = len(entries)
+    if set(entries) != set(range(n)):
+        raise ConfigError(f"{path}: {what} indices are not 0..{n - 1}")
+    return np.array([entries[i] for i in range(n)])

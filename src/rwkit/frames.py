@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from . import kernels
 
 FRAME_KINDS = ("identity", "haar-dwt", "db4-dwt", "unitary-dft")
 
@@ -280,6 +279,6 @@ def soft_threshold(u, lam):
     """
     if lam < 0:
         raise ParameterError(f"threshold must be nonnegative, got {lam}")
-    arr = np.asarray(u, dtype=np.complex128)
-    out = kernels.soft_threshold_flat(arr.ravel(), float(lam))
-    return out.reshape(arr.shape)
+    u = np.asarray(u, dtype=np.complex128)
+    mag = np.abs(u)
+    return u * (np.maximum(mag - float(lam), 0.0) / np.where(mag == 0.0, 1.0, mag))

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rwkit
 from rwkit import FRAME_KINDS, ExperimentConfig, read_signal, write_signal
 from rwkit import certify, cli, data, defect, reconstruct, sensing
 from rwkit.classifier import predict
@@ -134,6 +140,16 @@ class TestExitCodes:
         assert main(["certify", "--config", config_path, f"{flag}={value}"]) == 2
         assert f"config error: {flag}: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frame, levels, n", [("haar-dwt", 9, 128), ("db4-dwt", 6, 32)])
+    def test_eval_unsupported_levels_is_config_error(self, tmp_path, capsys, frame, levels, n):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_CONFIG + f"frame={frame}\nlevels={levels}\nn={n}\n")
+        out = tmp_path / "report.csv"
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: levels: axis length {n} does not support {levels} " in err
+        assert not out.exists()
+
     def test_certify_empty_epsilon_grid_falls_back_to_zero(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(FAST_CONFIG.replace("epsilon_grid=0.01,0.05", "epsilon_grid="))
@@ -202,6 +218,26 @@ class TestSubcommands:
 
 
 class TestDeterminism:
+    def test_eval_ignores_retired_backend_variable(self, config_path, tmp_path):
+        # RWKIT_BACKEND once chose a soft-threshold kernel; a stale value in
+        # the environment must not change or break a run.
+        src = str(Path(rwkit.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "RWKIT_BACKEND"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys; from rwkit.cli import main; sys.exit(main(sys.argv[1:]))"
+        outs = []
+        for name, extra in (("plain.csv", {}), ("foo.csv", {"RWKIT_BACKEND": "foo"})):
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "eval", "--config", config_path, "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env={**env, **extra},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_eval_rerun_byte_identical(self, config_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["eval", "--config", config_path, "--out", str(a)]) == 0

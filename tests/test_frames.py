@@ -91,7 +91,35 @@ def reference_idwt_2d(c, bank, levels):
     return x
 
 
+def reference_soft_threshold(u, lam):
+    """Oracle: the flat numpy kernel that the shaped soft_threshold replaced,
+    applied to the raveled array and reshaped back."""
+    arr = np.asarray(u, dtype=np.complex128)
+    flat = arr.ravel()
+    mag = np.abs(flat)
+    scale = np.maximum(mag - float(lam), 0.0) / np.where(mag == 0.0, 1.0, mag)
+    return (flat * scale).reshape(arr.shape)
+
+
 class TestSoftThreshold:
+    @given(
+        st.sampled_from([(1,), (7,), (64,), (8, 8), (64, 128), (2, 8, 8), (3, 64, 64)]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_flat_kernel_oracle_bit_for_bit(self, shape, seed, complex_, lam):
+        u = random_signal(shape, seed, complex_)
+        rng = np.random.default_rng(seed + 1)
+        # Exact zeros, and entries whose modulus is exactly lam.
+        u.flat[rng.choice(u.size, size=u.size // 4)] = 0.0
+        u.flat[rng.choice(u.size, size=u.size // 8)] = -lam
+        out = soft_threshold(u, lam)
+        ref = reference_soft_threshold(u, lam)
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
+
     def test_below_threshold_zeroes(self):
         assert soft_threshold(np.array([0.3]), 0.5)[0] == 0.0
 

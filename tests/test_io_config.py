@@ -216,3 +216,47 @@ class TestGenData:
         write_dataset(p1, gen_data(16, 5, 2, 3))
         write_dataset(p2, gen_data(16, 5, 2, 3))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+DATASET_ROWS = """\
+record,sample,index,real,imag
+weight,-1,0,0.6,0
+weight,-1,1,0.8,0
+signal,0,0,1,0
+signal,0,1,0,0
+"""
+
+
+class TestReadDatasetErrors:
+    def test_missing_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read dataset"):
+            read_dataset(tmp_path / "nope.csv")
+
+    def test_undecodable_file_is_config_error(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_bytes(DATASET_ROWS.encode().replace(b"0.8", b"\xe9\xff"))
+        with pytest.raises(ConfigError, match="not a text dataset file"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("weight,-1,1,0.8,0", "weight,-1,1,abc,0"), ("signal,0,1,0,0", "signal,0,x,0,0")],
+    )
+    def test_non_numeric_field_is_config_error(self, tmp_path, old, new):
+        path = tmp_path / "ds.csv"
+        path.write_text(DATASET_ROWS.replace(old, new))
+        with pytest.raises(ConfigError, match="malformed dataset row"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "old, new, what",
+        [
+            ("weight,-1,1,0.8,0", "weight,-1,2,0.8,0", "weight"),
+            ("signal,0,1,0,0", "signal,0,2,0,0", "signal 0"),
+        ],
+    )
+    def test_index_gap_is_config_error(self, tmp_path, old, new, what):
+        path = tmp_path / "ds.csv"
+        path.write_text(DATASET_ROWS.replace(old, new))
+        with pytest.raises(ConfigError, match=f"{what} indices are not 0..1"):
+            read_dataset(path)
