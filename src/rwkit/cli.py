@@ -2,7 +2,8 @@
 
     rwkit <gen-data|purify|defect|certify|eval> --config <path> [--seed N] [--out <path>]
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error or bad input signal (a shape
+the frame cannot transform, non-finite entries), 3 numeric failure.
 
 Eval walks the (epsilon, sample) cells in epsilon-major order, in blocks of
 at most ``_BLOCK_ENTRIES`` purified signal entries that may cross epsilon
@@ -19,15 +20,11 @@ import sys
 import numpy as np
 
 from . import certify, data, defect, io, reconstruct, sensing
-from .config import config_hash, load_config
+from .config import _fmt, config_hash, load_config
 from .errors import ConfigError, InfeasibleError, NumericError, ParameterError, RwkitError, ShapeError
 from .frames import Frame, _check_levels
 
 __all__ = ["main", "run_eval"]
-
-
-def _fmt(v):
-    return f"{v:.17g}"
 
 
 def _frame(cfg):
@@ -267,12 +264,7 @@ def _cmd_eval(cfg, args, seed):
     lines = [f"# rwkit-report v2 config={config_hash(cfg)} master_seed={seed}"]
     lines.append(",".join(_REPORT_COLUMNS))
     for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(row[c]) if isinstance(row[c], float) else str(row[c])
-                for c in _REPORT_COLUMNS
-            )
-        )
+        lines.append(",".join(_fmt(row[c]) for c in _REPORT_COLUMNS))
     with open(out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(out)
@@ -315,7 +307,8 @@ def main(argv=None):
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.master_seed
         _COMMANDS[args.command](cfg, args, seed)
-    except ConfigError as exc:
+    except (ConfigError, ShapeError) as exc:
+        # A ShapeError here comes from the input signal or the config.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, InfeasibleError, ParameterError, RwkitError) as exc:

@@ -6,6 +6,9 @@ The keys of the retired iterative defect solver (``bregman_lambda``,
 ``defect_tolerance``, ``defect_max_iterations``) are accepted and ignored;
 any other unknown key is an error.  Every float value and every
 ``epsilon_grid`` entry must be finite, and the seeds must be >= 0.
+The signal length ``n`` may be any integer >= 1; whether a wavelet frame
+supports it (``n`` divisible by ``2**levels``) is the frame's check, which
+``eval`` runs before it starts.
 Serialization is canonical (fixed key order, %.17g floats) so the config
 hash is stable and parse(serialize(c)) == c.
 """
@@ -72,8 +75,8 @@ class ExperimentConfig:
             raise ConfigError("defect_operators: must be >= 1")
         if not 0.0 <= self.rwp_prob <= 1.0:
             raise ConfigError("rwp_prob: must lie in [0, 1]")
-        if self.n < 1 or (self.n & (self.n - 1)) != 0:
-            raise ConfigError("n: must be a power of two")
+        if self.n < 1:
+            raise ConfigError("n: must be >= 1")
         if self.count < 1:
             raise ConfigError("count: must be >= 1")
         if not 1 <= self.sparsity <= self.n:
@@ -91,6 +94,7 @@ class ExperimentConfig:
 
 
 def _fmt(v):
+    # Every float rwkit writes as text is %.17g, which rereads bit-exact.
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)

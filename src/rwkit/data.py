@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import LinearClassifier, margin, predict
+from .config import _fmt
 from .errors import ConfigError, ParameterError
 
 __all__ = ["Dataset", "gen_data", "write_dataset", "read_dataset"]
@@ -68,10 +69,6 @@ def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
         signals.append(x)
         labels.append(predict(clf, x))
     return Dataset(weights=w, signals=signals, labels=labels)
-
-
-def _fmt(v):
-    return f"{v:.17g}"
 
 
 def write_dataset(path, dataset, comments=()):

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sensing
-from .errors import ParameterError, ShapeError
-from .frames import _analyze_batch, as_signal
+from .errors import ParameterError
+from .frames import _analyze_batch, _stack_signals, as_signal
 from .sensing import _adjoint_batch
 
 __all__ = [
@@ -85,7 +85,7 @@ def sparsity_defect(x, op, frame, params):
     radius ``params.solution_bound``.
     """
     arr = as_signal(x)
-    sensing._check_shape(op, arr)
+    sensing._check_shape(op, arr.shape)
     l1 = _l1_batch(op.mask[None], arr[None], frame)[0]
     return _result(l1, params.solution_bound)
 
@@ -144,18 +144,14 @@ def expected_defect(samples, frame, params, num_operators, master_seed, subsampl
     """
     if num_operators < 1:
         raise ParameterError(f"num_operators must be >= 1, got {num_operators}")
-    samples = [as_signal(s) for s in samples]
+    samples = list(samples)
     if not samples:
         raise ParameterError("at least one sample is required")
-    shape = samples[0].shape
-    for s in samples:
-        if s.shape != shape:
-            raise ShapeError("all samples must share one shape")
-    xs = np.stack(samples)
+    xs = _stack_signals(samples)
     per_operator_max = []
     for i in range(num_operators):
         op = sensing.make_partial_fourier(
-            shape, subsample_prob, sensing.derived_seed(master_seed, i)
+            xs.shape[1:], subsample_prob, sensing.derived_seed(master_seed, i)
         )
         l1 = _l1_batch(op.mask[None], xs, frame)
         per_operator_max.append(float(np.max(_excess(l1, params.solution_bound))))

@@ -83,19 +83,29 @@ def _ifft(x):
 def as_signal(x):
     """Validate and promote a signal to a complex array.
 
-    Accepts 1D or 2D input with power-of-two axes and finite entries.
+    Accepts non-empty 1D or 2D input with finite entries.  Any axis length
+    is a signal; whether a frame can transform it is the frame's check
+    (a wavelet with L levels needs every axis divisible by 2**L).
     """
     arr = np.asarray(x, dtype=np.complex128)
     if arr.ndim not in (1, 2):
         raise ShapeError(f"signal must be 1D or 2D, got ndim={arr.ndim}")
     if arr.size < 1:
         raise ShapeError("signal must have at least one element")
-    for ax_len in arr.shape:
-        if ax_len < 1 or (ax_len & (ax_len - 1)) != 0:
-            raise ShapeError(f"axis length {ax_len} is not a power of two")
     if not np.all(np.isfinite(arr)):
         raise ShapeError("signal contains non-finite entries")
     return arr
+
+
+def _stack_signals(xs):
+    # Validate a non-empty sequence of signals of one shape and stack them
+    # on a new axis 0, the batch axis of the *_batch transforms.
+    rows = [as_signal(x) for x in xs]
+    shape = rows[0].shape
+    for arr in rows:
+        if arr.shape != shape:
+            raise ShapeError(f"batch mixes signal shapes {shape} and {arr.shape}")
+    return np.stack(rows)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import sensing
 from .errors import NumericError, ParameterError, ShapeError
-from .frames import Frame, _analyze_batch, _synthesize_batch, as_signal, soft_threshold
+from .frames import Frame, _analyze_batch, _stack_signals, _synthesize_batch, as_signal, soft_threshold
 from .sensing import _adjoint_batch, _apply_batch
 
 __all__ = [
@@ -104,8 +104,7 @@ def ista_reconstruct(y, op, params):
     a zero initialization and returns the synthesized signal.
     """
     arr = as_signal(y)
-    if arr.shape != op.shape:
-        raise ShapeError(f"expected shape {op.shape}, got {arr.shape}")
+    sensing._check_shape(op, arr.shape)
     u = _ista_coefficients(arr[None], op.mask[None], params)
     return _synthesize_batch(params.frame, u)[0]
 
@@ -113,8 +112,7 @@ def ista_reconstruct(y, op, params):
 def _operator(seed, shape, params):
     if not isinstance(seed, sensing.SensingOperator):
         return sensing.make_partial_fourier(shape, params.subsample_prob, seed)
-    if seed.shape != shape:
-        raise ShapeError(f"operator shape {seed.shape} does not match signal shape {shape}")
+    sensing._check_shape(seed, shape)
     if seed.subsample_prob != params.subsample_prob:
         raise ParameterError(
             f"operator was drawn with q={seed.subsample_prob}, "
@@ -146,13 +144,9 @@ def purify_many(xs, params, seeds):
         raise ShapeError(f"{len(xs)} signals but {len(seeds)} seeds")
     if len(xs) == 0:
         return []
-    rows = [as_signal(x) for x in xs]
-    shape = rows[0].shape
-    for arr in rows:
-        if arr.shape != shape:
-            raise ShapeError(f"batch mixes signal shapes {shape} and {arr.shape}")
-    ops = [_operator(seed, shape, params) for seed in seeds]
-    values, u = _purify_block(np.stack(rows), np.stack([op.mask for op in ops]), params)
+    batch = _stack_signals(xs)
+    ops = [_operator(seed, batch.shape[1:], params) for seed in seeds]
+    values, u = _purify_block(batch, np.stack([op.mask for op in ops]), params)
     out = []
     for x, op, value, coeffs in zip(xs, ops, values, u):
         imag_residual = 0.0

@@ -78,15 +78,15 @@ class RwpParameters:
 def make_partial_fourier(shape, q, seed):
     """Sample a Bernoulli(q) mask over the given signal shape.
 
-    ``shape`` may be an int (1D) or a tuple of power-of-two axis lengths.
+    ``shape`` may be an int (1D) or a tuple of axis lengths, each >= 1.
     The mask is a deterministic function of (shape, q, seed).
     """
     if isinstance(shape, (int, np.integer)):
         shape = (int(shape),)
     shape = tuple(int(s) for s in shape)
     for ax_len in shape:
-        if ax_len < 1 or (ax_len & (ax_len - 1)) != 0:
-            raise ShapeError(f"axis length {ax_len} is not a power of two")
+        if ax_len < 1:
+            raise ShapeError(f"axis length must be >= 1, got {ax_len}")
     if not 0.0 <= q <= 1.0:
         raise ParameterError(f"subsampling probability must lie in [0, 1], got {q}")
     if isinstance(seed, np.random.SeedSequence):
@@ -100,9 +100,10 @@ def make_partial_fourier(shape, q, seed):
     return SensingOperator(mask=mask, seed=seed_repr, subsample_prob=float(q))
 
 
-def _check_shape(op, arr):
-    if arr.shape != op.shape:
-        raise ShapeError(f"expected shape {op.shape}, got {arr.shape}")
+def _check_shape(op, shape):
+    # The one check that an operator fits a signal of the given shape.
+    if shape != op.shape:
+        raise ShapeError(f"operator shape {op.shape} does not match signal shape {shape}")
 
 
 def _apply_batch(mask, x):
@@ -118,12 +119,12 @@ def _adjoint_batch(mask, y):
 def apply(op, x):
     """Masked unitary Fourier coefficients of x; off-mask entries are 0."""
     arr = as_signal(x)
-    _check_shape(op, arr)
+    _check_shape(op, arr.shape)
     return _apply_batch(op.mask[None], arr[None])[0]
 
 
 def adjoint(op, y):
     """Adjoint of :func:`apply`: inverse unitary FFT of the masked input."""
     arr = as_signal(y)
-    _check_shape(op, arr)
+    _check_shape(op, arr.shape)
     return _adjoint_batch(op.mask[None], arr[None])[0]

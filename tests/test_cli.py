@@ -88,6 +88,30 @@ class TestExitCodes:
         assert main([command, "--config", config_path, "--in", str(bad)]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["purify", "defect"])
+    @pytest.mark.parametrize(
+        "extra_config, shape_line, rows, message",
+        [
+            ("frame=haar-dwt\nlevels=7\n", "64", ["1"] * 64, "does not support 7 dyadic"),
+            ("", "32", ["1"] * 3 + ["nan"] + ["1"] * 28, "non-finite entries"),
+            ("", "-2x-3", ["1"] * 6, "shape axes must be >= 1"),
+        ],
+        ids=["levels-beyond-length", "nan-entry", "negative-shape-line"],
+    )
+    def test_bad_input_signal_is_config_error(
+        self, tmp_path, capsys, command, extra_config, shape_line, rows, message
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_CONFIG + extra_config)
+        bad = tmp_path / "bad.csv"
+        body = "".join(f"{i},{v},0\n" for i, v in enumerate(rows))
+        bad.write_text(f"# shape={shape_line}\nindex,real,imag\n{body}")
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--in", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
     def test_eval_empty_epsilon_grid_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(FAST_CONFIG.replace("epsilon_grid=0.01,0.05", "epsilon_grid="))
@@ -315,7 +339,7 @@ def same_bits(a, b):
 @st.composite
 def eval_cases(draw):
     kind = draw(st.sampled_from(FRAME_KINDS))
-    n = draw(st.sampled_from((16, 32)))
+    n = draw(st.sampled_from((24, 32)))
     grid = draw(st.lists(st.sampled_from((0.0, 0.01, 0.05, 0.3)), min_size=1, max_size=4, unique=True))
     cfg = ExperimentConfig(
         frame=kind,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwkit import frames
@@ -28,7 +28,9 @@ def random_signal(shape, seed, complex_=True):
 
 
 def frames_for(n):
-    max_levels = int(np.log2(n))
+    # The most dyadic levels n supports: the exponent of the largest power
+    # of two dividing n.
+    max_levels = (n & -n).bit_length() - 1
     yield Frame(kind="identity")
     yield Frame(kind="unitary-dft")
     for lv in (1, min(3, max_levels)):
@@ -169,9 +171,10 @@ class TestFrameConstruction:
 
 
 class TestAsSignal:
-    def test_rejects_non_power_of_two(self):
+    def test_any_length_is_a_signal_and_the_frame_checks_levels(self):
+        assert as_signal(np.ones(12)).shape == (12,)
         with pytest.raises(ShapeError):
-            as_signal(np.ones(12))
+            analyze(Frame(kind="haar-dwt", levels=3), np.ones(12))
 
     def test_rejects_non_finite(self):
         x = np.ones(8)
@@ -208,13 +211,13 @@ class TestAnalyzeSynthesize:
         for f in frames_for(64):
             np.testing.assert_array_equal(synthesize(f, np.zeros(64)), np.zeros(64))
 
-    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("n", [8, 12, 64, 96, 256])
     def test_round_trip_1d(self, n):
         for f in frames_for(n):
             x = random_signal(n, n)
             np.testing.assert_allclose(synthesize(f, analyze(f, x)), x, atol=1e-10)
 
-    @pytest.mark.parametrize("shape", [(16, 16), (8, 32)])
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 32), (24, 40)])
     def test_round_trip_2d(self, shape):
         for kind, lv in [("identity", 0), ("unitary-dft", 0), ("haar-dwt", 2), ("db4-dwt", 1)]:
             f = Frame(kind=kind, levels=lv)
@@ -247,7 +250,9 @@ class TestAnalyzeSynthesize:
 class TestPolyphaseSynthesis:
     @pytest.mark.parametrize("kind", ["haar-dwt", "db4-dwt"])
     @pytest.mark.parametrize("levels", [1, 2, 3])
-    @pytest.mark.parametrize("batch_shape", [(1, 64), (1, 16, 32), (3, 64), (3, 16, 32)])
+    @pytest.mark.parametrize(
+        "batch_shape", [(1, 64), (1, 16, 32), (3, 64), (3, 16, 32), (3, 96), (3, 24, 40)]
+    )
     def test_matches_scatter_add_oracle(self, kind, levels, batch_shape, monkeypatch):
         # Axis 0 is the batch: one or three 1D or 2D coefficient arrays.
         f = Frame(kind=kind, levels=levels)
@@ -289,7 +294,7 @@ class TestSparsityNorm:
 def dwt_2d_cases(draw):
     kind = draw(st.sampled_from(("haar-dwt", "db4-dwt")))
     levels = draw(st.integers(1, 3))
-    shape = draw(st.sampled_from(((8, 16), (64, 32), (64, 64))))
+    shape = draw(st.sampled_from(((8, 16), (64, 32), (64, 64), (24, 40), (56, 56))))
     rows = draw(st.integers(1, 4))
     x = random_signal((rows,) + shape, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
     return Frame(kind=kind, levels=levels), x
@@ -298,6 +303,8 @@ def dwt_2d_cases(draw):
 class TestDenseLevels2D:
     @settings(max_examples=60, deadline=None)
     @given(dwt_2d_cases())
+    # The paper's ImageNet input size: 224 = 2**5 * 7.
+    @example((Frame(kind="db4-dwt", levels=3), random_signal((1, 224, 224), 224)))
     def test_match_filter_step_oracle(self, case):
         f, x = case
         bank = frames._BANKS[f.kind]
@@ -310,7 +317,7 @@ class TestDenseLevels2D:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kind", ["haar-dwt", "db4-dwt"])
-    @pytest.mark.parametrize("m", [2, 4, 8, 64])
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 12, 28, 64])
     def test_level_matrix_is_orthogonal_and_read_only(self, kind, m):
         d = frames._level_matrix(kind, m)
         np.testing.assert_allclose(d @ d.T, np.eye(m), atol=1e-10)

@@ -85,7 +85,17 @@ class TestSignalIO:
 
     @pytest.mark.parametrize(
         "shape_line,rows",
-        [("2x4", 3), ("8", 3), ("4", 8), ("2x2", 5), ("abc", 4), ("2x2x1", 4)],
+        [
+            ("2x4", 3),
+            ("8", 3),
+            ("4", 8),
+            ("2x2", 5),
+            ("abc", 4),
+            ("2x2x1", 4),
+            # Axis lengths below 1, whose product can still match the rows.
+            ("-2x-3", 6),
+            ("0", 0),
+        ],
     )
     def test_csv_shape_row_mismatch_rejected(self, tmp_path, shape_line, rows):
         path = tmp_path / "sig.csv"
@@ -157,7 +167,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="epsilon_grid"):
             ExperimentConfig(epsilon_grid=(0.2, 0.1))
         with pytest.raises(ConfigError, match="n"):
-            ExperimentConfig(n=100)
+            ExperimentConfig(n=0)
         with pytest.raises(ConfigError, match="subsample_prob"):
             ExperimentConfig(subsample_prob=1.2)
 

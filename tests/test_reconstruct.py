@@ -196,14 +196,23 @@ class TestPurify:
         np.testing.assert_allclose(purify(x, params, 0).value, x, atol=1e-10)
 
 
-SHAPES = {1: [(8,), (16,), (64,)], 2: [(8, 8), (8, 16), (16, 16)]}
+SHAPES = {
+    1: [(8,), (16,), (64,), (12,), (15,), (96,)],
+    2: [(8, 8), (8, 16), (16, 16), (24, 40), (9, 7)],
+}
+
+
+def dyadic_levels(shape):
+    # The most wavelet levels a shape supports: every axis divisible by 2**levels.
+    return min((s & -s).bit_length() - 1 for s in shape)
 
 
 @st.composite
 def purify_batches(draw):
     kind = draw(st.sampled_from(FRAME_KINDS))
-    levels = draw(st.integers(1, 3)) if kind.endswith("-dwt") else 0
     shape = draw(st.sampled_from(SHAPES[draw(st.sampled_from((1, 2)))]))
+    top = min(3, dyadic_levels(shape))
+    levels = draw(st.integers(min(1, top), top)) if kind.endswith("-dwt") else 0
     rows = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     xs = rng.standard_normal((rows,) + shape)

@@ -44,9 +44,10 @@ class TestMakePartialFourier:
         with pytest.raises(ParameterError):
             make_partial_fourier(16, -0.1, 0)
 
-    def test_non_power_of_two_rejected(self):
+    def test_any_positive_length_accepted(self):
+        assert make_partial_fourier(12, 0.5, 0).mask.shape == (12,)
         with pytest.raises(ShapeError):
-            make_partial_fourier(12, 0.5, 0)
+            make_partial_fourier(0, 0.5, 0)
 
     def test_2d_operator(self):
         op = make_partial_fourier((8, 16), 0.5, 0)
