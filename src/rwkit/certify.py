@@ -45,31 +45,31 @@ class Certificate:
     vacuous: bool = False
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ParameterError(f"radius must be >= 0, got {self.radius}")
         if not 0.0 <= self.probability <= 1.0:
             raise ParameterError(
                 f"probability must lie in [0, 1], got {self.probability}"
             )
-        if self.gain < 0:
+        if not self.gain >= 0:
             raise ParameterError(f"gain must be >= 0, got {self.gain}")
 
 
 def _check_rwp(alpha, rho):
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    if rho <= 0:
+    if not rho > 0:
         raise ParameterError(f"rho must be positive, got {rho}")
 
 
 def kappa(epsilon, alpha, rho, max_defect):
     """Performance factor 2/alpha + (4*rho/epsilon) * max_defect."""
     _check_rwp(alpha, rho)
-    if max_defect < 0:
+    if not max_defect >= 0:
         raise ParameterError(f"max_defect must be >= 0, got {max_defect}")
     if max_defect == 0:
         return 2.0 / alpha
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ParameterError(
             f"epsilon must be positive when max_defect > 0, got {epsilon}"
         )
@@ -88,7 +88,7 @@ def defect_budget(tau, epsilon, alpha, rho):
     (tau - 2*epsilon/alpha) / (4*rho).
     """
     _check_rwp(alpha, rho)
-    if tau * alpha <= 2.0 * epsilon:
+    if not tau * alpha > 2.0 * epsilon:
         raise InfeasibleError(
             f"requires tau * alpha / 2 > epsilon "
             f"(tau={tau}, alpha={alpha}, epsilon={epsilon})"
@@ -109,13 +109,13 @@ def certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected_defect):
     _check_rwp(alpha, rho)
     if not 0.0 <= rwp_prob <= 1.0:
         raise ParameterError(f"rwp_prob must lie in [0, 1], got {rwp_prob}")
-    if expected_defect < 0:
+    if not expected_defect >= 0:
         raise ParameterError(
             f"expected_defect must be >= 0, got {expected_defect}"
         )
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
-    if alpha * tau <= 2.0 * epsilon:
+    if not alpha * tau > 2.0 * epsilon:
         raise InfeasibleError(
             f"requires alpha * tau > 2 * epsilon "
             f"(alpha={alpha}, tau={tau}, epsilon={epsilon})"
@@ -147,7 +147,7 @@ def partial_fourier_rwp(sparsity_level, rip_delta):
     constants, so certificates require a user-supplied probability (see
     :func:`rwp_probability_exponent` for the comparative diagnostic).
     """
-    if sparsity_level < 1:
+    if not sparsity_level >= 1:
         raise ParameterError(f"sparsity level must be >= 1, got {sparsity_level}")
     if not 0.0 <= rip_delta < 1.0 / 3.0:
         raise ParameterError(f"RIP constant must lie in [0, 1/3), got {rip_delta}")
@@ -159,7 +159,7 @@ def partial_fourier_rwp(sparsity_level, rip_delta):
 def rip_from_rwp(rho, alpha):
     """Inverse of :func:`partial_fourier_rwp`: (J, delta) = (9/rho^2, 1/3 - alpha)."""
     _check_rwp(alpha, rho)
-    if alpha >= 1.0 / 3.0:
+    if not alpha < 1.0 / 3.0:
         raise ParameterError(
             f"partial Fourier mapping requires alpha < 1/3, got {alpha}"
         )
@@ -173,15 +173,15 @@ def rwp_probability_exponent(dimension, rho, alpha):
     decays faster); never a calibrated probability.
     """
     _check_rwp(alpha, rho)
-    if dimension < 2:
+    if not dimension >= 2:
         raise ParameterError(f"dimension must be >= 2, got {dimension}")
-    if alpha >= 1.0 / 3.0:
+    if not alpha < 1.0 / 3.0:
         raise ParameterError(f"exponent requires alpha < 1/3, got {alpha}")
     return math.log(dimension) * (math.log(9.0) - math.log(rho**2 * (1.0 / 3.0 - alpha)))
 
 
 def robustness_gain(kappa_value):
     """Lower bound 1/kappa on the robustness gain."""
-    if kappa_value <= 0:
+    if not kappa_value > 0:
         raise ParameterError(f"kappa must be positive, got {kappa_value}")
     return 1.0 / kappa_value

@@ -68,7 +68,7 @@ class RadiusMeasurement:
     flip_found: bool = True
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ParameterError(f"radius must be >= 0, got {self.radius}")
 
 
@@ -107,7 +107,7 @@ def linear_certificate(clf, x, alpha):
     Requires alpha > 2 (otherwise the guaranteed gain alpha/2 is not an
     improvement and no certificate is issued).
     """
-    if alpha <= 2:
+    if not alpha > 2:
         raise ParameterError(
             f"certificate requires alpha > 2 (gain alpha/2 <= 1), got {alpha}"
         )
@@ -126,13 +126,13 @@ def linear_certificate_approx(clf, x, alpha, rho, defect):
     Radius (alpha/2) * (margin - 4*rho*defect); returns None (no
     certificate) when the margin does not exceed 4*rho*defect.
     """
-    if alpha <= 2:
+    if not alpha > 2:
         raise ParameterError(
             f"certificate requires alpha > 2 (gain alpha/2 <= 1), got {alpha}"
         )
-    if rho <= 0:
+    if not rho > 0:
         raise ParameterError(f"rho must be positive, got {rho}")
-    if defect < 0:
+    if not defect >= 0:
         raise ParameterError(f"defect must be >= 0, got {defect}")
     m = margin(clf, x)
     if defect > 0 and m <= 4.0 * rho * defect:
@@ -173,10 +173,12 @@ def empirical_robust_radius(
     is found below ``radius_ceiling`` the measurement is returned with
     ``flip_found=False``.
     """
-    if probes < 1:
+    if not probes >= 1:
         raise ParameterError(f"probes must be >= 1, got {probes}")
-    if tol <= 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    for name, value in (("tol", tol), ("radius_ceiling", radius_ceiling)):
+        # A non-finite value would keep the bracket doubling forever.
+        if not 0 < value < np.inf:
+            raise ParameterError(f"{name} must be finite and positive, got {value}")
     x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     extra = []

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import certify, data, defect, io, reconstruct, sensing
 from .config import _fmt, config_hash, load_config
-from .errors import ConfigError, InfeasibleError, NumericError, ParameterError, RwkitError, ShapeError
+from .errors import ConfigError, InfeasibleError, ParameterError, RwkitError, ShapeError
 from .frames import Frame, _check_levels
 
 __all__ = ["main", "run_eval"]
@@ -260,14 +260,10 @@ _REPORT_COLUMNS = [
 
 def _cmd_eval(cfg, args, seed):
     rows = run_eval(cfg, seed)
-    out = args.out or "report.csv"
-    lines = [f"# rwkit-report v2 config={config_hash(cfg)} master_seed={seed}"]
+    lines = [f"rwkit-report v2 config={config_hash(cfg)} master_seed={seed}"]
     lines.append(",".join(_REPORT_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in _REPORT_COLUMNS))
-    with open(out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(out)
+    lines.extend(",".join(_fmt(row[c]) for c in _REPORT_COLUMNS) for row in rows)
+    _write_text(args.out or "report.csv", lines)
 
 
 def _build_parser():
@@ -311,7 +307,7 @@ def main(argv=None):
         # A ShapeError here comes from the input signal or the config.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, InfeasibleError, ParameterError, RwkitError) as exc:
+    except RwkitError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -1,21 +1,21 @@
-"""Synthetic sparse dataset generation and its on-disk CSV format.
+"""Synthetic sparse dataset generation and its on-disk array layout.
 
 A dataset is a random unit weight vector (defining labels via the sign of
 the inner product) plus ``count`` exactly K-sparse real signals.  Samples
 whose margin falls below ``margin_floor`` are resampled so every label is
 well defined.
 
-Dataset CSV: ``#`` header comments, a ``record,sample,index,real,imag``
-header row, one ``weight`` row per weight entry (sample = -1) followed by
-``signal`` rows.
+On disk a dataset is one :mod:`rwkit.io` array file (CSV, or binary for a
+``.bin`` path) holding a ``(count + 1) x n`` array: row 0 is the weight
+vector and row ``i + 1`` is signal ``i``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import io
 from .classifier import LinearClassifier, margin, predict
-from .config import _fmt
 from .errors import ConfigError, ParameterError
 
 __all__ = ["Dataset", "gen_data", "write_dataset", "read_dataset"]
@@ -72,71 +72,30 @@ def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
 
 
 def write_dataset(path, dataset, comments=()):
-    lines = [f"# {c}" for c in comments]
-    lines.append("record,sample,index,real,imag")
-    for i, v in enumerate(dataset.weights):
-        lines.append(f"weight,-1,{i},{_fmt(v)},0")
-    for s, x in enumerate(dataset.signals):
-        for i, v in enumerate(np.asarray(x)):
-            lines.append(f"signal,{s},{i},{_fmt(float(np.real(v)))},{_fmt(float(np.imag(v)))}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write ``dataset`` as one :mod:`rwkit.io` array file (.bin by suffix).
+
+    The array is ``(count + 1) x n``: row 0 holds the weights and row
+    ``i + 1`` holds signal ``i``.  ``comments`` become CSV header lines.
+    """
+    io.write_signal(path, np.vstack([dataset.weights, *dataset.signals]), comments=comments)
 
 
 def read_dataset(path):
     """Read a dataset written by :func:`write_dataset`.
 
-    A file that cannot be opened or decoded, a malformed row, and weight or
-    signal indices that are not exactly ``0..n-1`` raise :class:`ConfigError`.
+    Signal rows whose imaginary parts are all zero come back real, and the
+    labels are recomputed from the weights.  On top of :func:`io.read_signal`'s
+    errors, a table that is not 2D, has fewer than two rows, or has a weight
+    row with a non-zero imaginary part raises :class:`ConfigError`.
     """
-    try:
-        weights, signals = _read_rows(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not a text dataset file ({exc})") from exc
-    if not weights:
-        raise ConfigError(f"{path}: no weight rows")
-    w = _dense(path, "weight", weights)
+    table = io.read_signal(path)
+    if table.ndim != 2:
+        raise ConfigError(f"{path}: a dataset is a 2D array, got shape {table.shape}")
+    if table.shape[0] < 2:
+        raise ConfigError(f"{path}: a dataset needs a weight row and at least one signal row")
+    if np.any(table[0].imag != 0):
+        raise ConfigError(f"{path}: the weight row is not real")
+    w = table[0].real
     clf = LinearClassifier(weights=w)
-    sigs = []
-    labels = []
-    for s in sorted(signals):
-        x = _dense(path, f"signal {s}", signals[s])
-        x = x.real if np.all(x.imag == 0) else x
-        sigs.append(x)
-        labels.append(predict(clf, x))
-    return Dataset(weights=w, signals=sigs, labels=labels)
-
-
-def _read_rows(path):
-    weights = {}
-    signals = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("record,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ConfigError(f"{path}: malformed dataset row {line!r}")
-            record, sample, index, re_v, im_v = parts
-            try:
-                sample, index, re_v, im_v = int(sample), int(index), float(re_v), float(im_v)
-            except ValueError:
-                raise ConfigError(f"{path}: malformed dataset row {line!r}") from None
-            if record == "weight":
-                weights[index] = re_v
-            elif record == "signal":
-                signals.setdefault(sample, {})[index] = re_v + 1j * im_v
-            else:
-                raise ConfigError(f"{path}: unknown record kind {record!r}")
-    return weights, signals
-
-
-def _dense(path, what, entries):
-    # entries maps index -> value; the indices must be exactly 0..len-1.
-    n = len(entries)
-    if set(entries) != set(range(n)):
-        raise ConfigError(f"{path}: {what} indices are not 0..{n - 1}")
-    return np.array([entries[i] for i in range(n)])
+    signals = [x.real if np.all(x.imag == 0) else x for x in table[1:]]
+    return Dataset(weights=w, signals=signals, labels=[predict(clf, x) for x in signals])

@@ -40,7 +40,7 @@ class DefectParams:
     solution_bound: float
 
     def __post_init__(self):
-        if self.solution_bound <= 0:
+        if not self.solution_bound > 0:
             raise ParameterError(
                 f"solution_bound must be positive, got {self.solution_bound}"
             )
@@ -99,7 +99,7 @@ def brute_force_defect(x, solution_bound, grid_step):
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size > 3:
         raise ParameterError(f"brute force oracle limited to dim <= 3, got {x.size}")
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise ParameterError(f"grid_step must be positive, got {grid_step}")
     T = float(solution_bound)
     # Tiny slack so grid points on the ball boundary survive float rounding.
@@ -142,7 +142,7 @@ def expected_defect(samples, frame, params, num_operators, master_seed, subsampl
     spawn_key=(i,)), and all samples are back-projected through it in one
     batch.
     """
-    if num_operators < 1:
+    if not num_operators >= 1:
         raise ParameterError(f"num_operators must be >= 1, got {num_operators}")
     samples = list(samples)
     if not samples:

@@ -125,7 +125,7 @@ class Frame:
             raise ParameterError(
                 f"unknown frame kind {self.kind!r}; expected one of {FRAME_KINDS}"
             )
-        if self.levels < 0:
+        if not self.levels >= 0:
             raise ParameterError(f"levels must be >= 0, got {self.levels}")
 
 
@@ -287,7 +287,7 @@ def soft_threshold(u, lam):
     Entries with modulus below ``lam`` are zeroed; the rest are shrunk
     toward zero by ``lam`` while keeping their phase.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ParameterError(f"threshold must be nonnegative, got {lam}")
     u = np.asarray(u, dtype=np.complex128)
     mag = np.abs(u)

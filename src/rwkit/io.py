@@ -1,5 +1,8 @@
 """Bit-exact signal file formats.
 
+Signals, purified outputs and datasets (see :mod:`rwkit.data`) are all
+stored as one 1D or 2D complex array in one of these two formats.
+
 CSV format: optional ``#`` comment lines (the writer always emits a
 ``# shape=HxW`` or ``# shape=N`` line), a ``index,real,imag`` header row,
 then one row per element in row-major order.  Floats are written with

@@ -43,9 +43,9 @@ class ReconstructionParams:
     frame: Frame
 
     def __post_init__(self):
-        if self.iterations < 1:
+        if not self.iterations >= 1:
             raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ParameterError(f"threshold must be >= 0, got {self.threshold}")
         if not 0.0 <= self.subsample_prob <= 1.0:
             raise ParameterError(

@@ -67,9 +67,9 @@ class RwpParameters:
     rwp_prob: float = 0.0
 
     def __post_init__(self):
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise ParameterError(f"rho must be positive, got {self.rho}")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if not 0.0 <= self.rwp_prob <= 1.0:
             raise ParameterError(f"rwp_prob must lie in [0, 1], got {self.rwp_prob}")
@@ -85,7 +85,7 @@ def make_partial_fourier(shape, q, seed):
         shape = (int(shape),)
     shape = tuple(int(s) for s in shape)
     for ax_len in shape:
-        if ax_len < 1:
+        if not ax_len >= 1:
             raise ShapeError(f"axis length must be >= 1, got {ax_len}")
     if not 0.0 <= q <= 1.0:
         raise ParameterError(f"subsampling probability must lie in [0, 1], got {q}")

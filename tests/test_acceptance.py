@@ -199,7 +199,7 @@ def test_criterion_4_linear_error_growth():
     elapsed_guard(start, 60.0)
 
 
-def test_criterion_5_bregman_oracle_equivalence():
+def test_criterion_5_closed_form_defect_matches_oracle():
     start = time.monotonic()
     # worked values
     assert coefficient_defect(

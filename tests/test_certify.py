@@ -3,8 +3,20 @@ import pytest
 
 from rwkit import (
     Certificate,
+    DefectParams,
+    Frame,
     InfeasibleError,
+    LinearClassifier,
     ParameterError,
+    RadiusMeasurement,
+    ReconstructionParams,
+    RwpParameters,
+    brute_force_defect,
+    empirical_robust_radius,
+    expected_defect,
+    linear_certificate,
+    linear_certificate_approx,
+    soft_threshold,
     certify_probabilistic,
     defect_budget,
     kappa,
@@ -181,3 +193,59 @@ class TestCertificate:
             Certificate(radius=0.1, probability=1.5, gain=1.0)
         with pytest.raises(ParameterError):
             Certificate(radius=0.1, probability=0.5, gain=-1.0)
+
+
+NAN = float("nan")
+CLF = LinearClassifier(weights=np.array([0.6, 0.8]))
+X = np.array([1.0, 1.0])
+IDENTITY = Frame("identity")
+
+# (id, call, error, message): each call passes NaN to one scalar check.
+NAN_CASES = [
+    ("ReconstructionParams-threshold", lambda: ReconstructionParams(10, NAN, 0.5, IDENTITY),
+     ParameterError, "threshold"),
+    ("ReconstructionParams-iterations", lambda: ReconstructionParams(NAN, 0.1, 0.5, IDENTITY),
+     ParameterError, "iterations"),
+    ("soft_threshold", lambda: soft_threshold(np.ones(4), NAN), ParameterError, "threshold"),
+    ("Frame-levels", lambda: Frame("haar-dwt", levels=NAN), ParameterError, "levels"),
+    ("DefectParams", lambda: DefectParams(solution_bound=NAN), ParameterError, "solution_bound"),
+    ("brute_force_defect", lambda: brute_force_defect(np.ones(2), 1.0, NAN),
+     ParameterError, "grid_step"),
+    ("expected_defect", lambda: expected_defect([np.ones(4)], IDENTITY, DefectParams(1.0), NAN, 0),
+     ParameterError, "num_operators"),
+    ("RwpParameters-rho", lambda: RwpParameters(rho=NAN, alpha=0.5), ParameterError, "rho"),
+    ("RwpParameters-alpha", lambda: RwpParameters(rho=0.5, alpha=NAN), ParameterError, "alpha"),
+    ("kappa-alpha", lambda: kappa(0.1, NAN, NAN, 0), ParameterError, "alpha"),
+    ("kappa-rho", lambda: kappa(0.1, 4.0, NAN, 0), ParameterError, "rho"),
+    ("kappa-max_defect", lambda: kappa(0.1, 4.0, 0.05, NAN), ParameterError, "max_defect"),
+    ("kappa-epsilon", lambda: kappa(NAN, 4.0, 0.05, 0.2), ParameterError, "epsilon"),
+    ("defect_budget", lambda: defect_budget(NAN, 0.1, 4, 0.05), InfeasibleError, "tau"),
+    ("certify_probabilistic", lambda: certify_probabilistic(0.9, 4.0, 0.05, 1.0, NAN, 0.0),
+     ParameterError, "epsilon must be >= 0"),
+    ("partial_fourier_rwp", lambda: partial_fourier_rwp(NAN, 0.1), ParameterError, "sparsity level"),
+    ("rwp_probability_exponent", lambda: rwp_probability_exponent(NAN, 1.0, 0.1),
+     ParameterError, "dimension"),
+    ("robustness_gain", lambda: robustness_gain(NAN), ParameterError, "kappa"),
+    ("Certificate-radius", lambda: Certificate(radius=NAN, probability=0.5, gain=1.0),
+     ParameterError, "radius"),
+    ("Certificate-gain", lambda: Certificate(radius=0.1, probability=0.5, gain=NAN),
+     ParameterError, "gain"),
+    ("RadiusMeasurement", lambda: RadiusMeasurement(radius=NAN, trials=1, method="m"),
+     ParameterError, "radius"),
+    ("linear_certificate", lambda: linear_certificate(CLF, X, NAN), ParameterError, "alpha"),
+    ("linear_certificate_approx-defect", lambda: linear_certificate_approx(CLF, X, 4.0, 0.05, NAN),
+     ParameterError, "defect"),
+    ("linear_certificate_approx-rho", lambda: linear_certificate_approx(CLF, X, 4.0, NAN, 0.0),
+     ParameterError, "rho"),
+    ("empirical_robust_radius-probes", lambda: empirical_robust_radius(lambda z: 1, X, probes=NAN),
+     ParameterError, "probes"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, match", [c[1:] for c in NAN_CASES], ids=[c[0] for c in NAN_CASES]
+)
+def test_nan_fails_scalar_checks(call, error, match):
+    # Checks written as `x < 0` once let NaN through to NaN results.
+    with pytest.raises(error, match=match):
+        call()

@@ -215,6 +215,34 @@ class TestEmpiricalRobustRadius:
         with pytest.raises(ParameterError):
             empirical_robust_radius(lambda z: 1, np.zeros(4), tol=0.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("tol", np.nan),
+            ("tol", np.inf),
+            ("radius_ceiling", np.inf),
+            ("radius_ceiling", np.nan),
+            ("radius_ceiling", 0.0),
+        ],
+    )
+    def test_non_finite_tol_or_ceiling_rejected_before_probing(self, name, value):
+        # A non-finite tol or ceiling once kept the bracket doubling forever;
+        # the pipeline gives up after a bounded number of calls so such a
+        # loop fails the test instead of hanging it.
+        clf = LinearClassifier(weights=np.array([1.0, 0.0, 0.0, 0.0]))
+        calls = []
+
+        def pipeline(z):
+            calls.append(z)
+            if len(calls) > 10_000:
+                raise RuntimeError("bracket search did not stop")
+            return predict(clf, z)
+
+        x = np.array([-1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ParameterError, match=f"{name} must be finite and positive"):
+            empirical_robust_radius(pipeline, x, probes=2, **{name: value})
+        assert calls == []
+
     def test_defended_radius_dominates_undefended(self):
         # Desk-scale spot check (the full 50-sample version is in the
         # acceptance suite): purification does not shrink the robust radius.

@@ -212,14 +212,20 @@ class TestGenData:
             assert predict(clf, x) == label
 
     def test_dataset_file_round_trip(self, tmp_path):
-        dataset = gen_data(16, 5, 2, 3)
-        path = tmp_path / "ds.csv"
-        write_dataset(path, dataset, comments=["test"])
-        loaded = read_dataset(path)
-        np.testing.assert_array_equal(loaded.weights, dataset.weights)
-        assert loaded.labels == dataset.labels
-        for xa, xb in zip(loaded.signals, dataset.signals):
-            np.testing.assert_array_equal(np.asarray(xa, dtype=complex), np.asarray(xb, dtype=complex))
+        for suffix in (".csv", ".bin"):
+            for n in (32, 128):
+                for count in (1, 5, 50):
+                    dataset = gen_data(n, count, 3, n + count)
+                    path = tmp_path / f"ds-{n}-{count}{suffix}"
+                    write_dataset(path, dataset, comments=["test"])
+                    loaded = read_dataset(path)
+                    assert loaded.weights.dtype == dataset.weights.dtype
+                    assert loaded.weights.tobytes() == dataset.weights.tobytes()
+                    assert loaded.labels == dataset.labels
+                    assert len(loaded.signals) == count
+                    for xa, xb in zip(loaded.signals, dataset.signals):
+                        assert xa.dtype == xb.dtype
+                        assert xa.tobytes() == xb.tobytes()
 
     def test_same_seed_byte_identical_file(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -229,44 +235,47 @@ class TestGenData:
 
 
 DATASET_ROWS = """\
-record,sample,index,real,imag
-weight,-1,0,0.6,0
-weight,-1,1,0.8,0
-signal,0,0,1,0
-signal,0,1,0,0
+# shape=2x2
+index,real,imag
+0,0.6,0
+1,0.8,0
+2,1,0
+3,0,0
 """
 
 
 class TestReadDatasetErrors:
     def test_missing_file_is_config_error(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read dataset"):
+        with pytest.raises(ConfigError, match="cannot read signal"):
             read_dataset(tmp_path / "nope.csv")
 
     def test_undecodable_file_is_config_error(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_bytes(DATASET_ROWS.encode().replace(b"0.8", b"\xe9\xff"))
-        with pytest.raises(ConfigError, match="not a text dataset file"):
+        with pytest.raises(ConfigError, match="not a text signal file"):
             read_dataset(path)
 
     @pytest.mark.parametrize(
-        "old, new",
-        [("weight,-1,1,0.8,0", "weight,-1,1,abc,0"), ("signal,0,1,0,0", "signal,0,x,0,0")],
-    )
-    def test_non_numeric_field_is_config_error(self, tmp_path, old, new):
-        path = tmp_path / "ds.csv"
-        path.write_text(DATASET_ROWS.replace(old, new))
-        with pytest.raises(ConfigError, match="malformed dataset row"):
-            read_dataset(path)
-
-    @pytest.mark.parametrize(
-        "old, new, what",
+        "old, new, match",
         [
-            ("weight,-1,1,0.8,0", "weight,-1,2,0.8,0", "weight"),
-            ("signal,0,1,0,0", "signal,0,2,0,0", "signal 0"),
+            ("1,0.8,0", "1,abc,0", "malformed signal row"),
+            ("2,1,0", "2,x,0", "malformed signal row"),
+            ("# shape=2x2", "# shape=3x2", "shape=3x2 does not match 4 rows"),
+            ("# shape=2x2\n", "", r"a dataset is a 2D array, got shape \(4,\)"),
+            ("# shape=2x2", "# shape=1x4", "a weight row and at least one signal row"),
+            ("1,0.8,0", "1,0.8,0.5", "the weight row is not real"),
+        ],
+        ids=[
+            "weight-number",
+            "signal-number",
+            "shape-mismatch",
+            "no-shape-1d",
+            "one-row",
+            "complex-weight",
         ],
     )
-    def test_index_gap_is_config_error(self, tmp_path, old, new, what):
+    def test_malformed_dataset_is_config_error(self, tmp_path, old, new, match):
         path = tmp_path / "ds.csv"
         path.write_text(DATASET_ROWS.replace(old, new))
-        with pytest.raises(ConfigError, match=f"{what} indices are not 0..1"):
+        with pytest.raises(ConfigError, match=match):
             read_dataset(path)
