@@ -22,21 +22,19 @@ import numpy as np
 from . import certify, data, defect, io, reconstruct, sensing
 from .config import _fmt, config_hash, load_config
 from .errors import ConfigError, InfeasibleError, ParameterError, RwkitError, ShapeError
-from .frames import Frame, _check_levels
+from .frames import _check_levels
 
 __all__ = ["main", "run_eval"]
 
 
-def _frame(cfg):
-    return Frame(kind=cfg.frame, levels=cfg.levels)
-
-
-def _recon_params(cfg):
-    return reconstruct.ReconstructionParams(
-        iterations=cfg.iterations,
-        threshold=cfg.threshold,
-        subsample_prob=cfg.subsample_prob,
-        frame=_frame(cfg),
+def _dataset(cfg, seed):
+    return data.gen_data(
+        cfg.n,
+        cfg.count,
+        cfg.sparsity,
+        seed,
+        margin_floor=cfg.margin_floor,
+        weights_seed=cfg.weights_seed,
     )
 
 
@@ -56,14 +54,7 @@ def _write_text(out, lines):
 
 
 def _cmd_gen_data(cfg, args, seed):
-    dataset = data.gen_data(
-        cfg.n,
-        cfg.count,
-        cfg.sparsity,
-        seed,
-        margin_floor=cfg.margin_floor,
-        weights_seed=cfg.weights_seed,
-    )
+    dataset = _dataset(cfg, seed)
     out = args.out or "dataset.csv"
     comments = _header(cfg, seed) + [
         f"n={cfg.n} count={cfg.count} k={cfg.sparsity}"
@@ -77,7 +68,7 @@ def _cmd_purify(cfg, args, seed):
         raise ConfigError("purify requires --in <signal file>")
     x = io.read_signal(args.infile)
     x = x.real if np.all(x.imag == 0) else x
-    result = reconstruct.purify(x, _recon_params(cfg), seed)
+    result = reconstruct.purify(x, cfg.recon_params, seed)
     out = args.out or "purified.csv"
     io.write_signal(
         out,
@@ -99,7 +90,7 @@ def _cmd_defect(cfg, args, seed):
     x = io.read_signal(args.infile)
     op = sensing.make_partial_fourier(x.shape, cfg.subsample_prob, seed)
     params = defect.DefectParams(solution_bound=cfg.defect_bound)
-    result = defect.sparsity_defect(x, op, _frame(cfg), params)
+    result = defect.sparsity_defect(x, op, cfg.recon_params.frame, params)
     lines = [
         f"rwkit-defect v2 config={config_hash(cfg)} master_seed={seed}",
         f"defect={_fmt(result.defect)}",
@@ -112,6 +103,8 @@ def _cmd_certify(cfg, args, seed):
     for flag, value in (("--expected-defect", args.expected_defect), ("--epsilon", args.epsilon)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{flag}: must be finite")
+        if value is not None and value < 0:
+            raise ConfigError(f"{flag}: must be >= 0")
     expected = args.expected_defect
     if expected is None:
         expected = 0.0
@@ -169,23 +162,16 @@ def run_eval(cfg, seed):
     """
     if not cfg.epsilon_grid:
         raise ConfigError("eval needs a non-empty epsilon_grid")
-    frame = _frame(cfg)
+    params = cfg.recon_params
+    frame = params.frame
     try:
         _check_levels(frame, (cfg.n,))
     except ShapeError as exc:
         raise ConfigError(f"levels: {exc}") from None
-    dataset = data.gen_data(
-        cfg.n,
-        cfg.count,
-        cfg.sparsity,
-        seed,
-        margin_floor=cfg.margin_floor,
-        weights_seed=cfg.weights_seed,
-    )
+    dataset = _dataset(cfg, seed)
     weights = dataset.classifier.weights
     signals = dataset.signals
     labels = np.asarray(dataset.labels)
-    params = _recon_params(cfg)
     grid = cfg.epsilon_grid
     count = len(signals)
     shape = signals[0].shape

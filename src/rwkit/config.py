@@ -4,8 +4,19 @@ The on-disk format is one ``key=value`` pair per line with ``#`` comments
 and blank lines ignored.  ``epsilon_grid`` is a comma-separated list.
 The keys of the retired iterative defect solver (``bregman_lambda``,
 ``defect_tolerance``, ``defect_max_iterations``) are accepted and ignored;
-any other unknown key is an error.  Every float value and every
-``epsilon_grid`` entry must be finite, and the seeds must be >= 0.
+any other unknown key is an error.
+
+The config owns only the rules that no library type does: every float value
+is finite, ``epsilon_grid`` entries are >= 0 and strictly increasing, the
+seeds are >= 0, ``defect_operators`` >= 1 and ``tau`` > 0.  Every other
+range is checked by building the type that consumes the value:
+:class:`~rwkit.reconstruct.ReconstructionParams` and its
+:class:`~rwkit.frames.Frame` (frame, levels, threshold, iterations,
+subsample_prob), :class:`~rwkit.defect.DefectParams` (defect_bound),
+:class:`~rwkit.sensing.RwpParameters` (alpha, rho, rwp_prob) and the
+dataset check of :func:`~rwkit.data.gen_data` (n, count, sparsity,
+margin_floor).  Their ``ParameterError`` becomes a ``ConfigError`` that
+names the key.  The built purifier parameters are ``cfg.recon_params``.
 The signal length ``n`` may be any integer >= 1; whether a wavelet frame
 supports it (``n`` divisible by ``2**levels``) is the frame's check, which
 ``eval`` runs before it starts.
@@ -17,8 +28,12 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
-from .frames import FRAME_KINDS
+from . import data
+from .defect import DefectParams
+from .errors import ConfigError, ParameterError
+from .frames import Frame
+from .reconstruct import ReconstructionParams
+from .sensing import RwpParameters
 
 __all__ = ["ExperimentConfig", "parse_config", "serialize_config", "config_hash", "load_config"]
 
@@ -59,38 +74,35 @@ class ExperimentConfig:
         grid = tuple(float(e) for e in self.epsilon_grid)
         if not all(math.isfinite(e) for e in grid):
             raise ConfigError("epsilon_grid: entries must be finite")
-        if self.frame not in FRAME_KINDS:
-            raise ConfigError(f"frame: unknown kind {self.frame!r}")
-        if self.levels < 0:
-            raise ConfigError("levels: must be >= 0")
-        if self.threshold < 0:
-            raise ConfigError("threshold: must be >= 0")
-        if self.iterations < 1:
-            raise ConfigError("iterations: must be >= 1")
-        if not 0.0 <= self.subsample_prob <= 1.0:
-            raise ConfigError("subsample_prob: must lie in [0, 1]")
-        if self.defect_bound <= 0:
-            raise ConfigError("defect_bound: must be positive")
-        if self.defect_operators < 1:
-            raise ConfigError("defect_operators: must be >= 1")
-        if not 0.0 <= self.rwp_prob <= 1.0:
-            raise ConfigError("rwp_prob: must lie in [0, 1]")
-        if self.n < 1:
-            raise ConfigError("n: must be >= 1")
-        if self.count < 1:
-            raise ConfigError("count: must be >= 1")
-        if not 1 <= self.sparsity <= self.n:
-            raise ConfigError("sparsity: must lie in [1, n]")
-        if self.margin_floor <= 0:
-            raise ConfigError("margin_floor: must be positive")
-        for name in ("weights_seed", "master_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name}: must be >= 0")
         if any(e < 0 for e in grid):
             raise ConfigError("epsilon_grid: entries must be >= 0")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("epsilon_grid: must be strictly increasing")
         object.__setattr__(self, "epsilon_grid", grid)
+        for name in ("weights_seed", "master_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name}: must be >= 0")
+        if self.defect_operators < 1:
+            raise ConfigError("defect_operators: must be >= 1")
+        # No type owns tau; with tau <= 0 no epsilon >= 0 can be certified.
+        if not self.tau > 0:
+            raise ConfigError("tau: must be positive")
+        try:
+            recon_params = ReconstructionParams(
+                iterations=self.iterations,
+                threshold=self.threshold,
+                subsample_prob=self.subsample_prob,
+                frame=Frame(kind=self.frame, levels=self.levels),
+            )
+            RwpParameters(rho=self.rho, alpha=self.alpha, rwp_prob=self.rwp_prob)
+            data._check_params(self.n, self.count, self.sparsity, self.margin_floor)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
+        try:
+            DefectParams(solution_bound=self.defect_bound)
+        except ParameterError as exc:
+            raise ConfigError(f"defect_bound: {exc}") from None
+        object.__setattr__(self, "recon_params", recon_params)
 
 
 def _fmt(v):

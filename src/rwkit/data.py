@@ -34,15 +34,24 @@ class Dataset:
         return LinearClassifier(weights=self.weights)
 
 
+def _check_params(n, count, k, margin_floor):
+    # The dataset's parameter rules; every comparison fails on NaN.
+    if not n >= 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    if not count >= 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
+    if not 1 <= k <= n:
+        raise ParameterError(f"sparsity k must lie in [1, n], got {k}")
+    if not margin_floor > 0:
+        raise ParameterError(f"margin_floor must be positive, got {margin_floor}")
+
+
 def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
     """Generate ``count`` exactly k-sparse signals with a labeling weight.
 
     Deterministic given the seeds; ``weights_seed`` defaults to ``seed``.
     """
-    if not 1 <= k <= n:
-        raise ParameterError(f"sparsity k must lie in [1, n], got {k}")
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    _check_params(n, count, k, margin_floor)
     wseed = seed if weights_seed is None else weights_seed
     wrng = np.random.default_rng(np.random.SeedSequence(wseed, spawn_key=(87,)))
     w = wrng.standard_normal(n)

@@ -5,8 +5,11 @@ stored as one 1D or 2D complex array in one of these two formats.
 
 CSV format: optional ``#`` comment lines (the writer always emits a
 ``# shape=HxW`` or ``# shape=N`` line), a ``index,real,imag`` header row,
-then one row per element in row-major order.  Floats are written with
-``%.17g`` so rereads are bit-exact.
+then one ``index,real,imag`` row per element in row-major order.  Floats
+are written with ``%.17g`` so rereads are bit-exact.  The reader takes the
+shape line from the comments before the first data row, parses the data
+rows in one :func:`numpy.loadtxt` call, and rejects the file unless the
+index column is exactly ``0..N-1``.
 
 Binary format: 16-byte header (8-byte magic ``RWKSIG1\\0``, uint32 LE rows,
 uint32 LE cols; rows == 0 marks a 1D signal of length cols), followed by
@@ -74,33 +77,39 @@ def _read_signal(path):
                 raise ConfigError(f"{path}: not an rwkit binary signal")
             rows, cols = struct.unpack("<II", header[8:])
             n = cols if rows == 0 else rows * cols
-            raw = np.frombuffer(fh.read(), dtype="<f8")
-        if raw.size != 2 * n:
+            payload = fh.read()
+        if len(payload) != 16 * n:
             raise ConfigError(f"{path}: truncated binary signal")
-        x = raw[0::2] + 1j * raw[1::2]
+        x = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
         return x if rows == 0 else x.reshape(rows, cols)
-    shape = None
-    values = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("shape="):
-                    shape = _parse_shape(path, body[6:])
-                continue
-            if line.startswith("index,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ConfigError(f"{path}: malformed signal row {line!r}")
-            try:
-                values.append(complex(float(parts[1]), float(parts[2])))
-            except ValueError:
-                raise ConfigError(f"{path}: malformed signal row {line!r}") from None
-    x = np.array(values, dtype=np.complex128)
+        lines = fh.read().split("\n")
+    # The header is every line before the first data row: comments, blank
+    # lines and the column row.
+    shape = None
+    start = len(lines)
+    for k, line in enumerate(lines):
+        line = line.strip()
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("shape="):
+                shape = _parse_shape(path, body[6:])
+        elif line and not line.startswith("index,"):
+            start = k
+            break
+    table = np.empty((0, 3))
+    if start < len(lines):
+        try:
+            table = np.loadtxt(lines[start:], delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed signal row ({exc})") from None
+    if table.shape[1] != 3:
+        raise ConfigError(f"{path}: malformed signal row ({table.shape[1]} columns, not 3)")
+    if not np.array_equal(table[:, 0], np.arange(len(table))):
+        raise ConfigError(f"{path}: the index column is not 0..{len(table) - 1}")
+    x = np.empty(len(table), dtype=np.complex128)
+    x.real = table[:, 1]
+    x.imag = table[:, 2]
     if shape is None:
         return x
     if int(np.prod(shape)) != x.size:

@@ -164,6 +164,37 @@ class TestExitCodes:
         assert main(["certify", "--config", config_path, f"{flag}={value}"]) == 2
         assert f"config error: {flag}: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--expected-defect"])
+    @pytest.mark.parametrize("value", ["-0.1", "-1e-300"])
+    def test_certify_negative_flag_is_config_error(self, config_path, tmp_path, capsys, flag, value):
+        out = tmp_path / "cert.txt"
+        assert main(["certify", "--config", config_path, f"{flag}={value}", "--out", str(out)]) == 2
+        assert f"config error: {flag}: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "purify", "defect", "certify", "eval"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("alpha=0", "alpha must be positive"),
+            ("rho=-1", "rho must be positive"),
+            ("tau=0", "tau: must be positive"),
+            ("defect_bound=0", "defect_bound: solution_bound must be positive"),
+        ],
+    )
+    def test_certificate_constant_out_of_range_is_config_error(
+        self, tmp_path, signal_path, capsys, command, line, message
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_CONFIG + line + "\n")
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command in ("purify", "defect"):
+            argv += ["--in", signal_path]
+        assert main(argv) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("frame, levels, n", [("haar-dwt", 9, 128), ("db4-dwt", 6, 32)])
     def test_eval_unsupported_levels_is_config_error(self, tmp_path, capsys, frame, levels, n):
         cfg = tmp_path / "cfg.txt"
@@ -288,8 +319,8 @@ def reference_eval(cfg, seed):
     )
     clf = dataset.classifier
     signals = dataset.signals
-    params = cli._recon_params(cfg)
-    frame = cli._frame(cfg)
+    params = cfg.recon_params
+    frame = params.frame
     xs = np.asarray(signals, dtype=np.complex128)
     rows = []
     for eps_index, epsilon in enumerate(cfg.epsilon_grid):

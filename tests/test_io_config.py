@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwkit import (
     ConfigError,
@@ -36,6 +40,38 @@ def reference_write_csv(path, x, comments=()):
         fh.write("\n".join(lines) + "\n")
 
 
+def reference_read_csv(path):
+    """Oracle: the per-line CSV reader that one ``np.loadtxt`` call replaced;
+    it splits and converts each row in Python and ignores the index column."""
+    shape = None
+    values = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("shape="):
+                    shape = tuple(int(s) for s in body[6:].split("x"))
+                continue
+            if line.startswith("index,"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ConfigError(f"{path}: malformed signal row {line!r}")
+            try:
+                values.append(complex(float(parts[1]), float(parts[2])))
+            except ValueError:
+                raise ConfigError(f"{path}: malformed signal row {line!r}") from None
+    x = np.array(values, dtype=np.complex128)
+    if shape is None:
+        return x
+    if int(np.prod(shape)) != x.size:
+        raise ConfigError(f"{path}: shape={'x'.join(map(str, shape))} does not match {x.size} rows")
+    return x.reshape(shape)
+
+
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, np.nan, np.inf, -np.inf]
 
 
@@ -54,6 +90,60 @@ class TestSignalIO:
         reference_write_csv(want, x, comments=comments)
         assert got.read_bytes() == want.read_bytes()
 
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 40)), st.tuples(st.integers(1, 8), st.integers(1, 8))
+        ),
+        parts=st.data(),
+        comments=st.lists(
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")),
+            max_size=3,
+        ),
+    )
+    def test_csv_read_matches_per_line_reader(self, tmp_path_factory, shape, parts, comments):
+        size = math.prod(shape)
+        values = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        x = np.empty(size, dtype=np.complex128)
+        x.real = parts.draw(st.lists(values, min_size=size, max_size=size))
+        x.imag = parts.draw(st.lists(values, min_size=size, max_size=size))
+        path = tmp_path_factory.mktemp("csv") / "sig.csv"
+        write_signal(path, x.reshape(shape), comments=comments)
+        try:
+            want = reference_read_csv(path)
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                read_signal(path)
+            return
+        got = read_signal(path)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("indices", [(0, 7), (1, 2), (0, 0), (1, 0), (0, 1.5)])
+    def test_csv_index_column_must_count_rows(self, tmp_path, indices):
+        path = tmp_path / "sig.csv"
+        body = "".join(f"{i},{v},0\n" for i, v in zip(indices, (1, 2)))
+        path.write_text(f"# shape=2\nindex,real,imag\n{body}")
+        with pytest.raises(ConfigError, match=r"the index column is not 0\.\.1"):
+            read_signal(path)
+
+    def test_csv_rows_need_three_columns(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("# shape=2\nindex,real,imag\n0,1\n1,2\n")
+        with pytest.raises(ConfigError, match="malformed signal row"):
+            read_signal(path)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_non_finite_parts_round_trip(self, tmp_path, suffix):
+        # Each part comes back on its own: an infinite or NaN imaginary part
+        # leaves the real part alone.
+        x = np.empty(4, dtype=np.complex128)
+        x.real = [1.0, -2.0, np.inf, np.nan]
+        x.imag = [np.inf, np.nan, -0.0, -np.inf]
+        path = tmp_path / f"sig{suffix}"
+        write_signal(path, x)
+        assert read_signal(path).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("suffix", [".csv", ".bin"])
     def test_round_trip_1d(self, tmp_path, suffix):
@@ -128,6 +218,14 @@ class TestSignalIO:
         with pytest.raises(ConfigError):
             read_signal(path)
 
+    @pytest.mark.parametrize("cut", [1, 3, 15])
+    def test_binary_cut_inside_a_value_rejected(self, tmp_path, cut):
+        path = tmp_path / "sig.bin"
+        write_signal(path, np.ones(8))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ConfigError, match="truncated binary signal"):
+            read_signal(path)
+
 
 class TestConfig:
     def test_round_trip(self):
@@ -171,6 +269,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match="subsample_prob"):
             ExperimentConfig(subsample_prob=1.2)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("alpha", 0.0, "alpha must be positive"),
+            ("rho", -1.0, "rho must be positive"),
+            ("tau", 0.0, "tau: must be positive"),
+            ("rwp_prob", 1.5, "rwp_prob must lie in"),
+            ("defect_bound", 0.0, "defect_bound: solution_bound must be positive"),
+            ("frame", "wavelet", "unknown frame kind"),
+            ("levels", -1, "levels must be >= 0"),
+            ("threshold", -0.1, "threshold must be >= 0"),
+            ("iterations", 0, "iterations must be >= 1"),
+            ("count", 0, "count must be >= 1"),
+            ("sparsity", 200, "sparsity k must lie in"),
+            ("margin_floor", 0.0, "margin_floor must be positive"),
+        ],
+    )
+    def test_library_rules_name_the_key(self, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**{key: value})
+
+    def test_recon_params_built_from_keys(self):
+        cfg = ExperimentConfig(frame="haar-dwt", levels=2, threshold=0.3, iterations=7)
+        params = cfg.recon_params
+        assert (params.frame.kind, params.frame.levels) == ("haar-dwt", 2)
+        assert (params.threshold, params.iterations, params.subsample_prob) == (0.3, 7, 0.7494)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
@@ -190,6 +315,15 @@ class TestGenData:
     def test_sparsity_out_of_range(self):
         with pytest.raises(ParameterError):
             gen_data(8, 2, 9, 0)
+
+    @pytest.mark.parametrize(
+        "n, count, margin_floor",
+        [(32, 5, float("nan")), (32, 5, -1.0), (32, 5, 0.0), (32, float("nan"), 1e-3), (float("nan"), 5, 1e-3)],
+        ids=["floor-nan", "floor-negative", "floor-zero", "count-nan", "n-nan"],
+    )
+    def test_bad_parameters_rejected(self, n, count, margin_floor):
+        with pytest.raises(ParameterError):
+            gen_data(n, count, 3, 0, margin_floor=margin_floor)
 
     def test_margin_floor_respected(self):
         floor = 0.05
