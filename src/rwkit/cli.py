@@ -111,6 +111,13 @@ def _cmd_certify(cfg, args, seed):
     epsilon = cfg.epsilon_grid[0] if cfg.epsilon_grid else 0.0
     if args.epsilon is not None:
         epsilon = args.epsilon
+    if epsilon == 0 and expected > 0:
+        # certify.kappa has no finite bound at epsilon 0 with a positive defect.
+        raise ConfigError(
+            "--epsilon: must be positive when --expected-defect is positive "
+            "(without --epsilon, certify uses the first epsilon_grid entry, or 0 "
+            "for an empty grid)"
+        )
     cert = certify.certify_probabilistic(
         cfg.rwp_prob, cfg.alpha, cfg.rho, cfg.tau, epsilon, expected
     )
@@ -134,14 +141,10 @@ def _cmd_certify(cfg, args, seed):
 _BLOCK_ENTRIES = 8192
 
 
-def _probe(x, epsilon, probe_seed):
-    # A random perturbation of norm epsilon, seeded per sample.
-    if epsilon == 0:
-        return x
-    rng = np.random.default_rng(probe_seed)
-    delta = rng.standard_normal(x.shape)
-    delta *= epsilon / np.linalg.norm(delta)
-    return x + delta
+def _row_norms(d):
+    # The Euclidean norm of each row of a 2D real array, bit-identical to
+    # np.linalg.norm of the row: both sum the squares with one BLAS dot.
+    return np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
 
 
 def run_eval(cfg, seed):
@@ -152,10 +155,14 @@ def run_eval(cfg, seed):
     from one epsilon to the next.  Each block stacks the clean and the
     probed copy of its samples into one purification, labels every purified
     row in one array operation, and computes the defects of its samples in
-    one batch.  Sample i at epsilon index e uses the operator and probe
-    drawn from (seed, e, i), shared by both copies and by its defect, and
-    every step is row-local, so the report is byte-identical across reruns
-    and block sizes.
+    one batch.  Sample i at epsilon index e draws its mask from the stream
+    ``sensing.derived_seed(seed, e, i, 0)`` and its probe from
+    ``derived_seed(seed, e, i, 1)``, the two children of
+    ``derived_seed(seed, e, i).spawn(2)``; the mask is shared by both copies
+    and by the defect, and a cell at epsilon 0 draws no probe.  Python does
+    per cell only the seeding and the draws; the rest runs as array
+    operations over the block, and every step is row-local, so the report is
+    byte-identical across reruns and block sizes.
 
     Returns the report rows (list of dicts, one per epsilon), each reduced
     over its epsilon's cells.
@@ -170,39 +177,48 @@ def run_eval(cfg, seed):
         raise ConfigError(f"levels: {exc}") from None
     dataset = _dataset(cfg, seed)
     weights = dataset.classifier.weights
-    signals = dataset.signals
+    signals = np.asarray(dataset.signals)
     labels = np.asarray(dataset.labels)
     grid = cfg.epsilon_grid
-    count = len(signals)
-    shape = signals[0].shape
+    grid_values = np.asarray(grid)
+    count, n = signals.shape
     cells = len(grid) * count
-    per_block = max(1, _BLOCK_ENTRIES // (2 * signals[0].size))
+    per_block = max(1, _BLOCK_ENTRIES // (2 * n))
     clean_ok = np.empty(cells, dtype=bool)
     defended_ok = np.empty(cells, dtype=bool)
     errors = np.empty(cells)
     l1 = np.empty(cells)
     for start in range(0, cells, per_block):
-        block = range(start, min(start + per_block, cells))
-        b = len(block)
+        stop = min(start + per_block, cells)
+        b = stop - start
+        e_index, i_index = np.divmod(np.arange(start, stop), count)
+        cell_index = list(zip(e_index.tolist(), i_index.tolist()))
+        mask = sensing._masks(
+            [sensing.derived_seed(seed, e, i, 0) for e, i in cell_index], (n,), cfg.subsample_prob
+        )
+        # A cell at epsilon 0 draws no probe; the others are scaled to norm
+        # epsilon before they are added.
+        epsilons = grid_values[e_index]
+        drawn = np.flatnonzero(epsilons != 0)
+        delta = np.empty((drawn.size, n))
+        for row, k in zip(delta, drawn.tolist()):
+            e, i = cell_index[k]
+            np.random.default_rng(sensing.derived_seed(seed, e, i, 1)).standard_normal(out=row)
+        delta *= (epsilons[drawn] / _row_norms(delta))[:, None]
+        clean = signals[i_index]
         # Rows 0..b-1 are the clean copies, rows b..2b-1 the probed ones.
-        xs = np.empty((2 * b,) + shape, dtype=np.complex128)
-        mask = np.empty((b,) + shape)
-        for k, c in enumerate(block):
-            e, i = divmod(c, count)
-            purify_seed, probe_seed = sensing.derived_seed(seed, e, i).spawn(2)
-            mask[k] = sensing.make_partial_fourier(shape, cfg.subsample_prob, purify_seed).mask
-            xs[k] = signals[i]
-            xs[b + k] = _probe(signals[i], grid[e], probe_seed)
+        xs = np.empty((2 * b, n), dtype=np.complex128)
+        xs[:b] = clean
+        xs[b:] = clean
+        xs.real[b + drawn] += delta
         values, _ = reconstruct._purify_block(xs, np.concatenate([mask, mask]), params)
         # The purified rows of real inputs are reported as real signals.
         values = values.real
         predicted = np.where(np.sum(weights * values, axis=1) >= 0, 1, -1)
-        cell_labels = labels[[c % count for c in block]]
-        clean_ok[start : start + b] = predicted[:b] == cell_labels
-        defended_ok[start : start + b] = predicted[b:] == cell_labels
-        for k, c in enumerate(block):
-            errors[c] = np.linalg.norm(values[b + k] - signals[c % count])
-        l1[start : start + b] = defect._l1_batch(mask, xs[:b], frame)
+        clean_ok[start:stop] = predicted[:b] == labels[i_index]
+        defended_ok[start:stop] = predicted[b:] == labels[i_index]
+        errors[start:stop] = _row_norms(values[b:] - clean)
+        l1[start:stop] = defect._l1_batch(mask, xs[:b], frame)
     rows = []
     for e, epsilon in enumerate(grid):
         ecells = slice(e * count, (e + 1) * count)

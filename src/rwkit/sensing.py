@@ -4,6 +4,10 @@ coefficients, its adjoint, and seeded, reproducible mask sampling.
 Seed derivation rule: an operator drawn as the ``index``-th member of an
 ensemble under ``master_seed`` uses ``numpy.random.SeedSequence(master_seed,
 spawn_key=(index,))``, so ensembles are reproducible and order-independent.
+``rwkit eval`` draws sample i at epsilon index e from two streams: the mask
+from ``derived_seed(seed, e, i, 0)`` and the probe from ``derived_seed(seed,
+e, i, 1)``.  A spawned child depends only on its entropy and spawn key, so
+these are the two children of ``derived_seed(seed, e, i).spawn(2)``.
 """
 
 from dataclasses import dataclass, field
@@ -95,9 +99,18 @@ def make_partial_fourier(shape, q, seed):
     else:
         seed_repr = int(seed)
         seq = np.random.SeedSequence(seed_repr)
-    rng = np.random.default_rng(seq)
-    mask = (rng.random(shape) < q).astype(np.float64)
+    mask = _masks([seq], shape, q)[0]
     return SensingOperator(mask=mask, seed=seed_repr, subsample_prob=float(q))
+
+
+def _masks(seqs, shape, q):
+    # The mask rule: row k is Bernoulli(q) over ``shape``, thresholding the
+    # uniforms of a generator seeded with seqs[k].  Unchecked: callers pass a
+    # valid shape tuple and q.
+    uniforms = np.empty((len(seqs),) + shape)
+    for k, seq in enumerate(seqs):
+        np.random.default_rng(seq).random(out=uniforms[k])
+    return (uniforms < q).astype(np.float64)
 
 
 def _check_shape(op, shape):

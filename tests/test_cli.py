@@ -211,6 +211,21 @@ class TestExitCodes:
         assert main(["certify", "--config", str(cfg), "--expected-defect", "0"]) == 0
         assert "radius=0\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "grid, epsilon_args",
+        [("epsilon_grid=0,0.05", []), ("epsilon_grid=", []), ("epsilon_grid=0.01,0.05", ["--epsilon", "0"])],
+    )
+    def test_certify_zero_epsilon_with_positive_defect_is_config_error(
+        self, tmp_path, capsys, grid, epsilon_args
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_CONFIG.replace("epsilon_grid=0.01,0.05", grid))
+        out = tmp_path / "cert.txt"
+        argv = ["certify", "--config", str(cfg), "--expected-defect", "0.5", "--out", str(out)]
+        assert main(argv + epsilon_args) == 2
+        assert "config error: --epsilon: must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSubcommands:
     def test_gen_data_header(self, config_path, tmp_path):
@@ -306,6 +321,33 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestRowNorms:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 64),
+        st.one_of(st.sampled_from((3, 24, 96, 127, 129, 200)), st.integers(1, 300)),
+        st.floats(-3, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_batched_row_norm_matches_linalg_norm_bit_for_bit(self, rows, n, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal((rows, n)) * 10.0**log_scale
+        got = cli._row_norms(d)
+        assert got.shape == (rows,)
+        for g, row in zip(got, d):
+            assert g.tobytes() == np.linalg.norm(row).tobytes()
+
+
+def _probe(x, epsilon, probe_seed):
+    # A random perturbation of norm epsilon, seeded per sample.
+    if epsilon == 0:
+        return x
+    rng = np.random.default_rng(probe_seed)
+    delta = rng.standard_normal(x.shape)
+    delta *= epsilon / np.linalg.norm(delta)
+    return x + delta
+
+
 def reference_eval(cfg, seed):
     """Reference: eval one epsilon at a time, with one purify_many call per
     epsilon and a scalar ``predict`` per purified row."""
@@ -328,7 +370,7 @@ def reference_eval(cfg, seed):
         for i, x in enumerate(signals):
             purify_seed, probe_seed = sensing.derived_seed(seed, eps_index, i).spawn(2)
             ops.append(sensing.make_partial_fourier(x.shape, cfg.subsample_prob, purify_seed))
-            probed.append(cli._probe(x, epsilon, probe_seed))
+            probed.append(_probe(x, epsilon, probe_seed))
         purified = reconstruct.purify_many(list(signals) + probed, params, ops + ops)
         clean, attacked = purified[: len(signals)], purified[len(signals) :]
         clean_ok = [predict(clf, p.value) == y for p, y in zip(clean, dataset.labels)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwkit import (
     ParameterError,
@@ -10,7 +12,14 @@ from rwkit import (
     apply,
     derived_seed,
     make_partial_fourier,
+    sensing,
 )
+
+
+def reference_mask(shape, q, seq):
+    # Oracle: the mask rule for one operator, with no batch axis.
+    rng = np.random.default_rng(seq)
+    return (rng.random(shape) < q).astype(np.float64)
 
 
 def random_signal(shape, seed):
@@ -66,6 +75,27 @@ class TestMakePartialFourier:
         ]
         stderr = np.sqrt(q * (1 - q) / n) / np.sqrt(seeds)
         assert abs(np.mean(densities) - q) <= 3 * stderr
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(1, 200).map(lambda n: (n,)),
+            st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        ),
+        st.sampled_from((0.0, 0.5, 0.7494, 1.0)),
+        st.integers(0, 2**63 - 1),
+        st.integers(1, 6),
+    )
+    def test_batched_masks_match_per_operator_masks(self, shape, q, seed, rows):
+        # Eval draws a block's masks in one call; each row must be the mask
+        # make_partial_fourier draws from the same seed sequence.
+        seqs = [derived_seed(seed, r, 0) for r in range(rows)]
+        masks = sensing._masks(seqs, shape, q)
+        assert masks.shape == (rows,) + shape and masks.dtype == np.float64
+        for row, seq in zip(masks, seqs):
+            want = make_partial_fourier(shape, q, seq).mask
+            assert row.tobytes() == want.tobytes()
+            assert row.tobytes() == reference_mask(shape, q, seq).tobytes()
 
 
 class TestApplyAdjoint:
@@ -157,3 +187,19 @@ class TestDerivedSeed:
         a = np.random.default_rng(derived_seed(0, 1)).standard_normal(8)
         b = np.random.default_rng(derived_seed(0, 2)).standard_normal(8)
         assert not np.array_equal(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**63 - 1),
+        st.integers(0, 1000),
+        st.integers(0, 100_000),
+        st.sampled_from((0, 1)),
+        st.integers(1, 300),
+    )
+    def test_spawn_key_stream_equals_spawned_child(self, seed, e, i, k, size):
+        # Eval seeds cell (e, i)'s mask and probe streams from the spawn keys
+        # (e, i, 0) and (e, i, 1) instead of spawning two children.
+        child = np.random.default_rng(derived_seed(seed, e, i).spawn(2)[k])
+        direct = np.random.default_rng(derived_seed(seed, e, i, k))
+        assert child.random(size).tobytes() == direct.random(size).tobytes()
+        assert child.standard_normal(size).tobytes() == direct.standard_normal(size).tobytes()
