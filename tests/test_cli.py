@@ -321,6 +321,49 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+DATA_DIR = Path(__file__).parent / "data"
+
+# Recorded outputs: (command, config, extra argv, input file or None,
+# recorded file).
+# Refactors that keep the maths must not move a byte of them.
+RECORDED_OUTPUTS = {
+    "gen-data": (
+        "gen-data",
+        "n=16\ncount=3\nsparsity=2\nmargin_floor=0.05\nweights_seed=5\nmaster_seed=2\n",
+        [],
+        None,
+        "gen_data.csv",
+    ),
+    "purify-1d-identity": (
+        "purify",
+        "frame=identity\nn=32\niterations=30\nthreshold=0.01\nsubsample_prob=0.6\nmaster_seed=4\n",
+        [],
+        "purify_1d_in.csv",
+        "purify_1d.csv",
+    ),
+    "purify-2d-db4": (
+        "purify",
+        "frame=db4-dwt\nlevels=2\nn=16\niterations=20\nthreshold=0.01\nsubsample_prob=0.5\n",
+        ["--seed", "9"],
+        "purify_2d_in.bin",
+        "purify_2d.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_OUTPUTS))
+def test_output_matches_recorded(tmp_path, case):
+    command, text, extra, infile, recorded = RECORDED_OUTPUTS[case]
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    out = tmp_path / recorded
+    argv = [command, "--config", str(cfg), "--out", str(out), *extra]
+    if infile:
+        argv += ["--in", str(DATA_DIR / infile)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (DATA_DIR / recorded).read_bytes()
+
+
 class TestRowNorms:
     @settings(max_examples=200, deadline=None)
     @given(
