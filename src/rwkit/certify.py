@@ -6,7 +6,8 @@ The central quantity is the denoiser performance factor
 
 from which the performance bound C(eps) = eps * kappa(eps), the admissible
 defect budget, the probabilistic certificate and the robustness-gain lower
-bound 1/kappa all follow.
+bound 1/kappa all follow.  Every function that takes alpha and rho (and
+rwp_prob) checks their ranges by building :class:`RwpParameters`.
 """
 
 import math
@@ -55,16 +56,9 @@ class Certificate:
             raise ParameterError(f"gain must be >= 0, got {self.gain}")
 
 
-def _check_rwp(alpha, rho):
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if not rho > 0:
-        raise ParameterError(f"rho must be positive, got {rho}")
-
-
 def kappa(epsilon, alpha, rho, max_defect):
     """Performance factor 2/alpha + (4*rho/epsilon) * max_defect."""
-    _check_rwp(alpha, rho)
+    RwpParameters(rho=rho, alpha=alpha)
     if not max_defect >= 0:
         raise ParameterError(f"max_defect must be >= 0, got {max_defect}")
     if max_defect == 0:
@@ -87,7 +81,7 @@ def defect_budget(tau, epsilon, alpha, rho):
     Requires tau * alpha / 2 > epsilon; the budget is
     (tau - 2*epsilon/alpha) / (4*rho).
     """
-    _check_rwp(alpha, rho)
+    RwpParameters(rho=rho, alpha=alpha)
     if not tau * alpha > 2.0 * epsilon:
         raise InfeasibleError(
             f"requires tau * alpha / 2 > epsilon "
@@ -106,9 +100,7 @@ def certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected_defect):
 
     clamped to [0, 1] with a vacuous flag when clamped at zero.
     """
-    _check_rwp(alpha, rho)
-    if not 0.0 <= rwp_prob <= 1.0:
-        raise ParameterError(f"rwp_prob must lie in [0, 1], got {rwp_prob}")
+    RwpParameters(rho=rho, alpha=alpha, rwp_prob=rwp_prob)
     if not expected_defect >= 0:
         raise ParameterError(
             f"expected_defect must be >= 0, got {expected_defect}"
@@ -158,7 +150,7 @@ def partial_fourier_rwp(sparsity_level, rip_delta):
 
 def rip_from_rwp(rho, alpha):
     """Inverse of :func:`partial_fourier_rwp`: (J, delta) = (9/rho^2, 1/3 - alpha)."""
-    _check_rwp(alpha, rho)
+    RwpParameters(rho=rho, alpha=alpha)
     if not alpha < 1.0 / 3.0:
         raise ParameterError(
             f"partial Fourier mapping requires alpha < 1/3, got {alpha}"
@@ -172,7 +164,7 @@ def rwp_probability_exponent(dimension, rho, alpha):
     A comparative diagnostic only (larger means RWP failure probability
     decays faster); never a calibrated probability.
     """
-    _check_rwp(alpha, rho)
+    RwpParameters(rho=rho, alpha=alpha)
     if not dimension >= 2:
         raise ParameterError(f"dimension must be >= 2, got {dimension}")
     if not alpha < 1.0 / 3.0:

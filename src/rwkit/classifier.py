@@ -9,6 +9,7 @@ import numpy as np
 
 from . import certify
 from .errors import ParameterError, ShapeError
+from .sensing import RwpParameters, derived_seed
 
 __all__ = [
     "LinearClassifier",
@@ -27,27 +28,15 @@ DEFAULT_RADIUS_CEILING = 1e6
 
 @dataclass(frozen=True)
 class LinearClassifier:
-    """f(x) = sign(<w, x>) with sign(0) := +1.
-
-    ``support_mask`` is optional; when present it must be 1 exactly where
-    the weight is nonzero (masked inputs then classify identically).
-    """
+    """f(x) = sign(<w, x>) with sign(0) := +1."""
 
     weights: np.ndarray = field(repr=False)
-    support_mask: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         if not np.any(w != 0):
             raise ParameterError("weights must not be all zero")
         object.__setattr__(self, "weights", w)
-        if self.support_mask is not None:
-            m = np.asarray(self.support_mask, dtype=np.float64)
-            if m.shape != w.shape:
-                raise ShapeError("support mask shape must match weights")
-            if not np.array_equal(m != 0, w != 0):
-                raise ParameterError("support mask must match weight support")
-            object.__setattr__(self, "support_mask", m)
 
     def __call__(self, x):
         return predict(self, x)
@@ -130,8 +119,7 @@ def linear_certificate_approx(clf, x, alpha, rho, defect):
         raise ParameterError(
             f"certificate requires alpha > 2 (gain alpha/2 <= 1), got {alpha}"
         )
-    if not rho > 0:
-        raise ParameterError(f"rho must be positive, got {rho}")
+    RwpParameters(rho=rho, alpha=alpha)
     if not defect >= 0:
         raise ParameterError(f"defect must be >= 0, got {defect}")
     m = margin(clf, x)
@@ -168,7 +156,8 @@ def empirical_robust_radius(
     At each candidate radius the pipeline is probed along ``probes``
     random unit directions (fresh per level) plus any caller-supplied
     ``extra_directions`` (e.g. the closed-form minimal perturbation of a
-    linear classifier, which makes the measurement exact to ``tol``).  An
+    linear classifier, which makes the measurement exact to ``tol``).  The
+    directions come from the stream ``derived_seed(seed)``.  An
     upper bracket is first established by doubling from ``tol``; if none
     is found below ``radius_ceiling`` the measurement is returned with
     ``flip_found=False``.
@@ -180,7 +169,7 @@ def empirical_robust_radius(
         if not 0 < value < np.inf:
             raise ParameterError(f"{name} must be finite and positive, got {value}")
     x = np.asarray(x, dtype=np.float64)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(derived_seed(seed))
     extra = []
     for u in extra_directions:
         u = np.asarray(u, dtype=np.float64)

@@ -75,7 +75,7 @@ def _cmd_purify(cfg, args, seed):
         result.value,
         comments=_header(cfg, seed)
         + [
-            f"operator_seed={result.operator_seed}",
+            f"operator_seed={seed}",
             f"iterations_run={result.iterations_run}",
             f"final_coefficient_l1={_fmt(result.final_coefficient_l1)}",
             f"imag_residual={_fmt(result.imag_residual)}",
@@ -155,10 +155,8 @@ def run_eval(cfg, seed):
     from one epsilon to the next.  Each block stacks the clean and the
     probed copy of its samples into one purification, labels every purified
     row in one array operation, and computes the defects of its samples in
-    one batch.  Sample i at epsilon index e draws its mask from the stream
-    ``sensing.derived_seed(seed, e, i, 0)`` and its probe from
-    ``derived_seed(seed, e, i, 1)``, the two children of
-    ``derived_seed(seed, e, i).spawn(2)``; the mask is shared by both copies
+    one batch.  Sample i at epsilon index e draws its mask and its probe from
+    the streams :mod:`rwkit.sensing` names; the mask is shared by both copies
     and by the defect, and a cell at epsilon 0 draws no probe.  Python does
     per cell only the seeding and the draws; the rest runs as array
     operations over the block, and every step is row-local, so the report is
@@ -300,8 +298,11 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed: must be >= 0")
+        if args.seed is not None:
+            try:
+                sensing.derived_seed(args.seed)
+            except ParameterError as exc:
+                raise ConfigError(f"--seed: {exc}") from None
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.master_seed
         _COMMANDS[args.command](cfg, args, seed)

@@ -7,8 +7,9 @@ The keys of the retired iterative defect solver (``bregman_lambda``,
 any other unknown key is an error.
 
 The config owns only the rules that no library type does: every float value
-is finite, ``epsilon_grid`` entries are >= 0 and strictly increasing, the
-seeds are >= 0, ``defect_operators`` >= 1 and ``tau`` > 0.  Every other
+is finite, ``epsilon_grid`` entries are >= 0 and strictly increasing,
+``defect_operators`` >= 1 and ``tau`` > 0.  The seeds are checked by
+:func:`~rwkit.sensing.derived_seed`, and every other
 range is checked by building the type that consumes the value:
 :class:`~rwkit.reconstruct.ReconstructionParams` and its
 :class:`~rwkit.frames.Frame` (frame, levels, threshold, iterations,
@@ -33,7 +34,7 @@ from .defect import DefectParams
 from .errors import ConfigError, ParameterError
 from .frames import Frame
 from .reconstruct import ReconstructionParams
-from .sensing import RwpParameters
+from .sensing import RwpParameters, derived_seed
 
 __all__ = ["ExperimentConfig", "parse_config", "serialize_config", "config_hash", "load_config"]
 
@@ -80,8 +81,10 @@ class ExperimentConfig:
             raise ConfigError("epsilon_grid: must be strictly increasing")
         object.__setattr__(self, "epsilon_grid", grid)
         for name in ("weights_seed", "master_seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name}: must be >= 0")
+            try:
+                derived_seed(getattr(self, name))
+            except ParameterError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
         if self.defect_operators < 1:
             raise ConfigError("defect_operators: must be >= 1")
         # No type owns tau; with tau <= 0 no epsilon >= 0 can be certified.

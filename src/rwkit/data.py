@@ -17,6 +17,7 @@ import numpy as np
 from . import io
 from .classifier import LinearClassifier, margin, predict
 from .errors import ConfigError, ParameterError
+from .sensing import derived_seed
 
 __all__ = ["Dataset", "gen_data", "write_dataset", "read_dataset"]
 
@@ -49,15 +50,17 @@ def _check_params(n, count, k, margin_floor):
 def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
     """Generate ``count`` exactly k-sparse signals with a labeling weight.
 
-    Deterministic given the seeds; ``weights_seed`` defaults to ``seed``.
+    The weights come from the stream ``derived_seed(weights_seed, 87)``,
+    and the signals from ``derived_seed(seed, 88)``; ``weights_seed``
+    defaults to ``seed``.
     """
     _check_params(n, count, k, margin_floor)
     wseed = seed if weights_seed is None else weights_seed
-    wrng = np.random.default_rng(np.random.SeedSequence(wseed, spawn_key=(87,)))
+    wrng = np.random.default_rng(derived_seed(wseed, 87))
     w = wrng.standard_normal(n)
     w /= np.linalg.norm(w)
     clf = LinearClassifier(weights=w)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(88,)))
+    rng = np.random.default_rng(derived_seed(seed, 88))
     signals = []
     labels = []
     for _ in range(count):

@@ -138,9 +138,8 @@ class ExpectedDefect:
 def expected_defect(samples, frame, params, num_operators, master_seed, subsample_prob=1.0):
     """Average over seeded operators of the per-operator maximum defect.
 
-    Each operator i is drawn from the stream SeedSequence(master_seed,
-    spawn_key=(i,)), and all samples are back-projected through it in one
-    batch.
+    Each operator i is drawn from the stream ``derived_seed(master_seed,
+    i)``, and all samples are back-projected through it in one batch.
     """
     if not num_operators >= 1:
         raise ParameterError(f"num_operators must be >= 1, got {num_operators}")

@@ -20,15 +20,28 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 
 MAGIC = b"RWKSIG1\x00"
 
 __all__ = ["read_signal", "write_signal", "MAGIC"]
 
 
+def _check_comment(comment):
+    # The reader would take this comment for a shape line or split it.
+    text = str(comment)
+    if "\r" in text or "\n" in text or text.strip().startswith("shape="):
+        raise ParameterError(f"comment {text!r} cannot be written as one CSV comment line")
+
+
 def write_signal(path, x, comments=()):
-    """Write a complex signal to ``path`` (.bin for binary, else CSV)."""
+    """Write a complex signal to ``path`` (.bin for binary, else CSV).
+
+    A comment holding a line break, or whose stripped text starts with
+    ``shape=``, raises :class:`ParameterError` before anything is written.
+    """
+    for comment in comments:
+        _check_comment(comment)
     x = np.asarray(x, dtype=np.complex128)
     path = str(path)
     if path.endswith(".bin"):

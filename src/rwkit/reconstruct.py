@@ -63,7 +63,6 @@ class PurifiedSignal:
     """
 
     value: np.ndarray
-    operator_seed: int
     iterations_run: int
     final_coefficient_l1: float
     imag_residual: float = 0.0
@@ -109,18 +108,6 @@ def ista_reconstruct(y, op, params):
     return _synthesize_batch(params.frame, u)[0]
 
 
-def _operator(seed, shape, params):
-    if not isinstance(seed, sensing.SensingOperator):
-        return sensing.make_partial_fourier(shape, params.subsample_prob, seed)
-    sensing._check_shape(seed, shape)
-    if seed.subsample_prob != params.subsample_prob:
-        raise ParameterError(
-            f"operator was drawn with q={seed.subsample_prob}, "
-            f"params ask for q={params.subsample_prob}"
-        )
-    return seed
-
-
 def _purify_block(xs, mask, params):
     """Purified values and final coefficients of a stacked batch.
 
@@ -135,20 +122,21 @@ def _purify_block(xs, mask, params):
 def purify_many(xs, params, seeds):
     """Purify a batch of same-shape signals in one reconstruction loop.
 
-    Row i is sensed through the operator drawn from ``seeds[i]``; an entry
-    may also be a :class:`~rwkit.sensing.SensingOperator` already drawn, so
-    that rows can share one draw.  Returns one :class:`PurifiedSignal` per
-    row, bit-identical to ``purify(xs[i], params, seeds[i])``.
+    Row i is sensed through the mask drawn from ``seeds[i]`` under the seed
+    rule of :mod:`rwkit.sensing`; rows that share a seed share a mask.
+    Returns one :class:`PurifiedSignal` per row, bit-identical to
+    ``purify(xs[i], params, seeds[i])``.
     """
     if len(xs) != len(seeds):
         raise ShapeError(f"{len(xs)} signals but {len(seeds)} seeds")
     if len(xs) == 0:
         return []
     batch = _stack_signals(xs)
-    ops = [_operator(seed, batch.shape[1:], params) for seed in seeds]
-    values, u = _purify_block(batch, np.stack([op.mask for op in ops]), params)
+    seqs = [sensing.derived_seed(seed) for seed in seeds]
+    mask = sensing._masks(seqs, batch.shape[1:], params.subsample_prob)
+    values, u = _purify_block(batch, mask, params)
     out = []
-    for x, op, value, coeffs in zip(xs, ops, values, u):
+    for x, value, coeffs in zip(xs, values, u):
         imag_residual = 0.0
         if np.isrealobj(x):
             imag_residual = float(np.max(np.abs(value.imag)))
@@ -156,7 +144,6 @@ def purify_many(xs, params, seeds):
         out.append(
             PurifiedSignal(
                 value=value,
-                operator_seed=op.seed,
                 iterations_run=params.iterations,
                 final_coefficient_l1=float(np.sum(np.abs(coeffs))),
                 imag_residual=imag_residual,
@@ -168,9 +155,9 @@ def purify_many(xs, params, seeds):
 def purify(x, params, seed):
     """Sense ``x`` through a fresh operator and reconstruct it.
 
-    Deterministic given (x, params, seed).  Real inputs are reported back
-    as real signals; the discarded imaginary part is recorded in
-    ``imag_residual``.
+    Deterministic given (x, params, seed); ``seed`` follows the seed rule of
+    :mod:`rwkit.sensing`.  Real inputs are reported back as real signals;
+    the discarded imaginary part is recorded in ``imag_residual``.
     """
     return purify_many([x], params, [seed])[0]
 

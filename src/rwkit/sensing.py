@@ -1,15 +1,20 @@
 """Random partial Fourier sensing: a Bernoulli mask over unitary Fourier
 coefficients, its adjoint, and seeded, reproducible mask sampling.
 
-Seed derivation rule: an operator drawn as the ``index``-th member of an
-ensemble under ``master_seed`` uses ``numpy.random.SeedSequence(master_seed,
-spawn_key=(index,))``, so ensembles are reproducible and order-independent.
+The seed rule, owned by :func:`derived_seed`: a seed is a
+``numpy.random.SeedSequence``, or a Python or numpy integer >= 0 that is not
+a ``bool``; anything else raises :class:`~rwkit.errors.ParameterError`.  The
+integer s is the stream ``SeedSequence(s)`` and ``derived_seed(s, i, ...)``
+its child ``SeedSequence(s, spawn_key=(i, ...))``; a ``SeedSequence`` is
+itself, and its children extend its spawn key.  Every stream in rwkit comes
+from :func:`derived_seed`.  The mask drawn under seed s is
+``default_rng(derived_seed(s)).random(shape) < q``.
 ``rwkit eval`` draws sample i at epsilon index e from two streams: the mask
 from ``derived_seed(seed, e, i, 0)`` and the probe from ``derived_seed(seed,
-e, i, 1)``.  A spawned child depends only on its entropy and spawn key, so
-these are the two children of ``derived_seed(seed, e, i).spawn(2)``.
+e, i, 1)``, the two children of ``derived_seed(seed, e, i).spawn(2)``.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +32,26 @@ __all__ = [
 ]
 
 
+def _index(value, what):
+    # An integer >= 0 that is not a bool, as operator.index reads it.
+    try:
+        i = operator.index(value)
+    except TypeError:
+        i = -1
+    if i < 0 or isinstance(value, bool):
+        raise ParameterError(f"{what} must be an integer >= 0, got {value!r}")
+    return i
+
+
 def derived_seed(master_seed, *indices):
-    """Deterministic per-stream seed sequence for ensembles and batches."""
-    return np.random.SeedSequence(master_seed, spawn_key=tuple(int(i) for i in indices))
+    """The stream ``indices`` under ``master_seed``, by the module's seed rule."""
+    key = tuple([_index(i, "seed index") for i in indices])
+    if not isinstance(master_seed, np.random.SeedSequence):
+        return np.random.SeedSequence(_index(master_seed, "seed"), spawn_key=key)
+    seq = master_seed
+    if not key:
+        return seq
+    return np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + key, pool_size=seq.pool_size)
 
 
 @dataclass(frozen=True)
@@ -42,8 +64,6 @@ class SensingOperator:
     """
 
     mask: np.ndarray = field(repr=False)
-    seed: int
-    subsample_prob: float
 
     def __post_init__(self):
         self.mask.setflags(write=False)
@@ -51,10 +71,6 @@ class SensingOperator:
     @property
     def shape(self):
         return self.mask.shape
-
-    @property
-    def n(self):
-        return self.mask.size
 
 
 @dataclass(frozen=True)
@@ -71,10 +87,10 @@ class RwpParameters:
     rwp_prob: float = 0.0
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ParameterError(f"rho must be positive, got {self.rho}")
         if not self.alpha > 0:
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
+        if not self.rho > 0:
+            raise ParameterError(f"rho must be positive, got {self.rho}")
         if not 0.0 <= self.rwp_prob <= 1.0:
             raise ParameterError(f"rwp_prob must lie in [0, 1], got {self.rwp_prob}")
 
@@ -93,14 +109,7 @@ def make_partial_fourier(shape, q, seed):
             raise ShapeError(f"axis length must be >= 1, got {ax_len}")
     if not 0.0 <= q <= 1.0:
         raise ParameterError(f"subsampling probability must lie in [0, 1], got {q}")
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-        seed_repr = int(seq.entropy) if isinstance(seq.entropy, int) else -1
-    else:
-        seed_repr = int(seed)
-        seq = np.random.SeedSequence(seed_repr)
-    mask = _masks([seq], shape, q)[0]
-    return SensingOperator(mask=mask, seed=seed_repr, subsample_prob=float(q))
+    return SensingOperator(mask=_masks([derived_seed(seed)], shape, q)[0])
 
 
 def _masks(seqs, shape, q):

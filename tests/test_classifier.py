@@ -31,16 +31,6 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             LinearClassifier(weights=np.zeros(4))
 
-    def test_mask_must_match_support(self):
-        w = np.array([1.0, 0.0, 2.0])
-        LinearClassifier(weights=w, support_mask=np.array([1.0, 0.0, 1.0]))
-        with pytest.raises(ParameterError):
-            LinearClassifier(weights=w, support_mask=np.array([1.0, 1.0, 1.0]))
-
-    def test_mask_shape_checked(self):
-        with pytest.raises(ShapeError):
-            LinearClassifier(weights=np.ones(3), support_mask=np.ones(4))
-
 
 class TestPredict:
     def test_positive_side(self):
@@ -67,7 +57,7 @@ class TestPredict:
     def test_masked_prediction_matches(self):
         w = np.array([2.0, 0.0, -1.0, 0.0])
         mask = (w != 0).astype(float)
-        clf = LinearClassifier(weights=w, support_mask=mask)
+        clf = LinearClassifier(weights=w)
         for seed in range(1000):
             x = np.random.default_rng(seed).standard_normal(4)
             assert predict(clf, mask * x) == predict(clf, x)

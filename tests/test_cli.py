@@ -146,7 +146,7 @@ class TestExitCodes:
         if command in ("purify", "defect"):
             argv += ["--in", signal_path]
         assert main(argv) == 2
-        assert "config error: --seed: must be >= 0" in capsys.readouterr().err
+        assert "config error: --seed: seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["master_seed", "weights_seed"])
@@ -155,7 +155,7 @@ class TestExitCodes:
         cfg.write_text(FAST_CONFIG + f"{key}=-1\n")
         out = tmp_path / "report.csv"
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"config error: {key}: must be >= 0" in capsys.readouterr().err
+        assert f"config error: {key}: seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--epsilon", "--expected-defect"])
@@ -409,12 +409,15 @@ def reference_eval(cfg, seed):
     xs = np.asarray(signals, dtype=np.complex128)
     rows = []
     for eps_index, epsilon in enumerate(cfg.epsilon_grid):
-        ops, probed = [], []
+        purify_seeds, ops, probed = [], [], []
         for i, x in enumerate(signals):
             purify_seed, probe_seed = sensing.derived_seed(seed, eps_index, i).spawn(2)
+            purify_seeds.append(purify_seed)
             ops.append(sensing.make_partial_fourier(x.shape, cfg.subsample_prob, purify_seed))
             probed.append(_probe(x, epsilon, probe_seed))
-        purified = reconstruct.purify_many(list(signals) + probed, params, ops + ops)
+        # The clean and the probed copy of a sample share its seed, and so
+        # its mask.
+        purified = reconstruct.purify_many(list(signals) + probed, params, purify_seeds * 2)
         clean, attacked = purified[: len(signals)], purified[len(signals) :]
         clean_ok = [predict(clf, p.value) == y for p, y in zip(clean, dataset.labels)]
         defended_ok = [predict(clf, p.value) == y for p, y in zip(attacked, dataset.labels)]

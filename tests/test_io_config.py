@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rwkit import io
 from rwkit import (
     ConfigError,
     ExperimentConfig,
@@ -72,6 +73,15 @@ def reference_read_csv(path):
     return x.reshape(shape)
 
 
+def writable(comment):
+    # The writer's rule: it refuses a comment that would not read back as one.
+    try:
+        io._check_comment(comment)
+    except ParameterError:
+        return False
+    return True
+
+
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, np.nan, np.inf, -np.inf]
 
 
@@ -98,17 +108,28 @@ class TestSignalIO:
         ),
         parts=st.data(),
         comments=st.lists(
-            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")),
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")).filter(
+                writable
+            ),
             max_size=3,
         ),
     )
+    # Once a failing example: the writer put "# shape=" above its own shape
+    # line, and neither reader could read the file back.
+    @example(shape=(1,), parts=None, comments=["shape="])
     def test_csv_read_matches_per_line_reader(self, tmp_path_factory, shape, parts, comments):
+        path = tmp_path_factory.mktemp("csv") / "sig.csv"
+        if not all(map(writable, comments)):
+            # Only explicit examples get here; the strategy filters these out.
+            with pytest.raises(ParameterError):
+                write_signal(path, np.zeros(shape), comments=comments)
+            assert not path.exists()
+            return
         size = math.prod(shape)
         values = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
         x = np.empty(size, dtype=np.complex128)
         x.real = parts.draw(st.lists(values, min_size=size, max_size=size))
         x.imag = parts.draw(st.lists(values, min_size=size, max_size=size))
-        path = tmp_path_factory.mktemp("csv") / "sig.csv"
         write_signal(path, x.reshape(shape), comments=comments)
         try:
             want = reference_read_csv(path)
@@ -119,6 +140,24 @@ class TestSignalIO:
         got = read_signal(path)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    @pytest.mark.parametrize(
+        "comment", ["shape=", "shape=4", "  shape=2x2 ", "\tshape=", "a\nb", "a\rb", "end\r\n", "\n"]
+    )
+    def test_writer_refuses_comment_that_would_not_read_back(self, tmp_path, suffix, comment):
+        path = tmp_path / f"sig{suffix}"
+        with pytest.raises(ParameterError, match="cannot be written as one CSV comment line"):
+            write_signal(path, np.ones(3), comments=["fine", comment])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("comment", ["xshape=", "# shape=", "shape", "shape =4", "operator_seed=3"])
+    def test_comment_near_a_shape_line_round_trips(self, tmp_path, comment):
+        path = tmp_path / "sig.csv"
+        x = np.arange(4.0).reshape(2, 2)
+        write_signal(path, x, comments=[comment])
+        assert path.read_text().splitlines()[0] == f"# {comment}"
+        assert read_signal(path).tobytes() == x.astype(np.complex128).tobytes()
 
     @pytest.mark.parametrize("indices", [(0, 7), (1, 2), (0, 0), (1, 0), (0, 1.5)])
     def test_csv_index_column_must_count_rows(self, tmp_path, indices):

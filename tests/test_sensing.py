@@ -4,16 +4,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwkit import (
+    ConfigError,
+    DefectParams,
+    ExperimentConfig,
+    Frame,
+    LinearClassifier,
     ParameterError,
+    ReconstructionParams,
     RwpParameters,
     SensingOperator,
     ShapeError,
     adjoint,
     apply,
+    defend,
     derived_seed,
+    empirical_robust_radius,
+    expected_defect,
+    gen_data,
+    ista_reconstruct,
     make_partial_fourier,
+    purify,
+    purify_many,
     sensing,
+    sparsity_defect,
 )
+from rwkit.cli import main
 
 
 def reference_mask(shape, q, seq):
@@ -203,3 +218,141 @@ class TestDerivedSeed:
         direct = np.random.default_rng(derived_seed(seed, e, i, k))
         assert child.random(size).tobytes() == direct.random(size).tobytes()
         assert child.standard_normal(size).tobytes() == direct.standard_normal(size).tobytes()
+
+
+# The seed rule.  A seed is a SeedSequence or an integer >= 0 that is not a
+# bool; the integer s names the stream SeedSequence(s).
+ACCEPTED_SEEDS = st.one_of(
+    st.integers(0, 2**70),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**63 - 1).map(lambda s: derived_seed(s, 5)),
+)
+REJECTED_SEEDS = st.one_of(
+    st.sampled_from(
+        [2.9, 2.0, -1, "3", True, False, None, np.True_, np.float64(3.0), np.int64(-1), 1 + 0j, [3], b"3"]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(max_value=-1),
+)
+SMALL_PARAMS = ReconstructionParams(
+    iterations=3, threshold=0.01, subsample_prob=0.6, frame=Frame(kind="identity")
+)
+
+
+def stream(seed):
+    # The stream the rule assigns to an accepted seed, built without rwkit.
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(int(seed))
+
+
+def child(seed, *key):
+    seq = stream(seed)
+    return np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + key)
+
+
+def reference_gen_data(n, count, k, seed, margin_floor, weights_seed):
+    # The dataset rule: weights from child (87,) of the weights seed, and
+    # signals from child (88,) of the seed, resampled below the margin floor.
+    w = np.random.default_rng(child(weights_seed, 87)).standard_normal(n)
+    w /= np.linalg.norm(w)
+    rng = np.random.default_rng(child(seed, 88))
+    signals = []
+    while len(signals) < count:
+        support = rng.choice(n, size=k, replace=False)
+        values = rng.uniform(-1.0, 1.0, size=k)
+        x = np.zeros(n)
+        x[support] = values
+        if np.all(values != 0.0) and abs(float(np.sum(w * x))) / float(np.linalg.norm(w)) >= margin_floor:
+            signals.append(x)
+    return w, signals
+
+
+class TestSeedRule:
+    @settings(max_examples=60, deadline=None)
+    @given(ACCEPTED_SEEDS, ACCEPTED_SEEDS, st.sampled_from(((16,), (4, 6))))
+    def test_accepted_seeds_reproduce_their_streams(self, seed, other, shape):
+        want = (np.random.default_rng(stream(seed)).random(shape) < 0.6).astype(np.float64)
+        assert derived_seed(seed).generate_state(4).tolist() == stream(seed).generate_state(4).tolist()
+        assert make_partial_fourier(shape, 0.6, seed).mask.tobytes() == want.tobytes()
+
+        # purify, purify_many and defend sense through that mask.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        op = SensingOperator(mask=want)
+        expected = ista_reconstruct(apply(op, x), op, SMALL_PARAMS)
+        assert purify(x, SMALL_PARAMS, seed).value.tobytes() == expected.tobytes()
+        batch = purify_many([x, x], SMALL_PARAMS, [other, seed])
+        assert batch[1].value.tobytes() == expected.tobytes()
+        clf = LinearClassifier(weights=rng.standard_normal(shape))
+        assert defend(clf, x, SMALL_PARAMS, seed) == clf(expected)
+
+        # Operator i of expected_defect is drawn from child (i,).
+        frame, bound = Frame(kind="identity"), DefectParams(solution_bound=0.5)
+        samples = [rng.standard_normal(shape) for _ in range(3)]
+        per_operator = []
+        for i in range(2):
+            op_i = SensingOperator(
+                mask=(np.random.default_rng(child(seed, i)).random(shape) < 0.6).astype(np.float64)
+            )
+            per_operator.append(max(sparsity_defect(s, op_i, frame, bound).defect for s in samples))
+        got = expected_defect(samples, frame, bound, 2, seed, subsample_prob=0.6)
+        assert got.estimate == np.mean(per_operator)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ACCEPTED_SEEDS, ACCEPTED_SEEDS)
+    def test_datasets_and_radii_follow_the_rule(self, seed, weights_seed):
+        dataset = gen_data(12, 3, 2, seed, margin_floor=0.05, weights_seed=weights_seed)
+        w, signals = reference_gen_data(12, 3, 2, seed, 0.05, weights_seed)
+        assert dataset.weights.tobytes() == w.tobytes()
+        assert np.asarray(dataset.signals).tobytes() == np.asarray(signals).tobytes()
+        default = gen_data(12, 3, 2, seed, margin_floor=0.05)
+        assert default.weights.tobytes() == reference_gen_data(12, 3, 2, seed, 0.05, seed)[0].tobytes()
+
+        # The bisection draws its probe directions from the stream itself.
+        clf = dataset.classifier
+        x = dataset.signals[0]
+        got = empirical_robust_radius(clf, x, probes=3, tol=0.05, seed=seed)
+        want = empirical_robust_radius(clf, x, probes=3, tol=0.05, seed=stream(seed))
+        assert (got.radius, got.trials) == (want.radius, want.trials)
+
+    @settings(max_examples=60, deadline=None)
+    @given(REJECTED_SEEDS)
+    def test_rejected_seeds_raise_parameter_error_everywhere(self, bad):
+        x = np.ones(8)
+        clf = LinearClassifier(weights=np.ones(8))
+        calls = [
+            lambda: derived_seed(bad),
+            lambda: derived_seed(0, bad),
+            lambda: derived_seed(np.random.SeedSequence(0), 1, bad),
+            lambda: make_partial_fourier(8, 0.5, bad),
+            lambda: purify(x, SMALL_PARAMS, bad),
+            lambda: purify_many([x, x], SMALL_PARAMS, [0, bad]),
+            lambda: defend(clf, x, SMALL_PARAMS, bad),
+            lambda: gen_data(8, 2, 2, bad),
+            lambda: empirical_robust_radius(clf, x, probes=1, seed=bad),
+            lambda: expected_defect([x], Frame(kind="identity"), DefectParams(1.0), 1, bad),
+        ]
+        if bad is not None:  # gen_data's weights_seed=None means "use seed"
+            calls.append(lambda: gen_data(8, 2, 2, 0, weights_seed=bad))
+        for call in calls:
+            with pytest.raises(ParameterError, match=r"must be an integer >= 0"):
+                call()
+        for key in ("master_seed", "weights_seed"):
+            with pytest.raises(ConfigError, match=f"^{key}: seed must be an integer >= 0"):
+                ExperimentConfig(**{key: bad})
+
+    @pytest.mark.parametrize("flag", ["2.9", "3.0", "True", "None"])
+    def test_cli_rejects_a_non_integer_seed_flag_with_exit_2(self, tmp_path, capsys, flag):
+        # A negative --seed is test_cli's test_negative_seed_flag_is_config_error.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n=16\ncount=2\nsparsity=2\n")
+        out = tmp_path / "ds.csv"
+        try:
+            code = main(["gen-data", "--config", str(cfg), "--seed", flag, "--out", str(out)])
+        except SystemExit as exc:  # argparse refuses a flag that is not an int
+            code = exc.code
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
