@@ -133,11 +133,11 @@ def _cmd_certify(cfg, args, seed):
 
 
 # Most purified signal entries eval stacks into one block: the clean and
-# probed rows of 32 samples at n=128.  Identity ISTA at n=128 costs about
-# the same per row and iteration from 64 to 200 rows, and more below 64 and
-# at 400 (measured on a 2-vCPU Xeon: 7.6 us at 8 rows, 3.6-3.9 us from 64
-# to 200, 5.6 us at 400); peak memory grows with the block, so this is the
-# smallest block on the flat part.
+# probed rows of 32 samples at n=128.  Identity ISTA at n=128 costs least
+# per row and iteration at 64 rows (best of 15 runs per size in three
+# sessions on a shared 2-vCPU Xeon: 5.5 us at 8 rows, 3.0-3.2 us at 32,
+# 2.7-3.1 us at 64, 3.7-4.7 us at 128, 3.6-4.2 us at 200, 4.0-4.6 us at
+# 400), and peak memory grows with the block.
 _BLOCK_ENTRIES = 8192
 
 

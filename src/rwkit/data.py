@@ -17,7 +17,7 @@ import numpy as np
 from . import io
 from .classifier import LinearClassifier, margin, predict
 from .errors import ConfigError, ParameterError
-from .sensing import derived_seed
+from .sensing import _index, derived_seed
 
 __all__ = ["Dataset", "gen_data", "write_dataset", "read_dataset"]
 
@@ -36,7 +36,10 @@ class Dataset:
 
 
 def _check_params(n, count, k, margin_floor):
-    # The dataset's parameter rules; every comparison fails on NaN.
+    # The dataset's parameter rules; n, count and k are integers under the
+    # seed rule's check, and every comparison fails on NaN.
+    for name, value in (("n", n), ("count", count), ("sparsity k", k)):
+        _index(value, name)
     if not n >= 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if not count >= 1:

@@ -14,6 +14,11 @@ Supported frame kinds:
 * ``unitary-dft`` -- the unitary DFT (1/sqrt(n) normalization both ways);
   the 2D transform is the tensor product of 1D transforms.
 
+Every FFT here, the frame's and the sensing operator's, runs a 2D transform
+as two 1D passes, the last axis and then the row axis: the passes
+``numpy.fft.fft2`` makes, bit for bit, without its n-dimensional argument
+handling.
+
 All transforms are square and invertible, so coefficient arrays have the
 same shape as the signal they came from.
 """
@@ -68,16 +73,18 @@ _BANKS = {kind: _filter_bank(h) for kind, h in _LOWPASS.items()}
 
 def _fft(x):
     # Unitary FFT of a batch over its trailing signal axes (axis 0 is the batch).
-    if x.ndim == 2:
-        return np.fft.fft(x, norm="ortho")
-    return np.fft.fft2(x, norm="ortho")
+    y = np.fft.fft(x, norm="ortho")
+    if x.ndim == 3:
+        y = np.fft.fft(y, axis=1, norm="ortho")
+    return y
 
 
 def _ifft(x):
     # Inverse of _fft.
-    if x.ndim == 2:
-        return np.fft.ifft(x, norm="ortho")
-    return np.fft.ifft2(x, norm="ortho")
+    y = np.fft.ifft(x, norm="ortho")
+    if x.ndim == 3:
+        y = np.fft.ifft(y, axis=1, norm="ortho")
+    return y
 
 
 def as_signal(x):
@@ -176,8 +183,9 @@ def _idwt_step(c, bank):
     return (windows @ synth).reshape(c.shape)
 
 
-def _dwt_1d(x, bank, levels):
-    c = x.copy()
+# The four transforms below work in place on the batch they are given and
+# return it.
+def _dwt_1d(c, bank, levels):
     m = c.shape[-1]
     for _ in range(levels):
         a, d = _dwt_step(c[..., :m], bank)
@@ -187,8 +195,7 @@ def _dwt_1d(x, bank, levels):
     return c
 
 
-def _idwt_1d(c, bank, levels):
-    x = c.copy()
+def _idwt_1d(x, bank, levels):
     m = x.shape[-1] >> levels
     for _ in range(levels):
         x[..., : 2 * m] = _idwt_step(x[..., : 2 * m], bank)
@@ -212,10 +219,9 @@ def _level_matrix(kind, m):
     return _read_only(np.concatenate([a, d], axis=-1).T.copy())
 
 
-def _dwt_2d(x, kind, levels):
+def _dwt_2d(c, kind, levels):
     # Each level maps the top-left block to D_h blk D_w^T, one real matmul
     # pair per part; every batch row goes through the same matmul kernel.
-    c = x.copy()
     mh, mw = c.shape[-2:]
     for _ in range(levels):
         dh, dw = _level_matrix(kind, mh), _level_matrix(kind, mw)
@@ -226,10 +232,9 @@ def _dwt_2d(x, kind, levels):
     return c
 
 
-def _idwt_2d(c, kind, levels):
+def _idwt_2d(x, kind, levels):
     # Inverse of _dwt_2d: D is orthogonal, so each level maps the block to
     # D_h^T blk D_w, coarsest level first.
-    x = c.copy()
     mh = x.shape[-2] >> levels
     mw = x.shape[-1] >> levels
     for _ in range(levels):
@@ -250,8 +255,8 @@ def _analyze_batch(frame, x):
         return _fft(x)
     _check_levels(frame, x.shape[1:])
     if x.ndim == 2:
-        return _dwt_1d(x, _BANKS[frame.kind], frame.levels)
-    return _dwt_2d(x, frame.kind, frame.levels)
+        return _dwt_1d(x.copy(), _BANKS[frame.kind], frame.levels)
+    return _dwt_2d(x.copy(), frame.kind, frame.levels)
 
 
 def _synthesize_batch(frame, coeffs):
@@ -262,8 +267,29 @@ def _synthesize_batch(frame, coeffs):
         return _ifft(coeffs)
     _check_levels(frame, coeffs.shape[1:])
     if coeffs.ndim == 2:
-        return _idwt_1d(coeffs, _BANKS[frame.kind], frame.levels)
-    return _idwt_2d(coeffs, frame.kind, frame.levels)
+        return _idwt_1d(coeffs.copy(), _BANKS[frame.kind], frame.levels)
+    return _idwt_2d(coeffs.copy(), frame.kind, frame.levels)
+
+
+def _same(x):
+    return x
+
+
+def _step_transforms(frame, shape):
+    # The batch (analyze, synthesize) of a loop that applies them many times
+    # to signals of ``shape``, which is checked here, once.  analyze may
+    # overwrite its argument, synthesize never does, and the identity's pair
+    # return their argument itself.
+    _check_levels(frame, shape)
+    kind, levels = frame.kind, frame.levels
+    if kind == "identity":
+        return _same, _same
+    if kind == "unitary-dft":
+        return _fft, _ifft
+    if len(shape) == 1:
+        bank = _BANKS[kind]
+        return (lambda x: _dwt_1d(x, bank, levels)), (lambda c: _idwt_1d(c.copy(), bank, levels))
+    return (lambda x: _dwt_2d(x, kind, levels)), (lambda c: _idwt_2d(c.copy(), kind, levels))
 
 
 def analyze(frame, x):
@@ -282,14 +308,25 @@ def sparsity_norm(frame, x):
     return float(np.sum(np.abs(analyze(frame, x))))
 
 
+def _shrink(u, mag, lam):
+    # soft_threshold's arithmetic, u * (max(mag - lam, 0) / where(mag == 0,
+    # 1, mag)), in place: u (complex128) becomes the result, mag = |u| is
+    # used up as scratch, and lam is a float >= 0.  Returns u.
+    f = mag - lam
+    np.maximum(f, 0.0, out=f)
+    np.copyto(mag, 1.0, where=mag == 0.0)
+    f /= mag
+    u *= f
+    return u
+
+
 def soft_threshold(u, lam):
     """Componentwise complex soft-thresholding.
 
     Entries with modulus below ``lam`` are zeroed; the rest are shrunk
-    toward zero by ``lam`` while keeping their phase.
+    toward zero by ``lam`` while keeping their phase.  ``u`` is not changed.
     """
     if not lam >= 0:
         raise ParameterError(f"threshold must be nonnegative, got {lam}")
-    u = np.asarray(u, dtype=np.complex128)
-    mag = np.abs(u)
-    return u * (np.maximum(mag - float(lam), 0.0) / np.where(mag == 0.0, 1.0, mag))
+    u = np.array(u, dtype=np.complex128)
+    return _shrink(u, np.abs(u), float(lam))

@@ -7,7 +7,9 @@ the iteration count is part of the reproducibility contract.
 
 There is one reconstruction loop.  It runs over a batch whose axis 0
 indexes independent signals, each with its own mask; ``purify``,
-``ista_reconstruct`` and ``defend`` are batches of one.
+``ista_reconstruct`` and ``defend`` are batches of one.  Its steps work in
+place, and the step-by-step ``ista_loop`` in the tests is its bit-for-bit
+oracle.
 
 With the unitary-dft frame the operator the loop inverts, the sensing
 operator composed with synthesis, is the 0/1 mask itself: diagonal and
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import sensing
 from .errors import NumericError, ParameterError, ShapeError
-from .frames import Frame, _analyze_batch, _stack_signals, _synthesize_batch, as_signal, soft_threshold
-from .sensing import _adjoint_batch, _apply_batch
+from .frames import Frame, _fft, _ifft, _shrink, _stack_signals, _step_transforms, _synthesize_batch, as_signal
+from .sensing import _apply_batch
 
 __all__ = [
     "ReconstructionParams",
@@ -74,26 +76,42 @@ def _ista_coefficients(y, mask, params):
     Axis 0 of ``y`` and ``mask`` indexes independent rows.  Every step is
     row-local, so a row's result does not depend on the rows beside it.
 
+    Step t maps u to S_lam(u + analyze(adjoint(y - apply(synthesize(u))))).
+    The frame's transforms are resolved once; each step works in place on
+    the arrays it has just made, and one modulus of the new iterate serves
+    the finiteness check and the shrink.  The step-by-step ``ista_loop`` in
+    the tests is its bit-for-bit oracle.
+
     For the unitary-dft frame the result is S_lam(mask * y) in closed form:
     it is the iterate at every step t >= 1, so it is the iterate after
     ``params.iterations`` steps, which ``iterations_run`` reports.  ``y`` is
     masked first, as the adjoint inside the loop would mask it.
     """
-    frame = params.frame
-    lam = params.threshold
-    if frame.kind == "unitary-dft":
+    lam = float(params.threshold)
+    if params.frame.kind == "unitary-dft":
         z = mask * y
-        if not np.all(np.isfinite(z)):
-            raise NumericError("non-finite iterate at iteration 1")
-        return soft_threshold(z, lam)
+        return _shrink(z, _finite_modulus(z, 1), lam)
+    analyze, synthesize = _step_transforms(params.frame, y.shape[1:])
+    # The complex mask every product would cast to, cast once.
+    mask = mask.astype(np.complex128)
     u = np.zeros(y.shape, dtype=np.complex128)
     for t in range(1, params.iterations + 1):
-        residual = y - _apply_batch(mask, _synthesize_batch(frame, u))
-        z = u + _analyze_batch(frame, _adjoint_batch(mask, residual))
-        if not np.all(np.isfinite(z)):
-            raise NumericError(f"non-finite iterate at iteration {t}")
-        u = soft_threshold(z, lam)
+        r = _fft(synthesize(u))
+        r *= mask
+        np.subtract(y, r, out=r)
+        r *= mask
+        z = analyze(_ifft(r))
+        z += u
+        u = _shrink(z, _finite_modulus(z, t), lam)
     return u
+
+
+def _finite_modulus(z, t):
+    # |z|, after checking that the iterate of step t is finite.
+    mag = np.abs(z)
+    if not np.isfinite(mag.max()):
+        raise NumericError(f"non-finite iterate at iteration {t}")
+    return mag
 
 
 def ista_reconstruct(y, op, params):

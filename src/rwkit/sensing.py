@@ -98,12 +98,13 @@ class RwpParameters:
 def make_partial_fourier(shape, q, seed):
     """Sample a Bernoulli(q) mask over the given signal shape.
 
-    ``shape`` may be an int (1D) or a tuple of axis lengths, each >= 1.
+    ``shape`` may be an int (1D) or a tuple of axis lengths, each an
+    integer >= 1 under the seed rule's integer check: 12.5, "8" or ``True``
+    raise :class:`~rwkit.errors.ParameterError`, and 0 a ``ShapeError``.
     The mask is a deterministic function of (shape, q, seed).
     """
-    if isinstance(shape, (int, np.integer)):
-        shape = (int(shape),)
-    shape = tuple(int(s) for s in shape)
+    dims = (shape,) if np.ndim(shape) == 0 else shape
+    shape = tuple([_index(ax_len, "axis length") for ax_len in dims])
     for ax_len in shape:
         if not ax_len >= 1:
             raise ShapeError(f"axis length must be >= 1, got {ax_len}")

@@ -348,6 +348,22 @@ RECORDED_OUTPUTS = {
         "purify_2d_in.bin",
         "purify_2d.csv",
     ),
+    "purify-1d-haar": (
+        "purify",
+        "frame=haar-dwt\nlevels=3\nn=32\niterations=40\nthreshold=0.02\nsubsample_prob=0.5\nmaster_seed=6\n",
+        [],
+        "purify_1d_in.csv",
+        "purify_1d_haar.csv",
+    ),
+    # Eval through the ISTA loop (criterion 8 runs the unitary-dft closed form).
+    "eval-identity": (
+        "eval",
+        "frame=identity\nn=64\ncount=6\nsparsity=3\niterations=80\nthreshold=0.002\n"
+        "subsample_prob=0.6\nepsilon_grid=0.02,0.1\nmargin_floor=0.05\nmaster_seed=3\n",
+        [],
+        None,
+        "eval_identity_report.csv",
+    ),
 }
 
 

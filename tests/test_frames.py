@@ -122,6 +122,13 @@ class TestSoftThreshold:
         assert out.shape == ref.shape and out.dtype == ref.dtype
         assert out.tobytes() == ref.tobytes()
 
+    def test_leaves_its_input_unchanged(self):
+        u = random_signal((4, 16), 3)
+        u[0, :4] = 0.0
+        before = u.copy()
+        soft_threshold(u, 0.5)
+        assert u.tobytes() == before.tobytes()
+
     def test_below_threshold_zeroes(self):
         assert soft_threshold(np.array([0.3]), 0.5)[0] == 0.0
 
@@ -322,3 +329,25 @@ class TestDenseLevels2D:
         d = frames._level_matrix(kind, m)
         np.testing.assert_allclose(d @ d.T, np.eye(m), atol=1e-10)
         assert not d.flags.writeable
+
+
+class TestFft:
+    # _fft/_ifft run a 2D batch as two 1D passes; fft2/ifft2 are the oracle.
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 8, 8), (3, 9, 7), (2, 16, 24), (5, 15, 15), (1, 1, 5), (2, 7, 1), (4, 64, 64), (1, 12, 33)],
+    )
+    def test_2d_batch_matches_fft2_bit_for_bit(self, shape):
+        x = random_signal(shape, shape[1] * 100 + shape[2])
+        for got, want in (
+            (frames._fft(x), np.fft.fft2(x, norm="ortho")),
+            (frames._ifft(x), np.fft.ifft2(x, norm="ortho")),
+        ):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(1, 8), (3, 15), (8, 128)])
+    def test_1d_batch_matches_fft_bit_for_bit(self, shape):
+        x = random_signal(shape, shape[1])
+        assert frames._fft(x).tobytes() == np.fft.fft(x, norm="ortho").tobytes()
+        assert frames._ifft(x).tobytes() == np.fft.ifft(x, norm="ortho").tobytes()

@@ -364,6 +364,15 @@ class TestGenData:
         with pytest.raises(ParameterError):
             gen_data(n, count, 3, 0, margin_floor=margin_floor)
 
+    @pytest.mark.parametrize(
+        "n, count, k, name",
+        [(8.5, 5, 3, "n"), (32, 2.5, 3, "count"), (32, 5, 2.5, "sparsity k")],
+        ids=["n", "count", "k"],
+    )
+    def test_non_integer_sizes_rejected(self, n, count, k, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            gen_data(n, count, k, 0)
+
     def test_margin_floor_respected(self):
         floor = 0.05
         dataset = gen_data(32, 30, 3, 1, margin_floor=floor)

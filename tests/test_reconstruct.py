@@ -12,6 +12,7 @@ from rwkit import (
     NumericError,
     ParameterError,
     ReconstructionParams,
+    SensingOperator,
     ShapeError,
     analyze,
     apply,
@@ -27,6 +28,7 @@ from rwkit import (
     soft_threshold,
 )
 from rwkit.frames import _analyze_batch, _synthesize_batch
+from rwkit.reconstruct import _ista_coefficients
 from rwkit.sensing import _adjoint_batch, _apply_batch
 
 IDENTITY = Frame(kind="identity")
@@ -37,14 +39,19 @@ def ista_loop(y, mask, params):
     """Reference: the thresholded gradient loop, run step by step.
 
     Axis 0 of ``y`` and ``mask`` indexes rows.  The purifier runs this loop
-    for every frame but unitary-dft, whose answer it computes in closed form.
+    for every frame but unitary-dft, whose answer it computes in closed form,
+    and its in-place loop must match this one bit for bit.  The shrink is
+    written out, not taken from ``soft_threshold``, so the two loops share
+    only the batch transforms.
     """
     frame = params.frame
+    lam = float(params.threshold)
     u = np.zeros(y.shape, dtype=np.complex128)
     for _ in range(params.iterations):
         residual = y - _apply_batch(mask, _synthesize_batch(frame, u))
         z = u + _analyze_batch(frame, _adjoint_batch(mask, residual))
-        u = soft_threshold(z, params.threshold)
+        mag = np.abs(z)
+        u = z * (np.maximum(mag - lam, 0.0) / np.where(mag == 0.0, 1.0, mag))
     return u
 
 
@@ -301,7 +308,7 @@ class TestPurifyMany:
     def test_non_finite_iterate_in_any_row_fails_the_batch(self):
         params = ReconstructionParams(iterations=3, threshold=0.0, subsample_prob=1.0, frame=IDENTITY)
         overflowing = np.full(64, 1e308)  # finite, but its DFT is not
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match=r"at iteration 1$"):
             purify_many([np.zeros(64), overflowing], params, [0, 1])
 
 
@@ -356,6 +363,65 @@ class TestUnitaryDftClosedForm:
         overflowing = np.full(64, 1e308)  # finite, but its DFT is not
         with pytest.raises(NumericError):
             purify_many([np.zeros(64), overflowing], params, [0, 1])
+
+
+@st.composite
+def loop_cases(draw):
+    # Measurements, masks and parameters for the loop frames, with y
+    # nonzero off the mask in some rows.
+    kind = draw(st.sampled_from(("identity", "haar-dwt", "db4-dwt")))
+    shape = draw(st.sampled_from(SHAPES[draw(st.sampled_from((1, 2)))]))
+    top = min(3, dyadic_levels(shape))
+    levels = draw(st.integers(min(1, top), top)) if kind != "identity" else 0
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = ReconstructionParams(
+        iterations=draw(st.sampled_from((1, 2, 5, 30))),
+        threshold=draw(st.sampled_from((0.0, 0.002, 0.3))),
+        subsample_prob=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        frame=Frame(kind=kind, levels=levels),
+    )
+    mask = (rng.random((rows,) + shape) < params.subsample_prob).astype(np.float64)
+    y = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
+    if draw(st.booleans()):
+        y *= mask
+    return y, mask, params
+
+
+def assert_same_bits(got, want):
+    # Bit-for-bit equality that tells +0.0 from -0.0.
+    assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestIstaLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(loop_cases())
+    def test_matches_the_step_by_step_loop_bit_for_bit(self, case):
+        y, mask, params = case
+        y_before, mask_before = y.copy(), mask.copy()
+        got = _ista_coefficients(y, mask, params)
+        assert_same_bits(got, ista_loop(y, mask, params))
+        assert_same_bits(y, y_before)
+        assert np.array_equal(mask, mask_before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(loop_cases())
+    def test_ista_reconstruct_with_off_mask_measurements(self, case):
+        y, mask, params = case
+        op = SensingOperator(mask=mask[0].copy())
+        want = _synthesize_batch(params.frame, ista_loop(y[:1], mask[:1], params))[0]
+        assert_same_bits(ista_reconstruct(y[0], op, params), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dft_cases())
+    def test_unitary_dft_closed_form_is_the_thresholded_masked_measurements(self, case):
+        xs, params, seeds = case
+        rng = np.random.default_rng(seeds[0])
+        mask = (rng.random(xs.shape) < params.subsample_prob).astype(np.float64)
+        y = np.fft.fft(xs, norm="ortho") + 0.5
+        got = _ista_coefficients(y, mask, params)
+        assert_same_bits(got, soft_threshold(mask * y, params.threshold))
 
 
 class TestDefend:

@@ -73,6 +73,11 @@ class TestMakePartialFourier:
         with pytest.raises(ShapeError):
             make_partial_fourier(0, 0.5, 0)
 
+    @pytest.mark.parametrize("shape", [(12.5,), "8", (True, 3), 12.5], ids=["float-axis", "str", "bool-axis", "float"])
+    def test_non_integer_shape_rejected(self, shape):
+        with pytest.raises(ParameterError, match="axis length must be an integer"):
+            make_partial_fourier(shape, 0.5, 0)
+
     def test_2d_operator(self):
         op = make_partial_fourier((8, 16), 0.5, 0)
         assert op.mask.shape == (8, 16)
