@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certify
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, _index
 from .sensing import RwpParameters, derived_seed
 
 __all__ = [
@@ -162,6 +162,7 @@ def empirical_robust_radius(
     is found below ``radius_ceiling`` the measurement is returned with
     ``flip_found=False``.
     """
+    _index(probes, "probes")
     if not probes >= 1:
         raise ParameterError(f"probes must be >= 1, got {probes}")
     for name, value in (("tol", tol), ("radius_ceiling", radius_ceiling)):

@@ -157,10 +157,12 @@ def run_eval(cfg, seed):
     row in one array operation, and computes the defects of its samples in
     one batch.  Sample i at epsilon index e draws its mask and its probe from
     the streams :mod:`rwkit.sensing` names; the mask is shared by both copies
-    and by the defect, and a cell at epsilon 0 draws no probe.  Python does
-    per cell only the seeding and the draws; the rest runs as array
-    operations over the block, and every step is row-local, so the report is
-    byte-identical across reruns and block sizes.
+    and by the defect, and a cell at epsilon 0 draws no probe.  The seed
+    words of every stream are hashed in one batch before the walk, so
+    Python does per cell only the building of two generators and their
+    draws; the rest runs as array operations over the block, and every step
+    is row-local, so the report is byte-identical across reruns and block
+    sizes.
 
     Returns the report rows (list of dicts, one per epsilon), each reduced
     over its epsilon's cells.
@@ -186,22 +188,25 @@ def run_eval(cfg, seed):
     defended_ok = np.empty(cells, dtype=bool)
     errors = np.empty(cells)
     l1 = np.empty(cells)
+    # The seed words of every cell's mask stream (e, i, 0) and probe stream
+    # (e, i, 1), hashed in one pass.
+    e_all, i_all = np.divmod(np.arange(cells), count)
+    kinds = np.repeat([0, 1], cells)
+    mask_states, probe_states = sensing._states(
+        seed, np.stack([np.tile(e_all, 2), np.tile(i_all, 2), kinds], axis=1)
+    ).reshape(2, cells, 4)
     for start in range(0, cells, per_block):
         stop = min(start + per_block, cells)
         b = stop - start
-        e_index, i_index = np.divmod(np.arange(start, stop), count)
-        cell_index = list(zip(e_index.tolist(), i_index.tolist()))
-        mask = sensing._masks(
-            [sensing.derived_seed(seed, e, i, 0) for e, i in cell_index], (n,), cfg.subsample_prob
-        )
+        e_index, i_index = e_all[start:stop], i_all[start:stop]
+        mask = sensing._masks(mask_states[start:stop], (n,), cfg.subsample_prob)
         # A cell at epsilon 0 draws no probe; the others are scaled to norm
         # epsilon before they are added.
         epsilons = grid_values[e_index]
         drawn = np.flatnonzero(epsilons != 0)
         delta = np.empty((drawn.size, n))
-        for row, k in zip(delta, drawn.tolist()):
-            e, i = cell_index[k]
-            np.random.default_rng(sensing.derived_seed(seed, e, i, 1)).standard_normal(out=row)
+        for row, words in zip(delta, probe_states[start + drawn]):
+            sensing._generator(words).standard_normal(out=row)
         delta *= (epsilons[drawn] / _row_norms(delta))[:, None]
         clean = signals[i_index]
         # Rows 0..b-1 are the clean copies, rows b..2b-1 the probed ones.

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .classifier import LinearClassifier, margin, predict
-from .errors import ConfigError, ParameterError
-from .sensing import _index, derived_seed
+from .classifier import LinearClassifier, _inner, predict
+from .errors import ConfigError, ParameterError, _index
+from .sensing import derived_seed
 
 __all__ = ["Dataset", "gen_data", "write_dataset", "read_dataset"]
 
@@ -63,6 +63,9 @@ def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
     w = wrng.standard_normal(n)
     w /= np.linalg.norm(w)
     clf = LinearClassifier(weights=w)
+    # One norm per dataset and one inner product per draw, in the very
+    # expressions of classifier.margin and classifier.predict.
+    w_norm = float(np.linalg.norm(clf.weights))
     rng = np.random.default_rng(derived_seed(seed, 88))
     signals = []
     labels = []
@@ -74,7 +77,8 @@ def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
                 continue
             x = np.zeros(n)
             x[support] = values
-            if margin(clf, x) >= margin_floor:
+            inner = _inner(clf, x)
+            if abs(inner) / w_norm >= margin_floor:
                 break
         else:
             raise ParameterError(
@@ -82,7 +86,7 @@ def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
                 f"{_MAX_RESAMPLES} draws"
             )
         signals.append(x)
-        labels.append(predict(clf, x))
+        labels.append(1 if inner >= 0 else -1)
     return Dataset(weights=w, signals=signals, labels=labels)
 
 

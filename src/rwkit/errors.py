@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all rwkit modules."""
+"""Exception hierarchy shared by all rwkit modules, and the integer check
+that the seed rule and every count share."""
+
+import operator
 
 
 class RwkitError(Exception):
@@ -23,3 +26,14 @@ class InfeasibleError(RwkitError):
 
 class ConfigError(RwkitError):
     """A configuration file is malformed or inconsistent."""
+
+
+def _index(value, what):
+    # An integer >= 0 that is not a bool, as operator.index reads it.
+    try:
+        i = operator.index(value)
+    except TypeError:
+        i = -1
+    if i < 0 or isinstance(value, bool):
+        raise ParameterError(f"{what} must be an integer >= 0, got {value!r}")
+    return i

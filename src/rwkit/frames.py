@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, _index
 
 FRAME_KINDS = ("identity", "haar-dwt", "db4-dwt", "unitary-dft")
 
@@ -132,8 +132,7 @@ class Frame:
             raise ParameterError(
                 f"unknown frame kind {self.kind!r}; expected one of {FRAME_KINDS}"
             )
-        if not self.levels >= 0:
-            raise ParameterError(f"levels must be >= 0, got {self.levels}")
+        _index(self.levels, "levels")
 
 
 def _check_levels(frame, shape):

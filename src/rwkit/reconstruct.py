@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sensing
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError, _index
 from .frames import Frame, _fft, _ifft, _shrink, _stack_signals, _step_transforms, _synthesize_batch, as_signal
 from .sensing import _apply_batch
 
@@ -45,6 +45,7 @@ class ReconstructionParams:
     frame: Frame
 
     def __post_init__(self):
+        _index(self.iterations, "iterations")
         if not self.iterations >= 1:
             raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
         if not self.threshold >= 0:
@@ -150,8 +151,8 @@ def purify_many(xs, params, seeds):
     if len(xs) == 0:
         return []
     batch = _stack_signals(xs)
-    seqs = [sensing.derived_seed(seed) for seed in seeds]
-    mask = sensing._masks(seqs, batch.shape[1:], params.subsample_prob)
+    states = [sensing._state(seed) for seed in seeds]
+    mask = sensing._masks(states, batch.shape[1:], params.subsample_prob)
     values, u = _purify_block(batch, mask, params)
     out = []
     for x, value, coeffs in zip(xs, values, u):

@@ -12,14 +12,20 @@ from :func:`derived_seed`.  The mask drawn under seed s is
 ``rwkit eval`` draws sample i at epsilon index e from two streams: the mask
 from ``derived_seed(seed, e, i, 0)`` and the probe from ``derived_seed(seed,
 e, i, 1)``, the two children of ``derived_seed(seed, e, i).spawn(2)``.
+
+A generator reads from its ``SeedSequence`` only the four PCG64 seed words
+``generate_state(4, np.uint64)``.  Eval computes the words of all its
+streams in one pass, :func:`_states`, which runs numpy's ``SeedSequence``
+hash over arrays and is bit-identical to ``derived_seed``; the mask and
+probe generators are built from their words by :func:`_generator`.
 """
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, _index
 from .frames import _fft, _ifft, as_signal
 
 __all__ = [
@@ -32,17 +38,6 @@ __all__ = [
 ]
 
 
-def _index(value, what):
-    # An integer >= 0 that is not a bool, as operator.index reads it.
-    try:
-        i = operator.index(value)
-    except TypeError:
-        i = -1
-    if i < 0 or isinstance(value, bool):
-        raise ParameterError(f"{what} must be an integer >= 0, got {value!r}")
-    return i
-
-
 def derived_seed(master_seed, *indices):
     """The stream ``indices`` under ``master_seed``, by the module's seed rule."""
     key = tuple([_index(i, "seed index") for i in indices])
@@ -52,6 +47,105 @@ def derived_seed(master_seed, *indices):
     if not key:
         return seq
     return np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + key, pool_size=seq.pool_size)
+
+
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(value):
+    # numpy's reading of entropy as uint32 words: an integer >= 0 splits
+    # into little-endian words (0 is one word), a sequence concatenates.
+    if np.ndim(value):
+        return [w for v in value for w in _words(v)]
+    value = int(value)
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _states(seed, keys):
+    """PCG64 seed words of the streams ``derived_seed(seed, *keys[k])``.
+
+    Row k of the ``(rows, 4)`` uint64 result is
+    ``derived_seed(seed, *keys[k]).generate_state(4, np.uint64)``, bit for
+    bit, for a ``(rows, m)`` integer array ``keys`` with m >= 1 and entries
+    in ``[0, 2**32)``.  It runs numpy's ``SeedSequence`` hash on all rows at
+    once: the hash constants do not depend on the data, so they stay Python
+    integers and only the entropy and pool words are uint32 arrays, whose
+    products wrap silently as the C code's do.
+    """
+    seq = derived_seed(seed)
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "iu" or keys.ndim != 2 or keys.shape[1] < 1:
+        raise ParameterError("spawn keys must be a (rows, m >= 1) integer array")
+    if np.any((keys < 0) | (keys > _MASK32)):
+        raise ParameterError("spawn key entries must lie in [0, 2**32)")
+    run = _words(seq.entropy)
+    # The spawn key is not empty, so numpy pads the run entropy to the pool.
+    run += [0] * (seq.pool_size - len(run))
+    head = run + _words(seq.spawn_key)
+    entropy = np.empty((len(head) + keys.shape[1], len(keys)), dtype=np.uint32)
+    entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[len(head) :] = keys.T
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    size = seq.pool_size
+    pool = [hashmix(word) for word in entropy[:size]]
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[size:]:
+        for dst in range(size):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((len(keys), 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % size] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= hash_const
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _state(seed):
+    # The PCG64 seed words of the stream ``seed``.
+    return derived_seed(seed).generate_state(4, np.uint64)
+
+
+class _Words(ISeedSequence):
+    # A seed sequence that hands PCG64 precomputed seed words.
+    def __init__(self, words):
+        self.words = np.ascontiguousarray(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generator(words):
+    """The generator of the stream whose PCG64 seed words are ``words``:
+    draws equal ``default_rng(seq)``'s for the ``seq`` that gave them."""
+    return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 @dataclass(frozen=True)
@@ -110,16 +204,16 @@ def make_partial_fourier(shape, q, seed):
             raise ShapeError(f"axis length must be >= 1, got {ax_len}")
     if not 0.0 <= q <= 1.0:
         raise ParameterError(f"subsampling probability must lie in [0, 1], got {q}")
-    return SensingOperator(mask=_masks([derived_seed(seed)], shape, q)[0])
+    return SensingOperator(mask=_masks([_state(seed)], shape, q)[0])
 
 
-def _masks(seqs, shape, q):
+def _masks(states, shape, q):
     # The mask rule: row k is Bernoulli(q) over ``shape``, thresholding the
-    # uniforms of a generator seeded with seqs[k].  Unchecked: callers pass a
-    # valid shape tuple and q.
-    uniforms = np.empty((len(seqs),) + shape)
-    for k, seq in enumerate(seqs):
-        np.random.default_rng(seq).random(out=uniforms[k])
+    # uniforms of the generator with PCG64 seed words states[k].  Unchecked:
+    # callers pass a valid shape tuple and q.
+    uniforms = np.empty((len(states),) + shape)
+    for k, words in enumerate(states):
+        _generator(words).random(out=uniforms[k])
     return (uniforms < q).astype(np.float64)
 
 

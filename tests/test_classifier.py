@@ -192,6 +192,11 @@ class TestEmpiricalRobustRadius:
         )
         assert measured.radius <= 1e-3
 
+    @pytest.mark.parametrize("probes", [2.5, True, "5", None])
+    def test_non_integer_probes_rejected(self, probes):
+        with pytest.raises(ParameterError, match="probes must be an integer"):
+            empirical_robust_radius(lambda z: 1, np.zeros(4), probes=probes, seed=0)
+
     def test_constant_pipeline_reports_no_bracket(self):
         measured = empirical_robust_radius(
             lambda z: 1, np.zeros(4), probes=5, tol=0.1, seed=0, radius_ceiling=10.0

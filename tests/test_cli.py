@@ -492,7 +492,15 @@ def eval_cases(draw):
     # Block sizes of 1, 2 and 3 cells split an epsilon's samples and make
     # blocks straddle epsilon boundaries; None keeps the shipped size.
     block_cells = draw(st.sampled_from((1, 2, 3, None)))
-    return cfg, draw(st.integers(0, 2**31 - 1)), block_cells
+    # Seeds of one to five 32-bit words.
+    seed = draw(
+        st.one_of(
+            st.integers(0, 2**31 - 1),
+            st.integers(0, 2**200),
+            st.sampled_from((2**32, 2**64, 2**128 + 1)),
+        )
+    )
+    return cfg, seed, block_cells
 
 
 class TestBlockedEval:
@@ -510,3 +518,26 @@ class TestBlockedEval:
             assert g.keys() == w.keys()
             for key in w:
                 assert same_bits(g[key], w[key]), (key, g[key], w[key])
+
+    def test_seeding_does_not_grow_with_the_cells(self):
+        # Eval hashes all its streams in one batch: it builds as many seed
+        # sequences for 1 cell as for 15.
+        rule = sensing.derived_seed
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return rule(*args)
+
+        counts = []
+        for count, grid in ((1, (0.01,)), (5, (0.0, 0.01, 0.05))):
+            cfg = ExperimentConfig(
+                n=16, count=count, sparsity=2, iterations=2, margin_floor=0.05, epsilon_grid=grid
+            )
+            calls.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                for module in (sensing, data):
+                    mp.setattr(module, "derived_seed", counting)
+                cli.run_eval(cfg, 7)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 3

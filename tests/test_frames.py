@@ -176,6 +176,11 @@ class TestFrameConstruction:
         with pytest.raises(ParameterError):
             Frame(kind="haar-dwt", levels=-1)
 
+    @pytest.mark.parametrize("levels", [1.5, True, "2", None])
+    def test_non_integer_levels_rejected(self, levels):
+        with pytest.raises(ParameterError, match="levels must be an integer"):
+            Frame(kind="haar-dwt", levels=levels)
+
 
 class TestAsSignal:
     def test_any_length_is_a_signal_and_the_frame_checks_levels(self):

@@ -317,7 +317,7 @@ class TestConfig:
             ("rwp_prob", 1.5, "rwp_prob must lie in"),
             ("defect_bound", 0.0, "defect_bound: solution_bound must be positive"),
             ("frame", "wavelet", "unknown frame kind"),
-            ("levels", -1, "levels must be >= 0"),
+            ("levels", -1, "levels must be an integer >= 0"),
             ("threshold", -0.1, "threshold must be >= 0"),
             ("iterations", 0, "iterations must be >= 1"),
             ("count", 0, "count must be >= 1"),

@@ -106,6 +106,11 @@ class TestReconstructionParams:
         with pytest.raises(ParameterError):
             ReconstructionParams(iterations=1, threshold=0.1, subsample_prob=1.5, frame=IDENTITY)
 
+    @pytest.mark.parametrize("iterations", [2.5, True, "3", None])
+    def test_non_integer_iterations_rejected(self, iterations):
+        with pytest.raises(ParameterError, match="iterations must be an integer"):
+            ReconstructionParams(iterations=iterations, threshold=0.1, subsample_prob=0.5, frame=IDENTITY)
+
 
 class TestIstaReconstruct:
     def test_one_lossless_step_recovers_exactly(self):

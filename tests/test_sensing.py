@@ -107,10 +107,11 @@ class TestMakePartialFourier:
         st.integers(1, 6),
     )
     def test_batched_masks_match_per_operator_masks(self, shape, q, seed, rows):
-        # Eval draws a block's masks in one call; each row must be the mask
-        # make_partial_fourier draws from the same seed sequence.
+        # Eval draws a block's masks in one call from the streams' seed
+        # words; each row must be the mask make_partial_fourier draws from
+        # the same seed sequence.
         seqs = [derived_seed(seed, r, 0) for r in range(rows)]
-        masks = sensing._masks(seqs, shape, q)
+        masks = sensing._masks([seq.generate_state(4, np.uint64) for seq in seqs], shape, q)
         assert masks.shape == (rows,) + shape and masks.dtype == np.float64
         for row, seq in zip(masks, seqs):
             want = make_partial_fourier(shape, q, seq).mask
@@ -223,6 +224,54 @@ class TestDerivedSeed:
         direct = np.random.default_rng(derived_seed(seed, e, i, k))
         assert child.random(size).tobytes() == direct.random(size).tobytes()
         assert child.standard_normal(size).tobytes() == direct.standard_normal(size).tobytes()
+
+
+# Seeds of 1, 2, 4 and 5 little-endian words, and SeedSequence seeds with a
+# spawn key, a sequence entropy or a larger pool.
+HASHED_SEEDS = st.one_of(
+    st.sampled_from((0, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**200)),
+    st.integers(0, 2**200),
+    st.integers(0, 2**63 - 1).map(lambda s: derived_seed(s, 5)),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=6).map(np.random.SeedSequence),
+    st.integers(0, 2**64).map(lambda s: np.random.SeedSequence(s, pool_size=8)),
+)
+
+
+class TestBatchedStates:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        HASHED_SEEDS,
+        st.integers(1, 4).flatmap(
+            lambda m: st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m), min_size=1, max_size=8)
+        ),
+    )
+    def test_states_match_derived_seed_bit_for_bit(self, seed, keys):
+        got = sensing._states(seed, keys)
+        want = np.stack([derived_seed(seed, *k).generate_state(4, np.uint64) for k in keys])
+        assert got.dtype == want.dtype == np.uint64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[[2**32]], [[-1]], [[]], [1, 2], [[1.0]]],
+        ids=["wide-entry", "negative", "empty-key", "1d", "float"],
+    )
+    def test_keys_outside_one_word_rejected(self, keys):
+        with pytest.raises(ParameterError, match="spawn key"):
+            sensing._states(0, keys)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        HASHED_SEEDS,
+        st.lists(st.integers(0, 2**32 - 1), max_size=3),
+        st.integers(1, 200),
+    )
+    def test_generator_draws_equal_default_rng(self, seed, key, size):
+        seq = derived_seed(seed, *key)
+        got = sensing._generator(seq.generate_state(4, np.uint64))
+        want = np.random.default_rng(seq)
+        assert got.random(size).tobytes() == want.random(size).tobytes()
+        assert got.standard_normal(size).tobytes() == want.standard_normal(size).tobytes()
 
 
 # The seed rule.  A seed is a SeedSequence or an integer >= 0 that is not a
