@@ -13,7 +13,7 @@ rwp_prob) checks their ranges by building :class:`RwpParameters`.
 import math
 from dataclasses import dataclass, field
 
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, _real
 from .sensing import RwpParameters
 
 __all__ = [
@@ -46,27 +46,19 @@ class Certificate:
     vacuous: bool = False
 
     def __post_init__(self):
-        if not self.radius >= 0:
-            raise ParameterError(f"radius must be >= 0, got {self.radius}")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ParameterError(
-                f"probability must lie in [0, 1], got {self.probability}"
-            )
-        if not self.gain >= 0:
-            raise ParameterError(f"gain must be >= 0, got {self.gain}")
+        _real(self.radius, "radius", ge=0)
+        _real(self.probability, "probability", ge=0, le=1)
+        _real(self.gain, "gain", ge=0)
 
 
 def kappa(epsilon, alpha, rho, max_defect):
     """Performance factor 2/alpha + (4*rho/epsilon) * max_defect."""
     RwpParameters(rho=rho, alpha=alpha)
-    if not max_defect >= 0:
-        raise ParameterError(f"max_defect must be >= 0, got {max_defect}")
+    _real(max_defect, "max_defect", ge=0)
+    # A positive defect has no finite bound at epsilon 0.
+    _real(epsilon, "epsilon", gt=0 if max_defect > 0 else None)
     if max_defect == 0:
         return 2.0 / alpha
-    if not epsilon > 0:
-        raise ParameterError(
-            f"epsilon must be positive when max_defect > 0, got {epsilon}"
-        )
     return 2.0 / alpha + (4.0 * rho / epsilon) * max_defect
 
 
@@ -82,6 +74,8 @@ def defect_budget(tau, epsilon, alpha, rho):
     (tau - 2*epsilon/alpha) / (4*rho).
     """
     RwpParameters(rho=rho, alpha=alpha)
+    _real(tau, "tau")
+    _real(epsilon, "epsilon")
     if not tau * alpha > 2.0 * epsilon:
         raise InfeasibleError(
             f"requires tau * alpha / 2 > epsilon "
@@ -101,12 +95,9 @@ def certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected_defect):
     clamped to [0, 1] with a vacuous flag when clamped at zero.
     """
     RwpParameters(rho=rho, alpha=alpha, rwp_prob=rwp_prob)
-    if not expected_defect >= 0:
-        raise ParameterError(
-            f"expected_defect must be >= 0, got {expected_defect}"
-        )
-    if not epsilon >= 0:
-        raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
+    _real(tau, "tau")
+    _real(expected_defect, "expected_defect", ge=0)
+    _real(epsilon, "epsilon", ge=0)
     if not alpha * tau > 2.0 * epsilon:
         raise InfeasibleError(
             f"requires alpha * tau > 2 * epsilon "
@@ -139,10 +130,8 @@ def partial_fourier_rwp(sparsity_level, rip_delta):
     constants, so certificates require a user-supplied probability (see
     :func:`rwp_probability_exponent` for the comparative diagnostic).
     """
-    if not sparsity_level >= 1:
-        raise ParameterError(f"sparsity level must be >= 1, got {sparsity_level}")
-    if not 0.0 <= rip_delta < 1.0 / 3.0:
-        raise ParameterError(f"RIP constant must lie in [0, 1/3), got {rip_delta}")
+    _real(sparsity_level, "sparsity level", ge=1)
+    _real(rip_delta, "RIP constant", ge=0, lt=1.0 / 3.0)
     return RwpParameters(
         rho=3.0 / math.sqrt(sparsity_level), alpha=1.0 / 3.0 - rip_delta
     )
@@ -151,10 +140,7 @@ def partial_fourier_rwp(sparsity_level, rip_delta):
 def rip_from_rwp(rho, alpha):
     """Inverse of :func:`partial_fourier_rwp`: (J, delta) = (9/rho^2, 1/3 - alpha)."""
     RwpParameters(rho=rho, alpha=alpha)
-    if not alpha < 1.0 / 3.0:
-        raise ParameterError(
-            f"partial Fourier mapping requires alpha < 1/3, got {alpha}"
-        )
+    _real(alpha, "alpha of the partial Fourier mapping", lt=1.0 / 3.0)
     return 9.0 / rho**2, 1.0 / 3.0 - alpha
 
 
@@ -165,15 +151,12 @@ def rwp_probability_exponent(dimension, rho, alpha):
     decays faster); never a calibrated probability.
     """
     RwpParameters(rho=rho, alpha=alpha)
-    if not dimension >= 2:
-        raise ParameterError(f"dimension must be >= 2, got {dimension}")
-    if not alpha < 1.0 / 3.0:
-        raise ParameterError(f"exponent requires alpha < 1/3, got {alpha}")
+    _real(dimension, "dimension", ge=2)
+    _real(alpha, "alpha of the exponent", lt=1.0 / 3.0)
     return math.log(dimension) * (math.log(9.0) - math.log(rho**2 * (1.0 / 3.0 - alpha)))
 
 
 def robustness_gain(kappa_value):
     """Lower bound 1/kappa on the robustness gain."""
-    if not kappa_value > 0:
-        raise ParameterError(f"kappa must be positive, got {kappa_value}")
+    _real(kappa_value, "kappa", gt=0)
     return 1.0 / kappa_value

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certify
-from .errors import ParameterError, ShapeError, _index
+from .errors import ParameterError, ShapeError, _index, _real
 from .sensing import RwpParameters, derived_seed
 
 __all__ = [
@@ -57,8 +57,7 @@ class RadiusMeasurement:
     flip_found: bool = True
 
     def __post_init__(self):
-        if not self.radius >= 0:
-            raise ParameterError(f"radius must be >= 0, got {self.radius}")
+        _real(self.radius, "radius", ge=0)
 
 
 def _inner(clf, x):
@@ -96,10 +95,7 @@ def linear_certificate(clf, x, alpha):
     Requires alpha > 2 (otherwise the guaranteed gain alpha/2 is not an
     improvement and no certificate is issued).
     """
-    if not alpha > 2:
-        raise ParameterError(
-            f"certificate requires alpha > 2 (gain alpha/2 <= 1), got {alpha}"
-        )
+    _real(alpha, "certificate alpha", gt=2)
     m = margin(clf, x)
     return certify.Certificate(
         radius=alpha * m / 2.0,
@@ -115,13 +111,9 @@ def linear_certificate_approx(clf, x, alpha, rho, defect):
     Radius (alpha/2) * (margin - 4*rho*defect); returns None (no
     certificate) when the margin does not exceed 4*rho*defect.
     """
-    if not alpha > 2:
-        raise ParameterError(
-            f"certificate requires alpha > 2 (gain alpha/2 <= 1), got {alpha}"
-        )
+    _real(alpha, "certificate alpha", gt=2)
     RwpParameters(rho=rho, alpha=alpha)
-    if not defect >= 0:
-        raise ParameterError(f"defect must be >= 0, got {defect}")
+    _real(defect, "defect", ge=0)
     m = margin(clf, x)
     if defect > 0 and m <= 4.0 * rho * defect:
         return None
@@ -162,13 +154,10 @@ def empirical_robust_radius(
     is found below ``radius_ceiling`` the measurement is returned with
     ``flip_found=False``.
     """
-    _index(probes, "probes")
-    if not probes >= 1:
-        raise ParameterError(f"probes must be >= 1, got {probes}")
-    for name, value in (("tol", tol), ("radius_ceiling", radius_ceiling)):
-        # A non-finite value would keep the bracket doubling forever.
-        if not 0 < value < np.inf:
-            raise ParameterError(f"{name} must be finite and positive, got {value}")
+    _real(_index(probes, "probes"), "probes", ge=1)
+    # A non-finite value would keep the bracket doubling forever.
+    _real(tol, "tol", gt=0, lt=np.inf)
+    _real(radius_ceiling, "radius_ceiling", gt=0, lt=np.inf)
     x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(derived_seed(seed))
     extra = []

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import certify, data, defect, io, reconstruct, sensing
 from .config import _fmt, config_hash, load_config
-from .errors import ConfigError, InfeasibleError, ParameterError, RwkitError, ShapeError
+from .errors import ConfigError, InfeasibleError, ParameterError, RwkitError, ShapeError, _real
 from .frames import _check_levels
 
 __all__ = ["main", "run_eval"]
@@ -101,10 +101,12 @@ def _cmd_defect(cfg, args, seed):
 
 def _cmd_certify(cfg, args, seed):
     for flag, value in (("--expected-defect", args.expected_defect), ("--epsilon", args.epsilon)):
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{flag}: must be finite")
-        if value is not None and value < 0:
-            raise ConfigError(f"{flag}: must be >= 0")
+        if value is not None:
+            try:
+                _real(value, f"{flag}:", gt=-math.inf, lt=math.inf)
+                _real(value, f"{flag}:", ge=0)
+            except ParameterError as exc:
+                raise ConfigError(str(exc)) from None
     expected = args.expected_defect
     if expected is None:
         expected = 0.0

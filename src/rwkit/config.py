@@ -1,13 +1,16 @@
 """Flat key=value experiment configuration.
 
 The on-disk format is one ``key=value`` pair per line with ``#`` comments
-and blank lines ignored.  ``epsilon_grid`` is a comma-separated list.
+and blank lines ignored; a key given twice is an error that names both
+lines.  ``epsilon_grid`` is a comma-separated list.
 The keys of the retired iterative defect solver (``bregman_lambda``,
 ``defect_tolerance``, ``defect_max_iterations``) are accepted and ignored;
 any other unknown key is an error.
 
-The config owns only the rules that no library type does: every float value
-is finite, ``epsilon_grid`` entries are >= 0 and strictly increasing,
+Values follow the parameter rules of :mod:`rwkit.errors` (a float value
+is a real number that is not a ``bool``, and NaN fails every range).  The
+config owns only the rules that no library type does: every float value is
+finite, ``epsilon_grid`` entries are >= 0 and strictly increasing,
 ``defect_operators`` >= 1 and ``tau`` > 0.  The seeds are checked by
 :func:`~rwkit.sensing.derived_seed`, and every other
 range is checked by building the type that consumes the value:
@@ -31,7 +34,7 @@ from dataclasses import dataclass, fields
 
 from . import data
 from .defect import DefectParams
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, _index, _real
 from .frames import Frame
 from .reconstruct import ReconstructionParams
 from .sensing import RwpParameters, derived_seed
@@ -69,28 +72,15 @@ class ExperimentConfig:
     epsilon_grid: tuple = (0.01, 0.02, 0.05, 0.1)
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type in (float, "float") and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name}: must be finite")
-        grid = tuple(float(e) for e in self.epsilon_grid)
-        if not all(math.isfinite(e) for e in grid):
-            raise ConfigError("epsilon_grid: entries must be finite")
-        if any(e < 0 for e in grid):
-            raise ConfigError("epsilon_grid: entries must be >= 0")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("epsilon_grid: must be strictly increasing")
-        object.__setattr__(self, "epsilon_grid", grid)
-        for name in ("weights_seed", "master_seed"):
-            try:
-                derived_seed(getattr(self, name))
-            except ParameterError as exc:
-                raise ConfigError(f"{name}: {exc}") from None
-        if self.defect_operators < 1:
-            raise ConfigError("defect_operators: must be >= 1")
-        # No type owns tau; with tau <= 0 no epsilon >= 0 can be certified.
-        if not self.tau > 0:
-            raise ConfigError("tau: must be positive")
         try:
+            for f in fields(self):
+                if f.type in (float, "float"):
+                    _real(getattr(self, f.name), f"{f.name}:", gt=-math.inf, lt=math.inf)
+            for e in self.epsilon_grid:
+                _real(e, "epsilon_grid: entries", ge=0, lt=math.inf)
+            _real(_index(self.defect_operators, "defect_operators:"), "defect_operators:", ge=1)
+            # No type owns tau; with tau <= 0 no epsilon >= 0 can be certified.
+            _real(self.tau, "tau:", gt=0)
             recon_params = ReconstructionParams(
                 iterations=self.iterations,
                 threshold=self.threshold,
@@ -101,6 +91,15 @@ class ExperimentConfig:
             data._check_params(self.n, self.count, self.sparsity, self.margin_floor)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
+        grid = tuple(float(e) for e in self.epsilon_grid)
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError("epsilon_grid: must be strictly increasing")
+        object.__setattr__(self, "epsilon_grid", grid)
+        for name in ("weights_seed", "master_seed"):
+            try:
+                derived_seed(getattr(self, name))
+            except ParameterError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
         try:
             DefectParams(solution_bound=self.defect_bound)
         except ParameterError as exc:
@@ -135,11 +134,13 @@ def parse_config(text):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise ConfigError(f"line {lineno}: key {key!r} already given on line {raw[key][0]}")
+        raw[key] = lineno, value
     known = {f.name: f for f in fields(ExperimentConfig)}
     kwargs = {}
-    for key, value in raw.items():
+    for key, (_, value) in raw.items():
         if key in _RETIRED_KEYS:
             continue
         if key not in known:

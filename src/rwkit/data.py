@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io
 from .classifier import LinearClassifier, _inner, predict
-from .errors import ConfigError, ParameterError, _index
+from .errors import ConfigError, ParameterError, _index, _real
 from .sensing import derived_seed
 
 __all__ = ["Dataset", "gen_data", "write_dataset", "read_dataset"]
@@ -36,18 +36,11 @@ class Dataset:
 
 
 def _check_params(n, count, k, margin_floor):
-    # The dataset's parameter rules; n, count and k are integers under the
-    # seed rule's check, and every comparison fails on NaN.
-    for name, value in (("n", n), ("count", count), ("sparsity k", k)):
-        _index(value, name)
-    if not n >= 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if not count >= 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    if not 1 <= k <= n:
-        raise ParameterError(f"sparsity k must lie in [1, n], got {k}")
-    if not margin_floor > 0:
-        raise ParameterError(f"margin_floor must be positive, got {margin_floor}")
+    # The dataset's parameter rules; n, count and k are integers.
+    _real(_index(n, "n"), "n", ge=1)
+    _real(_index(count, "count"), "count", ge=1)
+    _real(_index(k, "sparsity k"), "sparsity k", ge=1, le=n)
+    _real(margin_floor, "margin_floor", gt=0)
 
 
 def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):

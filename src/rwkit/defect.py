@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sensing
-from .errors import ParameterError
+from .errors import ParameterError, _index, _real
 from .frames import _analyze_batch, _stack_signals, as_signal
 from .sensing import _adjoint_batch
 
@@ -40,10 +40,7 @@ class DefectParams:
     solution_bound: float
 
     def __post_init__(self):
-        if not self.solution_bound > 0:
-            raise ParameterError(
-                f"solution_bound must be positive, got {self.solution_bound}"
-            )
+        _real(self.solution_bound, "solution_bound", gt=0)
 
 
 @dataclass(frozen=True)
@@ -99,9 +96,8 @@ def brute_force_defect(x, solution_bound, grid_step):
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size > 3:
         raise ParameterError(f"brute force oracle limited to dim <= 3, got {x.size}")
-    if not grid_step > 0:
-        raise ParameterError(f"grid_step must be positive, got {grid_step}")
-    T = float(solution_bound)
+    _real(grid_step, "grid_step", gt=0)
+    T = float(_real(solution_bound, "solution_bound", ge=0))
     # Tiny slack so grid points on the ball boundary survive float rounding.
     slack = 1e-9 * max(1.0, T)
     axis = np.arange(-T, T + grid_step / 2, grid_step)
@@ -141,8 +137,7 @@ def expected_defect(samples, frame, params, num_operators, master_seed, subsampl
     Each operator i is drawn from the stream ``derived_seed(master_seed,
     i)``, and all samples are back-projected through it in one batch.
     """
-    if not num_operators >= 1:
-        raise ParameterError(f"num_operators must be >= 1, got {num_operators}")
+    _real(_index(num_operators, "num_operators"), "num_operators", ge=1)
     samples = list(samples)
     if not samples:
         raise ParameterError("at least one sample is required")

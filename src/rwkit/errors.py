@@ -1,6 +1,14 @@
-"""Exception hierarchy shared by all rwkit modules, and the integer check
-that the seed rule and every count share."""
+"""Exception hierarchy shared by all rwkit modules, and the two parameter
+rules they share, each raising :class:`ParameterError` that names the
+parameter and its range.  :func:`_index`: an integer >= 0 that is not a
+``bool`` (seeds, counts, axis lengths).  :func:`_real`: a ``numbers.Real``
+that is not a ``bool``, inside the range the call states; NaN fails every
+range, a call that states none checks only the type, and the value is
+never converted.
+"""
 
+import math
+import numbers
 import operator
 
 
@@ -37,3 +45,33 @@ def _index(value, what):
     if i < 0 or isinstance(value, bool):
         raise ParameterError(f"{what} must be an integer >= 0, got {value!r}")
     return i
+
+
+def _real(value, what, ge=None, gt=None, le=None, lt=None):
+    # A real that is not a bool, with value >= ge, > gt, <= le and < lt for
+    # each bound given (at most one lower and one upper); NaN fails them all.
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if (
+            (ge is None or value >= ge)
+            and (gt is None or value > gt)
+            and (le is None or value <= le)
+            and (lt is None or value < lt)
+        ):
+            return value
+    raise ParameterError(f"{what} must {_range(ge, gt, le, lt)}, got {value!r}")
+
+
+def _range(ge, gt, le, lt):
+    # The range in words: "be positive", "be >= 0", "lie in [0, 1]"; an
+    # upper bound "< inf" reads "finite", and no bound "a real number".
+    finite = lt == math.inf
+    if finite:
+        gt, lt = (None if gt == -math.inf else gt), None
+    bounds = [(op, b) for op, b in ((">=", ge), (">", gt), ("<=", le), ("<", lt)) if b is not None]
+    if len(bounds) == 2:
+        (lo_op, lo), (hi_op, hi) = bounds
+        return f"lie in {'[' if lo_op == '>=' else '('}{lo:g}, {hi:g}{']' if hi_op == '<=' else ')'}"
+    words = ["finite"] if finite else []
+    if bounds:
+        words.append("positive" if bounds == [(">", 0)] else "%s %g" % bounds[0])
+    return "be " + (" and ".join(words) or "a real number")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, _index
+from .errors import ParameterError, ShapeError, _index, _real
 
 FRAME_KINDS = ("identity", "haar-dwt", "db4-dwt", "unitary-dft")
 
@@ -325,7 +325,6 @@ def soft_threshold(u, lam):
     Entries with modulus below ``lam`` are zeroed; the rest are shrunk
     toward zero by ``lam`` while keeping their phase.  ``u`` is not changed.
     """
-    if not lam >= 0:
-        raise ParameterError(f"threshold must be nonnegative, got {lam}")
+    _real(lam, "threshold", ge=0)
     u = np.array(u, dtype=np.complex128)
     return _shrink(u, np.abs(u), float(lam))

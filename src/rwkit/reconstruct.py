@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sensing
-from .errors import NumericError, ParameterError, ShapeError, _index
+from .errors import NumericError, ShapeError, _index, _real
 from .frames import Frame, _fft, _ifft, _shrink, _stack_signals, _step_transforms, _synthesize_batch, as_signal
 from .sensing import _apply_batch
 
@@ -45,15 +45,9 @@ class ReconstructionParams:
     frame: Frame
 
     def __post_init__(self):
-        _index(self.iterations, "iterations")
-        if not self.iterations >= 1:
-            raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
-        if not self.threshold >= 0:
-            raise ParameterError(f"threshold must be >= 0, got {self.threshold}")
-        if not 0.0 <= self.subsample_prob <= 1.0:
-            raise ParameterError(
-                f"subsample_prob must lie in [0, 1], got {self.subsample_prob}"
-            )
+        _real(_index(self.iterations, "iterations"), "iterations", ge=1)
+        _real(self.threshold, "threshold", ge=0)
+        _real(self.subsample_prob, "subsample_prob", ge=0, le=1)
 
 
 @dataclass(frozen=True)

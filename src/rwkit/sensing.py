@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ParameterError, ShapeError, _index
+from .errors import ParameterError, ShapeError, _index, _real
 from .frames import _fft, _ifft, as_signal
 
 __all__ = [
@@ -181,12 +181,9 @@ class RwpParameters:
     rwp_prob: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if not self.rho > 0:
-            raise ParameterError(f"rho must be positive, got {self.rho}")
-        if not 0.0 <= self.rwp_prob <= 1.0:
-            raise ParameterError(f"rwp_prob must lie in [0, 1], got {self.rwp_prob}")
+        _real(self.alpha, "alpha", gt=0)
+        _real(self.rho, "rho", gt=0)
+        _real(self.rwp_prob, "rwp_prob", ge=0, le=1)
 
 
 def make_partial_fourier(shape, q, seed):
@@ -202,8 +199,7 @@ def make_partial_fourier(shape, q, seed):
     for ax_len in shape:
         if not ax_len >= 1:
             raise ShapeError(f"axis length must be >= 1, got {ax_len}")
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"subsampling probability must lie in [0, 1], got {q}")
+    _real(q, "subsampling probability", ge=0, le=1)
     return SensingOperator(mask=_masks([_state(seed)], shape, q)[0])
 
 

@@ -14,8 +14,10 @@ from rwkit import (
     brute_force_defect,
     empirical_robust_radius,
     expected_defect,
+    gen_data,
     linear_certificate,
     linear_certificate_approx,
+    make_partial_fourier,
     soft_threshold,
     certify_probabilistic,
     defect_budget,
@@ -200,52 +202,67 @@ CLF = LinearClassifier(weights=np.array([0.6, 0.8]))
 X = np.array([1.0, 1.0])
 IDENTITY = Frame("identity")
 
-# (id, call, error, message): each call passes NaN to one scalar check.
+# (id, call, error, message): each call passes its argument to one scalar
+# check, and raises ``error`` for NaN.
 NAN_CASES = [
-    ("ReconstructionParams-threshold", lambda: ReconstructionParams(10, NAN, 0.5, IDENTITY),
+    ("ReconstructionParams-threshold", lambda v: ReconstructionParams(10, v, 0.5, IDENTITY),
      ParameterError, "threshold"),
-    ("ReconstructionParams-iterations", lambda: ReconstructionParams(NAN, 0.1, 0.5, IDENTITY),
+    ("ReconstructionParams-iterations", lambda v: ReconstructionParams(v, 0.1, 0.5, IDENTITY),
      ParameterError, "iterations"),
-    ("soft_threshold", lambda: soft_threshold(np.ones(4), NAN), ParameterError, "threshold"),
-    ("Frame-levels", lambda: Frame("haar-dwt", levels=NAN), ParameterError, "levels"),
-    ("DefectParams", lambda: DefectParams(solution_bound=NAN), ParameterError, "solution_bound"),
-    ("brute_force_defect", lambda: brute_force_defect(np.ones(2), 1.0, NAN),
+    ("ReconstructionParams-subsample_prob", lambda v: ReconstructionParams(10, 0.1, v, IDENTITY),
+     ParameterError, "subsample_prob"),
+    ("make_partial_fourier-q", lambda v: make_partial_fourier(16, v, 0),
+     ParameterError, "subsampling probability"),
+    ("soft_threshold", lambda v: soft_threshold(np.ones(4), v), ParameterError, "threshold"),
+    ("Frame-levels", lambda v: Frame("haar-dwt", levels=v), ParameterError, "levels"),
+    ("DefectParams", lambda v: DefectParams(solution_bound=v), ParameterError, "solution_bound"),
+    ("brute_force_defect", lambda v: brute_force_defect(np.ones(2), 1.0, v),
      ParameterError, "grid_step"),
-    ("expected_defect", lambda: expected_defect([np.ones(4)], IDENTITY, DefectParams(1.0), NAN, 0),
+    ("expected_defect", lambda v: expected_defect([np.ones(4)], IDENTITY, DefectParams(1.0), v, 0),
      ParameterError, "num_operators"),
-    ("RwpParameters-rho", lambda: RwpParameters(rho=NAN, alpha=0.5), ParameterError, "rho"),
-    ("RwpParameters-alpha", lambda: RwpParameters(rho=0.5, alpha=NAN), ParameterError, "alpha"),
-    ("kappa-alpha", lambda: kappa(0.1, NAN, NAN, 0), ParameterError, "alpha"),
-    ("kappa-rho", lambda: kappa(0.1, 4.0, NAN, 0), ParameterError, "rho"),
-    ("kappa-max_defect", lambda: kappa(0.1, 4.0, 0.05, NAN), ParameterError, "max_defect"),
-    ("kappa-epsilon", lambda: kappa(NAN, 4.0, 0.05, 0.2), ParameterError, "epsilon"),
-    ("defect_budget", lambda: defect_budget(NAN, 0.1, 4, 0.05), InfeasibleError, "tau"),
-    ("certify_probabilistic", lambda: certify_probabilistic(0.9, 4.0, 0.05, 1.0, NAN, 0.0),
+    ("gen_data-margin_floor", lambda v: gen_data(8, 2, 2, 0, margin_floor=v),
+     ParameterError, "margin_floor"),
+    ("RwpParameters-rho", lambda v: RwpParameters(rho=v, alpha=0.5), ParameterError, "rho"),
+    ("RwpParameters-alpha", lambda v: RwpParameters(rho=0.5, alpha=v), ParameterError, "alpha"),
+    ("kappa-alpha", lambda v: kappa(0.1, v, v, 0), ParameterError, "alpha"),
+    ("kappa-rho", lambda v: kappa(0.1, 4.0, v, 0), ParameterError, "rho"),
+    ("kappa-max_defect", lambda v: kappa(0.1, 4.0, 0.05, v), ParameterError, "max_defect"),
+    ("kappa-epsilon", lambda v: kappa(v, 4.0, 0.05, 0.2), ParameterError, "epsilon"),
+    ("defect_budget", lambda v: defect_budget(v, 0.1, 4, 0.05), InfeasibleError, "tau"),
+    ("defect_budget-epsilon", lambda v: defect_budget(0.5, v, 4, 0.05), InfeasibleError, "epsilon"),
+    ("certify_probabilistic", lambda v: certify_probabilistic(0.9, 4.0, 0.05, 1.0, v, 0.0),
      ParameterError, "epsilon must be >= 0"),
-    ("partial_fourier_rwp", lambda: partial_fourier_rwp(NAN, 0.1), ParameterError, "sparsity level"),
-    ("rwp_probability_exponent", lambda: rwp_probability_exponent(NAN, 1.0, 0.1),
+    ("partial_fourier_rwp", lambda v: partial_fourier_rwp(v, 0.1), ParameterError, "sparsity level"),
+    ("rwp_probability_exponent", lambda v: rwp_probability_exponent(v, 1.0, 0.1),
      ParameterError, "dimension"),
-    ("robustness_gain", lambda: robustness_gain(NAN), ParameterError, "kappa"),
-    ("Certificate-radius", lambda: Certificate(radius=NAN, probability=0.5, gain=1.0),
+    ("robustness_gain", lambda v: robustness_gain(v), ParameterError, "kappa"),
+    ("Certificate-radius", lambda v: Certificate(radius=v, probability=0.5, gain=1.0),
      ParameterError, "radius"),
-    ("Certificate-gain", lambda: Certificate(radius=0.1, probability=0.5, gain=NAN),
+    ("Certificate-gain", lambda v: Certificate(radius=0.1, probability=0.5, gain=v),
      ParameterError, "gain"),
-    ("RadiusMeasurement", lambda: RadiusMeasurement(radius=NAN, trials=1, method="m"),
+    ("RadiusMeasurement", lambda v: RadiusMeasurement(radius=v, trials=1, method="m"),
      ParameterError, "radius"),
-    ("linear_certificate", lambda: linear_certificate(CLF, X, NAN), ParameterError, "alpha"),
-    ("linear_certificate_approx-defect", lambda: linear_certificate_approx(CLF, X, 4.0, 0.05, NAN),
+    ("linear_certificate", lambda v: linear_certificate(CLF, X, v), ParameterError, "alpha"),
+    ("linear_certificate_approx-defect", lambda v: linear_certificate_approx(CLF, X, 4.0, 0.05, v),
      ParameterError, "defect"),
-    ("linear_certificate_approx-rho", lambda: linear_certificate_approx(CLF, X, 4.0, NAN, 0.0),
+    ("linear_certificate_approx-rho", lambda v: linear_certificate_approx(CLF, X, 4.0, v, 0.0),
      ParameterError, "rho"),
-    ("empirical_robust_radius-probes", lambda: empirical_robust_radius(lambda z: 1, X, probes=NAN),
+    ("empirical_robust_radius-probes", lambda v: empirical_robust_radius(lambda z: 1, X, probes=v),
      ParameterError, "probes"),
+    ("empirical_robust_radius-tol", lambda v: empirical_robust_radius(lambda z: 1, X, tol=v),
+     ParameterError, "tol"),
 ]
 
 
 @pytest.mark.parametrize(
+    "value", [NAN, "0.1", True, None, 1j], ids=["nan", "str", "bool", "none", "complex"]
+)
+@pytest.mark.parametrize(
     "call, error, match", [c[1:] for c in NAN_CASES], ids=[c[0] for c in NAN_CASES]
 )
-def test_nan_fails_scalar_checks(call, error, match):
-    # Checks written as `x < 0` once let NaN through to NaN results.
-    with pytest.raises(error, match=match):
-        call()
+def test_nan_fails_scalar_checks(call, error, match, value):
+    # Checks written as `x < 0` once let NaN through to NaN results, and
+    # checks without a type test raised a bare TypeError for a string and
+    # took True as 1.  Only NaN may reach a check that relates parameters.
+    with pytest.raises(error if isinstance(value, float) else ParameterError, match=match):
+        call(value)

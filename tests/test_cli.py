@@ -28,6 +28,14 @@ margin_floor=0.05
 """
 
 
+def fast_config(*lines):
+    # FAST_CONFIG with each given key=value line in place of that key's line;
+    # a config that gives a key twice is an error.
+    keys = {line.split("=", 1)[0] for line in lines}
+    kept = [line for line in FAST_CONFIG.splitlines() if line.split("=", 1)[0] not in keys]
+    return "\n".join(kept + list(lines)) + "\n"
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "cfg.txt"
@@ -133,7 +141,7 @@ class TestExitCodes:
     )
     def test_eval_non_finite_config_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(FAST_CONFIG + line + "\n")
+        cfg.write_text(fast_config(line))
         out = tmp_path / "report.csv"
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().err
@@ -198,7 +206,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("frame, levels, n", [("haar-dwt", 9, 128), ("db4-dwt", 6, 32)])
     def test_eval_unsupported_levels_is_config_error(self, tmp_path, capsys, frame, levels, n):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(FAST_CONFIG + f"frame={frame}\nlevels={levels}\nn={n}\n")
+        cfg.write_text(fast_config(f"frame={frame}", f"levels={levels}", f"n={n}"))
         out = tmp_path / "report.csv"
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err

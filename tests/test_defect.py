@@ -207,8 +207,9 @@ class TestExpectedDefect:
         params = DefectParams(solution_bound=1.0)
         with pytest.raises(ParameterError):
             expected_defect([], IDENTITY, params, num_operators=1, master_seed=0)
-        with pytest.raises(ParameterError):
-            expected_defect([np.ones(8)], IDENTITY, params, num_operators=0, master_seed=0)
+        for num_operators in (0, 2.5, True):
+            with pytest.raises(ParameterError, match="num_operators"):
+                expected_defect([np.ones(8)], IDENTITY, params, num_operators=num_operators, master_seed=0)
 
     def test_mean_over_operators_of_max_over_samples(self):
         params = DefectParams(solution_bound=1.0)

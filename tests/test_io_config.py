@@ -290,6 +290,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config("bogus=1\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=64\n# comment\nn=128\n", "line 3: key 'n' already given on line 1"),
+            ("bregman_lambda=0.5\nbregman_lambda=0.5\n", "line 2: key 'bregman_lambda' already given on line 1"),
+        ],
+    )
+    def test_duplicate_key_is_config_error(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_retired_solver_keys_accepted_and_ignored(self):
         text = "n=64\nbregman_lambda=0.5\ndefect_tolerance=1e-06\ndefect_max_iterations=10000\n"
         cfg = parse_config(text)
