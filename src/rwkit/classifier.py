@@ -28,12 +28,14 @@ DEFAULT_RADIUS_CEILING = 1e6
 
 @dataclass(frozen=True)
 class LinearClassifier:
-    """f(x) = sign(<w, x>) with sign(0) := +1."""
+    """f(x) = sign(<w, x>) with sign(0) := +1; w is finite, not all zero."""
 
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
+        if not np.all(np.isfinite(w)):
+            raise ParameterError("weights must be finite")
         if not np.any(w != 0):
             raise ParameterError("weights must not be all zero")
         object.__setattr__(self, "weights", w)

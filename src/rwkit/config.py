@@ -10,10 +10,10 @@ any other unknown key is an error.
 Values follow the parameter rules of :mod:`rwkit.errors` (a float value
 is a real number that is not a ``bool``, and NaN fails every range).  The
 config owns only the rules that no library type does: every float value is
-finite, ``epsilon_grid`` entries are >= 0 and strictly increasing,
-``defect_operators`` >= 1 and ``tau`` > 0.  The seeds are checked by
-:func:`~rwkit.sensing.derived_seed`, and every other
-range is checked by building the type that consumes the value:
+finite, ``epsilon_grid`` is a sequence (not a string) of numbers >= 0,
+strictly increasing, ``defect_operators`` >= 1 and ``tau`` > 0.  The seeds
+are checked by :func:`~rwkit.sensing.derived_seed`, and every other range
+is checked by building the type that consumes the value:
 :class:`~rwkit.reconstruct.ReconstructionParams` and its
 :class:`~rwkit.frames.Frame` (frame, levels, threshold, iterations,
 subsample_prob), :class:`~rwkit.defect.DefectParams` (defect_bound),
@@ -30,6 +30,7 @@ hash is stable and parse(serialize(c)) == c.
 
 import hashlib
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from . import data
@@ -72,11 +73,15 @@ class ExperimentConfig:
     epsilon_grid: tuple = (0.01, 0.02, 0.05, 0.1)
 
     def __post_init__(self):
+        grid = self.epsilon_grid
+        if isinstance(grid, (str, bytes)) or not isinstance(grid, Iterable):
+            raise ConfigError(f"epsilon_grid: must be a sequence of numbers, got {grid!r}")
+        grid = tuple(grid)
         try:
             for f in fields(self):
                 if f.type in (float, "float"):
                     _real(getattr(self, f.name), f"{f.name}:", gt=-math.inf, lt=math.inf)
-            for e in self.epsilon_grid:
+            for e in grid:
                 _real(e, "epsilon_grid: entries", ge=0, lt=math.inf)
             _real(_index(self.defect_operators, "defect_operators:"), "defect_operators:", ge=1)
             # No type owns tau; with tau <= 0 no epsilon >= 0 can be certified.
@@ -91,7 +96,7 @@ class ExperimentConfig:
             data._check_params(self.n, self.count, self.sparsity, self.margin_floor)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
-        grid = tuple(float(e) for e in self.epsilon_grid)
+        grid = tuple(float(e) for e in grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("epsilon_grid: must be strictly increasing")
         object.__setattr__(self, "epsilon_grid", grid)

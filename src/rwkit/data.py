@@ -98,7 +98,8 @@ def read_dataset(path):
     Signal rows whose imaginary parts are all zero come back real, and the
     labels are recomputed from the weights.  On top of :func:`io.read_signal`'s
     errors, a table that is not 2D, has fewer than two rows, or has a weight
-    row with a non-zero imaginary part raises :class:`ConfigError`.
+    row that is not real or that :class:`LinearClassifier` refuses (not
+    finite, or all zero) raises :class:`ConfigError`.
     """
     table = io.read_signal(path)
     if table.ndim != 2:
@@ -108,6 +109,9 @@ def read_dataset(path):
     if np.any(table[0].imag != 0):
         raise ConfigError(f"{path}: the weight row is not real")
     w = table[0].real
-    clf = LinearClassifier(weights=w)
+    try:
+        clf = LinearClassifier(weights=w)
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: the weight row is refused: {exc}") from None
     signals = [x.real if np.all(x.imag == 0) else x for x in table[1:]]
     return Dataset(weights=w, signals=signals, labels=[predict(clf, x) for x in signals])

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import sensing
 from .errors import ParameterError, _index, _real
-from .frames import _analyze_batch, _stack_signals, as_signal
+from .frames import _stack_signals, _step_transforms, as_signal
 from .sensing import _adjoint_batch
 
 __all__ = [
@@ -63,9 +63,9 @@ def _result(l1, bound):
 
 def _l1_batch(mask, xs, frame):
     # Row i is ||analyze(adjoint(mask[i], xs[i]))||_1, in the batch
-    # convention of sensing._adjoint_batch: axis 0 indexes signals, and
-    # every row is computed independently of the rows beside it.
-    w = _analyze_batch(frame, _adjoint_batch(mask, xs))
+    # convention of sensing._adjoint_batch (axis 0 indexes signals, rows are
+    # independent).  analyze may overwrite the adjoint, which is fresh.
+    w = _step_transforms(frame, xs.shape[1:])[0](_adjoint_batch(mask, xs))
     return np.sum(np.abs(w.reshape(len(w), -1)), axis=1)
 
 

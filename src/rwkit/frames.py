@@ -21,6 +21,11 @@ handling.
 
 All transforms are square and invertible, so coefficient arrays have the
 same shape as the signal they came from.
+
+A frame kind becomes transforms in one place, ``_step_transforms``: the
+batch (analyze, synthesize) pair for one signal shape.  analyze may
+overwrite its argument, synthesize never does, and the identity's pair
+return their argument.  The public functions run the pair on a copy.
 """
 
 import functools
@@ -106,7 +111,7 @@ def as_signal(x):
 
 def _stack_signals(xs):
     # Validate a non-empty sequence of signals of one shape and stack them
-    # on a new axis 0, the batch axis of the *_batch transforms.
+    # on a new axis 0, the batch axis of the batch transforms.
     rows = [as_signal(x) for x in xs]
     shape = rows[0].shape
     for arr in rows:
@@ -182,24 +187,24 @@ def _idwt_step(c, bank):
     return (windows @ synth).reshape(c.shape)
 
 
-# The four transforms below work in place on the batch they are given and
-# return it.
-def _dwt_1d(c, bank, levels):
+# The four transforms below take (c, kind, levels), work in place on the
+# batch c they are given and return it.
+def _dwt_1d(c, kind, levels):
     m = c.shape[-1]
     for _ in range(levels):
-        a, d = _dwt_step(c[..., :m], bank)
+        a, d = _dwt_step(c[..., :m], _BANKS[kind])
         c[..., : m // 2] = a
         c[..., m // 2 : m] = d
         m //= 2
     return c
 
 
-def _idwt_1d(x, bank, levels):
-    m = x.shape[-1] >> levels
+def _idwt_1d(c, kind, levels):
+    m = c.shape[-1] >> levels
     for _ in range(levels):
-        x[..., : 2 * m] = _idwt_step(x[..., : 2 * m], bank)
+        c[..., : 2 * m] = _idwt_step(c[..., : 2 * m], _BANKS[kind])
         m *= 2
-    return x
+    return c
 
 
 # A 2D level costs O(m^3) as two dense matmuls, against O(m^2 taps) as
@@ -231,43 +236,18 @@ def _dwt_2d(c, kind, levels):
     return c
 
 
-def _idwt_2d(x, kind, levels):
+def _idwt_2d(c, kind, levels):
     # Inverse of _dwt_2d: D is orthogonal, so each level maps the block to
     # D_h^T blk D_w, coarsest level first.
-    mh = x.shape[-2] >> levels
-    mw = x.shape[-1] >> levels
+    mh = c.shape[-2] >> levels
+    mw = c.shape[-1] >> levels
     for _ in range(levels):
         mh *= 2
         mw *= 2
         dh, dw = _level_matrix(kind, mh), _level_matrix(kind, mw)
-        blk = x[..., :mh, :mw]
+        blk = c[..., :mh, :mw]
         blk.real, blk.imag = dh.T @ blk.real @ dw, dh.T @ blk.imag @ dw
-    return x
-
-
-def _analyze_batch(frame, x):
-    # analyze() over a batch: axis 0 indexes signals, the trailing one or two
-    # axes are transformed.  Every operation is row-local.
-    if frame.kind == "identity":
-        return x.copy()
-    if frame.kind == "unitary-dft":
-        return _fft(x)
-    _check_levels(frame, x.shape[1:])
-    if x.ndim == 2:
-        return _dwt_1d(x.copy(), _BANKS[frame.kind], frame.levels)
-    return _dwt_2d(x.copy(), frame.kind, frame.levels)
-
-
-def _synthesize_batch(frame, coeffs):
-    # synthesize() over a batch, with the same axis convention.
-    if frame.kind == "identity":
-        return coeffs.copy()
-    if frame.kind == "unitary-dft":
-        return _ifft(coeffs)
-    _check_levels(frame, coeffs.shape[1:])
-    if coeffs.ndim == 2:
-        return _idwt_1d(coeffs.copy(), _BANKS[frame.kind], frame.levels)
-    return _idwt_2d(coeffs.copy(), frame.kind, frame.levels)
+    return c
 
 
 def _same(x):
@@ -275,31 +255,33 @@ def _same(x):
 
 
 def _step_transforms(frame, shape):
-    # The batch (analyze, synthesize) of a loop that applies them many times
-    # to signals of ``shape``, which is checked here, once.  analyze may
-    # overwrite its argument, synthesize never does, and the identity's pair
-    # return their argument itself.
+    # The one place a frame kind becomes transforms: the batch (analyze,
+    # synthesize) for signals of ``shape``, checked here once; axis 0 indexes
+    # signals and every step is row-local.  analyze may overwrite its
+    # argument, synthesize never does; the identity's pair return it.
     _check_levels(frame, shape)
     kind, levels = frame.kind, frame.levels
     if kind == "identity":
         return _same, _same
     if kind == "unitary-dft":
         return _fft, _ifft
-    if len(shape) == 1:
-        bank = _BANKS[kind]
-        return (lambda x: _dwt_1d(x, bank, levels)), (lambda c: _idwt_1d(c.copy(), bank, levels))
-    return (lambda x: _dwt_2d(x, kind, levels)), (lambda c: _idwt_2d(c.copy(), kind, levels))
+    dwt, idwt = (_dwt_1d, _idwt_1d) if len(shape) == 1 else (_dwt_2d, _idwt_2d)
+    return (lambda x: dwt(x, kind, levels)), (lambda c: idwt(c.copy(), kind, levels))
 
 
 def analyze(frame, x):
     """Map a signal to its frame coefficients (same shape as the input)."""
-    return _analyze_batch(frame, as_signal(x)[None])[0]
+    # as_signal may return the caller's own complex128 array, and the pair
+    # may overwrite it or return it, so both functions hand the pair a copy.
+    arr = as_signal(x)
+    return _step_transforms(frame, arr.shape)[0](arr[None].copy())[0]
 
 
 def synthesize(frame, coeffs):
     """Invert :func:`analyze`: exact to round-off, except that db4-dwt errs
     by about 1e-11 on unit-scale entries, the accuracy of its taps."""
-    return _synthesize_batch(frame, as_signal(coeffs)[None])[0]
+    arr = as_signal(coeffs)
+    return _step_transforms(frame, arr.shape)[1](arr[None].copy())[0]
 
 
 def sparsity_norm(frame, x):

@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, ShapeError
 
 MAGIC = b"RWKSIG1\x00"
 
@@ -37,12 +37,15 @@ def _check_comment(comment):
 def write_signal(path, x, comments=()):
     """Write a complex signal to ``path`` (.bin for binary, else CSV).
 
-    A comment holding a line break, or whose stripped text starts with
-    ``shape=``, raises :class:`ParameterError` before anything is written.
+    Before anything is written, a comment holding a line break, or whose
+    stripped text starts with ``shape=``, raises :class:`ParameterError`,
+    and an array that is not 1D or 2D, or is empty, :class:`ShapeError`.
     """
     for comment in comments:
         _check_comment(comment)
     x = np.asarray(x, dtype=np.complex128)
+    if x.ndim not in (1, 2) or 0 in x.shape:
+        raise ShapeError(f"a signal file holds a non-empty 1D or 2D array, got shape {x.shape}")
     path = str(path)
     if path.endswith(".bin"):
         rows, cols = (0, x.shape[0]) if x.ndim == 1 else x.shape

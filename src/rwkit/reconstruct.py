@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sensing
 from .errors import NumericError, ShapeError, _index, _real
-from .frames import Frame, _fft, _ifft, _shrink, _stack_signals, _step_transforms, _synthesize_batch, as_signal
+from .frames import Frame, _fft, _ifft, _shrink, _stack_signals, _step_transforms, as_signal
 from .sensing import _apply_batch
 
 __all__ = [
@@ -118,7 +118,7 @@ def ista_reconstruct(y, op, params):
     arr = as_signal(y)
     sensing._check_shape(op, arr.shape)
     u = _ista_coefficients(arr[None], op.mask[None], params)
-    return _synthesize_batch(params.frame, u)[0]
+    return _step_transforms(params.frame, arr.shape)[1](u)[0]
 
 
 def _purify_block(xs, mask, params):
@@ -126,10 +126,11 @@ def _purify_block(xs, mask, params):
 
     Row i of the complex array ``xs`` is sensed through ``mask[i]`` and
     reconstructed; the rows are not validated.  Returns ``(values, u)``,
-    both complex, with the batch on axis 0.
+    both complex, with the batch on axis 0.  For the identity frame
+    ``values`` is ``u`` itself; callers read both and write to neither.
     """
     u = _ista_coefficients(_apply_batch(mask, xs), mask, params)
-    return _synthesize_batch(params.frame, u), u
+    return _step_transforms(params.frame, xs.shape[1:])[1](u), u
 
 
 def purify_many(xs, params, seeds):

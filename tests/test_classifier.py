@@ -31,6 +31,11 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             LinearClassifier(weights=np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ParameterError, match="weights must be finite"):
+            LinearClassifier(weights=np.array([bad, 1.0]))
+
 
 class TestPredict:
     def test_positive_side(self):

@@ -269,9 +269,10 @@ class TestPolyphaseSynthesis:
         # Axis 0 is the batch: one or three 1D or 2D coefficient arrays.
         f = Frame(kind=kind, levels=levels)
         c = random_signal(batch_shape, levels)
-        fast = frames._synthesize_batch(f, c)
+        _, synthesize_batch = frames._step_transforms(f, batch_shape[1:])
+        fast = synthesize_batch(c)
         monkeypatch.setattr(frames, "_idwt_step", _reference_step)
-        slow = frames._synthesize_batch(f, c)
+        slow = synthesize_batch(c)
         assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
     def test_oracle_inverts_analysis(self, monkeypatch):
@@ -321,11 +322,12 @@ class TestDenseLevels2D:
         f, x = case
         bank = frames._BANKS[f.kind]
         xs = x.astype(np.complex128)
+        analyze_batch, synthesize_batch = frames._step_transforms(f, xs.shape[1:])
         want = reference_dwt_2d(xs, bank, f.levels)
-        got = frames._analyze_batch(f, xs)
+        got = analyze_batch(xs.copy())
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         want = reference_idwt_2d(xs, bank, f.levels)
-        got = frames._synthesize_batch(f, xs)
+        got = synthesize_batch(xs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kind", ["haar-dwt", "db4-dwt"])

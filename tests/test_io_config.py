@@ -10,6 +10,7 @@ from rwkit import (
     ConfigError,
     ExperimentConfig,
     ParameterError,
+    ShapeError,
     config_hash,
     gen_data,
     load_config,
@@ -149,6 +150,14 @@ class TestSignalIO:
         path = tmp_path / f"sig{suffix}"
         with pytest.raises(ParameterError, match="cannot be written as one CSV comment line"):
             write_signal(path, np.ones(3), comments=["fine", comment])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (), (0,), (0, 3), (3, 0)])
+    def test_writer_refuses_array_that_would_not_read_back(self, tmp_path, suffix, shape):
+        path = tmp_path / f"sig{suffix}"
+        with pytest.raises(ShapeError, match="non-empty 1D or 2D array"):
+            write_signal(path, np.ones(shape))
         assert not path.exists()
 
     @pytest.mark.parametrize("comment", ["xshape=", "# shape=", "shape", "shape =4", "operator_seed=3"])
@@ -334,6 +343,9 @@ class TestConfig:
             ("count", 0, "count must be >= 1"),
             ("sparsity", 200, "sparsity k must lie in"),
             ("margin_floor", 0.0, "margin_floor must be positive"),
+            ("epsilon_grid", 0.1, "epsilon_grid: must be a sequence of numbers, got 0.1"),
+            ("epsilon_grid", None, "epsilon_grid: must be a sequence of numbers, got None"),
+            ("epsilon_grid", "0.1,0.2", "epsilon_grid: must be a sequence of numbers, got '0.1,0.2'"),
         ],
     )
     def test_library_rules_name_the_key(self, key, value, message):
@@ -457,6 +469,8 @@ class TestReadDatasetErrors:
             ("# shape=2x2\n", "", r"a dataset is a 2D array, got shape \(4,\)"),
             ("# shape=2x2", "# shape=1x4", "a weight row and at least one signal row"),
             ("1,0.8,0", "1,0.8,0.5", "the weight row is not real"),
+            ("1,0.8,0", "1,nan,0", "the weight row is refused: weights must be finite"),
+            ("0,0.6,0\n1,0.8,0", "0,0,0\n1,0,0", "the weight row is refused: weights must not be all zero"),
         ],
         ids=[
             "weight-number",
@@ -465,6 +479,8 @@ class TestReadDatasetErrors:
             "no-shape-1d",
             "one-row",
             "complex-weight",
+            "nan-weight",
+            "zero-weights",
         ],
     )
     def test_malformed_dataset_is_config_error(self, tmp_path, old, new, match):

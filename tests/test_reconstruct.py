@@ -26,8 +26,8 @@ from rwkit import (
     purify,
     purify_many,
     soft_threshold,
+    synthesize,
 )
-from rwkit.frames import _analyze_batch, _synthesize_batch
 from rwkit.reconstruct import _ista_coefficients
 from rwkit.sensing import _adjoint_batch, _apply_batch
 
@@ -41,18 +41,25 @@ def ista_loop(y, mask, params):
     Axis 0 of ``y`` and ``mask`` indexes rows.  The purifier runs this loop
     for every frame but unitary-dft, whose answer it computes in closed form,
     and its in-place loop must match this one bit for bit.  The shrink is
-    written out, not taken from ``soft_threshold``, so the two loops share
-    only the batch transforms.
+    written out, not taken from ``soft_threshold``, and the frame's
+    transforms are the public per-row ``analyze`` and ``synthesize``, so the
+    two loops share only the arithmetic of the transforms.
     """
     frame = params.frame
     lam = float(params.threshold)
     u = np.zeros(y.shape, dtype=np.complex128)
     for _ in range(params.iterations):
-        residual = y - _apply_batch(mask, _synthesize_batch(frame, u))
-        z = u + _analyze_batch(frame, _adjoint_batch(mask, residual))
+        residual = y - _apply_batch(mask, synthesize_rows(frame, u))
+        back = _adjoint_batch(mask, residual)
+        z = u + np.stack([analyze(frame, row) for row in back])
         mag = np.abs(z)
         u = z * (np.maximum(mag - lam, 0.0) / np.where(mag == 0.0, 1.0, mag))
     return u
+
+
+def synthesize_rows(frame, coeffs):
+    # The public synthesize, row by row over axis 0.
+    return np.stack([synthesize(frame, row) for row in coeffs])
 
 
 def assert_close_rel(got, want, rel=1e-12):
@@ -208,6 +215,38 @@ class TestPurify:
         np.testing.assert_allclose(purify(x, params, 0).value, x, atol=1e-10)
 
 
+COPY_FRAMES = [
+    IDENTITY,
+    Frame(kind="haar-dwt", levels=2),
+    Frame(kind="db4-dwt", levels=1),
+    DFT,
+]
+
+
+class TestCopyContract:
+    # as_signal returns a complex128 input itself, and the frames' batch
+    # transforms may overwrite or return their argument, so every public
+    # entry point must work on a copy of its input.
+    @pytest.mark.parametrize("frame", COPY_FRAMES, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("shape", [(16,), (8, 16)], ids=["1d", "2d"])
+    def test_complex_input_is_neither_written_nor_returned(self, frame, shape):
+        rng = np.random.default_rng(len(shape))
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = x.copy()
+        params = ReconstructionParams(iterations=3, threshold=0.05, subsample_prob=0.5, frame=frame)
+        op = make_partial_fourier(shape, params.subsample_prob, 0)
+        calls = {
+            "analyze": lambda: analyze(frame, x),
+            "synthesize": lambda: synthesize(frame, x),
+            "ista_reconstruct": lambda: ista_reconstruct(x, op, params),
+            "purify": lambda: purify(x, params, 0).value,
+        }
+        for name, call in calls.items():
+            out = call()
+            assert not np.shares_memory(out, x), name
+            assert x.tobytes() == before.tobytes(), name
+
+
 SHAPES = {
     1: [(8,), (16,), (64,), (12,), (15,), (96,)],
     2: [(8, 8), (8, 16), (16, 16), (24, 40), (9, 7)],
@@ -343,7 +382,7 @@ class TestUnitaryDftClosedForm:
         ops = [make_partial_fourier(xs.shape[1:], params.subsample_prob, s) for s in seeds]
         mask = np.stack([op.mask for op in ops])
         u = ista_loop(_apply_batch(mask, xs.astype(np.complex128)), mask, params)
-        want = _synthesize_batch(DFT, u)
+        want = synthesize_rows(DFT, u)
         for x, got, w, coeffs in zip(xs, purify_many(xs, params, seeds), want, u):
             assert got.iterations_run == params.iterations
             if np.isrealobj(x):
@@ -360,7 +399,7 @@ class TestUnitaryDftClosedForm:
         op = make_partial_fourier(xs.shape[1:], params.subsample_prob, seeds[0])
         y = np.fft.fftn(xs[0], norm="ortho") + 0.5  # nonzero off the mask too
         u = ista_loop(y[None], op.mask[None], params)
-        assert_close_rel(ista_reconstruct(y, op, params), _synthesize_batch(DFT, u)[0])
+        assert_close_rel(ista_reconstruct(y, op, params), synthesize(DFT, u[0]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_measurements_fail(self):
@@ -415,7 +454,7 @@ class TestIstaLoop:
     def test_ista_reconstruct_with_off_mask_measurements(self, case):
         y, mask, params = case
         op = SensingOperator(mask=mask[0].copy())
-        want = _synthesize_batch(params.frame, ista_loop(y[:1], mask[:1], params))[0]
+        want = synthesize(params.frame, ista_loop(y[:1], mask[:1], params)[0])
         assert_same_bits(ista_reconstruct(y[0], op, params), want)
 
     @settings(max_examples=40, deadline=None)
