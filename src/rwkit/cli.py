@@ -136,10 +136,11 @@ def _cmd_certify(cfg, args, seed):
 
 # Most purified signal entries eval stacks into one block: the clean and
 # probed rows of 32 samples at n=128.  Identity ISTA at n=128 costs least
-# per row and iteration at 64 rows (best of 15 runs per size in three
-# sessions on a shared 2-vCPU Xeon: 5.5 us at 8 rows, 3.0-3.2 us at 32,
-# 2.7-3.1 us at 64, 3.7-4.7 us at 128, 3.6-4.2 us at 200, 4.0-4.6 us at
-# 400), and peak memory grows with the block.
+# per row and iteration at 32 to 128 rows (best of 15 runs per size in
+# three sessions on a shared 2-vCPU Xeon, with the FFTs calling pocketfft
+# directly: 5.9-6.4 us at 8 rows, 3.4-3.7 us at 32, 3.3-3.7 us at 64,
+# 3.1-4.6 us at 128, 3.5-5.0 us at 200, 4.5-5.1 us at 400), and peak
+# memory grows with the block.
 _BLOCK_ENTRIES = 8192
 
 

@@ -14,10 +14,15 @@ Supported frame kinds:
 * ``unitary-dft`` -- the unitary DFT (1/sqrt(n) normalization both ways);
   the 2D transform is the tensor product of 1D transforms.
 
-Every FFT here, the frame's and the sensing operator's, runs a 2D transform
-as two 1D passes, the last axis and then the row axis: the passes
-``numpy.fft.fft2`` makes, bit for bit, without its n-dimensional argument
-handling.
+Every FFT here, the frame's and the sensing operator's, calls pocketfft's
+gufuncs (``numpy.fft._pocketfft_umath``) directly, with the ``1/sqrt(n)``
+factor that ``norm="ortho"`` passes them, and runs a 2D transform as two 1D
+passes, the last axis and then the row axis.  These are the calls
+``numpy.fft.fft`` and ``fft2`` make, so the results match them bit for bit,
+without their argument handling.  At the purifier's sizes that handling
+costs more than the transform: on one row of 128 entries ``numpy.fft.fft``
+took a median 12.0 us against the gufunc's 5.3 us (2-vCPU Xeon, numpy 2.4),
+and each purifier step runs two FFTs.
 
 All transforms are square and invertible, so coefficient arrays have the
 same shape as the signal they came from.
@@ -32,6 +37,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import ParameterError, ShapeError, _index, _real
 
@@ -76,20 +82,31 @@ def _filter_bank(h):
 _BANKS = {kind: _filter_bank(h) for kind, h in _LOWPASS.items()}
 
 
-def _fft(x):
-    # Unitary FFT of a batch over its trailing signal axes (axis 0 is the batch).
-    y = np.fft.fft(x, norm="ortho")
+@functools.lru_cache(maxsize=None)
+def _ortho(n):
+    # The norm="ortho" factor of an n-point pass, as np.fft computes it.
+    return np.reciprocal(np.sqrt(n, dtype=np.float64))
+
+
+def _passes(kernel, x):
+    # The unitary pocketfft kernel over the trailing signal axes of the batch
+    # x (axis 0 indexes signals): the last axis into a new complex array laid
+    # out like x, as np.fft lays it out, then, for a 2D batch, the row axis
+    # in place.  x is never written.
+    y = kernel(x, _ortho(x.shape[-1]), out=np.empty_like(x, dtype=np.complex128))
     if x.ndim == 3:
-        y = np.fft.fft(y, axis=1, norm="ortho")
+        kernel(y, _ortho(x.shape[1]), axes=[(1,), (), (1,)], out=y)
     return y
+
+
+def _fft(x):
+    # Unitary FFT of a batch over its trailing signal axes.
+    return _passes(_pocketfft.fft, x)
 
 
 def _ifft(x):
     # Inverse of _fft.
-    y = np.fft.ifft(x, norm="ortho")
-    if x.ndim == 3:
-        y = np.fft.ifft(y, axis=1, norm="ortho")
-    return y
+    return _passes(_pocketfft.ifft, x)
 
 
 def as_signal(x):
@@ -292,11 +309,12 @@ def sparsity_norm(frame, x):
 def _shrink(u, mag, lam):
     # soft_threshold's arithmetic, u * (max(mag - lam, 0) / where(mag == 0,
     # 1, mag)), in place: u (complex128) becomes the result, mag = |u| is
-    # used up as scratch, and lam is a float >= 0.  Returns u.
+    # only read, and lam is a float >= 0.  Returns u.  The factor divides
+    # only where it is positive, which implies mag > 0; elsewhere it stays
+    # +0, as 0 / 1 would leave it.
     f = mag - lam
     np.maximum(f, 0.0, out=f)
-    np.copyto(mag, 1.0, where=mag == 0.0)
-    f /= mag
+    np.divide(f, mag, out=f, where=f > 0.0)
     u *= f
     return u
 

@@ -74,15 +74,19 @@ def read_signal(path):
     """Read a signal written by :func:`write_signal`.
 
     A file that cannot be opened or decoded, or does not hold a signal in
-    either format, raises :class:`ConfigError`.
+    either format, raises :class:`ConfigError`; so does one that holds an
+    array with an empty axis, which the writer refuses to make.
     """
     path = str(path)
     try:
-        return _read_signal(path)
+        x = _read_signal(path)
     except OSError as exc:
         raise ConfigError(f"cannot read signal {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text signal file ({exc})") from exc
+    if x.size == 0:
+        raise ConfigError(f"{path}: a signal file holds a non-empty array, got shape {x.shape}")
+    return x
 
 
 def _read_signal(path):

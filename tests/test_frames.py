@@ -122,6 +122,14 @@ class TestSoftThreshold:
         assert out.shape == ref.shape and out.dtype == ref.dtype
         assert out.tobytes() == ref.tobytes()
 
+    def test_signed_zeros_at_zero_lambda_match_the_formula_bit_for_bit(self):
+        # The factor of a zero-modulus entry is 0 / 1 in the formula and is
+        # left at +0 by the shrink, so every sign of zero must come through.
+        zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        u = np.array(zeros + [complex(1.5, -0.0), complex(-0.0, 2.0), complex(-3.0, -4.0)])
+        out = soft_threshold(u, 0.0)
+        assert np.array_equal(out.view(np.uint64), reference_soft_threshold(u, 0.0).view(np.uint64))
+
     def test_leaves_its_input_unchanged(self):
         u = random_signal((4, 16), 3)
         u[0, :4] = 0.0
@@ -358,3 +366,37 @@ class TestFft:
         x = random_signal(shape, shape[1])
         assert frames._fft(x).tobytes() == np.fft.fft(x, norm="ortho").tobytes()
         assert frames._ifft(x).tobytes() == np.fft.ifft(x, norm="ortho").tobytes()
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            pytest.param(random_signal((3, 16), 1, complex_=False), id="float-1d"),
+            pytest.param(random_signal((2, 8, 12), 2, complex_=False), id="float-2d"),
+            pytest.param(random_signal((4, 32), 3)[:, ::2], id="strided-1d"),
+            pytest.param(random_signal((6, 16, 15), 4)[::2, 1::3, ::2], id="strided-2d"),
+            pytest.param(random_signal((16, 5), 5).T, id="transposed-1d"),
+            pytest.param(random_signal((8, 9, 4), 6).T, id="transposed-2d"),
+            pytest.param(random_signal((3, 1), 7), id="length-1"),
+            pytest.param(random_signal((1, 1, 1), 8), id="length-1x1"),
+            pytest.param(random_signal((2, 127), 9), id="prime-127"),
+            pytest.param(random_signal((1, 257), 10), id="prime-257"),
+            pytest.param(random_signal((2, 127, 6), 11), id="prime-127x6"),
+        ],
+    )
+    def test_direct_kernel_matches_numpy_and_leaves_input_alone(self, x):
+        # Input dtypes, layouts and lengths np.fft takes care of in its
+        # wrapper, which _fft/_ifft call past.
+        before = x.copy()
+        if x.ndim == 3:
+            fft, ifft = np.fft.fft2, np.fft.ifft2
+        else:
+            fft, ifft = np.fft.fft, np.fft.ifft
+        for got, want in (
+            (frames._fft(x), fft(x, norm="ortho")),
+            (frames._ifft(x), ifft(x, norm="ortho")),
+        ):
+            assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+            assert got.strides == want.strides
+            got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert x.tobytes() == before.tobytes()

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -159,6 +160,21 @@ class TestSignalIO:
         with pytest.raises(ShapeError, match="non-empty 1D or 2D array"):
             write_signal(path, np.ones(shape))
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "name,content",
+        [
+            ("sig.bin", io.MAGIC + struct.pack("<II", 0, 0)),
+            ("sig.bin", io.MAGIC + struct.pack("<II", 3, 0)),
+            # No data row and no shape line.
+            ("sig.csv", b"index,real,imag\n"),
+        ],
+    )
+    def test_reader_refuses_file_with_an_empty_axis(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="non-empty array"):
+            read_signal(path)
 
     @pytest.mark.parametrize("comment", ["xshape=", "# shape=", "shape", "shape =4", "operator_seed=3"])
     def test_comment_near_a_shape_line_round_trips(self, tmp_path, comment):
