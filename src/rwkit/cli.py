@@ -14,6 +14,7 @@ index) and every step is row-local.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -274,6 +275,9 @@ def _cmd_eval(cfg, args, seed):
     _write_text(args.out or "report.csv", lines)
 
 
+# Built once per process: argparse parses each argv into a fresh Namespace
+# and no action here keeps state, so a reused parser reads every call alike.
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="rwkit",

@@ -88,25 +88,28 @@ def _ortho(n):
     return np.reciprocal(np.sqrt(n, dtype=np.float64))
 
 
-def _passes(kernel, x):
+def _passes(kernel, x, out):
     # The unitary pocketfft kernel over the trailing signal axes of the batch
-    # x (axis 0 indexes signals): the last axis into a new complex array laid
-    # out like x, as np.fft lays it out, then, for a 2D batch, the row axis
-    # in place.  x is never written.
-    y = kernel(x, _ortho(x.shape[-1]), out=np.empty_like(x, dtype=np.complex128))
+    # x (axis 0 indexes signals): the last axis into out, a complex array of
+    # x's shape that does not overlap x, or, if out is None, a new one laid
+    # out like x, as np.fft lays it out; then, for a 2D batch, the row axis
+    # in place on out.  x is never written.  Returns out.
+    if out is None:
+        out = np.empty_like(x, dtype=np.complex128)
+    kernel(x, _ortho(x.shape[-1]), out=out)
     if x.ndim == 3:
-        kernel(y, _ortho(x.shape[1]), axes=[(1,), (), (1,)], out=y)
-    return y
+        kernel(out, _ortho(x.shape[1]), axes=[(1,), (), (1,)], out=out)
+    return out
 
 
-def _fft(x):
+def _fft(x, out=None):
     # Unitary FFT of a batch over its trailing signal axes.
-    return _passes(_pocketfft.fft, x)
+    return _passes(_pocketfft.fft, x, out)
 
 
-def _ifft(x):
+def _ifft(x, out=None):
     # Inverse of _fft.
-    return _passes(_pocketfft.ifft, x)
+    return _passes(_pocketfft.ifft, x, out)
 
 
 def as_signal(x):
@@ -306,25 +309,40 @@ def sparsity_norm(frame, x):
     return float(np.sum(np.abs(analyze(frame, x))))
 
 
-def _shrink(u, mag, lam):
+# The error state of a solve: the shrink's quotient divides by zero, takes
+# 0/0 and can overflow by design (see _shrink), and a solve that must stop
+# on a non-finite iterate checks for one itself.  Used only as a decorator,
+# which keeps the saved state per call.
+_solve_errstate = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
+def _shrink(u, mag, lam, f):
     # soft_threshold's arithmetic, u * (max(mag - lam, 0) / where(mag == 0,
-    # 1, mag)), in place: u (complex128) becomes the result, mag = |u| is
-    # only read, and lam is a float >= 0.  Returns u.  The factor divides
-    # only where it is positive, which implies mag > 0; elsewhere it stays
-    # +0, as 0 / 1 would leave it.
-    f = mag - lam
-    np.maximum(f, 0.0, out=f)
-    np.divide(f, mag, out=f, where=f > 0.0)
+    # 1, mag)), in place and under _solve_errstate: u (complex128) becomes
+    # the result, mag = |u| is finite and only read, f is a real scratch
+    # array of u's shape apart from mag, and lam is a float >= 0.  Returns u.
+    # f is (mag - lam) / mag, then fmax(f, 0).  Where mag - lam > 0 that is
+    # the formula's division.  Elsewhere the quotient is < 0, +0 (mag = lam),
+    # -inf (mag = 0 < lam) or NaN (mag = lam = 0), never -0, and fmax maps
+    # each to +0, the formula's 0 / 1 or max(., 0): no masked divide and no
+    # boolean temporary.
+    np.subtract(mag, lam, out=f)
+    np.divide(f, mag, out=f)
+    np.fmax(f, 0.0, out=f)
     u *= f
     return u
 
 
+@_solve_errstate
 def soft_threshold(u, lam):
     """Componentwise complex soft-thresholding.
 
     Entries with modulus below ``lam`` are zeroed; the rest are shrunk
     toward zero by ``lam`` while keeping their phase.  ``u`` is not changed.
+    An entry with an infinite or NaN part comes out NaN; a finite entry
+    whose modulus overflows to inf comes out 0.
     """
     _real(lam, "threshold", ge=0)
     u = np.array(u, dtype=np.complex128)
-    return _shrink(u, np.abs(u), float(lam))
+    mag = np.abs(u)
+    return _shrink(u, mag, float(lam), np.empty_like(mag))

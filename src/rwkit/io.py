@@ -62,10 +62,8 @@ def write_signal(path, x, comments=()):
     lines.append(f"# shape={shape}")
     lines.append("index,real,imag")
     flat = x.ravel()
-    lines.extend(
-        f"{i},{re:.17g},{im:.17g}"
-        for i, (re, im) in enumerate(zip(flat.real.tolist(), flat.imag.tolist()))
-    )
+    rows = zip(range(flat.size), flat.real.tolist(), flat.imag.tolist())
+    lines.extend(map("%d,%.17g,%.17g".__mod__, rows))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

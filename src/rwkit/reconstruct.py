@@ -7,11 +7,18 @@ the iteration count is part of the reproducibility contract.
 
 There is one reconstruction loop.  It runs over a batch whose axis 0
 indexes independent signals, each with its own mask; ``purify``,
-``ista_reconstruct`` and ``defend`` are batches of one.  Its steps work in
-place, and the step-by-step ``ista_loop`` in the tests is its bit-for-bit
-oracle.  The measurements are masked once, before the loop: the mask M is
-0/1, so the back-projected residual M(y - M r) is M y - M r, and each step
-makes one mask product instead of two.
+``ista_reconstruct`` and ``defend`` are batches of one.  It allocates its
+five batch-shaped buffers once per solve and its steps work in place on
+them, the FFTs included, so a step allocates nothing beyond what a wavelet
+frame's transforms make.  The step-by-step ``ista_loop`` in the tests is
+its bit-for-bit oracle.  The measurements are masked once, before the
+loop: the mask M is 0/1, so the back-projected residual M(y - M r) is
+M y - M r, and each step makes one mask product instead of two.
+
+A solve runs with numpy's divide, invalid and overflow warnings off: the
+shrink clamps a quotient that is -inf or NaN by design (see
+``frames._shrink``).  A non-finite iterate is still caught, by the check
+each step makes on the modulus, and raises :class:`NumericError`.
 
 With the unitary-dft frame the operator the loop inverts, the sensing
 operator composed with synthesis, is the 0/1 mask itself: diagonal and
@@ -26,7 +33,16 @@ import numpy as np
 
 from . import sensing
 from .errors import NumericError, ShapeError, _index, _real
-from .frames import Frame, _fft, _ifft, _shrink, _stack_signals, _step_transforms, as_signal
+from .frames import (
+    Frame,
+    _fft,
+    _ifft,
+    _shrink,
+    _solve_errstate,
+    _stack_signals,
+    _step_transforms,
+    as_signal,
+)
 from .sensing import _apply_batch
 
 __all__ = [
@@ -67,6 +83,7 @@ class PurifiedSignal:
     imag_residual: float = 0.0
 
 
+@_solve_errstate
 def _ista_coefficients(y, mask, params):
     """Run the thresholded gradient iteration; returns final coefficients.
 
@@ -78,9 +95,17 @@ def _ista_coefficients(y, mask, params):
     since M is 0/1, the residual the adjoint masks, M(y - M r), equals
     M y - M r, so a step needs the mask only on the forward product.  In
     floating point the two can differ only in the sign of a zero entry.
-    Each step works in place on the arrays it has just made, and one
-    modulus of the new iterate serves the finiteness check and the shrink.
-    The step-by-step ``ista_loop`` in the tests, which masks twice, is its
+
+    The loop allocates its buffers once per solve: the complex iterate
+    ``u``, the next iterate ``z`` and the residual ``r``, and the real
+    modulus ``mag`` and shrink factor ``f``.  The FFTs write into ``r`` and
+    ``z``, every other step works in place, and ``u`` and ``z`` swap roles
+    after each step.  One modulus of the new iterate serves the finiteness
+    check and the shrink.  The whole solve runs under ``_solve_errstate``
+    (numpy's divide, invalid and overflow warnings off): the shrink's
+    quotient is -inf or NaN by design where it clamps to 0, and a
+    non-finite iterate still raises :class:`NumericError`.  The
+    step-by-step ``ista_loop`` in the tests, which masks twice, is its
     bit-for-bit oracle.
 
     For the unitary-dft frame the result is S_lam(mask * y) in closed form:
@@ -91,25 +116,30 @@ def _ista_coefficients(y, mask, params):
     lam = float(params.threshold)
     if params.frame.kind == "unitary-dft":
         z = mask * y
-        return _shrink(z, _finite_modulus(z, 1), lam)
+        mag = _finite_modulus(z, 1)
+        return _shrink(z, mag, lam, np.empty_like(mag))
     analyze, synthesize = _step_transforms(params.frame, y.shape[1:])
     # The complex mask every product would cast to, cast once.
     mask = mask.astype(np.complex128)
     y = mask * y
     u = np.zeros(y.shape, dtype=np.complex128)
+    z, r = np.empty_like(u), np.empty_like(u)
+    mag, f = np.empty(y.shape), np.empty(y.shape)
     for t in range(1, params.iterations + 1):
-        r = _fft(synthesize(u))
+        _fft(synthesize(u), out=r)
         r *= mask
         np.subtract(y, r, out=r)
-        z = analyze(_ifft(r))
+        z = analyze(_ifft(r, out=z))
         z += u
-        u = _shrink(z, _finite_modulus(z, t), lam)
+        _shrink(z, _finite_modulus(z, t, out=mag), lam, f)
+        u, z = z, u
     return u
 
 
-def _finite_modulus(z, t):
-    # |z|, after checking that the iterate of step t is finite.
-    mag = np.abs(z)
+def _finite_modulus(z, t, out=None):
+    # |z|, into out if given, after checking that the iterate of step t is
+    # finite.
+    mag = np.abs(z, out=out)
     if not np.maximum.reduce(mag, axis=None) < np.inf:
         raise NumericError(f"non-finite iterate at iteration {t}")
     return mag

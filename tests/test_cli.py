@@ -322,6 +322,37 @@ class TestDeterminism:
         assert main(["eval", "--config", config_path, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_repeated_main_calls_match_single_call_runs(self, config_path, signal_path, tmp_path):
+        # main builds its parser once per process; no run may leave state
+        # that the next one reads.  Each command, with and without --seed,
+        # runs twice in this process and once in a fresh one.
+        runs = [
+            ["eval"],
+            ["eval", "--seed", "5"],
+            ["purify", "--in", signal_path],
+            ["purify", "--in", signal_path, "--seed", "5"],
+            ["certify", "--expected-defect", "0.01"],
+            ["certify", "--seed", "5", "--epsilon", "0.2"],
+        ]
+        src = str(Path(rwkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = "import sys; from rwkit.cli import main; sys.exit(main(sys.argv[1:]))"
+        single = []
+        for k, argv in enumerate(runs):
+            out = tmp_path / f"single{k}.csv"
+            args = argv + ["--config", config_path, "--out", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            single.append(out.read_bytes())
+        for round_ in range(2):
+            for k, argv in enumerate(runs):
+                out = tmp_path / f"repeat{round_}_{k}.csv"
+                assert main(argv + ["--config", config_path, "--out", str(out)]) == 0
+                assert out.read_bytes() == single[k], (round_, argv)
+
     def test_gen_data_byte_identical(self, config_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["gen-data", "--config", config_path, "--out", str(a)])

@@ -130,6 +130,19 @@ class TestSoftThreshold:
         out = soft_threshold(u, 0.0)
         assert np.array_equal(out.view(np.uint64), reference_soft_threshold(u, 0.0).view(np.uint64))
 
+    @pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-310, 1e300])
+    def test_extreme_moduli_match_the_formula_bit_for_bit(self, lam):
+        # Subnormal and huge moduli, and zeros, against thresholds from 0 to
+        # 1e300.  The shrink's quotient overflows to -inf on a subnormal
+        # modulus and is NaN at mag = lam = 0; under the session's
+        # warnings-as-errors either would fail unless the shrink silences it.
+        parts = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308, 1.5, -2.0]
+        u = np.array([complex(re, im) for re in parts for im in parts])
+        out = soft_threshold(u, lam)
+        assert np.array_equal(out.view(np.uint64), reference_soft_threshold(u, lam).view(np.uint64))
+        two_d = u.reshape(10, 10)
+        assert soft_threshold(two_d, lam).tobytes() == out.tobytes()
+
     def test_leaves_its_input_unchanged(self):
         u = random_signal((4, 16), 3)
         u[0, :4] = 0.0

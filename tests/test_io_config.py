@@ -102,6 +102,23 @@ class TestSignalIO:
         reference_write_csv(want, x, comments=comments)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("shape", [(24,), (4, 6)])
+    def test_csv_rows_match_the_per_row_f_string_text(self, tmp_path, shape):
+        # The rows are formatted with "%d,%.17g,%.17g"; before, each row was
+        # an f-string with :.17g.  Signed zeros, subnormals, huge and
+        # integral floats must come out as the f-string wrote them.
+        parts = [0.0, -0.0, 5e-324, -1e-310, 1e308, -1e308, 1.0, -2.0, 3e16, 2.0**53, 1e22, 0.1]
+        x = np.array([complex(re, im) for re, im in zip(parts + parts, parts[::-1] + parts)])
+        x = x.reshape(shape)
+        flat = x.ravel()
+        want = [f"# shape={'x'.join(map(str, shape))}", "index,real,imag"]
+        want.extend(
+            f"{i},{re:.17g},{im:.17g}"
+            for i, (re, im) in enumerate(zip(flat.real.tolist(), flat.imag.tolist()))
+        )
+        path = tmp_path / "x.csv"
+        write_signal(path, x)
+        assert path.read_text() == "\n".join(want) + "\n"
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -448,6 +448,8 @@ class TestIstaLoop:
         assert_same_bits(got, ista_loop(y, mask, params))
         assert_same_bits(y, y_before)
         assert np.array_equal(mask, mask_before)
+        # The loop swaps its buffers each step; none of them is an input.
+        assert not np.shares_memory(got, y) and not np.shares_memory(got, mask)
 
     @settings(max_examples=60, deadline=None)
     @given(loop_cases())
