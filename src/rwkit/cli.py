@@ -218,7 +218,7 @@ def run_eval(cfg, seed):
         xs[:b] = clean
         xs[b:] = clean
         xs.real[b + drawn] += delta
-        values, _ = reconstruct._purify_block(xs, np.concatenate([mask, mask]), params)
+        values = reconstruct._purify_block(xs, np.concatenate([mask, mask]), params)[0]
         # The purified rows of real inputs are reported as real signals.
         values = values.real
         predicted = np.where(np.sum(weights * values, axis=1) >= 0, 1, -1)
@@ -269,7 +269,7 @@ _REPORT_COLUMNS = [
 
 def _cmd_eval(cfg, args, seed):
     rows = run_eval(cfg, seed)
-    lines = [f"rwkit-report v2 config={config_hash(cfg)} master_seed={seed}"]
+    lines = [f"rwkit-report v3 config={config_hash(cfg)} master_seed={seed}"]
     lines.append(",".join(_REPORT_COLUMNS))
     lines.extend(",".join(_fmt(row[c]) for c in _REPORT_COLUMNS) for row in rows)
     _write_text(args.out or "report.csv", lines)

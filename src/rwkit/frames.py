@@ -339,10 +339,17 @@ def soft_threshold(u, lam):
 
     Entries with modulus below ``lam`` are zeroed; the rest are shrunk
     toward zero by ``lam`` while keeping their phase.  ``u`` is not changed.
-    An entry with an infinite or NaN part comes out NaN; a finite entry
-    whose modulus overflows to inf comes out 0.
+    An entry with an infinite or NaN part comes out NaN.  A finite entry
+    whose modulus overflows (above about 1.8e308) is shrunk through its
+    halved modulus, ``(|u|/2 - lam/2) / (|u|/2)``, the same factor.
     """
     _real(lam, "threshold", ge=0)
     u = np.array(u, dtype=np.complex128)
     mag = np.abs(u)
-    return _shrink(u, mag, float(lam), np.empty_like(mag))
+    lam = float(lam)
+    over = np.isinf(mag) & np.isfinite(u)
+    big = u[over]
+    half = np.abs(big * 0.5)
+    _shrink(u, mag, lam, np.empty_like(mag))
+    u[over] = _shrink(big, half, lam * 0.5, np.empty_like(half))
+    return u

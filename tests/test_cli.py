@@ -268,7 +268,7 @@ class TestSubcommands:
         out = tmp_path / "report.csv"
         assert main(["eval", "--config", config_path, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("# rwkit-report v2 config=")
+        assert lines[0].startswith("# rwkit-report v3 config=")
         assert lines[1] == (
             "epsilon,clean_accuracy,defended_accuracy_under_probe,"
             "mean_reconstruction_error,mean_defect,cert_radius,"

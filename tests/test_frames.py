@@ -143,6 +143,32 @@ class TestSoftThreshold:
         two_d = u.reshape(10, 10)
         assert soft_threshold(two_d, lam).tobytes() == out.tobytes()
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1e308, np.inf])
+    def test_finite_entries_whose_modulus_overflows_are_shrunk(self, lam):
+        # These finite entries have a modulus above the largest double, so
+        # np.abs gives inf for them.  They are shrunk by lam like any other
+        # entry, and every other entry keeps the formula's bits.
+        big = np.array([1.5e308 + 1.5e308j, -1.7e308 + 1e308j, 1e308 - 1.7e308j, -1.2e308 - 1.6e308j])
+        parts = [0.0, -0.0, 5e-324, 1e-310, 1e308, -1e308, 1.5, -2.0]
+        rest = np.array([complex(re, im) for re in parts for im in parts])
+        u = np.concatenate([big, rest, [complex(np.inf, 0.0), complex(np.nan, 1.0)]])
+        out = soft_threshold(u, lam)
+        k = big.size
+        if lam == np.inf:
+            want = big * 0.0
+        elif lam == 1e308:
+            # |u| - lam over |u|, from the halved modulus, which is finite.
+            want = big * np.array([(abs(z / 2) - lam / 2) / abs(z / 2) for z in big])
+            np.testing.assert_allclose(np.abs(want / 2), np.abs(big / 2) - lam / 2, rtol=1e-15)
+        else:
+            # A shrink by 0.5 is lost in the rounding of 1e308.
+            want = big
+        assert np.array_equal(out[:k].view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(
+            out[k : -2].view(np.uint64), reference_soft_threshold(rest, lam).view(np.uint64)
+        )
+        assert np.all(np.isnan(out[-2:]))
+
     def test_leaves_its_input_unchanged(self):
         u = random_signal((4, 16), 3)
         u[0, :4] = 0.0

@@ -28,6 +28,7 @@ from rwkit import (
     soft_threshold,
     synthesize,
 )
+from rwkit import reconstruct
 from rwkit.reconstruct import _ista_coefficients
 from rwkit.sensing import _adjoint_batch, _apply_batch
 
@@ -35,26 +36,59 @@ IDENTITY = Frame(kind="identity")
 DFT = Frame(kind="unitary-dft")
 
 
-def ista_loop(y, mask, params):
-    """Reference: the thresholded gradient loop, run step by step.
+# The stop rule of the loop, written out here: every 10th step before the
+# cap, a row stops once ||u_t - u_{t-1}||^2 <= (1e-14)^2 ||M y||^2.
+STOP_TOL = 1e-14
+STOP_EVERY = 10
 
-    Axis 0 of ``y`` and ``mask`` indexes rows.  The purifier runs this loop
-    for every frame but unitary-dft, whose answer it computes in closed form,
-    and its in-place loop must match this one bit for bit.  The shrink is
-    written out, not taken from ``soft_threshold``, and the frame's
-    transforms are the public per-row ``analyze`` and ``synthesize``, so the
-    two loops share only the arithmetic of the transforms.
+
+def sum_of_squares(z):
+    # The squared norm of a complex array, summed over its float64 view; it
+    # may overflow to inf.
+    with np.errstate(over="ignore"):
+        return np.sum(np.square(np.ascontiguousarray(z).view(np.float64)))
+
+
+def ista_loop(y, mask, params, stop=True):
+    """Reference: the thresholded gradient loop, run step by step, row by row.
+
+    Axis 0 of ``y`` and ``mask`` indexes rows; each row runs alone.  Returns
+    ``(u, steps)``: the final coefficients of each row and the number of
+    steps it ran.  With ``stop`` a row ends at the first step t that is a
+    multiple of ``STOP_EVERY``, below ``params.iterations``, and moved the
+    row by at most ``STOP_TOL * ||M y||`` (by nothing at all if ``||M
+    y||^2`` overflows); without it, every row runs ``params.iterations``
+    steps.  The purifier runs this loop for every frame but unitary-dft,
+    whose answer it computes in closed form, and its in-place batch loop
+    must match this one bit for bit.  The shrink is written out, not taken
+    from ``soft_threshold``, and the frame's transforms are the public
+    per-row ``analyze`` and ``synthesize``, so the two loops share only the
+    arithmetic of the transforms.
     """
     frame = params.frame
     lam = float(params.threshold)
-    u = np.zeros(y.shape, dtype=np.complex128)
-    for _ in range(params.iterations):
-        residual = y - _apply_batch(mask, synthesize_rows(frame, u))
-        back = _adjoint_batch(mask, residual)
-        z = u + np.stack([analyze(frame, row) for row in back])
-        mag = np.abs(z)
-        u = z * (np.maximum(mag - lam, 0.0) / np.where(mag == 0.0, 1.0, mag))
-    return u
+    rows, steps = [], []
+    for y_row, mask_row in zip(y, mask):
+        y_row, mask_row = y_row[None], mask_row[None]
+        limit = STOP_TOL**2 * sum_of_squares(mask_row * y_row)
+        if limit == np.inf:
+            limit = 0.0
+        u = np.zeros(y_row.shape, dtype=np.complex128)
+        t = 0
+        while t < params.iterations:
+            t += 1
+            residual = y_row - _apply_batch(mask_row, synthesize_rows(frame, u))
+            back = _adjoint_batch(mask_row, residual)
+            z = u + analyze(frame, back[0])[None]
+            mag = np.abs(z)
+            z = z * (np.maximum(mag - lam, 0.0) / np.where(mag == 0.0, 1.0, mag))
+            moved = sum_of_squares(z - u)
+            u = z
+            if stop and t % STOP_EVERY == 0 and t < params.iterations and moved <= limit:
+                break
+        rows.append(u[0])
+        steps.append(t)
+    return np.stack(rows), np.array(steps)
 
 
 def synthesize_rows(frame, coeffs):
@@ -140,7 +174,7 @@ class TestIstaReconstruct:
             ista_reconstruct(np.zeros(16), op, params)
 
     def test_sparse_recovery_matches_lp_oracle(self):
-        # The LP basis-pursuit oracle recovers exactly; the fixed-count
+        # The LP basis-pursuit oracle recovers exactly; the capped
         # thresholded iteration must land within 1e-2 of the same answer.
         params = ReconstructionParams(iterations=500, threshold=0.002, subsample_prob=0.5, frame=IDENTITY)
         errs = []
@@ -335,6 +369,20 @@ class TestPurifyMany:
         assert_bit_identical(clean, purify(x, params, seed))
         assert_bit_identical(attacked, purify(probed, params, seed))
 
+    def test_iterations_run_is_the_step_count_of_each_row(self):
+        # Rows stop at different steps; each reports the count the
+        # step-by-step loop gives for its own mask.
+        params = ReconstructionParams(iterations=120, threshold=0.02, subsample_prob=0.5, frame=IDENTITY)
+        rng = np.random.default_rng(6)
+        xs = np.stack([sparse_signal(64, 3, seed) for seed in range(12)])
+        xs += 0.02 * rng.standard_normal(xs.shape)
+        seeds = [derived_seed(6, i) for i in range(12)]
+        mask = np.stack([make_partial_fourier(64, 0.5, s).mask for s in seeds])
+        _, want = ista_loop(_apply_batch(mask, xs.astype(np.complex128)), mask, params)
+        got = [result.iterations_run for result in purify_many(xs, params, seeds)]
+        assert got == want.tolist()
+        assert min(got) < params.iterations and len(set(got)) >= 3
+
     def test_empty_batch(self):
         params = ReconstructionParams(iterations=1, threshold=0.0, subsample_prob=0.5, frame=IDENTITY)
         assert purify_many([], params, []) == []
@@ -381,7 +429,7 @@ class TestUnitaryDftClosedForm:
         xs, params, seeds = case
         ops = [make_partial_fourier(xs.shape[1:], params.subsample_prob, s) for s in seeds]
         mask = np.stack([op.mask for op in ops])
-        u = ista_loop(_apply_batch(mask, xs.astype(np.complex128)), mask, params)
+        u, _ = ista_loop(_apply_batch(mask, xs.astype(np.complex128)), mask, params, stop=False)
         want = synthesize_rows(DFT, u)
         for x, got, w, coeffs in zip(xs, purify_many(xs, params, seeds), want, u):
             assert got.iterations_run == params.iterations
@@ -398,7 +446,7 @@ class TestUnitaryDftClosedForm:
         xs, params, seeds = case
         op = make_partial_fourier(xs.shape[1:], params.subsample_prob, seeds[0])
         y = np.fft.fftn(xs[0], norm="ortho") + 0.5  # nonzero off the mask too
-        u = ista_loop(y[None], op.mask[None], params)
+        u, _ = ista_loop(y[None], op.mask[None], params, stop=False)
         assert_close_rel(ista_reconstruct(y, op, params), synthesize(DFT, u[0]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -420,12 +468,17 @@ def loop_cases(draw):
     rows = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     params = ReconstructionParams(
-        iterations=draw(st.sampled_from((1, 2, 5, 30))),
+        iterations=draw(st.sampled_from((1, 2, 5, 30, 60))),
         threshold=draw(st.sampled_from((0.0, 0.002, 0.3))),
         subsample_prob=draw(st.sampled_from((0.0, 0.5, 1.0))),
         frame=Frame(kind=kind, levels=levels),
     )
-    mask = (rng.random((rows,) + shape) < params.subsample_prob).astype(np.float64)
+    # Some batches draw each row's mask at its own probability, so that
+    # their rows stop at different steps.
+    q = params.subsample_prob
+    if draw(st.booleans()):
+        q = rng.choice([0.0, 0.5, 1.0], (rows,) + (1,) * len(shape))
+    mask = (rng.random((rows,) + shape) < q).astype(np.float64)
     y = rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
     if draw(st.booleans()):
         y *= mask
@@ -438,14 +491,56 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def stopping_rows(kind, shape, rows=16, seed=0):
+    # Measurements, masks and parameters where rows stop at many different
+    # steps and some run to the cap: 4-sparse signals in the frame plus
+    # probes of norm 0, 0.01, 0.05 or 0.1, sensed at q = 0.5.
+    frame = Frame(kind=kind, levels=2 if kind.endswith("-dwt") else 0)
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((rows, int(np.prod(shape))))
+    for row in coeffs:
+        row[rng.choice(row.size, 4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+    xs = synthesize_rows(frame, coeffs.reshape((rows,) + shape)).real
+    noise = rng.standard_normal(xs.shape)
+    norms = np.sqrt(np.sum(np.square(noise.reshape(rows, -1)), axis=1))
+    eps = rng.choice([0.0, 0.01, 0.05, 0.1], rows) / norms
+    xs += noise * eps.reshape((rows,) + (1,) * len(shape))
+    mask = (rng.random(xs.shape) < 0.5).astype(np.float64)
+    params = ReconstructionParams(iterations=120, threshold=0.02, subsample_prob=0.5, frame=frame)
+    return _apply_batch(mask, xs.astype(np.complex128)), mask, params
+
+
+STOPPING_CASES = [
+    (kind, shape) for kind in ("identity", "haar-dwt", "db4-dwt") for shape in ((64,), (16, 16))
+]
+
+
+def assert_within_the_nonexpansive_bound(got, steps, y, mask, params):
+    # A row stopped at t lies within (cap - t) * STOP_TOL * ||M y|| of the
+    # iterate the fixed-count loop reaches at the cap.
+    fixed, _ = ista_loop(y, mask, params, stop=False)
+    cap = params.iterations
+    for u, t, want, y_row, mask_row in zip(got, steps, fixed, y, mask):
+        bound = (cap - t) * STOP_TOL * np.linalg.norm(mask_row * y_row)
+        assert np.linalg.norm(u - want) <= bound, (t, bound)
+        if t == cap:
+            assert_same_bits(u, want)
+
+
 class TestIstaLoop:
+    def test_stop_rule_constants(self):
+        assert reconstruct._STOP_TOL == STOP_TOL
+        assert reconstruct._STOP_EVERY == STOP_EVERY
+
     @settings(max_examples=120, deadline=None)
     @given(loop_cases())
     def test_matches_the_step_by_step_loop_bit_for_bit(self, case):
         y, mask, params = case
         y_before, mask_before = y.copy(), mask.copy()
-        got = _ista_coefficients(y, mask, params)
-        assert_same_bits(got, ista_loop(y, mask, params))
+        got, steps = _ista_coefficients(y, mask, params)
+        want, want_steps = ista_loop(y, mask, params)
+        assert_same_bits(got, want)
+        assert steps.tolist() == want_steps.tolist()
         assert_same_bits(y, y_before)
         assert np.array_equal(mask, mask_before)
         # The loop swaps its buffers each step; none of them is an input.
@@ -453,10 +548,53 @@ class TestIstaLoop:
 
     @settings(max_examples=60, deadline=None)
     @given(loop_cases())
+    def test_capped_rows_match_the_fixed_count_loop_and_stopped_rows_its_bound(self, case):
+        y, mask, params = case
+        got, steps = _ista_coefficients(y, mask, params)
+        assert_within_the_nonexpansive_bound(got, steps, y, mask, params)
+
+    @pytest.mark.parametrize("kind,shape", STOPPING_CASES, ids=str)
+    def test_rows_stopping_at_different_steps_match_the_loop(self, kind, shape):
+        y, mask, params = stopping_rows(kind, shape)
+        got, steps = _ista_coefficients(y, mask, params)
+        # Rows stop at three or more different steps: the batch shrinks twice.
+        assert len(set(steps.tolist())) >= 3
+        want, want_steps = ista_loop(y, mask, params)
+        assert_same_bits(got, want)
+        assert steps.tolist() == want_steps.tolist()
+        assert_within_the_nonexpansive_bound(got, steps, y, mask, params)
+
+    def test_row_whose_measurement_norm_overflows_stops_only_at_a_fixed_point(self):
+        # ||M y||^2 overflows for the first row, so its limit is 0: it runs
+        # to the cap while its steps still move it by round-off.  The
+        # all-zero second row is a fixed point and stops at step 10.
+        rng = np.random.default_rng(4)
+        y = np.zeros((2, 64), dtype=np.complex128)
+        y[0] = 1e200 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        mask = np.ones((2, 64))
+        params = ReconstructionParams(iterations=30, threshold=0.0, subsample_prob=1.0, frame=IDENTITY)
+        got, steps = _ista_coefficients(y, mask, params)
+        assert steps.tolist() == [30, 10]
+        want, want_steps = ista_loop(y, mask, params)
+        assert_same_bits(got, want)
+        assert want_steps.tolist() == [30, 10]
+
+    @pytest.mark.parametrize("kind,shape", STOPPING_CASES, ids=str)
+    def test_each_row_matches_itself_run_alone(self, kind, shape):
+        y, mask, params = stopping_rows(kind, shape, rows=24, seed=1)
+        got, steps = _ista_coefficients(y, mask, params)
+        assert len(set(steps.tolist())) >= 3
+        for i in range(len(y)):
+            alone, alone_steps = _ista_coefficients(y[i : i + 1], mask[i : i + 1], params)
+            assert_same_bits(got[i], alone[0])
+            assert steps[i] == alone_steps[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(loop_cases())
     def test_ista_reconstruct_with_off_mask_measurements(self, case):
         y, mask, params = case
         op = SensingOperator(mask=mask[0].copy())
-        want = synthesize(params.frame, ista_loop(y[:1], mask[:1], params)[0])
+        want = synthesize(params.frame, ista_loop(y[:1], mask[:1], params)[0][0])
         assert_same_bits(ista_reconstruct(y[0], op, params), want)
 
     @settings(max_examples=40, deadline=None)
@@ -466,8 +604,9 @@ class TestIstaLoop:
         rng = np.random.default_rng(seeds[0])
         mask = (rng.random(xs.shape) < params.subsample_prob).astype(np.float64)
         y = np.fft.fft(xs, norm="ortho") + 0.5
-        got = _ista_coefficients(y, mask, params)
+        got, steps = _ista_coefficients(y, mask, params)
         assert_same_bits(got, soft_threshold(mask * y, params.threshold))
+        assert steps.tolist() == [params.iterations] * len(y)
 
 
 class TestDefend:
