@@ -11,8 +11,8 @@ rwp_prob) checks their ranges by building :class:`RwpParameters`.
 """
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import _Record
 from .errors import InfeasibleError, _real
 from .sensing import RwpParameters
 
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """A certified L2 radius with a probability lower bound.
 
     ``probability`` is 1.0 for deterministic statements.  ``gain`` is a
@@ -42,7 +41,7 @@ class Certificate:
     radius: float
     probability: float
     gain: float
-    inputs: dict = field(default_factory=dict)
+    inputs: dict = {}
     vacuous: bool = False
 
     def __post_init__(self):

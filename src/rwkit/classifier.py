@@ -3,11 +3,10 @@ certificates, and empirical robust-radius measurement for arbitrary
 label pipelines.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import certify
+from ._record import _Record
 from .errors import ParameterError, ShapeError, _index, _real
 from .sensing import RwpParameters, derived_seed
 
@@ -26,11 +25,10 @@ DEFAULT_PROBES = 200
 DEFAULT_RADIUS_CEILING = 1e6
 
 
-@dataclass(frozen=True)
-class LinearClassifier:
+class LinearClassifier(_Record, norepr=("weights",)):
     """f(x) = sign(<w, x>) with sign(0) := +1; w is finite, not all zero."""
 
-    weights: np.ndarray = field(repr=False)
+    weights: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -44,8 +42,7 @@ class LinearClassifier:
         return predict(self, x)
 
 
-@dataclass(frozen=True)
-class RadiusMeasurement:
+class RadiusMeasurement(_Record):
     """Empirically measured robust radius.
 
     ``flip_found`` is False for the "no upper bracket" outcome: no probed

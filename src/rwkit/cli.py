@@ -2,8 +2,9 @@
 
     rwkit <gen-data|purify|defect|certify|eval> --config <path> [--seed N] [--out <path>]
 
-Exit codes: 0 success, 2 configuration error or bad input signal (a shape
-the frame cannot transform, non-finite entries), 3 numeric failure.
+Exit codes: 0 success, 2 configuration error, bad input signal (a shape
+the frame cannot transform, non-finite entries) or an output path that
+cannot be opened, 3 numeric failure.
 
 Eval walks the (epsilon, sample) cells in epsilon-major order, in blocks of
 at most ``_BLOCK_ENTRIES`` purified signal entries that may cross epsilon
@@ -47,7 +48,7 @@ def _write_text(out, lines):
     # The first line is a header comment; the text goes to out, or stdout.
     text = "\n".join([f"# {lines[0]}"] + lines[1:]) + "\n"
     if out:
-        with open(out, "w") as fh:
+        with io._create(out, "w") as fh:
             fh.write(text)
         print(out)
     else:

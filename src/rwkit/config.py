@@ -31,9 +31,9 @@ hash is stable and parse(serialize(c)) == c.
 import hashlib
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
 
 from . import data
+from ._record import _Record
 from .defect import DefectParams
 from .errors import ConfigError, ParameterError, _index, _real
 from .frames import Frame
@@ -46,8 +46,7 @@ __all__ = ["ExperimentConfig", "parse_config", "serialize_config", "config_hash"
 _RETIRED_KEYS = frozenset({"bregman_lambda", "defect_tolerance", "defect_max_iterations"})
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     # purifier (defaults from the shipped Fourier sample configuration)
     frame: str = "unitary-dft"
     levels: int = 0
@@ -78,9 +77,9 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon_grid: must be a sequence of numbers, got {grid!r}")
         grid = tuple(grid)
         try:
-            for f in fields(self):
-                if f.type in (float, "float"):
-                    _real(getattr(self, f.name), f"{f.name}:", gt=-math.inf, lt=math.inf)
+            for name, kind in self._fields.items():
+                if kind is float:
+                    _real(getattr(self, name), f"{name}:", gt=-math.inf, lt=math.inf)
             for e in grid:
                 _real(e, "epsilon_grid: entries", ge=0, lt=math.inf)
             _real(_index(self.defect_operators, "defect_operators:"), "defect_operators:", ge=1)
@@ -121,13 +120,13 @@ def _fmt(v):
 
 def serialize_config(cfg):
     lines = []
-    for f in fields(ExperimentConfig):
-        v = getattr(cfg, f.name)
-        if f.name == "epsilon_grid":
+    for name in ExperimentConfig._fields:
+        v = getattr(cfg, name)
+        if name == "epsilon_grid":
             v = ",".join(_fmt(e) for e in v)
         else:
             v = _fmt(v)
-        lines.append(f"{f.name}={v}")
+        lines.append(f"{name}={v}")
     return "\n".join(lines) + "\n"
 
 
@@ -143,7 +142,7 @@ def parse_config(text):
         if key in raw:
             raise ConfigError(f"line {lineno}: key {key!r} already given on line {raw[key][0]}")
         raw[key] = lineno, value
-    known = {f.name: f for f in fields(ExperimentConfig)}
+    known = ExperimentConfig._fields
     kwargs = {}
     for key, (_, value) in raw.items():
         if key in _RETIRED_KEYS:
@@ -153,9 +152,9 @@ def parse_config(text):
         try:
             if key == "epsilon_grid":
                 kwargs[key] = tuple(float(e) for e in value.split(",") if e.strip())
-            elif known[key].type in (int, "int"):
+            elif known[key] is int:
                 kwargs[key] = int(value)
-            elif known[key].type in (float, "float"):
+            elif known[key] is float:
                 kwargs[key] = float(value)
             else:
                 kwargs[key] = value

@@ -10,11 +10,10 @@ On disk a dataset is one :mod:`rwkit.io` array file (CSV, or binary for a
 vector and row ``i + 1`` is signal ``i``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import io
+from ._record import _Record
 from .classifier import LinearClassifier, _inner, predict
 from .errors import ConfigError, ParameterError, _index, _real
 from .sensing import derived_seed
@@ -24,8 +23,7 @@ __all__ = ["Dataset", "gen_data", "write_dataset", "read_dataset"]
 _MAX_RESAMPLES = 10_000
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Record):
     weights: np.ndarray
     signals: list
     labels: list

@@ -15,11 +15,10 @@ and w is the mask times x up to round-off; every frame still takes the
 same path through the transforms.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import sensing
+from ._record import _Record
 from .errors import ParameterError, _index, _real
 from .frames import _stack_signals, _step_transforms, as_signal
 from .sensing import _adjoint_batch
@@ -35,16 +34,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DefectParams:
+class DefectParams(_Record):
     solution_bound: float
 
     def __post_init__(self):
         _real(self.solution_bound, "solution_bound", gt=0)
 
 
-@dataclass(frozen=True)
-class DefectResult:
+class DefectResult(_Record):
     """``defect`` is the distance to the ball; ``final_l1`` is the L1 norm
     of the nearest point of the ball, min(||w||_1, T)."""
 
@@ -123,8 +120,7 @@ def brute_force_defect(x, solution_bound, grid_step):
     return best
 
 
-@dataclass(frozen=True)
-class ExpectedDefect:
+class ExpectedDefect(_Record):
     """Monte-Carlo estimate of the expected worst-case defect."""
 
     estimate: float

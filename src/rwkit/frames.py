@@ -34,11 +34,11 @@ return their argument.  The public functions run the pair on a copy.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
+from ._record import _Record
 from .errors import ParameterError, ShapeError, _index, _real
 
 FRAME_KINDS = ("identity", "haar-dwt", "db4-dwt", "unitary-dft")
@@ -140,8 +140,7 @@ def _stack_signals(xs):
     return np.stack(rows)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_Record):
     """An invertible sparsifying transform.
 
     ``levels`` is the wavelet decomposition depth; it is ignored for the

@@ -34,12 +34,22 @@ def _check_comment(comment):
         raise ParameterError(f"comment {text!r} cannot be written as one CSV comment line")
 
 
+def _create(path, mode):
+    # Open an output file; one that cannot be opened (a missing directory,
+    # no permission) is a ConfigError, like an input that cannot be read.
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_signal(path, x, comments=()):
     """Write a complex signal to ``path`` (.bin for binary, else CSV).
 
     Before anything is written, a comment holding a line break, or whose
     stripped text starts with ``shape=``, raises :class:`ParameterError`,
     and an array that is not 1D or 2D, or is empty, :class:`ShapeError`.
+    A path that cannot be opened for writing raises :class:`ConfigError`.
     """
     for comment in comments:
         _check_comment(comment)
@@ -49,7 +59,7 @@ def write_signal(path, x, comments=()):
     path = str(path)
     if path.endswith(".bin"):
         rows, cols = (0, x.shape[0]) if x.ndim == 1 else x.shape
-        with open(path, "wb") as fh:
+        with _create(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<II", rows, cols))
             interleaved = np.empty(2 * x.size, dtype="<f8")
@@ -64,7 +74,7 @@ def write_signal(path, x, comments=()):
     flat = x.ravel()
     rows = zip(range(flat.size), flat.real.tolist(), flat.imag.tolist())
     lines.extend(map("%d,%.17g,%.17g".__mod__, rows))
-    with open(path, "w") as fh:
+    with _create(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

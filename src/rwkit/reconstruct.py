@@ -27,11 +27,10 @@ measurements and every later step maps that iterate to itself, so this
 frame skips the loop and returns that first iterate directly.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import sensing
+from ._record import _Record
 from .errors import NumericError, ShapeError, _index, _real
 from .frames import (
     Frame,
@@ -55,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReconstructionParams:
+class ReconstructionParams(_Record):
     iterations: int
     threshold: float
     subsample_prob: float
@@ -82,8 +80,7 @@ _STOP_TOL = 1e-14
 _STOP_EVERY = 10
 
 
-@dataclass(frozen=True)
-class PurifiedSignal:
+class PurifiedSignal(_Record):
     """Purifier output plus diagnostics.
 
     ``iterations_run`` is the number of steps the row ran: at most

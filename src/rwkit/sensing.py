@@ -20,11 +20,10 @@ hash over arrays and is bit-identical to ``derived_seed``; the mask and
 probe generators are built from their words by :func:`_generator`.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from ._record import _Record
 from .errors import ParameterError, ShapeError, _index, _real
 from .frames import _fft, _ifft, as_signal
 
@@ -148,8 +147,7 @@ def _generator(words):
     return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
-@dataclass(frozen=True)
-class SensingOperator:
+class SensingOperator(_Record, norepr=("mask",)):
     """A masked unitary Fourier transform with its adjoint.
 
     ``mask`` is a 0/1 array over Fourier coefficients; the operator keeps
@@ -157,7 +155,7 @@ class SensingOperator:
     any y supported on the mask exactly.
     """
 
-    mask: np.ndarray = field(repr=False)
+    mask: np.ndarray
 
     def __post_init__(self):
         self.mask.setflags(write=False)
@@ -167,8 +165,7 @@ class SensingOperator:
         return self.mask.shape
 
 
-@dataclass(frozen=True)
-class RwpParameters:
+class RwpParameters(_Record):
     """Robust-width parameters of a sensing operator.
 
     ``rwp_prob`` is the probability with which the operator satisfies the

@@ -89,6 +89,17 @@ class TestExitCodes:
         assert main([command, "--config", config_path, "--in", str(path)]) == 2
         assert "config error: cannot read signal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen-data", "purify", "defect", "certify", "eval"])
+    def test_unwritable_out_is_config_error(self, config_path, signal_path, tmp_path, capsys, command):
+        out = tmp_path / "missing-dir" / "out.csv"
+        argv = [command, "--config", config_path, "--out", str(out)]
+        if command in ("purify", "defect"):
+            argv += ["--in", signal_path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}") and err.count("\n") == 1
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("command", ["purify", "defect"])
     def test_undecodable_input_file_is_config_error(self, config_path, tmp_path, capsys, command):
         bad = tmp_path / "bad.csv"
