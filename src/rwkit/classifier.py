@@ -151,17 +151,24 @@ def empirical_robust_radius(
     directions come from the stream ``derived_seed(seed)``.  An
     upper bracket is first established by doubling from ``tol``; if none
     is found below ``radius_ceiling`` the measurement is returned with
-    ``flip_found=False``.
+    ``flip_found=False``.  A non-finite ``x``, or an extra direction whose
+    shape is not ``x``'s, raises :class:`ShapeError`.
     """
     _real(_index(probes, "probes"), "probes", ge=1)
     # A non-finite value would keep the bracket doubling forever.
     _real(tol, "tol", gt=0, lt=np.inf)
     _real(radius_ceiling, "radius_ceiling", gt=0, lt=np.inf)
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ShapeError("signal contains non-finite entries")
     rng = np.random.default_rng(derived_seed(seed))
     extra = []
     for u in extra_directions:
         u = np.asarray(u, dtype=np.float64)
+        if u.shape != x.shape:
+            raise ShapeError(
+                f"extra direction of shape {u.shape} does not match signal shape {x.shape}"
+            )
         norm = np.linalg.norm(u)
         if norm > 0:
             extra.append(u / norm)

@@ -285,7 +285,7 @@ def _build_parser():
         description="Compressed-sensing purification and robustness certification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen-data", "purify", "defect", "certify", "eval"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)

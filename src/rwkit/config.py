@@ -169,6 +169,8 @@ def load_config(path):
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text config file ({exc})") from exc
 
 
 def config_hash(cfg):

@@ -11,6 +11,8 @@ import math
 import numbers
 import operator
 
+__all__ = ["RwkitError", "ParameterError", "ShapeError", "NumericError", "InfeasibleError", "ConfigError"]
+
 
 class RwkitError(Exception):
     """Base class for all rwkit errors."""

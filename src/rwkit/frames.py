@@ -41,6 +41,8 @@ from numpy.fft import _pocketfft_umath as _pocketfft
 from ._record import _Record
 from .errors import ParameterError, ShapeError, _index, _real
 
+__all__ = ["FRAME_KINDS", "Frame", "as_signal", "analyze", "synthesize", "sparsity_norm", "soft_threshold"]
+
 FRAME_KINDS = ("identity", "haar-dwt", "db4-dwt", "unitary-dft")
 
 _SQRT2 = np.sqrt(2.0)
@@ -163,7 +165,9 @@ def _check_levels(frame, shape):
     if frame.kind not in _LOWPASS or frame.levels == 0:
         return
     for ax_len in shape:
-        if ax_len % (1 << frame.levels) != 0:
+        # 2**min(levels, bit length) divides ax_len exactly when 2**levels
+        # does, and a huge levels never builds a huge integer.
+        if ax_len % (1 << min(frame.levels, int(ax_len).bit_length())) != 0:
             raise ShapeError(
                 f"axis length {ax_len} does not support {frame.levels} "
                 "dyadic decomposition levels"

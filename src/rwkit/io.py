@@ -24,7 +24,7 @@ from .errors import ConfigError, ParameterError, ShapeError
 
 MAGIC = b"RWKSIG1\x00"
 
-__all__ = ["read_signal", "write_signal", "MAGIC"]
+__all__ = ["read_signal", "write_signal"]
 
 
 def _check_comment(comment):

@@ -197,6 +197,21 @@ class TestEmpiricalRobustRadius:
         )
         assert measured.radius <= 1e-3
 
+    @pytest.mark.parametrize("shape", [(1,), (2, 2), (5,)])
+    def test_extra_direction_of_another_shape_rejected(self, shape):
+        # A (1,) direction would broadcast one step onto every entry.
+        with pytest.raises(ShapeError, match="does not match signal shape"):
+            empirical_robust_radius(
+                lambda z: 1, np.zeros(4), probes=5, seed=0, extra_directions=(np.ones(shape),)
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_rejected(self, bad):
+        x = np.zeros(4)
+        x[2] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            empirical_robust_radius(lambda z: 1, x, probes=5, seed=0)
+
     @pytest.mark.parametrize("probes", [2.5, True, "5", None])
     def test_non_integer_probes_rejected(self, probes):
         with pytest.raises(ParameterError, match="probes must be an integer"):

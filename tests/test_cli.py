@@ -100,6 +100,29 @@ class TestExitCodes:
         assert err.startswith(f"config error: cannot write {out}") and err.count("\n") == 1
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "purify", "defect", "certify", "eval"])
+    def test_non_utf8_config_is_config_error(self, tmp_path, signal_path, capsys, command):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"n=12\xc3\x28\n")
+        argv = [command, "--config", str(bad), "--out", str(tmp_path / "out.csv")]
+        if command in ("purify", "defect"):
+            argv += ["--in", signal_path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: not a text config file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["purify", "defect", "eval"])
+    def test_huge_levels_is_config_error(self, tmp_path, signal_path, capsys, command):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(fast_config("frame=haar-dwt", f"levels={10**20}"))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+        if command in ("purify", "defect"):
+            argv += ["--in", signal_path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "axis length 32 does not support 100000000000000000000 dyadic" in err
+
     @pytest.mark.parametrize("command", ["purify", "defect"])
     def test_undecodable_input_file_is_config_error(self, config_path, tmp_path, capsys, command):
         bad = tmp_path / "bad.csv"

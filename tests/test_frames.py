@@ -235,6 +235,15 @@ class TestAsSignal:
         with pytest.raises(ShapeError):
             analyze(Frame(kind="haar-dwt", levels=3), np.ones(12))
 
+    @pytest.mark.parametrize("kind", ["haar-dwt", "db4-dwt"])
+    @pytest.mark.parametrize("shape", [(16,), (8, 8)])
+    def test_huge_levels_are_a_shape_error(self, kind, shape):
+        # The check never builds 2**levels, which would not fit in memory.
+        f = Frame(kind=kind, levels=10**20)
+        for transform in (analyze, synthesize):
+            with pytest.raises(ShapeError, match="does not support 100000000000000000000 dyadic"):
+                transform(f, np.ones(shape))
+
     def test_rejects_non_finite(self):
         x = np.ones(8)
         x[3] = np.inf
