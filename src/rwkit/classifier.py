@@ -126,13 +126,6 @@ def linear_certificate_approx(clf, x, alpha, rho, defect):
     )
 
 
-def _any_flip(pipeline, x, label, radius, directions):
-    for u in directions:
-        if pipeline(x + radius * u) != label:
-            return True
-    return False
-
-
 def empirical_robust_radius(
     pipeline,
     x,
@@ -174,20 +167,22 @@ def empirical_robust_radius(
             extra.append(u / norm)
     method = "closed-form" if extra else "bisection+random-probe"
 
-    def directions():
+    label = pipeline(x)
+    trials = 1
+
+    def probe(radius):
+        # Draw this level's directions and ask the pipeline along each of
+        # them until the first label flip; every direction counts as a trial.
+        nonlocal trials
         dirs = rng.standard_normal((probes,) + x.shape)
         norms = np.linalg.norm(dirs.reshape(probes, -1), axis=1)
         dirs /= norms.reshape((probes,) + (1,) * x.ndim)
-        return extra + list(dirs)
-
-    label = pipeline(x)
-    trials = 1
-    hi = tol
-    while True:
-        dirs = directions()
+        dirs = extra + list(dirs)
         trials += len(dirs)
-        if _any_flip(pipeline, x, label, hi, dirs):
-            break
+        return any(pipeline(x + radius * u) != label for u in dirs)
+
+    hi = tol
+    while not probe(hi):
         hi *= 2.0
         if hi > radius_ceiling:
             return RadiusMeasurement(
@@ -196,9 +191,7 @@ def empirical_robust_radius(
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        dirs = directions()
-        trials += len(dirs)
-        if _any_flip(pipeline, x, label, mid, dirs):
+        if probe(mid):
             hi = mid
         else:
             lo = mid

@@ -30,14 +30,20 @@ __all__ = ["main", "run_eval"]
 
 
 def _dataset(cfg, seed):
-    return data.gen_data(
-        cfg.n,
-        cfg.count,
-        cfg.sparsity,
-        seed,
-        margin_floor=cfg.margin_floor,
-        weights_seed=cfg.weights_seed,
-    )
+    try:
+        return data.gen_data(
+            cfg.n,
+            cfg.count,
+            cfg.sparsity,
+            seed,
+            margin_floor=cfg.margin_floor,
+            weights_seed=cfg.weights_seed,
+        )
+    except ParameterError as exc:
+        # The config passed gen_data's parameter checks and main checks the
+        # seed, so this is a margin_floor that no draw reaches: a fault of
+        # the config, not a numeric failure.
+        raise ConfigError(str(exc)) from None
 
 
 def _header(cfg, seed):

@@ -73,8 +73,7 @@ def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
                 break
         else:
             raise ParameterError(
-                f"could not reach margin floor {margin_floor} in "
-                f"{_MAX_RESAMPLES} draws"
+                f"margin_floor {margin_floor} not reached in {_MAX_RESAMPLES} draws"
             )
         signals.append(x)
         labels.append(1 if inner >= 0 else -1)

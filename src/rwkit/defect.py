@@ -5,8 +5,7 @@ The defect of a coefficient vector w is min ||w - a||_1 over ||a||_1 <= T.
 By the triangle inequality no point of the ball is closer than
 ||w||_1 - T, and shrinking every entry toward zero until the L1 norm is T
 attains that distance, so the defect is max(0, ||w||_1 - T), with complex
-entries taken as moduli.  ``brute_force_defect`` is an exhaustive grid
-oracle for it, kept for tests.
+entries taken as moduli.
 
 The coefficients of a signal x are its back-projection through a sensing
 operator, w = analyze(adjoint(x)).  With the unitary-dft frame ``analyze``
@@ -29,7 +28,6 @@ __all__ = [
     "ExpectedDefect",
     "coefficient_defect",
     "sparsity_defect",
-    "brute_force_defect",
     "expected_defect",
 ]
 
@@ -82,42 +80,6 @@ def sparsity_defect(x, op, frame, params):
     sensing._check_shape(op, arr.shape)
     l1 = _l1_batch(op.mask[None], arr[None], frame)[0]
     return _result(l1, params.solution_bound)
-
-
-def brute_force_defect(x, solution_bound, grid_step):
-    """Exhaustive oracle: minimum L1 distance to the L1 ball over a grid.
-
-    Refused for dimension > 3 (combinatorial blowup); intended as a test
-    oracle only.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size > 3:
-        raise ParameterError(f"brute force oracle limited to dim <= 3, got {x.size}")
-    _real(grid_step, "grid_step", gt=0)
-    T = float(_real(solution_bound, "solution_bound", ge=0))
-    # Tiny slack so grid points on the ball boundary survive float rounding.
-    slack = 1e-9 * max(1.0, T)
-    axis = np.arange(-T, T + grid_step / 2, grid_step)
-    if x.size == 1:
-        candidates = axis[np.abs(axis) <= T + slack]
-        return float(np.min(np.abs(x[0] - candidates)))
-    if x.size == 2:
-        a0, a1 = np.meshgrid(axis, axis, indexing="ij")
-        feasible = np.abs(a0) + np.abs(a1) <= T + slack
-        dist = np.abs(x[0] - a0) + np.abs(x[1] - a1)
-        return float(np.min(dist[feasible]))
-    best = np.inf
-    for a0 in axis:
-        rem = T - abs(a0) + slack
-        if rem < 0:
-            continue
-        a1, a2 = np.meshgrid(axis, axis, indexing="ij")
-        feasible = np.abs(a1) + np.abs(a2) <= rem
-        if not feasible.any():
-            continue
-        dist = abs(x[0] - a0) + np.abs(x[1] - a1) + np.abs(x[2] - a2)
-        best = min(best, float(np.min(dist[feasible])))
-    return best
 
 
 class ExpectedDefect(_Record):

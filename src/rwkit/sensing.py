@@ -15,13 +15,15 @@ e, i, 1)``, the two children of ``derived_seed(seed, e, i).spawn(2)``.
 
 A generator reads from its ``SeedSequence`` only the four PCG64 seed words
 ``generate_state(4, np.uint64)``.  Eval computes the words of all its
-streams in one pass, :func:`_states`, which runs numpy's ``SeedSequence``
-hash over arrays and is bit-identical to ``derived_seed``; the mask and
-probe generators are built from their words by :func:`_generator`.
+streams in one pass, :func:`_states`, which is bit-identical to
+``derived_seed``: it starts from numpy's own pool of ``derived_seed(seed)``,
+which every stream shares, and runs numpy's ``SeedSequence`` hash over
+arrays on the key words alone.  The mask and probe generators are built
+from their words by :func:`_generator`.
 """
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
 
 from ._record import _Record
 from .errors import ParameterError, ShapeError, _index, _real
@@ -58,17 +60,18 @@ _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _words(value):
-    # numpy's reading of entropy as uint32 words: an integer >= 0 splits
-    # into little-endian words (0 is one word), a sequence concatenates.
-    if np.ndim(value):
-        return [w for v in value for w in _words(v)]
-    value = int(value)
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+def _hash_consts(init, mult, first, count):
+    # A hash constant starts at init and is multiplied by mult at each use;
+    # its values before uses first, ..., first + count - 1, as uint32.
+    uses = range(first, first + count)
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in uses], dtype=np.uint32)
+
+
+def _hashmix(value, consts):
+    # numpy's hashmix of ``value`` at each successive constant: row d uses
+    # consts[d] and consts[d + 1], as the C code's running hash constant does.
+    value = (value ^ consts[:-1, None]) * consts[1:, None]
+    return value ^ (value >> 16)
 
 
 def _states(seed, keys):
@@ -77,10 +80,16 @@ def _states(seed, keys):
     Row k of the ``(rows, 4)`` uint64 result is
     ``derived_seed(seed, *keys[k]).generate_state(4, np.uint64)``, bit for
     bit, for a ``(rows, m)`` integer array ``keys`` with m >= 1 and entries
-    in ``[0, 2**32)``.  It runs numpy's ``SeedSequence`` hash on all rows at
-    once: the hash constants do not depend on the data, so they stay Python
-    integers and only the entropy and pool words are uint32 arrays, whose
-    products wrap silently as the C code's do.
+    in ``[0, 2**32)``.
+
+    numpy hashes a stream's words into a pool one by one: its run entropy,
+    zero-padded to the pool size if it has a spawn key, then that key.
+    Every stream here is the words of ``seq = derived_seed(seed)`` followed
+    by its key, so all share the pool ``seq`` ends with, ``seq.pool``; when
+    ``seq`` has no key and fewer words than the pool, numpy hashes the empty
+    slots as 0, which is what the padding supplies.  The pass starts from
+    that pool and hashes the key words alone, over arrays with one column
+    per row, whose uint32 products wrap silently as the C code's do.
     """
     seq = derived_seed(seed)
     keys = np.asarray(keys)
@@ -88,43 +97,19 @@ def _states(seed, keys):
         raise ParameterError("spawn keys must be a (rows, m >= 1) integer array")
     if np.any((keys < 0) | (keys > _MASK32)):
         raise ParameterError("spawn key entries must lie in [0, 2**32)")
-    run = _words(seq.entropy)
-    # The spawn key is not empty, so numpy pads the run entropy to the pool.
-    run += [0] * (seq.pool_size - len(run))
-    head = run + _words(seq.spawn_key)
-    entropy = np.empty((len(head) + keys.shape[1], len(keys)), dtype=np.uint32)
-    entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    entropy[len(head) :] = keys.T
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value *= hash_const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> 16)
-
     size = seq.pool_size
-    pool = [hashmix(word) for word in entropy[:size]]
-    for src in range(size):
-        for dst in range(size):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[size:]:
-        for dst in range(size):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    state = np.empty((len(keys), 8), dtype=np.uint32)
-    hash_const = _INIT_B
-    for i in range(8):
-        value = pool[i % size] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value *= hash_const
-        state[:, i] = value ^ (value >> 16)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    shared = max(len(_coerce_to_uint32_array(seq.entropy)), size)
+    shared += len(_coerce_to_uint32_array(seq.spawn_key))
+    # Filling the pool takes size**2 hash steps and each later word size more.
+    consts = _hash_consts(_INIT_A, _MULT_A, size * shared, size * keys.shape[1] + 1)
+    pool = np.repeat(seq.pool[:, None], len(keys), axis=1)
+    for j, word in enumerate(keys.T.astype(np.uint32)):
+        hashed = _hashmix(word, consts[j * size : (j + 1) * size + 1])
+        mixed = pool * _MIX_MULT_L - hashed * _MIX_MULT_R
+        pool = mixed ^ (mixed >> 16)
+    # The output stage: eight uint32 words, read cyclically from the pool.
+    state = _hashmix(pool[np.arange(8) % size], _hash_consts(_INIT_B, _MULT_B, 0, 9))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 def _state(seed):

@@ -33,7 +33,6 @@ from rwkit import (
     adjoint,
     analyze,
     apply,
-    brute_force_defect,
     certify_probabilistic,
     coefficient_defect,
     defect_budget,
@@ -59,6 +58,7 @@ from rwkit import (
 from rwkit.classifier import LinearClassifier
 from rwkit.cli import main as cli_main
 
+from oracles import brute_force_defect
 from test_reconstruct import lp_basis_pursuit
 
 IDENTITY = Frame(kind="identity")

@@ -11,7 +11,6 @@ from rwkit import (
     RadiusMeasurement,
     ReconstructionParams,
     RwpParameters,
-    brute_force_defect,
     empirical_robust_radius,
     expected_defect,
     gen_data,
@@ -28,6 +27,8 @@ from rwkit import (
     robustness_gain,
     rwp_probability_exponent,
 )
+
+from oracles import brute_force_defect
 
 
 class TestKappa:

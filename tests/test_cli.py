@@ -61,10 +61,19 @@ class TestExitCodes:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["eval", "--config", str(tmp_path / "nope.cfg")]) == 2
 
-    def test_malformed_config_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("bogus_key=1\n", "unknown config key 'bogus_key'"),
+            ("# a comment\nn 12\n", "line 2: expected key=value, got 'n 12'"),
+        ],
+        ids=["unknown-key", "no-equals-sign"],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("bogus_key=1\n")
+        bad.write_text(text)
         assert main(["eval", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_numeric_failure_exit_code(self, tmp_path, signal_path):
         # An infeasible certificate (alpha * tau <= 2 * epsilon) is a
@@ -73,8 +82,10 @@ class TestExitCodes:
         cfg.write_text(FAST_CONFIG + "alpha=2.1\ntau=0.01\n")
         assert main(["certify", "--config", str(cfg), "--epsilon", "0.2"]) == 3
 
-    def test_missing_input_signal(self, config_path):
-        assert main(["purify", "--config", config_path]) == 2
+    @pytest.mark.parametrize("command", ["purify", "defect"])
+    def test_missing_input_signal(self, config_path, capsys, command):
+        assert main([command, "--config", config_path]) == 2
+        assert capsys.readouterr().err == f"config error: {command} requires --in <signal file>\n"
 
     @pytest.mark.parametrize("shape_line", ["2x4", "8"])
     def test_signal_shape_row_mismatch_is_config_error(self, config_path, tmp_path, shape_line):
@@ -152,6 +163,18 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--in", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "eval"])
+    def test_unreachable_margin_floor_is_config_error(self, tmp_path, capsys, command):
+        # A 2-sparse signal with entries in (-1, 1) has margin below sqrt(2)
+        # against a unit weight vector, so no draw reaches a floor of 5.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(fast_config("margin_floor=5", "count=2"))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: margin_floor 5.0 not reached") and err.count("\n") == 1
         assert not out.exists()
 
     def test_eval_empty_epsilon_grid_is_config_error(self, tmp_path):

@@ -12,13 +12,14 @@ from rwkit import (
     Frame,
     ParameterError,
     ShapeError,
-    brute_force_defect,
     coefficient_defect,
     derived_seed,
     expected_defect,
     make_partial_fourier,
     sparsity_defect,
 )
+
+from oracles import brute_force_defect
 
 IDENTITY = Frame(kind="identity")
 

@@ -33,7 +33,7 @@ PUBLIC_NAMES = {
     "defend",
     # defect
     "DefectParams", "DefectResult", "ExpectedDefect", "coefficient_defect", "sparsity_defect",
-    "brute_force_defect", "expected_defect",
+    "expected_defect",
     # certify
     "Certificate", "kappa", "performance_bound", "defect_budget", "certify_probabilistic",
     "partial_fourier_rwp", "rip_from_rwp", "rwp_probability_exponent", "robustness_gain",
@@ -50,7 +50,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_the_recorded_names_once():
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 60
     assert set(rwkit.__all__) == PUBLIC_NAMES
     assert len(rwkit.__all__) == len(set(rwkit.__all__))
 

@@ -227,13 +227,25 @@ class TestDerivedSeed:
 
 
 # Seeds of 1, 2, 4 and 5 little-endian words, and SeedSequence seeds with a
-# spawn key, a sequence entropy or a larger pool.
+# spawn key, a sequence entropy or a larger pool, alone or together: a pool
+# of 8 with a spawn key of multi-word entries, and a sequence entropy with a
+# spawn key.
 HASHED_SEEDS = st.one_of(
     st.sampled_from((0, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**200)),
     st.integers(0, 2**200),
     st.integers(0, 2**63 - 1).map(lambda s: derived_seed(s, 5)),
     st.lists(st.integers(0, 2**40), min_size=1, max_size=6).map(np.random.SeedSequence),
     st.integers(0, 2**64).map(lambda s: np.random.SeedSequence(s, pool_size=8)),
+    st.builds(
+        lambda s, key: np.random.SeedSequence(s, spawn_key=key, pool_size=8),
+        st.integers(0, 2**300),
+        st.lists(st.integers(0, 2**70), min_size=1, max_size=3),
+    ),
+    st.builds(
+        lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=key),
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
+    ),
 )
 
 
