@@ -168,7 +168,8 @@ def run_eval(cfg, seed):
     row in one array operation, and computes the defects of its samples in
     one batch.  Sample i at epsilon index e draws its mask and its probe from
     the streams :mod:`rwkit.sensing` names; the mask is shared by both copies
-    and by the defect, and a cell at epsilon 0 draws no probe.  The seed
+    and by the defect, and the probe is scaled to norm epsilon, so a cell at
+    epsilon 0 draws its probe and scales it to zero.  The seed
     words of every stream are hashed in one batch before the walk, so
     Python does per cell only the building of two generators and their
     draws; the rest runs as array operations over the block, and every step
@@ -187,7 +188,7 @@ def run_eval(cfg, seed):
     except ShapeError as exc:
         raise ConfigError(f"levels: {exc}") from None
     dataset = _dataset(cfg, seed)
-    weights = dataset.classifier.weights
+    weights = dataset.weights
     signals = np.asarray(dataset.signals)
     labels = np.asarray(dataset.labels)
     grid = cfg.epsilon_grid
@@ -209,22 +210,17 @@ def run_eval(cfg, seed):
     for start in range(0, cells, per_block):
         stop = min(start + per_block, cells)
         b = stop - start
-        e_index, i_index = e_all[start:stop], i_all[start:stop]
+        i_index = i_all[start:stop]
         mask = sensing._masks(mask_states[start:stop], (n,), cfg.subsample_prob)
-        # A cell at epsilon 0 draws no probe; the others are scaled to norm
-        # epsilon before they are added.
-        epsilons = grid_values[e_index]
-        drawn = np.flatnonzero(epsilons != 0)
-        delta = np.empty((drawn.size, n))
-        for row, words in zip(delta, probe_states[start + drawn]):
+        # Every probe is scaled to norm epsilon; at epsilon 0 its entries are
+        # +-0.0, and adding them leaves the clean row's bits as they are.
+        delta = np.empty((b, n))
+        for row, words in zip(delta, probe_states[start:stop]):
             sensing._generator(words).standard_normal(out=row)
-        delta *= (epsilons[drawn] / _row_norms(delta))[:, None]
+        delta *= (grid_values[e_all[start:stop]] / _row_norms(delta))[:, None]
         clean = signals[i_index]
         # Rows 0..b-1 are the clean copies, rows b..2b-1 the probed ones.
-        xs = np.empty((2 * b, n), dtype=np.complex128)
-        xs[:b] = clean
-        xs[b:] = clean
-        xs.real[b + drawn] += delta
+        xs = np.concatenate([clean, clean + delta])
         values = reconstruct._purify_block(xs, np.concatenate([mask, mask]), params)[0]
         # The purified rows of real inputs are reported as real signals.
         values = values.real
@@ -232,7 +228,7 @@ def run_eval(cfg, seed):
         clean_ok[start:stop] = predicted[:b] == labels[i_index]
         defended_ok[start:stop] = predicted[b:] == labels[i_index]
         errors[start:stop] = _row_norms(values[b:] - clean)
-        l1[start:stop] = defect._l1_batch(mask, xs[:b], frame)
+        l1[start:stop] = defect._l1_batch(mask, clean, frame)
     rows = []
     for e, epsilon in enumerate(grid):
         ecells = slice(e * count, (e + 1) * count)
@@ -261,24 +257,12 @@ def run_eval(cfg, seed):
     return rows
 
 
-_REPORT_COLUMNS = [
-    "epsilon",
-    "clean_accuracy",
-    "defended_accuracy_under_probe",
-    "mean_reconstruction_error",
-    "mean_defect",
-    "cert_radius",
-    "cert_probability",
-    "cert_gain",
-    "seed",
-]
-
-
 def _cmd_eval(cfg, args, seed):
     rows = run_eval(cfg, seed)
     lines = [f"rwkit-report v3 config={config_hash(cfg)} master_seed={seed}"]
-    lines.append(",".join(_REPORT_COLUMNS))
-    lines.extend(",".join(_fmt(row[c]) for c in _REPORT_COLUMNS) for row in rows)
+    # The columns are run_eval's row keys, in the order it builds them.
+    lines.append(",".join(rows[0]))
+    lines.extend(",".join(map(_fmt, row.values())) for row in rows)
     _write_text(args.out or "report.csv", lines)
 
 

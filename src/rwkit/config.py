@@ -1,8 +1,9 @@
 """Flat key=value experiment configuration.
 
-The on-disk format is one ``key=value`` pair per line with ``#`` comments
-and blank lines ignored; a key given twice is an error that names both
-lines.  ``epsilon_grid`` is a comma-separated list.
+The on-disk format is UTF-8 text (a leading byte-order mark is accepted)
+with one ``key=value`` pair per line, ``#`` comments and blank lines
+ignored; a key given twice is an error that names both lines.
+``epsilon_grid`` is a comma-separated list.
 The keys of the retired iterative defect solver (``bregman_lambda``,
 ``defect_tolerance``, ``defect_max_iterations``) are accepted and ignored;
 any other unknown key is an error.
@@ -32,7 +33,7 @@ import hashlib
 import math
 from collections.abc import Iterable
 
-from . import data
+from . import data, io
 from ._record import _Record
 from .defect import DefectParams
 from .errors import ConfigError, ParameterError, _index, _real
@@ -164,13 +165,7 @@ def parse_config(text):
 
 
 def load_config(path):
-    try:
-        with open(path) as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not a text config file ({exc})") from exc
+    return parse_config(io._read(path, "config"))
 
 
 def config_hash(cfg):

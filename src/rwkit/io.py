@@ -14,6 +14,9 @@ index column is exactly ``0..N-1``.
 Binary format: 16-byte header (8-byte magic ``RWKSIG1\\0``, uint32 LE rows,
 uint32 LE cols; rows == 0 marks a 1D signal of length cols), followed by
 interleaved little-endian float64 (real, imag) pairs in row-major order.
+
+Text files, read or written, are UTF-8; a reader accepts and drops a
+leading byte-order mark.
 """
 
 import struct
@@ -35,12 +38,27 @@ def _check_comment(comment):
 
 
 def _create(path, mode):
-    # Open an output file; one that cannot be opened (a missing directory,
-    # no permission) is a ConfigError, like an input that cannot be read.
+    # Open an output file, text as UTF-8; one that cannot be opened (a
+    # missing directory, no permission) is a ConfigError, like an input that
+    # cannot be read.
     try:
-        return open(path, mode)
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _read(path, what, binary=False):
+    # The whole content of an input file, as bytes or as UTF-8 text with an
+    # optional byte-order mark; a file that cannot be read or decoded is a
+    # ConfigError that names it as a ``what`` file.
+    mode, encoding = ("rb", None) if binary else ("r", "utf-8-sig")
+    try:
+        with open(path, mode, encoding=encoding) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text {what} file ({exc})") from exc
 
 
 def write_signal(path, x, comments=()):
@@ -62,10 +80,7 @@ def write_signal(path, x, comments=()):
         with _create(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<II", rows, cols))
-            interleaved = np.empty(2 * x.size, dtype="<f8")
-            interleaved[0::2] = x.real.ravel()
-            interleaved[1::2] = x.imag.ravel()
-            fh.write(interleaved.tobytes())
+            fh.write(x.astype("<c16").tobytes())
         return
     shape = "x".join(str(s) for s in x.shape)
     lines = [f"# {c}" for c in comments]
@@ -86,12 +101,7 @@ def read_signal(path):
     array with an empty axis, which the writer refuses to make.
     """
     path = str(path)
-    try:
-        x = _read_signal(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read signal {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not a text signal file ({exc})") from exc
+    x = _read_signal(path)
     if x.size == 0:
         raise ConfigError(f"{path}: a signal file holds a non-empty array, got shape {x.shape}")
     return x
@@ -99,19 +109,16 @@ def read_signal(path):
 
 def _read_signal(path):
     if path.endswith(".bin"):
-        with open(path, "rb") as fh:
-            header = fh.read(16)
-            if len(header) != 16 or header[:8] != MAGIC:
-                raise ConfigError(f"{path}: not an rwkit binary signal")
-            rows, cols = struct.unpack("<II", header[8:])
-            n = cols if rows == 0 else rows * cols
-            payload = fh.read()
-        if len(payload) != 16 * n:
+        content = _read(path, "signal", binary=True)
+        if len(content) < 16 or content[:8] != MAGIC:
+            raise ConfigError(f"{path}: not an rwkit binary signal")
+        rows, cols = struct.unpack("<II", content[8:16])
+        n = cols if rows == 0 else rows * cols
+        if len(content) != 16 + 16 * n:
             raise ConfigError(f"{path}: truncated binary signal")
-        x = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+        x = np.frombuffer(content, dtype="<c16", offset=16).astype(np.complex128)
         return x if rows == 0 else x.reshape(rows, cols)
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    lines = _read(path, "signal").split("\n")
     # The header is every line before the first data row: comments, blank
     # lines and the column row.
     shape = None

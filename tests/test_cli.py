@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -409,6 +410,42 @@ class TestDeterminism:
                 out = tmp_path / f"repeat{round_}_{k}.csv"
                 assert main(argv + ["--config", config_path, "--out", str(out)]) == 0
                 assert out.read_bytes() == single[k], (round_, argv)
+
+    def test_config_with_byte_order_mark_gives_the_same_report(self, config_path, tmp_path):
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(config_path).read_bytes())
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        assert main(["eval", "--config", config_path, "--out", str(plain)]) == 0
+        assert main(["eval", "--config", str(bom), "--out", str(marked)]) == 0
+        assert marked.read_bytes() == plain.read_bytes()
+
+    def test_no_command_opens_text_in_the_locale_encoding(self, config_path, signal_path, tmp_path):
+        # Every text file rwkit reads or writes names its encoding, so no
+        # command warns under -X warn_default_encoding.
+        runs = [
+            ["gen-data", "--out", str(tmp_path / "data.csv")],
+            ["purify", "--in", signal_path, "--out", str(tmp_path / "purified.csv")],
+            ["defect", "--in", signal_path, "--out", str(tmp_path / "defect.txt")],
+            ["certify", "--out", str(tmp_path / "cert.txt")],
+            ["eval", "--out", str(tmp_path / "report.csv")],
+        ]
+        src = str(Path(rwkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import json, sys; from rwkit.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if main(argv):\n"
+            "        sys.exit(' '.join(argv))\n"
+        )
+        argvs = json.dumps([argv + ["--config", config_path] for argv in runs])
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", code, argvs],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_gen_data_byte_identical(self, config_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

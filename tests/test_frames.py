@@ -8,9 +8,11 @@ from rwkit import (
     FRAME_KINDS,
     Frame,
     ParameterError,
+    ReconstructionParams,
     ShapeError,
     analyze,
     as_signal,
+    purify,
     soft_threshold,
     sparsity_norm,
     synthesize,
@@ -252,6 +254,23 @@ class TestAsSignal:
 
     def test_promotes_to_complex(self):
         assert as_signal(np.ones(8)).dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.ones((2, 4, 4)), "signal must be 1D or 2D, got ndim=3"),
+            (np.ones(0), "signal must have at least one element"),
+            (np.ones((3, 0)), "signal must have at least one element"),
+        ],
+    )
+    def test_public_entry_points_reject_what_is_not_a_signal(self, x, message):
+        params = ReconstructionParams(
+            iterations=5, threshold=0.1, subsample_prob=0.5, frame=Frame(kind="identity")
+        )
+        with pytest.raises(ShapeError, match=message):
+            analyze(Frame(kind="unitary-dft"), x)
+        with pytest.raises(ShapeError, match=message):
+            purify(x, params, seed=0)
 
 
 class TestAnalyzeSynthesize:

@@ -292,6 +292,34 @@ class TestSignalIO:
         with pytest.raises(ConfigError, match="not a text signal file"):
             read_signal(path)
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([complex(1.5, -0.0), complex(-0.0, np.nan), complex(np.nan, 0.0), -2.25 + 1e-310j]),
+            np.arange(12.0).reshape(3, 4) - 1j * np.arange(12.0).reshape(3, 4)[::-1],
+            # Not contiguous: every other column of a Fortran-ordered array.
+            np.asfortranarray(np.arange(24.0).reshape(4, 6) * (1 - 2j))[:, ::2],
+        ],
+        ids=["1d-signed-zero-nan", "2d", "non-contiguous"],
+    )
+    def test_binary_bytes_match_hand_built_file(self, tmp_path, x):
+        rows, cols = (0, x.shape[0]) if x.ndim == 1 else x.shape
+        want = io.MAGIC + struct.pack("<II", rows, cols)
+        for v in x.ravel().tolist():
+            want += struct.pack("<dd", v.real, v.imag)
+        path = tmp_path / "sig.bin"
+        write_signal(path, x)
+        assert path.read_bytes() == want
+        assert read_signal(path).tobytes() == np.ascontiguousarray(x).tobytes()
+
+    @pytest.mark.parametrize("comments", [(), ("rwkit v1 config=abc",)])
+    def test_csv_with_byte_order_mark_reads_back(self, tmp_path, comments):
+        x = np.array([[complex(0.5, -0.0), complex(-0.0, 2.0)], [1e-310 - 1j, -3.0 + 0.25j]])
+        path = tmp_path / "sig.csv"
+        write_signal(path, x, comments=comments)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_signal(path).tobytes() == x.tobytes()
+
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "sig.bin"
         write_signal(path, np.ones(8))
