@@ -91,7 +91,8 @@ def certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected_defect):
 
         rwp_prob - 4*alpha*rho*expected_defect / (alpha*tau - 2*epsilon),
 
-    clamped to [0, 1] with a vacuous flag when clamped at zero.
+    clamped to [0, 1] with a vacuous flag when clamped at zero.  Where a
+    product in the ratio overflows, the ratio is taken exactly.
     """
     RwpParameters(rho=rho, alpha=alpha, rwp_prob=rwp_prob)
     _real(tau, "tau")
@@ -102,8 +103,22 @@ def certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected_defect):
             f"requires alpha * tau > 2 * epsilon "
             f"(alpha={alpha}, tau={tau}, epsilon={epsilon})"
         )
-    raw = rwp_prob - 4.0 * alpha * rho * expected_defect / (alpha * tau - 2.0 * epsilon)
-    probability = min(max(raw, 0.0), 1.0)
+    numerator = 4.0 * alpha * rho * expected_defect
+    denominator = alpha * tau - 2.0 * epsilon
+    if math.isfinite(numerator) and math.isfinite(denominator):
+        raw = rwp_prob - numerator / denominator
+    else:
+        # A product overflowed (alpha near the float maximum, say), which
+        # gives a NaN or a wrong ratio: take the ratio exactly instead.  The
+        # check above makes the exact denominator positive.  fractions is
+        # imported only here, as it would add about 3 ms to importing rwkit.
+        from fractions import Fraction
+
+        p, a, r, t, e, d = (
+            Fraction(float(v)) for v in (rwp_prob, alpha, rho, tau, epsilon, expected_defect)
+        )
+        raw = p - 4 * a * r * d / (a * t - 2 * e)
+    probability = float(min(max(raw, 0.0), 1.0))
     gain = robustness_gain(kappa(epsilon, alpha, rho, expected_defect))
     return Certificate(
         radius=epsilon,

@@ -2,9 +2,10 @@
 
     rwkit <gen-data|purify|defect|certify|eval> --config <path> [--seed N] [--out <path>]
 
-Exit codes: 0 success, 2 configuration error, bad input signal (a shape
-the frame cannot transform, non-finite entries) or an output path that
-cannot be opened, 3 numeric failure.
+Exit codes, all decided in ``main``: 0 success; 2 a bad value or input (a
+config error, any ``ParameterError``, a bad input signal, an output path
+that cannot be opened, an allocation the config's sizes make fail); 3
+numeric failure.
 
 Eval walks the (epsilon, sample) cells in epsilon-major order, in blocks of
 at most ``_BLOCK_ENTRIES`` purified signal entries that may cross epsilon
@@ -30,20 +31,14 @@ __all__ = ["main", "run_eval"]
 
 
 def _dataset(cfg, seed):
-    try:
-        return data.gen_data(
-            cfg.n,
-            cfg.count,
-            cfg.sparsity,
-            seed,
-            margin_floor=cfg.margin_floor,
-            weights_seed=cfg.weights_seed,
-        )
-    except ParameterError as exc:
-        # The config passed gen_data's parameter checks and main checks the
-        # seed, so this is a margin_floor that no draw reaches: a fault of
-        # the config, not a numeric failure.
-        raise ConfigError(str(exc)) from None
+    return data.gen_data(
+        cfg.n,
+        cfg.count,
+        cfg.sparsity,
+        seed,
+        margin_floor=cfg.margin_floor,
+        weights_seed=cfg.weights_seed,
+    )
 
 
 def _header(cfg, seed):
@@ -110,11 +105,8 @@ def _cmd_defect(cfg, args, seed):
 def _cmd_certify(cfg, args, seed):
     for flag, value in (("--expected-defect", args.expected_defect), ("--epsilon", args.epsilon)):
         if value is not None:
-            try:
-                _real(value, f"{flag}:", gt=-math.inf, lt=math.inf)
-                _real(value, f"{flag}:", ge=0)
-            except ParameterError as exc:
-                raise ConfigError(str(exc)) from None
+            _real(value, f"{flag}:", gt=-math.inf, lt=math.inf)
+            _real(value, f"{flag}:", ge=0)
     expected = args.expected_defect
     if expected is None:
         expected = 0.0
@@ -309,8 +301,9 @@ def main(argv=None):
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.master_seed
         _COMMANDS[args.command](cfg, args, seed)
-    except (ConfigError, ShapeError) as exc:
-        # A ShapeError here comes from the input signal or the config.
+    except (ConfigError, ParameterError, ShapeError, MemoryError) as exc:
+        # Every value a command passes on comes from the config, a flag or
+        # the input signal, so each of these is a fault of the input.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RwkitError as exc:

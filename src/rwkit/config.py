@@ -3,7 +3,8 @@
 The on-disk format is UTF-8 text (a leading byte-order mark is accepted)
 with one ``key=value`` pair per line, ``#`` comments and blank lines
 ignored; a key given twice is an error that names both lines.
-``epsilon_grid`` is a comma-separated list.
+``epsilon_grid`` is a comma-separated list of numbers; an empty value is
+the empty grid, and an empty entry (``0.1,,0.2`` or ``0.1,``) is an error.
 The keys of the retired iterative defect solver (``bregman_lambda``,
 ``defect_tolerance``, ``defect_max_iterations``) are accepted and ignored;
 any other unknown key is an error.
@@ -152,7 +153,7 @@ def parse_config(text):
             raise ConfigError(f"unknown config key {key!r}")
         try:
             if key == "epsilon_grid":
-                kwargs[key] = tuple(float(e) for e in value.split(",") if e.strip())
+                kwargs[key] = tuple(map(float, value.split(","))) if value else ()
             elif known[key] is int:
                 kwargs[key] = int(value)
             elif known[key] is float:

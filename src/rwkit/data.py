@@ -33,9 +33,14 @@ class Dataset(_Record):
         return LinearClassifier(weights=self.weights)
 
 
+# The longest complex128 row numpy can index; a longer n ends in numpy's
+# ValueError, not in a ParameterError.
+_MAX_N = np.iinfo(np.intp).max // 16
+
+
 def _check_params(n, count, k, margin_floor):
     # The dataset's parameter rules; n, count and k are integers.
-    _real(_index(n, "n"), "n", ge=1)
+    _real(_index(n, "n"), "n", ge=1, le=_MAX_N)
     _real(_index(count, "count"), "count", ge=1)
     _real(_index(k, "sparsity k"), "sparsity k", ge=1, le=n)
     _real(margin_floor, "margin_floor", gt=0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rwkit import (
     Certificate,
@@ -131,6 +133,40 @@ class TestCertifyProbabilistic:
         cert = certify_probabilistic(0.9, 4.0, 0.05, 0.5, 0.2, 0.1)
         assert cert.inputs["alpha"] == 4.0
         assert cert.inputs["expected_defect"] == 0.1
+
+    @pytest.mark.parametrize(
+        "alpha, rho, tau, epsilon, expected",
+        [
+            # 4*alpha*rho*d and alpha*tau both overflow: the ratio was NaN.
+            (1e308, 1.0, 10.0, 0.1, 1.0),
+            # Only alpha*tau overflows: the ratio read 0, not about 0.043.
+            (1e307, 0.1, 27.0, 8.9e307, 1.0),
+            # 4*alpha*rho overflows and the defect is 0: inf * 0 was NaN.
+            (1e308, 10.0, 10.0, 0.1, 0.0),
+        ],
+    )
+    def test_overflowing_products_give_the_exact_ratio(self, alpha, rho, tau, epsilon, expected):
+        cert = certify_probabilistic(0.99, alpha, rho, tau, epsilon, expected)
+        # The same ratio with alpha divided out, which overflows nowhere here.
+        ratio = 4.0 * rho * expected / (tau - 2.0 * epsilon / alpha)
+        assert cert.probability == pytest.approx(0.99 - ratio, abs=1e-15)
+        assert not cert.vacuous
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 1.0),
+        *(st.floats(0.0, exclude_min=True, allow_infinity=False) for _ in range(2)),
+        st.floats(allow_nan=False, allow_infinity=False),
+        *(st.floats(0.0, allow_infinity=False) for _ in range(2)),
+    )
+    def test_probability_lies_in_unit_interval(self, rwp_prob, alpha, rho, tau, epsilon, expected):
+        # Finite inputs that pass the call's own checks: feasibility, and a
+        # positive epsilon for a positive defect.
+        assume(alpha * tau > 2.0 * epsilon)
+        assume(epsilon > 0 or expected == 0)
+        cert = certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected)
+        assert 0.0 <= cert.probability <= 1.0
+        assert cert.probability == 0.0 or not cert.vacuous
 
 
 class TestRwpMapping:

@@ -24,7 +24,6 @@ iterations=40
 threshold=0.002
 subsample_prob=0.7
 epsilon_grid=0.01,0.05
-defect_max_iterations=2000
 margin_floor=0.05
 """
 
@@ -291,6 +290,86 @@ class TestExitCodes:
         assert main(argv + epsilon_args) == 2
         assert "config error: --epsilon: must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, module, name",
+        [
+            ("purify", reconstruct, "purify"),
+            ("defect", defect, "sparsity_defect"),
+            ("certify", certify, "certify_probabilistic"),
+        ],
+    )
+    def test_parameter_error_from_a_command_is_config_error(
+        self, config_path, signal_path, tmp_path, capsys, monkeypatch, command, module, name
+    ):
+        # main maps every ParameterError to exit 2, wherever it is raised.
+        def refuse(*args, **kwargs):
+            raise ParameterError("probe")
+
+        monkeypatch.setattr(module, name, refuse)
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", config_path, "--out", str(out)]
+        if command in ("purify", "defect"):
+            argv += ["--in", signal_path]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: probe\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "purify", "defect", "certify", "eval"])
+    @pytest.mark.parametrize("n", [10**20, 2**60])
+    def test_huge_n_is_config_error(self, tmp_path, signal_path, capsys, command, n):
+        # Longer than any complex128 row numpy can index: refused with the
+        # config, before anything is allocated.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(fast_config(f"n={n}"))
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command in ("purify", "defect"):
+            argv += ["--in", signal_path]
+        assert main(argv) == 2
+        longest = np.iinfo(np.intp).max // 16
+        assert capsys.readouterr().err == f"config error: n must lie in [1, {longest:g}], got {n}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "eval"])
+    def test_failed_allocation_is_config_error(self, config_path, tmp_path, capsys, monkeypatch, command):
+        # The allocation is simulated: one of this size could be granted by
+        # a host that overcommits memory and then end the run.
+        message = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+        def allocate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(data, "gen_data", allocate)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", config_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["certify", "eval"])
+    @pytest.mark.parametrize("grid", ["0.1,,0.2", "0.1,", ",0.1"])
+    def test_empty_epsilon_grid_entry_is_config_error(self, tmp_path, capsys, command, grid):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(fast_config(f"epsilon_grid={grid}"))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: epsilon_grid: could not convert string to float: ''\n"
+        assert not out.exists()
+
+    def test_certify_with_alpha_near_the_float_maximum(self, tmp_path, capsys):
+        # 4*alpha*rho*d and alpha*tau overflow; the certificate is the exact
+        # ratio's 0.99 - 4/(10 - 2e-309), not a NaN that exits 3.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(fast_config("alpha=1e308", "tau=10", "rho=1"))
+        argv = ["certify", "--config", str(cfg), "--expected-defect", "1", "--epsilon", "0.1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "probability=0.58999999999999997\n" in out and "vacuous=False\n" in out
+
+    def test_eval_with_alpha_near_the_float_maximum_has_finite_certificates(self):
+        cfg = rwkit.parse_config(fast_config("alpha=1e308", "tau=10", "rho=1"))
+        for row in cli.run_eval(cfg, 0):
+            assert all(np.isfinite(row[key]) for key in ("cert_radius", "cert_probability", "cert_gain"))
 
 
 class TestSubcommands:

@@ -457,6 +457,12 @@ class TestGenData:
         with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
             gen_data(n, count, k, 0)
 
+    def test_n_beyond_numpy_row_length_rejected(self):
+        # Checked before any draw, so nothing of this size is allocated.
+        longest = np.iinfo(np.intp).max // 16
+        with pytest.raises(ParameterError, match=f"^n must lie in \\[1, .*\\], got {longest + 1}$"):
+            gen_data(longest + 1, 2, 3, 0)
+
     def test_margin_floor_respected(self):
         floor = 0.05
         dataset = gen_data(32, 30, 3, 1, margin_floor=floor)
