@@ -1,12 +1,12 @@
 """Certification calculus for the purification defense.
 
-The central quantity is the denoiser performance factor
+The robust-width theorem bounds the denoiser's output error by
 
-    kappa(eps) = 2/alpha + (4*rho/eps) * max_defect
+    C(eps) = 2*eps/alpha + 4*rho * max_defect,
 
-from which the performance bound C(eps) = eps * kappa(eps), the admissible
-defect budget, the probabilistic certificate and the robustness-gain lower
-bound 1/kappa all follow.  Every function that takes alpha and rho (and
+and the performance factor kappa(eps) = C(eps)/eps, the admissible defect
+budget, the probabilistic certificate and the robustness-gain lower bound
+1/kappa all follow.  Every function that takes alpha and rho (and
 rwp_prob) checks their ranges by building :class:`RwpParameters`.
 """
 
@@ -62,25 +62,44 @@ def kappa(epsilon, alpha, rho, max_defect):
 
 
 def performance_bound(epsilon, alpha, rho, max_defect):
-    """Guaranteed denoiser output error C(eps) = eps * kappa(eps)."""
-    return epsilon * kappa(epsilon, alpha, rho, max_defect)
+    """Guaranteed denoiser output error C(eps) = 2*eps/alpha + 4*rho*max_defect."""
+    RwpParameters(rho=rho, alpha=alpha)
+    _real(max_defect, "max_defect", ge=0)
+    _real(epsilon, "epsilon", ge=0)
+    return 2.0 * epsilon / alpha + 4.0 * rho * max_defect
+
+
+def _slack(alpha, rho, tau, epsilon, *values):
+    """The slack alpha*tau - 2*epsilon, the weight 4*alpha*rho, then ``values``,
+    each exactly, as an int ratio (numerator, denominator > 0) of the float
+    inputs; InfeasibleError unless the slack is finite and positive.
+    """
+    _real(rho, "rho", lt=math.inf)
+    _real(tau, "tau")
+    _real(epsilon, "epsilon")
+    if math.isfinite(alpha) and math.isfinite(tau) and math.isfinite(epsilon):
+        ratios = [float(v).as_integer_ratio() for v in (alpha, rho, tau, epsilon, *values)]
+        (na, da), (nr, dr), (nt, dt), (ne, de), *exact = ratios
+        slack = na * nt * de - 2 * ne * da * dt
+        if slack > 0:
+            return (slack, da * dt * de), (4 * na * nr, da * dr), *exact
+    raise InfeasibleError(
+        f"requires a finite, positive alpha * tau - 2 * epsilon (alpha={alpha}, tau={tau}, epsilon={epsilon})"
+    )
 
 
 def defect_budget(tau, epsilon, alpha, rho):
     """Largest max-defect keeping the performance bound below tau.
 
-    Requires tau * alpha / 2 > epsilon; the budget is
-    (tau - 2*epsilon/alpha) / (4*rho).
+    (alpha*tau - 2*epsilon) / (4*alpha*rho), rounded once from its exact
+    value (to inf beyond the float range); it needs a finite rho.
     """
     RwpParameters(rho=rho, alpha=alpha)
-    _real(tau, "tau")
-    _real(epsilon, "epsilon")
-    if not tau * alpha > 2.0 * epsilon:
-        raise InfeasibleError(
-            f"requires tau * alpha / 2 > epsilon "
-            f"(tau={tau}, alpha={alpha}, epsilon={epsilon})"
-        )
-    return (tau - 2.0 * epsilon / alpha) / (4.0 * rho)
+    (sn, sd), (wn, wd) = _slack(alpha, rho, tau, epsilon)
+    try:
+        return sn * wd / (sd * wn)
+    except OverflowError:
+        return math.inf
 
 
 def certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected_defect):
@@ -91,39 +110,19 @@ def certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected_defect):
 
         rwp_prob - 4*alpha*rho*expected_defect / (alpha*tau - 2*epsilon),
 
-    clamped to [0, 1] with a vacuous flag when clamped at zero.  Where a
-    product in the ratio overflows, the ratio is taken exactly.
+    computed exactly, clamped at zero and rounded once; ``vacuous`` is its
+    exact sign.  It needs a finite rho and ``expected_defect``.
     """
     RwpParameters(rho=rho, alpha=alpha, rwp_prob=rwp_prob)
-    _real(tau, "tau")
-    _real(expected_defect, "expected_defect", ge=0)
+    _real(expected_defect, "expected_defect", ge=0, lt=math.inf)
     _real(epsilon, "epsilon", ge=0)
-    if not alpha * tau > 2.0 * epsilon:
-        raise InfeasibleError(
-            f"requires alpha * tau > 2 * epsilon "
-            f"(alpha={alpha}, tau={tau}, epsilon={epsilon})"
-        )
-    numerator = 4.0 * alpha * rho * expected_defect
-    denominator = alpha * tau - 2.0 * epsilon
-    if math.isfinite(numerator) and math.isfinite(denominator):
-        raw = rwp_prob - numerator / denominator
-    else:
-        # A product overflowed (alpha near the float maximum, say), which
-        # gives a NaN or a wrong ratio: take the ratio exactly instead.  The
-        # check above makes the exact denominator positive.  fractions is
-        # imported only here, as it would add about 3 ms to importing rwkit.
-        from fractions import Fraction
-
-        p, a, r, t, e, d = (
-            Fraction(float(v)) for v in (rwp_prob, alpha, rho, tau, epsilon, expected_defect)
-        )
-        raw = p - 4 * a * r * d / (a * t - 2 * e)
-    probability = float(min(max(raw, 0.0), 1.0))
-    gain = robustness_gain(kappa(epsilon, alpha, rho, expected_defect))
+    (sn, sd), (wn, wd), (pn, pd), (dn, dd) = _slack(alpha, rho, tau, epsilon, rwp_prob, expected_defect)
+    # p - (wn/wd)(dn/dd)/(sn/sd) = raw / (pd*wd*dd*sn), with a positive denominator.
+    raw = pn * wd * dd * sn - pd * wn * dn * sd
     return Certificate(
         radius=epsilon,
-        probability=probability,
-        gain=gain,
+        probability=max(raw, 0) / (pd * wd * dd * sn),
+        gain=robustness_gain(kappa(epsilon, alpha, rho, expected_defect)),
         inputs={
             "alpha": alpha,
             "rho": rho,
@@ -131,7 +130,7 @@ def certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected_defect):
             "rwp_prob": rwp_prob,
             "expected_defect": expected_defect,
         },
-        vacuous=raw < 0.0,
+        vacuous=raw < 0,
     )
 
 
@@ -144,7 +143,7 @@ def partial_fourier_rwp(sparsity_level, rip_delta):
     constants, so certificates require a user-supplied probability (see
     :func:`rwp_probability_exponent` for the comparative diagnostic).
     """
-    _real(sparsity_level, "sparsity level", ge=1)
+    _real(sparsity_level, "sparsity level", ge=1, lt=math.inf)
     _real(rip_delta, "RIP constant", ge=0, lt=1.0 / 3.0)
     return RwpParameters(
         rho=3.0 / math.sqrt(sparsity_level), alpha=1.0 / 3.0 - rip_delta
@@ -155,7 +154,8 @@ def rip_from_rwp(rho, alpha):
     """Inverse of :func:`partial_fourier_rwp`: (J, delta) = (9/rho^2, 1/3 - alpha)."""
     RwpParameters(rho=rho, alpha=alpha)
     _real(alpha, "alpha of the partial Fourier mapping", lt=1.0 / 3.0)
-    return 9.0 / rho**2, 1.0 / 3.0 - alpha
+    # 9/rho/rho, as rho**2 underflows to 0 for rho below 1.5e-154.
+    return 9.0 / rho / rho, 1.0 / 3.0 - alpha
 
 
 def rwp_probability_exponent(dimension, rho, alpha):
@@ -165,9 +165,9 @@ def rwp_probability_exponent(dimension, rho, alpha):
     decays faster); never a calibrated probability.
     """
     RwpParameters(rho=rho, alpha=alpha)
-    _real(dimension, "dimension", ge=2)
+    _real(dimension, "dimension", ge=2, lt=math.inf)
     _real(alpha, "alpha of the exponent", lt=1.0 / 3.0)
-    return math.log(dimension) * (math.log(9.0) - math.log(rho**2 * (1.0 / 3.0 - alpha)))
+    return math.log(dimension) * (math.log(9.0) - 2.0 * math.log(rho) - math.log(1.0 / 3.0 - alpha))
 
 
 def robustness_gain(kappa_value):

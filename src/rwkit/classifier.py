@@ -144,8 +144,8 @@ def empirical_robust_radius(
     directions come from the stream ``derived_seed(seed)``.  An
     upper bracket is first established by doubling from ``tol``; if none
     is found below ``radius_ceiling`` the measurement is returned with
-    ``flip_found=False``.  A non-finite ``x``, or an extra direction whose
-    shape is not ``x``'s, raises :class:`ShapeError`.
+    ``flip_found=False``.  A non-finite ``x`` or extra direction, or one whose
+    shape is not ``x``'s, raises :class:`ShapeError`; a zero one is dropped.
     """
     _real(_index(probes, "probes"), "probes", ge=1)
     # A non-finite value would keep the bracket doubling forever.
@@ -162,6 +162,8 @@ def empirical_robust_radius(
             raise ShapeError(
                 f"extra direction of shape {u.shape} does not match signal shape {x.shape}"
             )
+        if not np.all(np.isfinite(u)):
+            raise ShapeError("extra direction contains non-finite entries")
         norm = np.linalg.norm(u)
         if norm > 0:
             extra.append(u / norm)

@@ -108,8 +108,6 @@ def _cmd_certify(cfg, args, seed):
             _real(value, f"{flag}:", gt=-math.inf, lt=math.inf)
             _real(value, f"{flag}:", ge=0)
     expected = args.expected_defect
-    if expected is None:
-        expected = 0.0
     epsilon = cfg.epsilon_grid[0] if cfg.epsilon_grid else 0.0
     if args.epsilon is not None:
         epsilon = args.epsilon
@@ -225,12 +223,12 @@ def run_eval(cfg, seed):
     for e, epsilon in enumerate(grid):
         ecells = slice(e * count, (e + 1) * count)
         mean_defect = float(np.mean(defect._excess(l1[ecells], cfg.defect_bound)))
-        cert_radius = cert_prob = cert_gain = float("nan")
+        cert_prob = cert_gain = float("nan")
         try:
             cert = certify.certify_probabilistic(
                 cfg.rwp_prob, cfg.alpha, cfg.rho, cfg.tau, epsilon, mean_defect
             )
-            cert_radius, cert_prob, cert_gain = cert.radius, cert.probability, cert.gain
+            cert_prob, cert_gain = cert.probability, cert.gain
         except (InfeasibleError, ParameterError):
             pass
         rows.append(
@@ -240,7 +238,6 @@ def run_eval(cfg, seed):
                 "defended_accuracy_under_probe": float(np.mean(defended_ok[ecells])),
                 "mean_reconstruction_error": float(np.mean(errors[ecells])),
                 "mean_defect": mean_defect,
-                "cert_radius": cert_radius,
                 "cert_probability": cert_prob,
                 "cert_gain": cert_gain,
                 "seed": seed,
@@ -251,7 +248,7 @@ def run_eval(cfg, seed):
 
 def _cmd_eval(cfg, args, seed):
     rows = run_eval(cfg, seed)
-    lines = [f"rwkit-report v3 config={config_hash(cfg)} master_seed={seed}"]
+    lines = [f"rwkit-report v4 config={config_hash(cfg)} master_seed={seed}"]
     # The columns are run_eval's row keys, in the order it builds them.
     lines.append(",".join(rows[0]))
     lines.extend(",".join(map(_fmt, row.values())) for row in rows)
@@ -275,7 +272,7 @@ def _build_parser():
         if name in ("purify", "defect"):
             p.add_argument("--in", dest="infile", default=None)
         if name == "certify":
-            p.add_argument("--expected-defect", type=float, default=None)
+            p.add_argument("--expected-defect", type=float, default=0.0)
             p.add_argument("--epsilon", type=float, default=None)
     return parser
 

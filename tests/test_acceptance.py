@@ -11,8 +11,9 @@ stated runtime budgets:
 6. certification arithmetic,
 7. end-to-end defense (robust radius and clean accuracy),
 8. byte-identical eval reports: a fixed config must reproduce a recorded
-   report, and the v2 recording differs from the v1 one it replaced only by
-   round-off and by the v1 defect solver's error.
+   report, and each recording differs from the one it replaced only as its
+   report version says (v1 -> v2: round-off and the v1 defect solver's
+   error; v3 -> v4: the dropped cert_radius column).
 
 Criterion 9: large-scale image-classification accuracy tables are out of
 scope by design and are replaced by criteria 3-7; nothing to execute.
@@ -299,7 +300,7 @@ def test_criterion_8_report_matches_recorded(tmp_path):
     cfg.write_text(CRITERION_8_CONFIG)
     out = tmp_path / "report.csv"
     assert cli_main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA_DIR / "criterion_8_report_v3.csv").read_bytes()
+    assert out.read_bytes() == (DATA_DIR / "criterion_8_report_v4.csv").read_bytes()
     elapsed_guard(start, 120.0)
 
 
@@ -357,6 +358,24 @@ def test_criterion_8_v3_report_differs_from_v2_only_by_the_header():
         assert len(old) == len(new) == len(columns)
         for column, a, b in zip(columns, old, new):
             assert b == a, column
+
+
+def test_criterion_8_v4_report_differs_from_v3_only_by_the_cert_radius_column():
+    # v4 drops cert_radius, which only repeated epsilon, and computes the
+    # certificate exactly.  Criterion 8's certificates round alike both ways,
+    # so every other column keeps its v3 text.
+    v3_header, *v3 = (DATA_DIR / "criterion_8_report_v3.csv").read_text().splitlines()
+    v4_header, *v4 = (DATA_DIR / "criterion_8_report_v4.csv").read_text().splitlines()
+    assert v3_header.startswith("# rwkit-report v3 ")
+    assert v4_header == v3_header.replace(" v3 ", " v4 ", 1)
+    assert len(v4) == len(v3)
+    columns = v3[0].split(",")
+    dropped = columns.index("cert_radius")
+    assert v4[0].split(",") == columns[:dropped] + columns[dropped + 1 :]
+    for old, new in zip(v3[1:], v4[1:]):
+        old, new = old.split(","), new.split(",")
+        assert len(old) == len(columns) and old[dropped] == old[columns.index("epsilon")]
+        assert new == old[:dropped] + old[dropped + 1 :]
 
 
 def test_criterion_9_out_of_scope_documented():

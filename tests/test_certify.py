@@ -1,6 +1,10 @@
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwkit import (
@@ -33,6 +37,54 @@ from rwkit import (
 from oracles import brute_force_defect
 
 
+def exact_certificate(rwp_prob, alpha, rho, tau, epsilon, expected):
+    """Oracle: the certificate's (probability, vacuous) from exact rationals,
+    or None where certify_probabilistic must refuse its inputs."""
+    values = (rwp_prob, alpha, rho, tau, epsilon, expected)
+    if not all(math.isfinite(v) for v in values):
+        return None
+    p, a, r, t, e, d = map(Fraction, values)
+    # kappa has no finite bound at epsilon 0 with a positive defect.
+    if not (0 <= p <= 1 and a > 0 and r > 0 and e >= 0 and d >= 0 and a * t > 2 * e and (e > 0 or d == 0)):
+        return None
+    raw = p - 4 * a * r * d / (a * t - 2 * e)
+    return float(min(max(raw, 0), 1)), raw < 0
+
+
+def exact_budget(tau, epsilon, alpha, rho):
+    """Oracle: defect_budget from exact rationals, or None where it must refuse."""
+    if not all(math.isfinite(v) for v in (tau, epsilon, alpha, rho)):
+        return None
+    t, e, a, r = map(Fraction, (tau, epsilon, alpha, rho))
+    if not (a > 0 and r > 0 and a * t > 2 * e):
+        return None
+    budget = (a * t - 2 * e) / (4 * a * r)
+    try:
+        return float(budget)
+    except OverflowError:  # rounds beyond the largest float
+        return math.inf
+
+
+@st.composite
+def feasible_inputs(draw):
+    # Finite inputs that pass certify_probabilistic's checks, drawn directly:
+    # epsilon below alpha*tau/2 exactly, and a positive defect only with a
+    # positive epsilon.
+    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    rwp_prob, alpha, rho, tau = draw(st.floats(0.0, 1.0)), draw(positive), draw(positive), draw(positive)
+    half = Fraction(alpha) * Fraction(tau) / 2
+    top = float(min(half, Fraction(sys.float_info.max)))
+    if Fraction(top) >= half:
+        top = math.nextafter(top, 0.0)
+    epsilon = draw(st.floats(0.0, top))
+    expected = draw(st.floats(0.0, allow_infinity=False) if epsilon > 0 else st.just(0.0))
+    return rwp_prob, alpha, rho, tau, epsilon, expected
+
+
+# Any float, with the valid ranges drawn more often than not.
+ANY_FLOAT = st.one_of(st.floats(0.0, allow_infinity=False), st.floats())
+
+
 class TestKappa:
     def test_zero_defect_reduces_to_two_over_alpha(self):
         assert kappa(0.1, 4.0, 0.05, 0.0) == pytest.approx(0.5, abs=1e-12)
@@ -46,6 +98,8 @@ class TestKappa:
     def test_zero_epsilon_with_defect_rejected(self):
         with pytest.raises(ParameterError):
             kappa(0.0, 4.0, 0.05, 0.2)
+        # C(eps) = eps * kappa(eps) stays finite there.
+        assert performance_bound(0.0, 4.0, 0.05, 0.2) == pytest.approx(0.04, abs=1e-15)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -92,6 +146,10 @@ class TestDefectBudget:
     def test_boundary_rejected(self):
         with pytest.raises(InfeasibleError):
             defect_budget(0.1, 0.2, 4.0, 0.05)  # tau * alpha == 2 * epsilon
+
+    def test_underflowing_slack_is_feasible(self):
+        # alpha * tau underflows to 0 in floats; the exact slack is 1e-400.
+        assert defect_budget(1e-200, 0.0, 1e-200, 0.05) == 5e-200
 
     def test_budget_saturates_performance_bound(self):
         tau, eps, alpha, rho = 0.5, 0.2, 4.0, 0.05
@@ -152,21 +210,66 @@ class TestCertifyProbabilistic:
         assert cert.probability == pytest.approx(0.99 - ratio, abs=1e-15)
         assert not cert.vacuous
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.floats(0.0, 1.0),
-        *(st.floats(0.0, exclude_min=True, allow_infinity=False) for _ in range(2)),
-        st.floats(allow_nan=False, allow_infinity=False),
-        *(st.floats(0.0, allow_infinity=False) for _ in range(2)),
+    @pytest.mark.parametrize(
+        "inputs, probability",
+        [
+            # 4*alpha*rho*d underflowed to 5e-324 and the ratio to 0: 0.99.
+            ((0.99, 1e-300, 1e-12, 1e-20, 5e-324, 5e-13), 0.9897998021782678),
+            # alpha * tau underflowed to 0 and was called infeasible.
+            ((0.99, 1e-200, 0.05, 1e-200, 0.0, 0.0), 0.99),
+        ],
     )
-    def test_probability_lies_in_unit_interval(self, rwp_prob, alpha, rho, tau, epsilon, expected):
-        # Finite inputs that pass the call's own checks: feasibility, and a
-        # positive epsilon for a positive defect.
-        assume(alpha * tau > 2.0 * epsilon)
-        assume(epsilon > 0 or expected == 0)
-        cert = certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected)
+    def test_underflowing_products_give_the_exact_certificate(self, inputs, probability):
+        cert = certify_probabilistic(*inputs)
+        assert cert.probability == probability
+        assert not cert.vacuous
+
+    @pytest.mark.parametrize(
+        "inputs, error, match",
+        [
+            ((0.9, 4.0, 0.05, math.inf, 0.1, 0.0), InfeasibleError, "tau=inf"),
+            ((0.9, 4.0, 0.05, 1.0, math.inf, 0.0), InfeasibleError, "epsilon=inf"),
+            ((0.9, math.inf, 0.05, 1.0, 0.1, 0.0), InfeasibleError, "alpha=inf"),
+            ((0.9, 4.0, math.inf, 1.0, 0.1, 0.0), ParameterError, "rho must be finite"),
+            ((0.9, 4.0, 0.05, 1.0, 0.1, math.inf), ParameterError, "expected_defect must be finite"),
+        ],
+    )
+    def test_infinite_input_is_named(self, inputs, error, match):
+        # All but the infinite epsilon ended in a bare OverflowError.
+        with pytest.raises(error, match=match):
+            certify_probabilistic(*inputs)
+        rwp_prob, alpha, rho, tau, epsilon, expected = inputs
+        if expected == 0:  # an input defect_budget takes too
+            with pytest.raises(error, match=match):
+                defect_budget(tau, epsilon, alpha, rho)
+
+    @settings(max_examples=300, deadline=None)
+    @given(feasible_inputs())
+    def test_probability_lies_in_unit_interval(self, inputs):
+        cert = certify_probabilistic(*inputs)
         assert 0.0 <= cert.probability <= 1.0
         assert cert.probability == 0.0 or not cert.vacuous
+        assert (cert.probability, cert.vacuous) == exact_certificate(*inputs)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.floats(0.0, 1.0), ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+    def test_matches_the_exact_oracle(self, rwp_prob, alpha, rho, tau, epsilon, expected):
+        # Subnormals, values near the float maximum, infinities and NaN: the
+        # call gives the oracle's rounding of the exact value, or refuses
+        # with one of rwkit's two errors exactly where the oracle does.
+        want = exact_certificate(rwp_prob, alpha, rho, tau, epsilon, expected)
+        try:
+            cert = certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected)
+            got = cert.probability, cert.vacuous
+        except (ParameterError, InfeasibleError):
+            got = None
+        assert got == want
+        want = exact_budget(tau, epsilon, alpha, rho)
+        try:
+            got = defect_budget(tau, epsilon, alpha, rho)
+        except (ParameterError, InfeasibleError):
+            got = None
+        assert got == want
 
 
 class TestRwpMapping:
@@ -197,6 +300,21 @@ class TestRwpMapping:
 
     def test_never_fabricates_probability(self):
         assert partial_fourier_rwp(9, 0.1).rwp_prob == 0.0
+
+    def test_extreme_rho(self):
+        # rho**2 underflows to 0 or overflows: ZeroDivisionError, OverflowError,
+        # or a log of 0, where J rounds to inf or 0 and the exponent is finite.
+        assert rip_from_rwp(1e-200, 0.1) == (math.inf, pytest.approx(1.0 / 3.0 - 0.1))
+        assert rip_from_rwp(1e200, 0.1)[0] == 0.0
+        for rho in (1e-200, 1e200):
+            want = rwp_probability_exponent(128, 1.0, 0.1) - 2 * math.log(128) * math.log(rho)
+            assert rwp_probability_exponent(128, rho, 0.1) == pytest.approx(want, rel=1e-14)
+
+    def test_infinite_sizes_rejected(self):
+        with pytest.raises(ParameterError, match="sparsity level must be finite"):
+            partial_fourier_rwp(math.inf, 0.1)
+        with pytest.raises(ParameterError, match="dimension must be finite"):
+            rwp_probability_exponent(math.inf, 0.5, 0.1)
 
     def test_probability_exponent_diagnostic(self):
         small = rwp_probability_exponent(128, 1.0, 0.2)
@@ -265,6 +383,8 @@ NAN_CASES = [
     ("kappa-rho", lambda v: kappa(0.1, 4.0, v, 0), ParameterError, "rho"),
     ("kappa-max_defect", lambda v: kappa(0.1, 4.0, 0.05, v), ParameterError, "max_defect"),
     ("kappa-epsilon", lambda v: kappa(v, 4.0, 0.05, 0.2), ParameterError, "epsilon"),
+    ("performance_bound-epsilon", lambda v: performance_bound(v, 4.0, 0.05, 0.0),
+     ParameterError, "epsilon"),
     ("defect_budget", lambda v: defect_budget(v, 0.1, 4, 0.05), InfeasibleError, "tau"),
     ("defect_budget-epsilon", lambda v: defect_budget(0.5, v, 4, 0.05), InfeasibleError, "epsilon"),
     ("certify_probabilistic", lambda v: certify_probabilistic(0.9, 4.0, 0.05, 1.0, v, 0.0),

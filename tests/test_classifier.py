@@ -206,6 +206,26 @@ class TestEmpiricalRobustRadius:
             )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_extra_direction_rejected(self, bad):
+        # An infinite direction gave radius 0 with a RuntimeWarning, where the
+        # true radius is 0.5; a NaN one was dropped without a word.
+        clf = LinearClassifier(weights=np.ones(4))
+        with pytest.raises(ShapeError, match="extra direction contains non-finite"):
+            empirical_robust_radius(
+                lambda z: predict(clf, z),
+                np.array([1.0, 0.0, 0.0, 0.0]),
+                extra_directions=([bad, 0.0, 0.0, 0.0],),
+            )
+
+    def test_zero_extra_direction_is_dropped(self):
+        measured = empirical_robust_radius(
+            lambda z: 1, np.zeros(4), probes=5, tol=0.1, seed=0, radius_ceiling=1.0,
+            extra_directions=(np.zeros(4),),
+        )
+        assert measured.method == "bisection+random-probe"
+        assert not measured.flip_found
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_signal_rejected(self, bad):
         x = np.zeros(4)
         x[2] = bad

@@ -369,7 +369,7 @@ class TestExitCodes:
     def test_eval_with_alpha_near_the_float_maximum_has_finite_certificates(self):
         cfg = rwkit.parse_config(fast_config("alpha=1e308", "tau=10", "rho=1"))
         for row in cli.run_eval(cfg, 0):
-            assert all(np.isfinite(row[key]) for key in ("cert_radius", "cert_probability", "cert_gain"))
+            assert all(np.isfinite(row[key]) for key in ("cert_probability", "cert_gain"))
 
 
 class TestSubcommands:
@@ -405,10 +405,10 @@ class TestSubcommands:
         out = tmp_path / "report.csv"
         assert main(["eval", "--config", config_path, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("# rwkit-report v3 config=")
+        assert lines[0].startswith("# rwkit-report v4 config=")
         assert lines[1] == (
             "epsilon,clean_accuracy,defended_accuracy_under_probe,"
-            "mean_reconstruction_error,mean_defect,cert_radius,"
+            "mean_reconstruction_error,mean_defect,"
             "cert_probability,cert_gain,seed"
         )
         assert len(lines) == 4  # header comment + column row + 2 epsilons
@@ -652,12 +652,12 @@ def reference_eval(cfg, seed):
         errors = [float(np.linalg.norm(p.value - x)) for p, x in zip(attacked, signals)]
         l1 = defect._l1_batch(np.stack([op.mask for op in ops]), xs, frame)
         mean_defect = float(np.mean(defect._excess(l1, cfg.defect_bound)))
-        cert_radius = cert_prob = cert_gain = float("nan")
+        cert_prob = cert_gain = float("nan")
         try:
             cert = certify.certify_probabilistic(
                 cfg.rwp_prob, cfg.alpha, cfg.rho, cfg.tau, epsilon, mean_defect
             )
-            cert_radius, cert_prob, cert_gain = cert.radius, cert.probability, cert.gain
+            cert_prob, cert_gain = cert.probability, cert.gain
         except (InfeasibleError, ParameterError):
             pass
         rows.append(
@@ -667,7 +667,6 @@ def reference_eval(cfg, seed):
                 "defended_accuracy_under_probe": float(np.mean(defended_ok)),
                 "mean_reconstruction_error": float(np.mean(errors)),
                 "mean_defect": mean_defect,
-                "cert_radius": cert_radius,
                 "cert_probability": cert_prob,
                 "cert_gain": cert_gain,
                 "seed": seed,
