@@ -51,14 +51,14 @@ class Certificate(_Record):
 
 
 def kappa(epsilon, alpha, rho, max_defect):
-    """Performance factor 2/alpha + (4*rho/epsilon) * max_defect."""
+    """Performance factor C(eps)/eps = 2/alpha + (4*rho/epsilon) * max_defect;
+    +inf at epsilon 0 with a positive defect, where C(0) = 4*rho*max_defect."""
     RwpParameters(rho=rho, alpha=alpha)
     _real(max_defect, "max_defect", ge=0)
-    # A positive defect has no finite bound at epsilon 0.
-    _real(epsilon, "epsilon", gt=0 if max_defect > 0 else None)
+    _real(epsilon, "epsilon", ge=0)
     if max_defect == 0:
         return 2.0 / alpha
-    return 2.0 / alpha + (4.0 * rho / epsilon) * max_defect
+    return 2.0 / alpha + (4.0 * rho / epsilon) * max_defect if epsilon else math.inf
 
 
 def performance_bound(epsilon, alpha, rho, max_defect):
@@ -111,7 +111,8 @@ def certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected_defect):
         rwp_prob - 4*alpha*rho*expected_defect / (alpha*tau - 2*epsilon),
 
     computed exactly, clamped at zero and rounded once; ``vacuous`` is its
-    exact sign.  It needs a finite rho and ``expected_defect``.
+    exact sign.  It needs a finite rho and ``expected_defect``.  ``gain``
+    is 1/kappa, which is 0 at epsilon 0 with a positive expected defect.
     """
     RwpParameters(rho=rho, alpha=alpha, rwp_prob=rwp_prob)
     _real(expected_defect, "expected_defect", ge=0, lt=math.inf)

@@ -26,7 +26,12 @@ DEFAULT_RADIUS_CEILING = 1e6
 
 
 class LinearClassifier(_Record, norepr=("weights",)):
-    """f(x) = sign(<w, x>) with sign(0) := +1; w is finite, not all zero."""
+    """f(x) = sign(<w, x>) with sign(0) := +1; w is finite, not all zero.
+
+    ``predict``, ``margin``, ``min_perturbation`` and the certificates raise
+    :class:`ShapeError` for an input x whose shape is not w's or that has a
+    non-finite entry.
+    """
 
     weights: np.ndarray
 
@@ -65,6 +70,8 @@ def _inner(clf, x):
         raise ShapeError(
             f"expected shape {clf.weights.shape}, got {x.shape}"
         )
+    if not np.all(np.isfinite(x)):
+        raise ShapeError("signal contains non-finite entries")
     return float(np.sum(clf.weights * np.real(x)))
 
 
@@ -164,9 +171,12 @@ def empirical_robust_radius(
             )
         if not np.all(np.isfinite(u)):
             raise ShapeError("extra direction contains non-finite entries")
-        norm = np.linalg.norm(u)
-        if norm > 0:
-            extra.append(u / norm)
+        # Scaled by its largest entry first, so that the norm of a finite
+        # direction can neither overflow nor underflow to 0.
+        scale = np.max(np.abs(u), initial=0.0)
+        if scale > 0:
+            u = u / scale
+            extra.append(u / np.linalg.norm(u))
     method = "closed-form" if extra else "bisection+random-probe"
 
     label = pipeline(x)

@@ -111,13 +111,6 @@ def _cmd_certify(cfg, args, seed):
     epsilon = cfg.epsilon_grid[0] if cfg.epsilon_grid else 0.0
     if args.epsilon is not None:
         epsilon = args.epsilon
-    if epsilon == 0 and expected > 0:
-        # certify.kappa has no finite bound at epsilon 0 with a positive defect.
-        raise ConfigError(
-            "--epsilon: must be positive when --expected-defect is positive "
-            "(without --epsilon, certify uses the first epsilon_grid entry, or 0 "
-            "for an empty grid)"
-        )
     cert = certify.certify_probabilistic(
         cfg.rwp_prob, cfg.alpha, cfg.rho, cfg.tau, epsilon, expected
     )
@@ -167,7 +160,9 @@ def run_eval(cfg, seed):
     sizes.
 
     Returns the report rows (list of dicts, one per epsilon), each reduced
-    over its epsilon's cells.
+    over its epsilon's cells.  The certificate columns are
+    ``certify_probabilistic``'s at the row's epsilon and mean defect, and
+    NaN only where its slack alpha*tau - 2*epsilon is not positive.
     """
     if not cfg.epsilon_grid:
         raise ConfigError("eval needs a non-empty epsilon_grid")
@@ -229,7 +224,7 @@ def run_eval(cfg, seed):
                 cfg.rwp_prob, cfg.alpha, cfg.rho, cfg.tau, epsilon, mean_defect
             )
             cert_prob, cert_gain = cert.probability, cert.gain
-        except (InfeasibleError, ParameterError):
+        except InfeasibleError:
             pass
         rows.append(
             {
@@ -248,7 +243,7 @@ def run_eval(cfg, seed):
 
 def _cmd_eval(cfg, args, seed):
     rows = run_eval(cfg, seed)
-    lines = [f"rwkit-report v4 config={config_hash(cfg)} master_seed={seed}"]
+    lines = [f"rwkit-report v5 config={config_hash(cfg)} master_seed={seed}"]
     # The columns are run_eval's row keys, in the order it builds them.
     lines.append(",".join(rows[0]))
     lines.extend(",".join(map(_fmt, row.values())) for row in rows)

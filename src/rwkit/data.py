@@ -15,7 +15,7 @@ import numpy as np
 from . import io
 from ._record import _Record
 from .classifier import LinearClassifier, _inner, predict
-from .errors import ConfigError, ParameterError, _index, _real
+from .errors import ConfigError, ParameterError, ShapeError, _index, _real
 from .sensing import derived_seed
 
 __all__ = ["Dataset", "gen_data", "write_dataset", "read_dataset"]
@@ -101,7 +101,8 @@ def read_dataset(path):
     labels are recomputed from the weights.  On top of :func:`io.read_signal`'s
     errors, a table that is not 2D, has fewer than two rows, or has a weight
     row that is not real or that :class:`LinearClassifier` refuses (not
-    finite, or all zero) raises :class:`ConfigError`.
+    finite, or all zero), or a signal row with a non-finite entry raises
+    :class:`ConfigError`.
     """
     table = io.read_signal(path)
     if table.ndim != 2:
@@ -116,4 +117,8 @@ def read_dataset(path):
     except ParameterError as exc:
         raise ConfigError(f"{path}: the weight row is refused: {exc}") from None
     signals = [x.real if np.all(x.imag == 0) else x for x in table[1:]]
-    return Dataset(weights=w, signals=signals, labels=[predict(clf, x) for x in signals])
+    try:
+        labels = [predict(clf, x) for x in signals]
+    except ShapeError as exc:
+        raise ConfigError(f"{path}: a signal row is refused: {exc}") from None
+    return Dataset(weights=w, signals=signals, labels=labels)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import sensing
 from ._record import _Record
-from .errors import ParameterError, _index, _real
+from .errors import ParameterError, ShapeError, _index, _real
 from .frames import _stack_signals, _step_transforms, as_signal
 from .sensing import _adjoint_batch
 
@@ -65,8 +65,13 @@ def _l1_batch(mask, xs, frame):
 
 
 def coefficient_defect(w, params):
-    """Defect of a raw coefficient vector w: min ||w - a||_1, ||a||_1 <= T."""
+    """Defect of a raw coefficient vector w: min ||w - a||_1, ||a||_1 <= T.
+
+    A non-finite entry of w raises :class:`ShapeError`.
+    """
     w = np.asarray(w, dtype=np.complex128).ravel()
+    if not np.all(np.isfinite(w)):
+        raise ShapeError("coefficients contain non-finite entries")
     return _result(np.sum(np.abs(w)), params.solution_bound)
 
 

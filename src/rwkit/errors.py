@@ -72,8 +72,15 @@ def _range(ge, gt, le, lt):
     bounds = [(op, b) for op, b in ((">=", ge), (">", gt), ("<=", le), ("<", lt)) if b is not None]
     if len(bounds) == 2:
         (lo_op, lo), (hi_op, hi) = bounds
-        return f"lie in {'[' if lo_op == '>=' else '('}{lo:g}, {hi:g}{']' if hi_op == '<=' else ')'}"
+        lo, hi = _bound(lo), _bound(hi)
+        return f"lie in {'[' if lo_op == '>=' else '('}{lo}, {hi}{']' if hi_op == '<=' else ')'}"
     words = ["finite"] if finite else []
     if bounds:
-        words.append("positive" if bounds == [(">", 0)] else "%s %g" % bounds[0])
+        op, b = bounds[0]
+        words.append("positive" if bounds == [(">", 0)] else f"{op} {_bound(b)}")
     return "be " + (" and ".join(words) or "a real number")
+
+
+def _bound(b):
+    # An integer bound exactly, as %g could round it past the value refused.
+    return str(b) if isinstance(b, numbers.Integral) else f"{b:g}"

@@ -1,5 +1,8 @@
 """Exhaustive oracles that tests compare rwkit's closed forms against."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from rwkit.errors import ParameterError, _real
@@ -39,3 +42,16 @@ def brute_force_defect(x, solution_bound, grid_step):
         dist = abs(x[0] - a0) + np.abs(x[1] - a1) + np.abs(x[2] - a2)
         best = min(best, float(np.min(dist[feasible])))
     return best
+
+
+def exact_certificate(rwp_prob, alpha, rho, tau, epsilon, expected):
+    """Oracle: the certificate's (probability, vacuous) from exact rationals,
+    or None where certify_probabilistic must refuse its inputs."""
+    values = (rwp_prob, alpha, rho, tau, epsilon, expected)
+    if not all(math.isfinite(v) for v in values):
+        return None
+    p, a, r, t, e, d = map(Fraction, values)
+    if not (0 <= p <= 1 and a > 0 and r > 0 and e >= 0 and d >= 0 and a * t > 2 * e):
+        return None
+    raw = p - 4 * a * r * d / (a * t - 2 * e)
+    return float(min(max(raw, 0), 1)), raw < 0

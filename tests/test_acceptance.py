@@ -300,7 +300,7 @@ def test_criterion_8_report_matches_recorded(tmp_path):
     cfg.write_text(CRITERION_8_CONFIG)
     out = tmp_path / "report.csv"
     assert cli_main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA_DIR / "criterion_8_report_v4.csv").read_bytes()
+    assert out.read_bytes() == (DATA_DIR / "criterion_8_report_v5.csv").read_bytes()
     elapsed_guard(start, 120.0)
 
 
@@ -376,6 +376,17 @@ def test_criterion_8_v4_report_differs_from_v3_only_by_the_cert_radius_column():
         old, new = old.split(","), new.split(",")
         assert len(old) == len(columns) and old[dropped] == old[columns.index("epsilon")]
         assert new == old[:dropped] + old[dropped + 1 :]
+
+
+def test_criterion_8_v5_report_differs_from_v4_only_by_the_header():
+    # v5 certifies epsilon 0 with gain 0 where v4 wrote NaN.  Criterion 8's
+    # grid has no 0 and its certificates for epsilon > 0 are computed alike,
+    # so every row keeps its v4 text.
+    v4_header, *v4 = (DATA_DIR / "criterion_8_report_v4.csv").read_text().splitlines()
+    v5_header, *v5 = (DATA_DIR / "criterion_8_report_v5.csv").read_text().splitlines()
+    assert v4_header.startswith("# rwkit-report v4 ")
+    assert v5_header == v4_header.replace(" v4 ", " v5 ", 1)
+    assert v5 == v4
 
 
 def test_criterion_9_out_of_scope_documented():

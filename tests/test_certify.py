@@ -34,21 +34,7 @@ from rwkit import (
     rwp_probability_exponent,
 )
 
-from oracles import brute_force_defect
-
-
-def exact_certificate(rwp_prob, alpha, rho, tau, epsilon, expected):
-    """Oracle: the certificate's (probability, vacuous) from exact rationals,
-    or None where certify_probabilistic must refuse its inputs."""
-    values = (rwp_prob, alpha, rho, tau, epsilon, expected)
-    if not all(math.isfinite(v) for v in values):
-        return None
-    p, a, r, t, e, d = map(Fraction, values)
-    # kappa has no finite bound at epsilon 0 with a positive defect.
-    if not (0 <= p <= 1 and a > 0 and r > 0 and e >= 0 and d >= 0 and a * t > 2 * e and (e > 0 or d == 0)):
-        return None
-    raw = p - 4 * a * r * d / (a * t - 2 * e)
-    return float(min(max(raw, 0), 1)), raw < 0
+from oracles import brute_force_defect, exact_certificate
 
 
 def exact_budget(tau, epsilon, alpha, rho):
@@ -68,8 +54,7 @@ def exact_budget(tau, epsilon, alpha, rho):
 @st.composite
 def feasible_inputs(draw):
     # Finite inputs that pass certify_probabilistic's checks, drawn directly:
-    # epsilon below alpha*tau/2 exactly, and a positive defect only with a
-    # positive epsilon.
+    # epsilon below alpha*tau/2 exactly.
     positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
     rwp_prob, alpha, rho, tau = draw(st.floats(0.0, 1.0)), draw(positive), draw(positive), draw(positive)
     half = Fraction(alpha) * Fraction(tau) / 2
@@ -77,7 +62,7 @@ def feasible_inputs(draw):
     if Fraction(top) >= half:
         top = math.nextafter(top, 0.0)
     epsilon = draw(st.floats(0.0, top))
-    expected = draw(st.floats(0.0, allow_infinity=False) if epsilon > 0 else st.just(0.0))
+    expected = draw(st.floats(0.0, allow_infinity=False))
     return rwp_prob, alpha, rho, tau, epsilon, expected
 
 
@@ -95,9 +80,8 @@ class TestKappa:
     def test_direct_evaluation(self):
         assert kappa(0.1, 4.0, 0.05, 0.2) == pytest.approx(0.9, abs=1e-12)
 
-    def test_zero_epsilon_with_defect_rejected(self):
-        with pytest.raises(ParameterError):
-            kappa(0.0, 4.0, 0.05, 0.2)
+    def test_zero_epsilon_with_defect_is_infinite(self):
+        assert kappa(0.0, 4.0, 0.05, 0.2) == math.inf
         # C(eps) = eps * kappa(eps) stays finite there.
         assert performance_bound(0.0, 4.0, 0.05, 0.2) == pytest.approx(0.04, abs=1e-15)
 
@@ -173,6 +157,14 @@ class TestCertifyProbabilistic:
         cert = certify_probabilistic(0.99, 4.0, 0.05, 0.5, 0.2, 0.1)
         assert cert.probability == pytest.approx(0.94, abs=1e-12)
         assert cert.radius == 0.2
+
+    def test_zero_epsilon_with_defect_has_gain_zero(self):
+        # kappa(0) is +inf, so the gain bound 1/kappa is 0; the probability
+        # is 0.99 - 4*4*0.05*0.1 / (4*0.5).
+        cert = certify_probabilistic(0.99, 4.0, 0.05, 0.5, 0.0, 0.1)
+        assert cert.gain == 0.0
+        assert cert.probability == exact_certificate(0.99, 4.0, 0.05, 0.5, 0.0, 0.1)[0]
+        assert cert.probability == pytest.approx(0.95, abs=1e-15)
 
     def test_vacuous_when_clamped(self):
         cert = certify_probabilistic(0.5, 4.0, 0.05, 0.5, 0.2, 100.0)

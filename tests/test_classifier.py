@@ -72,6 +72,21 @@ class TestPredict:
         with pytest.raises(ShapeError):
             predict(clf, np.ones(8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize(
+        "call",
+        [predict, margin, min_perturbation, lambda clf, x: linear_certificate(clf, x, 3.0)],
+        ids=["predict", "margin", "min_perturbation", "linear_certificate"],
+    )
+    def test_non_finite_input_rejected(self, call, bad):
+        # predict labelled a NaN input -1, margin returned NaN,
+        # min_perturbation gave -inf entries, and linear_certificate
+        # refused "radius nan".
+        clf = LinearClassifier(weights=np.ones(4))
+        x = np.array([bad, 0, 0, 0])
+        with pytest.raises(ShapeError, match="signal contains non-finite entries"):
+            call(clf, x)
+
 
 class TestMargin:
     def test_axis_aligned(self):
@@ -216,6 +231,23 @@ class TestEmpiricalRobustRadius:
                 np.array([1.0, 0.0, 0.0, 0.0]),
                 extra_directions=([bad, 0.0, 0.0, 0.0],),
             )
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-200])
+    def test_extra_direction_of_extreme_scale_is_kept(self, scale):
+        # The norm of the first overflowed (radius 0.8165 with a
+        # RuntimeWarning); the second's squared norm underflowed to 0 and
+        # the direction was dropped (radius 1.8865 from random probes).
+        clf = LinearClassifier(weights=np.ones(4))
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+
+        def measure(u):
+            return empirical_robust_radius(
+                lambda z: predict(clf, z), x, probes=1, tol=1e-3, seed=3, extra_directions=(u,)
+            )
+
+        unit = measure(np.array([-1.0, -1.0, 0.0, 0.0]))
+        assert unit.method == "closed-form" and abs(unit.radius - np.sqrt(0.5)) <= 1e-3
+        assert measure(np.array([-scale, -scale, 0.0, 0.0])) == unit
 
     def test_zero_extra_direction_is_dropped(self):
         measured = empirical_robust_radius(

@@ -16,6 +16,8 @@ from rwkit.classifier import predict
 from rwkit.cli import main
 from rwkit.errors import InfeasibleError, ParameterError
 
+from oracles import exact_certificate
+
 FAST_CONFIG = """\
 n=32
 count=4
@@ -280,16 +282,19 @@ class TestExitCodes:
         "grid, epsilon_args",
         [("epsilon_grid=0,0.05", []), ("epsilon_grid=", []), ("epsilon_grid=0.01,0.05", ["--epsilon", "0"])],
     )
-    def test_certify_zero_epsilon_with_positive_defect_is_config_error(
-        self, tmp_path, capsys, grid, epsilon_args
+    def test_certify_zero_epsilon_with_positive_defect_has_gain_zero(
+        self, tmp_path, grid, epsilon_args
     ):
+        # kappa(0) is +inf for a positive defect: the gain bound is 0 and the
+        # probability is the exact 0.99 - 4*4*0.05*0.5 / (4*0.5).
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(FAST_CONFIG.replace("epsilon_grid=0.01,0.05", grid))
         out = tmp_path / "cert.txt"
         argv = ["certify", "--config", str(cfg), "--expected-defect", "0.5", "--out", str(out)]
-        assert main(argv + epsilon_args) == 2
-        assert "config error: --epsilon: must be positive" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(argv + epsilon_args) == 0
+        probability, vacuous = exact_certificate(0.99, 4.0, 0.05, 0.5, 0.0, 0.5)
+        lines = out.read_text().splitlines()[1:5]
+        assert lines == ["radius=0", f"probability={probability:.17g}", "gain=0", f"vacuous={vacuous}"]
 
     @pytest.mark.parametrize(
         "command, module, name",
@@ -328,7 +333,7 @@ class TestExitCodes:
             argv += ["--in", signal_path]
         assert main(argv) == 2
         longest = np.iinfo(np.intp).max // 16
-        assert capsys.readouterr().err == f"config error: n must lie in [1, {longest:g}], got {n}\n"
+        assert capsys.readouterr().err == f"config error: n must lie in [1, {longest}], got {n}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "eval"])
@@ -405,7 +410,7 @@ class TestSubcommands:
         out = tmp_path / "report.csv"
         assert main(["eval", "--config", config_path, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("# rwkit-report v4 config=")
+        assert lines[0].startswith("# rwkit-report v5 config=")
         assert lines[1] == (
             "epsilon,clean_accuracy,defended_accuracy_under_probe,"
             "mean_reconstruction_error,mean_defect,"
@@ -424,6 +429,19 @@ class TestSubcommands:
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
         row = out.read_text().splitlines()[2].split(",")
         assert row[1] == row[2]  # defended accuracy under a zero probe is clean
+
+    def test_eval_epsilon_zero_certificate_is_finite(self):
+        # kappa(0) is +inf: the row at epsilon 0 carries certify_probabilistic's
+        # probability and gain 0, not NaN.  defect_bound=0.5 makes the
+        # mean defect positive.
+        cfg = rwkit.parse_config(fast_config("epsilon_grid=0,0.05", "defect_bound=0.5"))
+        row = cli.run_eval(cfg, 0)[0]
+        assert row["epsilon"] == 0 and row["mean_defect"] > 0
+        cert = certify.certify_probabilistic(
+            cfg.rwp_prob, cfg.alpha, cfg.rho, cfg.tau, 0.0, row["mean_defect"]
+        )
+        assert cert.gain == 0.0 and 0 < cert.probability < cfg.rwp_prob
+        assert (row["cert_probability"], row["cert_gain"]) == (cert.probability, cert.gain)
 
     def test_seed_flag_overrides_master_seed(self, config_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -67,6 +67,12 @@ class TestCoefficientDefect:
             result = coefficient_defect(w, DefectParams(solution_bound=budget))
             assert result.defect == pytest.approx(analytic_defect(w, budget), abs=1e-6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1, np.nan)])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # A NaN coefficient once gave defect NaN.
+        with pytest.raises(ShapeError, match="non-finite"):
+            coefficient_defect(np.array([bad, 1.0]), DefectParams(solution_bound=1.0))
+
     def test_complex_coefficients(self):
         w = np.array([3.0 + 4.0j])  # modulus 5
         result = coefficient_defect(w, DefectParams(solution_bound=1.0))

@@ -458,9 +458,10 @@ class TestGenData:
             gen_data(n, count, k, 0)
 
     def test_n_beyond_numpy_row_length_rejected(self):
-        # Checked before any draw, so nothing of this size is allocated.
+        # Checked before any draw, so nothing of this size is allocated.  The
+        # bound is written exactly: %g gave 5.76461e+17, above the value refused.
         longest = np.iinfo(np.intp).max // 16
-        with pytest.raises(ParameterError, match=f"^n must lie in \\[1, .*\\], got {longest + 1}$"):
+        with pytest.raises(ParameterError, match=f"^n must lie in \\[1, {longest}\\], got {longest + 1}$"):
             gen_data(longest + 1, 2, 3, 0)
 
     def test_margin_floor_respected(self):
@@ -537,6 +538,8 @@ class TestReadDatasetErrors:
             ("# shape=2x2", "# shape=1x4", "a weight row and at least one signal row"),
             ("1,0.8,0", "1,0.8,0.5", "the weight row is not real"),
             ("1,0.8,0", "1,nan,0", "the weight row is refused: weights must be finite"),
+            ("2,1,0", "2,nan,0", "a signal row is refused: signal contains non-finite entries"),
+            ("3,0,0", "3,0,inf", "a signal row is refused: signal contains non-finite entries"),
             ("0,0.6,0\n1,0.8,0", "0,0,0\n1,0,0", "the weight row is refused: weights must not be all zero"),
         ],
         ids=[
@@ -547,6 +550,8 @@ class TestReadDatasetErrors:
             "one-row",
             "complex-weight",
             "nan-weight",
+            "nan-signal",
+            "inf-signal-imag",
             "zero-weights",
         ],
     )
