@@ -3,6 +3,8 @@ certificates, and empirical robust-radius measurement for arbitrary
 label pipelines.
 """
 
+import math
+
 import numpy as np
 
 from . import certify
@@ -65,6 +67,13 @@ class RadiusMeasurement(_Record):
 
 
 def _inner(clf, x):
+    # The inner product <w, Re x> of a checked x, as a triple (s, v, c).
+    # Unless the plain sum overflows, s is that sum, v is w and c is 1.0.
+    # A finite x can still overflow it; then v = w / max|w|, c = max|x|, and
+    # s is the sum for v and x / c, which cannot overflow.  Either way v is
+    # a positive multiple of w and s * c is its inner product with Re x, so
+    # predict reads the sign of s, and margin and min_perturbation compute
+    # from (s, v) and multiply by c.
     x = np.asarray(x)
     if x.shape != clf.weights.shape:
         raise ShapeError(
@@ -72,17 +81,26 @@ def _inner(clf, x):
         )
     if not np.all(np.isfinite(x)):
         raise ShapeError("signal contains non-finite entries")
-    return float(np.sum(clf.weights * np.real(x)))
+    v = clf.weights
+    x = np.real(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float(np.sum(v * x))
+    if math.isfinite(s):
+        return s, v, 1.0
+    v = v / np.max(np.abs(v))
+    c = float(np.max(np.abs(x)))
+    return float(np.sum(v * (x / c))), v, c
 
 
 def predict(clf, x):
     """Label in {-1, +1}; the boundary itself maps to +1."""
-    return 1 if _inner(clf, x) >= 0 else -1
+    return 1 if _inner(clf, x)[0] >= 0 else -1
 
 
 def margin(clf, x):
     """Exact L2 distance |<w, x>| / ||w||_2 to the decision boundary."""
-    return abs(_inner(clf, x)) / float(np.linalg.norm(clf.weights))
+    s, v, c = _inner(clf, x)
+    return abs(s) / float(np.linalg.norm(v)) * c
 
 
 def min_perturbation(clf, x):
@@ -91,8 +109,8 @@ def min_perturbation(clf, x):
     Its norm equals the margin; any strictly longer step along it flips
     the label.
     """
-    w = clf.weights
-    return -_inner(clf, x) * w / float(np.sum(w * w))
+    s, v, c = _inner(clf, x)
+    return -s * v / float(np.sum(v * v)) * c
 
 
 def linear_certificate(clf, x, alpha):

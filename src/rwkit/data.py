@@ -14,13 +14,15 @@ import numpy as np
 
 from . import io
 from ._record import _Record
-from .classifier import LinearClassifier, _inner, predict
+from .classifier import LinearClassifier, predict
 from .errors import ConfigError, ParameterError, ShapeError, _index, _real
 from .sensing import derived_seed
 
 __all__ = ["Dataset", "gen_data", "write_dataset", "read_dataset"]
 
 _MAX_RESAMPLES = 10_000
+# The most entries, rows times n, that one round of gen_data's draws holds.
+_ROUND_ENTRIES = 1 << 16
 
 
 class Dataset(_Record):
@@ -51,37 +53,61 @@ def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
 
     The weights come from the stream ``derived_seed(weights_seed, 87)``,
     and the signals from ``derived_seed(seed, 88)``; ``weights_seed``
-    defaults to ``seed``.
+    defaults to ``seed``.  Each draw takes a support (``choice`` of k of the
+    n indices, without replacement) and then its values (``uniform(-1, 1)``)
+    from that stream.  A draw with a zero value, or whose margin is below
+    ``margin_floor``, is rejected, and the next draw becomes the candidate
+    for the same sample; ``ParameterError`` is raised after ``_MAX_RESAMPLES``
+    rejections in a row.  Acceptance never changes which numbers a draw
+    consumes, so the draws are taken in rounds, in stream order, and each
+    round is decided at once.  A round draws as many rows as samples are
+    still missing, twice the last round after a round that accepted none,
+    and never more than ``_ROUND_ENTRIES`` entries (at least one row) or
+    ``_MAX_RESAMPLES`` rows.
     """
     _check_params(n, count, k, margin_floor)
     wseed = seed if weights_seed is None else weights_seed
     wrng = np.random.default_rng(derived_seed(wseed, 87))
     w = wrng.standard_normal(n)
     w /= np.linalg.norm(w)
-    clf = LinearClassifier(weights=w)
-    # One norm per dataset and one inner product per draw, in the very
-    # expressions of classifier.margin and classifier.predict.
-    w_norm = float(np.linalg.norm(clf.weights))
+    # The margin and label of a draw are classifier.margin's and
+    # classifier.predict's: each row sum of w * x is np.sum(w * x) of that
+    # row, bit for bit.
+    w_norm = float(np.linalg.norm(w))
+    # No margin reaches k + 1 (|x_j| <= 1 and ||w|| = 1), so this keeps every
+    # decision and keeps an integer floor beyond the float range out of numpy.
+    floor = min(margin_floor, k + 1)
     rng = np.random.default_rng(derived_seed(seed, 88))
+    most = max(1, min(_ROUND_ENTRIES // n, _MAX_RESAMPLES))
     signals = []
     labels = []
-    for _ in range(count):
-        for _attempt in range(_MAX_RESAMPLES):
-            support = rng.choice(n, size=k, replace=False)
-            values = rng.uniform(-1.0, 1.0, size=k)
-            if np.any(values == 0.0):
-                continue
-            x = np.zeros(n)
-            x[support] = values
-            inner = _inner(clf, x)
-            if abs(inner) / w_norm >= margin_floor:
-                break
-        else:
+    size = count
+    run = 0  # rejections since the last accepted draw
+    while len(signals) < count:
+        needed = count - len(signals)
+        m = min(size, most)
+        support = np.empty((m, k), dtype=np.intp)
+        values = np.empty((m, k))
+        for i in range(m):
+            support[i] = rng.choice(n, size=k, replace=False)
+            values[i] = rng.uniform(-1.0, 1.0, size=k)
+        x = np.zeros((m, n))
+        x[np.arange(m)[:, None], support] = values
+        inner = (w * x).sum(axis=1)
+        accepted = (values != 0.0).all(axis=1) & (np.abs(inner) / w_norm >= floor)
+        hits = accepted.nonzero()[0][:needed]
+        # A round holds at most _MAX_RESAMPLES draws, so only the run carried
+        # into it, with the rejections before its first accepted draw, can
+        # reach that many.
+        if run + (hits[0] if hits.size else m) >= _MAX_RESAMPLES:
             raise ParameterError(
                 f"margin_floor {margin_floor} not reached in {_MAX_RESAMPLES} draws"
             )
-        signals.append(x)
-        labels.append(1 if inner >= 0 else -1)
+        run = m - 1 - hits[-1] if hits.size else run + m
+        # A round whose draws are all accepted keeps its rows, uncopied.
+        signals.extend(x if hits.size == m else x[hits])
+        labels.extend(np.where(inner[hits] >= 0, 1, -1).tolist())
+        size = needed - hits.size if hits.size else 2 * m
     return Dataset(weights=w, signals=signals, labels=labels)
 
 

@@ -1,11 +1,15 @@
-"""Exhaustive oracles that tests compare rwkit's closed forms against."""
+"""Exhaustive and one-at-a-time oracles that tests compare rwkit's closed
+forms and batched paths against."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from rwkit import data
+from rwkit.classifier import LinearClassifier, margin, predict
 from rwkit.errors import ParameterError, _real
+from rwkit.sensing import derived_seed
 
 
 def brute_force_defect(x, solution_bound, grid_step):
@@ -55,3 +59,38 @@ def exact_certificate(rwp_prob, alpha, rho, tau, epsilon, expected):
         return None
     raw = p - 4 * a * r * d / (a * t - 2 * e)
     return float(min(max(raw, 0), 1)), raw < 0
+
+
+def looped_gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
+    """Oracle: ``data.gen_data`` as one draw at a time, each decided alone
+    by the public ``margin`` and ``predict``.
+
+    It reads ``data._MAX_RESAMPLES`` when called, so a test that patches it
+    patches both.
+    """
+    data._check_params(n, count, k, margin_floor)
+    wseed = seed if weights_seed is None else weights_seed
+    wrng = np.random.default_rng(derived_seed(wseed, 87))
+    w = wrng.standard_normal(n)
+    w /= np.linalg.norm(w)
+    clf = LinearClassifier(weights=w)
+    rng = np.random.default_rng(derived_seed(seed, 88))
+    signals = []
+    labels = []
+    for _ in range(count):
+        for _attempt in range(data._MAX_RESAMPLES):
+            support = rng.choice(n, size=k, replace=False)
+            values = rng.uniform(-1.0, 1.0, size=k)
+            if np.any(values == 0.0):
+                continue
+            x = np.zeros(n)
+            x[support] = values
+            if margin(clf, x) >= margin_floor:
+                break
+        else:
+            raise ParameterError(
+                f"margin_floor {margin_floor} not reached in {data._MAX_RESAMPLES} draws"
+            )
+        signals.append(x)
+        labels.append(predict(clf, x))
+    return data.Dataset(weights=w, signals=signals, labels=labels)

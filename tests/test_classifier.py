@@ -1,5 +1,11 @@
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwkit import (
     Frame,
@@ -126,6 +132,58 @@ class TestMinPerturbation:
             delta = min_perturbation(clf, x)
             flipped += predict(clf, x + 1.001 * delta) != predict(clf, x)
         assert flipped == 100
+
+
+class TestInnerOverflow:
+    """A finite x whose plain inner product with w overflows: the product is
+    recomputed from w / max|w| and x / max|x|; every finite sum is kept."""
+
+    @pytest.mark.parametrize(
+        "x, want_margin, want_label",
+        [([1e308, 1e308, 0, 0], 1e308, 1), ([1e308, 1e308, -1e308, -1e308], 0.0, 1)],
+        ids=["overflow", "cancelling"],
+    )
+    def test_overflowing_sum_under_warnings_as_errors(self, x, want_margin, want_label):
+        # Both gave margin inf with "overflow encountered in reduce".
+        clf = LinearClassifier(weights=np.ones(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert margin(clf, x) == want_margin
+            assert predict(clf, x) == want_label
+            assert predict(clf, -np.asarray(x)) == (-1 if want_margin else 1)
+            delta = min_perturbation(clf, x)
+        np.testing.assert_array_equal(delta, np.full(4, -want_margin / 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+        st.lists(st.one_of(st.floats(-5e307, 5e307), st.sampled_from([-5e307, 5e307])), min_size=n, max_size=n),
+    )))
+    def test_margin_and_label_keep_finite_sums_and_rescale_overflow(self, wx):
+        w, x = (np.array(v) for v in wx)
+        if np.max(np.abs(w)) < 1e-3:
+            w[0] = 1.0
+        clf = LinearClassifier(weights=w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = float(np.sum(w * x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_margin, got_label = margin(clf, x), predict(clf, x)
+        if math.isfinite(plain):
+            # The expressions margin and predict had.
+            assert got_margin == abs(plain) / float(np.linalg.norm(w))
+            assert got_label == (1 if plain >= 0 else -1)
+            return
+        # Against the exact inner product, in units of max|x| so that every
+        # float stays in range; the bound is the summation's round-off.
+        c = Fraction(float(np.max(np.abs(x))))
+        exact = sum(Fraction(a) * Fraction(b) for a, b in zip(w, x)) / c
+        size = sum(abs(Fraction(a) * Fraction(b)) for a, b in zip(w, x)) / c
+        norm = float(np.linalg.norm(w))
+        slack = 4 * (len(w) + 4) * 2.0**-52 * float(size) / norm
+        assert abs(got_margin / float(c) - abs(float(exact)) / norm) <= slack
+        if abs(float(exact)) / norm > slack:
+            assert got_label == (1 if exact > 0 else -1)
 
 
 class TestLinearCertificate:

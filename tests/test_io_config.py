@@ -1,12 +1,13 @@
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rwkit import io
+from rwkit import data, io
 from rwkit import (
     ConfigError,
     ExperimentConfig,
@@ -24,6 +25,7 @@ from rwkit import (
     write_dataset,
     write_signal,
 )
+from oracles import looped_gen_data
 
 
 def reference_write_csv(path, x, comments=()):
@@ -424,7 +426,144 @@ class TestConfig:
             load_config(tmp_path / "nope.cfg")
 
 
+_default_rng = np.random.default_rng
+
+
+class _CoarseValues:
+    # default_rng's generator, except that its uniform draws are rounded to
+    # halves, so that draws with a zero value are common.
+    def __init__(self, seed):
+        self._rng = _default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def uniform(self, *args, **kwargs):
+        return np.round(2 * self._rng.uniform(*args, **kwargs)) / 2
+
+
+class _LoggedDraws:
+    # default_rng's generator, appending each support it chooses and each
+    # values vector it draws to log, as [support, values] in stream order.
+    def __init__(self, seed, log):
+        self._rng = _default_rng(seed)
+        self._log = log
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def choice(self, *args, **kwargs):
+        support = self._rng.choice(*args, **kwargs)
+        self._log.append([support])
+        return support
+
+    def uniform(self, *args, **kwargs):
+        values = self._rng.uniform(*args, **kwargs)
+        self._log[-1].append(values)
+        return values
+
+
+def gen_data_outcome(make, *args, max_resamples=None, budget=None, coarse=False):
+    """The dataset's bytes and labels, or the ParameterError message."""
+    with (
+        mock.patch.object(data, "_MAX_RESAMPLES", max_resamples or data._MAX_RESAMPLES),
+        mock.patch.object(data, "_ROUND_ENTRIES", budget or data._ROUND_ENTRIES),
+        mock.patch.object(np.random, "default_rng", _CoarseValues if coarse else _default_rng),
+    ):
+        try:
+            dataset = make(*args)
+        except ParameterError as exc:
+            return str(exc)
+    assert all(type(label) is int for label in dataset.labels)
+    return dataset.weights.tobytes(), np.asarray(dataset.signals).tobytes(), dataset.labels
+
+
 class TestGenData:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 300), st.just(1000)).flatmap(
+            lambda n: st.tuples(st.just(n), st.one_of(st.integers(1, min(n, 8)), st.integers(1, n)))
+        ),
+        st.integers(1, 64),
+        st.floats(-3, 0).map(lambda e: 10.0**e),
+        st.integers(0, 2**32),
+        st.one_of(st.none(), st.integers(0, 2**32)),
+        st.integers(1, 60),
+        st.sampled_from([None, 1, 300]),
+        st.booleans(),
+    )
+    # The second round ends with 9 rejections and the third opens with 7
+    # more, so the 14th rejection in a row, carried across rounds, fails
+    # the sample mid-round.
+    @example((78, 5), 16, 0.2246177707157482, 0, None, 14, None, False)
+    # The seventh round ends with 2 rejections after its last accepted draw
+    # and the eighth opens with 1 more, so with 3 allowed the run that a
+    # round leaves behind fails the sample.
+    @example((45, 7), 22, 0.04292088497097331, 33, None, 3, None, False)
+    def test_matches_the_one_draw_at_a_time_oracle(
+        self, nk, count, floor, seed, weights_seed, max_resamples, budget, coarse
+    ):
+        # Floors up to 1 reject most or all draws, and a patched
+        # _MAX_RESAMPLES sends those to the error path; a round budget
+        # below n draws one row per round; coarse values make zero values
+        # common, which must be rejected.
+        n, k = nk
+        args = (n, count, k, seed, floor, weights_seed)
+        options = dict(max_resamples=max_resamples, budget=budget, coarse=coarse)
+        assert gen_data_outcome(gen_data, *args, **options) == gen_data_outcome(
+            looped_gen_data, *args, **options
+        )
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((8, 3, 1, 0, 1.5), "margin_floor 1.5 not reached in 5 draws"),
+            ((8, 1, 2, 0, 10**400), f"margin_floor {10**400} not reached in 5 draws"),
+        ],
+        ids=["unreachable-floor", "floor-beyond-float-range"],
+    )
+    def test_unreachable_floor_fails_as_the_oracle_does(self, args, message):
+        for make in (gen_data, looped_gen_data):
+            assert gen_data_outcome(make, *args, max_resamples=5) == message
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(n, 8)))),
+        st.integers(1, 64),
+        st.floats(-3, -1).map(lambda e: 10.0**e),
+        st.integers(0, 2**32),
+        st.sampled_from([None, 1, 300]),
+    )
+    def test_rounds_draw_past_the_oracle_only_after_doubling(self, nk, count, floor, seed, budget):
+        # A round draws as many rows as samples are missing, so a round that
+        # fills them all is used up.  Only a round doubled after a round of
+        # P rejections can end early, wasting fewer than 2P draws, and P is
+        # at most the oracle's longest run of rejections.
+        n, k = nk
+        logs, datasets = {}, {}
+        for make in (looped_gen_data, gen_data):
+            log = logs[make] = []
+            with (
+                mock.patch.object(data, "_MAX_RESAMPLES", 200),
+                mock.patch.object(data, "_ROUND_ENTRIES", budget or data._ROUND_ENTRIES),
+                mock.patch.object(np.random, "default_rng", lambda seed: _LoggedDraws(seed, log)),
+            ):
+                try:
+                    datasets[make] = make(n, count, k, seed, floor)
+                except ParameterError:
+                    return
+        signals = datasets[looped_gen_data].signals
+        accepted = []
+        for i, (support, values) in enumerate(logs[looped_gen_data]):
+            x = np.zeros(n)
+            x[support] = values
+            if len(accepted) < count and np.array_equal(x, signals[len(accepted)]):
+                accepted.append(i)
+        drawn = len(logs[looped_gen_data])
+        assert len(accepted) == count and accepted[-1] == drawn - 1
+        longest = int(np.max(np.diff(accepted, prepend=-1) - 1))
+        assert len(logs[gen_data]) - drawn <= max(0, 2 * longest - 1)
+
     def test_exact_sparsity(self):
         dataset = gen_data(32, 20, 3, 0)
         for x in dataset.signals:
