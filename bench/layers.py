@@ -5,8 +5,9 @@ Run from the repository root, with the rwkit to be timed importable::
     PYTHONPATH=src python3 bench/layers.py --label mylabel
 
 Each layer is one call of the kernel that does its work, on fixed inputs
-made from fixed seeds: 64 rows of n = 128, or one 64x64 image, and the
-shipped configs for ``run_eval`` and ``gen_data``.  Every layer is called
+made from fixed seeds: 64 rows of n = 128, or one 64x64 image, one row of
+n = 128 at the ``radius`` workload's settings, and the shipped configs for
+``run_eval`` and ``gen_data``.  Every layer is called
 once before timing.  Then, for ``--repeats`` rounds, each layer is timed
 once per round, forward in even rounds and backward in odd ones, so that a
 drift in host speed falls on every layer alike.  A sample is the mean time
@@ -104,6 +105,20 @@ def layers():
         iterations=100, threshold=0.02, subsample_prob=0.5, frame=identity
     )
     pipeline = lambda v: reconstruct.defend(clf, v, radius_params, 7)
+    # One purify of the radius workload, bare: a probe at radius 0.2 through
+    # its mask (seed 7), a row that runs every step of the 100-step cap, so
+    # that the two caps give the cost of a one-row step.
+    one_mask = sensing._masks([sensing._state(7)], (N,), 0.5)
+    one_y = sensing._apply_batch(one_mask, np.asarray(x0)[None] + 0.2 * probes[:1] / np.linalg.norm(probes[0]))
+    for cap in (1, 100):
+        params = reconstruct.ReconstructionParams(iterations=cap, threshold=0.02, subsample_prob=0.5, frame=identity)
+        if reconstruct._ista_coefficients(one_y, one_mask, params)[1][0] != cap:
+            raise RuntimeError("the one-row layer's row stops before its cap")
+        add(
+            f"reconstruct._ista_coefficients.one-row.cap{cap}",
+            f"identity, 1 probed row, lam 0.02, q 0.5, cap {cap}",
+            lambda p=params: reconstruct._ista_coefficients(one_y, one_mask, p),
+        )
     add(
         "classifier.empirical_robust_radius.level",
         "identity, 100 steps, lam 0.02, q 0.5: the label and 5 probes at radius 1e-3",
@@ -162,9 +177,11 @@ def derived(result):
     cap1 = result["reconstruct._ista_coefficients.cap1"]["median_us"]
     cap100 = result["reconstruct._ista_coefficients.cap100"]["median_us"]
     step = (cap100 - cap1) / 99
+    one_row = "reconstruct._ista_coefficients.one-row.cap"
     return {
         "ista_step_us": step,
         "ista_setup_us": cap1 - step,
+        "ista_step_us_one_row": (result[f"{one_row}100"]["median_us"] - result[f"{one_row}1"]["median_us"]) / 99,
         "gen_data_share_of_shipped_run_eval": (
             result["data.gen_data.shipped"]["median_us"] / result["cli.run_eval.shipped"]["median_us"]
         ),

@@ -97,10 +97,26 @@ def predict(clf, x):
     return 1 if _inner(clf, x)[0] >= 0 else -1
 
 
+def _rescaled(v):
+    # (a, u) with v = a * u: a = max|v| and u = v / a, whose norm lies in
+    # [1, sqrt(n)], so that neither ||u|| nor ||u||^2 overflows or
+    # underflows to 0 as ||v|| or ||v||^2 can.
+    a = float(np.max(np.abs(v)))
+    return a, v / a
+
+
 def margin(clf, x):
     """Exact L2 distance |<w, x>| / ||w||_2 to the decision boundary."""
+    # The plain quotient unless ||v|| leaves the float range or the quotient
+    # overflows; then |s| is divided by ||v|| in two steps, ||u|| and a.
     s, v, c = _inner(clf, x)
-    return abs(s) / float(np.linalg.norm(v)) * c
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    m = abs(s) / norm * c if 0 < norm < math.inf else math.inf
+    if math.isfinite(m):
+        return m
+    a, u = _rescaled(v)
+    return abs(s) / float(np.linalg.norm(u)) / a * c
 
 
 def min_perturbation(clf, x):
@@ -109,8 +125,17 @@ def min_perturbation(clf, x):
     Its norm equals the margin; any strictly longer step along it flips
     the label.
     """
+    # As margin: the plain product unless ||v||^2 leaves the float range or
+    # an entry overflows; then the scalar -s / ||v||^2 is formed in two
+    # steps, ||u||^2 and a, before it multiplies u.
     s, v, c = _inner(clf, x)
-    return -s * v / float(np.sum(v * v)) * c
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq = float(np.sum(v * v))
+        p = -s * v / sq * c
+        if 0 < sq < math.inf and np.all(np.isfinite(p)):
+            return p
+        a, u = _rescaled(v)
+        return -s / float(np.sum(u * u)) / a * c * u
 
 
 def linear_certificate(clf, x, alpha):

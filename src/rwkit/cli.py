@@ -136,9 +136,29 @@ _BLOCK_ENTRIES = 8192
 
 
 def _row_norms(d):
-    # The Euclidean norm of each row of a 2D real array, bit-identical to
-    # np.linalg.norm of the row: both sum the squares with one BLAS dot.
-    return np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    # The Euclidean norm of each row of a finite 2D real array, bit-identical
+    # to np.linalg.norm of the row: both sum the squares with one BLAS dot.
+    # A row whose sum of squares overflows is recomputed as c * ||d / c||,
+    # with c its largest modulus, which overflows only if the norm does.
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        over = norms == np.inf
+        if over.any():
+            big = d[over]
+            c = np.max(np.abs(big), axis=1, keepdims=True)
+            norms[over] = c[:, 0] * np.sqrt(np.sum(np.square(big / c), axis=1))
+    return norms
+
+
+def _mean(v):
+    # The mean of a finite 1D array as np.mean gives it, or, where its sum
+    # overflows, c * mean(v / c), with c the largest modulus.
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(v))
+    if math.isinf(mean):
+        c = float(np.max(np.abs(v)))
+        mean = c * float(np.mean(v / c))
+    return mean
 
 
 def run_eval(cfg, seed):
@@ -231,7 +251,7 @@ def run_eval(cfg, seed):
                 "epsilon": epsilon,
                 "clean_accuracy": float(np.mean(clean_ok[ecells])),
                 "defended_accuracy_under_probe": float(np.mean(defended_ok[ecells])),
-                "mean_reconstruction_error": float(np.mean(errors[ecells])),
+                "mean_reconstruction_error": _mean(errors[ecells]),
                 "mean_defect": mean_defect,
                 "cert_probability": cert_prob,
                 "cert_gain": cert_gain,

@@ -17,7 +17,9 @@ Supported frame kinds:
 Every FFT here, the frame's and the sensing operator's, calls pocketfft's
 gufuncs (``numpy.fft._pocketfft_umath``) directly, with the ``1/sqrt(n)``
 factor that ``norm="ortho"`` passes them, and runs a 2D transform as two 1D
-passes, the last axis and then the row axis.  These are the calls
+passes, the last axis and then the row axis.  ``_fft_pair(shape)`` binds
+the kernels to their factors once per signal shape; ``_fft``/``_ifft`` and
+the purifier's loop all call through it.  These are the calls
 ``numpy.fft.fft`` and ``fft2`` make, so the results match them bit for bit,
 without their argument handling.  At the purifier's sizes that handling
 costs more than the transform: on one row of 128 entries ``numpy.fft.fft``
@@ -84,34 +86,43 @@ def _filter_bank(h):
 _BANKS = {kind: _filter_bank(h) for kind, h in _LOWPASS.items()}
 
 
-@functools.lru_cache(maxsize=None)
 def _ortho(n):
     # The norm="ortho" factor of an n-point pass, as np.fft computes it.
     return np.reciprocal(np.sqrt(n, dtype=np.float64))
 
 
-def _passes(kernel, x, out):
-    # The unitary pocketfft kernel over the trailing signal axes of the batch
-    # x (axis 0 indexes signals): the last axis into out, a complex array of
-    # x's shape that does not overlap x, or, if out is None, a new one laid
-    # out like x, as np.fft lays it out; then, for a 2D batch, the row axis
-    # in place on out.  x is never written.  Returns out.
-    if out is None:
-        out = np.empty_like(x, dtype=np.complex128)
-    kernel(x, _ortho(x.shape[-1]), out=out)
-    if x.ndim == 3:
-        kernel(out, _ortho(x.shape[1]), axes=[(1,), (), (1,)], out=out)
-    return out
+@functools.lru_cache(maxsize=None)
+def _fft_pair(shape):
+    # The unitary FFT and its inverse over a batch of signals of ``shape``
+    # (axis 0 indexes signals): pocketfft's kernels with their ortho factors
+    # bound.  A call f(x, out) runs the last axis from x into out, a complex
+    # array of x's shape that does not overlap x, then, for a 2D signal, the
+    # row axis in place on out, and returns out; x is never written.
+    last = _ortho(shape[-1])
+
+    def bind(kernel):
+        if len(shape) == 1:
+            return lambda x, out: kernel(x, last, out=out)
+        rows = _ortho(shape[0])
+
+        def two_passes(x, out):
+            kernel(x, last, out=out)
+            return kernel(out, rows, axes=[(1,), (), (1,)], out=out)
+
+        return two_passes
+
+    return bind(_pocketfft.fft), bind(_pocketfft.ifft)
 
 
-def _fft(x, out=None):
-    # Unitary FFT of a batch over its trailing signal axes.
-    return _passes(_pocketfft.fft, x, out)
+def _fft(x):
+    # Unitary FFT of a batch over its trailing signal axes, into a new array
+    # laid out like x, as np.fft lays it out.
+    return _fft_pair(x.shape[1:])[0](x, np.empty_like(x, dtype=np.complex128))
 
 
-def _ifft(x, out=None):
+def _ifft(x):
     # Inverse of _fft.
-    return _passes(_pocketfft.ifft, x, out)
+    return _fft_pair(x.shape[1:])[1](x, np.empty_like(x, dtype=np.complex128))
 
 
 def as_signal(x):

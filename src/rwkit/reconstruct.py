@@ -17,8 +17,14 @@ M y - M r, and each step makes one mask product instead of two.
 
 A solve runs with numpy's divide, invalid and overflow warnings off: the
 shrink clamps a quotient that is -inf or NaN by design (see
-``frames._shrink``).  A non-finite iterate is still caught, by the check
-each step makes on the modulus, and raises :class:`NumericError`.
+``frames._shrink``).  A non-finite iterate is still caught, by a check of
+the modulus after each step, and raises :class:`NumericError`.  The check
+runs only in a solve where an iterate can overflow: with a 0/1 mask, the
+iterates' norms grow at most as sqrt(t) ||M y||, so a batch whose
+measurements are small enough for the cap (see ``_QUIET_BOUND``) cannot
+overflow, and its steps skip the check.  A step resolves nothing: the
+frame's transforms and the FFT pair, pocketfft's kernels with their
+factors bound, are looked up once per solve.
 
 With the unitary-dft frame the operator the loop inverts, the sensing
 operator composed with synthesis, is the 0/1 mask itself: diagonal and
@@ -34,8 +40,7 @@ from ._record import _Record
 from .errors import NumericError, ShapeError, _index, _real
 from .frames import (
     Frame,
-    _fft,
-    _ifft,
+    _fft_pair,
     _shrink,
     _solve_errstate,
     _stack_signals,
@@ -78,6 +83,26 @@ class ReconstructionParams(_Record):
 # it near 1 % of the loop, and a row runs at most 9 steps past its stop.
 _STOP_TOL = 1e-14
 _STOP_EVERY = 10
+
+# When a solve checks each step's iterate for a non-finite modulus.  With a
+# 0/1 mask M and an orthonormal frame W, A = M F W^H gives A^H A = P, an
+# orthogonal projection, and A^H(M y) lies in P's range, so a step's
+# z_t = (I - P) u_{t-1} + A^H(M y) is a sum of orthogonal parts:
+# ||z_t||^2 <= ||u_{t-1}||^2 + ||M y||^2.  The shrink never raises a modulus,
+# so ||z_t||^2 <= t ||M y||^2 on every row.  A row of N entries then keeps
+# every entry below sqrt(t) ||M y||, and every partial sum of an FFT
+# (pocketfft scales after summing, and Bluestein's convolution sums fewer
+# than 4 N terms) or of a frame transform below 4 N sqrt(N t) ||M y||.
+# When N * cap * max ||M y||^2 < _QUIET_BOUND that is under 4e140 N, far
+# inside the float range for any N an array can hold: no step of the batch
+# can overflow, and the check could never fire.  The margin also covers
+# round-off and the frames' orthonormality error: the db4 taps hold only to
+# about 9e-13, but even a growth of 1 + 1e-11 per step would compound to
+# under e^0.01 over _QUIET_CAP steps (the transforms' measured norms are
+# within 1e-15 of 1).  Any other batch, with huge or non-finite
+# measurements or a mask that is not 0/1, is checked at every step.
+_QUIET_BOUND = 1e280
+_QUIET_CAP = 10**9
 
 
 class PurifiedSignal(_Record):
@@ -130,8 +155,11 @@ def _ista_coefficients(y, mask, params):
     The whole solve runs under ``_solve_errstate`` (numpy's divide, invalid
     and overflow warnings off): the shrink's quotient is -inf or NaN by
     design where it clamps to 0, and a non-finite iterate still raises
-    :class:`NumericError`.  The step-by-step ``ista_loop`` in the tests,
-    which masks twice and runs each row alone, is its bit-for-bit oracle.
+    :class:`NumericError` at the first step that has one.  The check runs
+    at every step unless ``_QUIET_BOUND`` shows that no step can overflow,
+    from the row sums of squares the stop rule takes anyway.  The
+    step-by-step ``ista_loop`` in the tests, which masks twice and runs
+    each row alone, is its bit-for-bit oracle.
 
     For the unitary-dft frame the result is S_lam(mask * y) in closed form:
     it is the iterate at every step t >= 1, so it is the iterate after
@@ -142,14 +170,23 @@ def _ista_coefficients(y, mask, params):
     cap = params.iterations
     if params.frame.kind == "unitary-dft":
         z = mask * y
-        mag = _finite_modulus(z, 1)
+        mag = _check_finite(np.abs(z), 1)
         return _shrink(z, mag, lam, np.empty_like(mag)), np.full(len(y), cap)
     analyze, synthesize = _step_transforms(params.frame, y.shape[1:])
+    fft, ifft = _fft_pair(y.shape[1:])
+    zero_one = (mask * mask == mask).all()
     # The complex mask every product would cast to, cast once.
     mask = mask.astype(np.complex128)
     y = mask * y
-    limit = np.square(_STOP_TOL) * _row_sumsq(y.copy())
+    sumsq = _row_sumsq(y.copy())
+    limit = np.square(_STOP_TOL) * sumsq
     limit[limit == np.inf] = 0.0
+    # Check each step's iterate only where one can overflow (_QUIET_BOUND).
+    check = not (
+        zero_one
+        and cap <= _QUIET_CAP
+        and np.maximum.reduce(sumsq) * (y[0].size * cap) < _QUIET_BOUND
+    )
     result = np.empty_like(y)
     steps = np.full(len(y), cap)
     rows = np.arange(len(y))  # each running row's index in result
@@ -157,12 +194,15 @@ def _ista_coefficients(y, mask, params):
     z, r = np.empty_like(u), np.empty_like(u)
     mag, f = np.empty(y.shape), np.empty(y.shape)
     for t in range(1, cap + 1):
-        _fft(synthesize(u), out=r)
+        fft(synthesize(u), r)
         r *= mask
         np.subtract(y, r, out=r)
-        z = analyze(_ifft(r, out=z))
+        z = analyze(ifft(r, z))
         z += u
-        _shrink(z, _finite_modulus(z, t, out=mag), lam, f)
+        np.abs(z, out=mag)
+        if check:
+            _check_finite(mag, t)
+        _shrink(z, mag, lam, f)
         u, z = z, u
         if t % _STOP_EVERY or t == cap:
             continue
@@ -189,10 +229,9 @@ def _row_sumsq(z):
     return np.add.reduce(np.square(d, out=d), axis=1)
 
 
-def _finite_modulus(z, t, out=None):
-    # |z|, into out if given, after checking that the iterate of step t is
+def _check_finite(mag, t):
+    # mag, the modulus of the iterate of step t, after checking that it is
     # finite.
-    mag = np.abs(z, out=out)
     if not np.maximum.reduce(mag, axis=None) < np.inf:
         raise NumericError(f"non-finite iterate at iteration {t}")
     return mag

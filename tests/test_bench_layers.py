@@ -21,6 +21,8 @@ LAYERS = {
     ),
     "reconstruct._ista_coefficients.cap1",
     "reconstruct._ista_coefficients.cap100",
+    "reconstruct._ista_coefficients.one-row.cap1",
+    "reconstruct._ista_coefficients.one-row.cap100",
     "defect._l1_batch",
     "certify.certify_probabilistic",
     "classifier.empirical_robust_radius.level",
@@ -46,6 +48,7 @@ def test_one_round_times_every_layer(tmp_path, capsys):
     assert set(report["layers"]) == LAYERS
     assert all(row["median_us"] > 0 for row in report["layers"].values())
     assert report["derived"]["gen_data_share_of_shipped_run_eval"] > 0
+    assert report["derived"]["ista_step_us_one_row"] > 0
     assert {"python", "numpy", "host", "repeats"} <= set(report)
 
 

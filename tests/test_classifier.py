@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwkit import classifier
 from rwkit import (
     Frame,
     LinearClassifier,
@@ -184,6 +186,85 @@ class TestInnerOverflow:
         assert abs(got_margin / float(c) - abs(float(exact)) / norm) <= slack
         if abs(float(exact)) / norm > slack:
             assert got_label == (1 if exact > 0 else -1)
+
+
+def exact_direction(w, x):
+    # <w, x> and ||w||^2 as exact rationals.
+    dot = sum(Fraction(a) * Fraction(b) for a, b in zip(w, x))
+    return dot, sum(Fraction(a) ** 2 for a in w)
+
+
+def decimal(q):
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+class TestWeightNormRange:
+    """Weights whose norm or squared norm leaves the float range, and a
+    min_perturbation whose product -<w,x> w overflows: the division by the
+    norm runs in two steps; every finite plain result keeps its bits."""
+
+    @pytest.mark.parametrize(
+        "w, x, want_margin, want_delta",
+        [
+            ([1e-200, 0.0], [1.0, 0.0], 1.0, [-1.0, 0.0]),
+            ([1e200, 0.0], [1.0, 0.0], 1.0, [-1.0, 0.0]),
+            ([0.0, 0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, 0.0, -5e307], 5e307, [0.0, 0.0, 0.0, 0.0, 5e307]),
+        ],
+        ids=["tiny-weights", "huge-weights", "overflowing-product"],
+    )
+    def test_under_warnings_as_errors(self, w, x, want_margin, want_delta):
+        # The first raised ZeroDivisionError in margin and warned "invalid
+        # value" in min_perturbation; the second warned of overflow in both
+        # and gave margin 0; the third overflowed in min_perturbation.
+        clf = LinearClassifier(weights=np.array(w))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert margin(clf, np.array(x)) == want_margin
+            np.testing.assert_array_equal(min_perturbation(clf, np.array(x)), want_delta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(-1, 1), min_size=n, max_size=n),
+        st.integers(-310, 307),
+        st.lists(st.floats(-1, 1), min_size=n, max_size=n),
+        st.integers(-310, 307),
+    )))
+    def test_plain_bits_or_the_exact_value(self, case):
+        w_mant, w_exp, x_mant, x_exp = case
+        w = np.array(w_mant) * 10.0**w_exp
+        if not np.any(w):
+            w[0] = 10.0**w_exp
+        x = np.array(x_mant) * 10.0**x_exp
+        clf = LinearClassifier(weights=w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_margin, got_delta = margin(clf, x), min_perturbation(clf, x)
+        s, v, c = classifier._inner(clf, x)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            norm, sq = float(np.linalg.norm(v)), float(np.sum(v * v))
+            plain_delta = -s * v / sq * c
+        plain_margin = abs(s) / norm * c if 0 < norm < math.inf else math.inf
+        # The exact values, and the round-off of the inner product: 4 (n + 4)
+        # ulps of sum |w_i x_i| plus as many of the smallest subnormal, in
+        # units of c when the sum was rescaled.
+        dot, norm_sq = exact_direction(w, x)
+        size = sum(abs(Fraction(a) * Fraction(b)) for a, b in zip(w, x))
+        ulp, tiny = Decimal(2) ** -52, Decimal(2) ** -1074
+        root = decimal(norm_sq).sqrt()
+        exact = abs(decimal(dot)) / root
+        slack = 4 * (len(w) + 4) * (ulp * decimal(size) + tiny * Decimal(c)) / root + 8 * ulp * exact
+        if math.isfinite(plain_margin):
+            assert got_margin == plain_margin
+        else:
+            assert abs(Decimal(got_margin) - exact) <= slack + tiny
+        if 0 < sq < math.inf and np.all(np.isfinite(plain_delta)):
+            assert got_delta.tobytes() == plain_delta.tobytes()
+        else:
+            # w / max|w| rounds each entry to a subnormal ulp, so an entry also
+            # errs by that ulp of the largest entry, which is about the margin.
+            for got, wi in zip(got_delta, w):
+                want = -decimal(dot) * Decimal(wi) / decimal(norm_sq)
+                assert abs(Decimal(got) - want) <= slack * abs(Decimal(wi)) / root + tiny * (1 + 2 * exact)
 
 
 class TestLinearCertificate:

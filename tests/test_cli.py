@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -625,6 +627,60 @@ class TestRowNorms:
         assert got.shape == (rows,)
         for g, row in zip(got, d):
             assert g.tobytes() == np.linalg.norm(row).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 300), st.floats(100, 307), st.integers(0, 2**32 - 1))
+    def test_rows_whose_sum_of_squares_overflows_are_rescaled(self, rows, n, log_scale, seed):
+        # Rows of 1e100 to 1e307: a finite sum of squares keeps the one-dot
+        # bits; an overflowing one gave inf and "overflow encountered in
+        # matmul", and is now within round-off of math.hypot.
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal((rows, n)) * 10.0**log_scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cli._row_norms(d)
+        for g, row in zip(got, d):
+            with np.errstate(over="ignore"):
+                plain = np.linalg.norm(row)
+            if np.isfinite(plain):
+                assert g.tobytes() == plain.tobytes()
+            else:
+                assert g == pytest.approx(math.hypot(*row), rel=1e-14)
+
+
+class TestLargeEpsilon:
+    # An epsilon from about 1.4e154 makes the squared norms of the probes'
+    # reconstruction errors overflow; from about 1e307 the mean of the errors
+    # does too.  Eval used to write inf with a RuntimeWarning.
+    @pytest.mark.parametrize(
+        "lines, epsilon",
+        [
+            (("n=8", "count=2", "sparsity=1"), "1e300"),
+            (("n=8", "count=2", "sparsity=1", "frame=identity", "iterations=20"), "1e200"),
+            (("n=8", "count=50", "sparsity=1"), "6e307"),
+        ],
+        ids=["dft-1e300", "identity-1e200", "dft-6e307-mean"],
+    )
+    def test_reconstruction_error_scales_with_epsilon(self, lines, epsilon):
+        # Against the same cells at epsilon 1e100: at both epsilons the clean
+        # signal and the threshold are lost in round-off, so the purified
+        # probe, and its error, scale with epsilon.
+        rows = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for grid in ("1e100", epsilon):
+                cfg = rwkit.parse_config(fast_config(*lines, f"epsilon_grid={grid}"))
+                rows += cli.run_eval(cfg, 0)
+        small, large = rows
+        want = small["mean_reconstruction_error"] / small["epsilon"] * large["epsilon"]
+        assert large["mean_reconstruction_error"] == pytest.approx(want, rel=1e-9)
+
+    def test_mean_keeps_finite_bits_and_rescales_overflow(self):
+        v = np.array([0.1, 0.2, 0.7])
+        assert cli._mean(v) == float(np.mean(v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli._mean(np.full(4, 1.5e308)) == 1.5e308
 
 
 def _probe(x, epsilon, probe_seed):

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.stats import spearmanr
@@ -64,10 +66,14 @@ def ista_loop(y, mask, params, stop=True):
     from ``soft_threshold``, and the frame's transforms are the public
     per-row ``analyze`` and ``synthesize``, so the two loops share only the
     arithmetic of the transforms.
+
+    A row whose iterate has a non-finite modulus at step t fails there; if
+    any row fails, the loop raises :class:`NumericError` naming the first
+    such step over the rows, as the batch loop does that runs them together.
     """
     frame = params.frame
     lam = float(params.threshold)
-    rows, steps = [], []
+    rows, steps, failed = [], [], []
     for y_row, mask_row in zip(y, mask):
         y_row, mask_row = y_row[None], mask_row[None]
         limit = STOP_TOL**2 * sum_of_squares(mask_row * y_row)
@@ -79,8 +85,13 @@ def ista_loop(y, mask, params, stop=True):
             t += 1
             residual = y_row - _apply_batch(mask_row, synthesize_rows(frame, u))
             back = _adjoint_batch(mask_row, residual)
-            z = u + analyze(frame, back[0])[None]
+            # analyze refuses a non-finite signal, whose coefficients, and
+            # so the iterate, are not finite either.
+            z = u + analyze(frame, back[0])[None] if np.all(np.isfinite(back)) else back
             mag = np.abs(z)
+            if not np.all(np.isfinite(mag)):
+                failed.append(t)
+                break
             z = z * (np.maximum(mag - lam, 0.0) / np.where(mag == 0.0, 1.0, mag))
             moved = sum_of_squares(z - u)
             u = z
@@ -88,6 +99,8 @@ def ista_loop(y, mask, params, stop=True):
                 break
         rows.append(u[0])
         steps.append(t)
+    if failed:
+        raise NumericError(f"non-finite iterate at iteration {min(failed)}")
     return np.stack(rows), np.array(steps)
 
 
@@ -607,6 +620,88 @@ class TestIstaLoop:
         got, steps = _ista_coefficients(y, mask, params)
         assert_same_bits(got, soft_threshold(mask * y, params.threshold))
         assert steps.tolist() == [params.iterations] * len(y)
+
+
+@st.composite
+def scaled_loop_cases(draw):
+    # loop_cases with the measurements scaled by 1e100 to 1e307, across the
+    # bound below which a solve skips its per-step finiteness check.  Half
+    # the batches are spikes instead: each row's only nonzero measurement,
+    # 1e306 to 1.5e308 at its first entry, which step 1 spreads over the row
+    # and step 2 sums back (see spike_case), so that steps overflow.
+    y, mask, params = draw(loop_cases())
+    if draw(st.booleans()):
+        return y * 10.0 ** draw(st.floats(100, 307)), mask, params
+    y, mask = np.zeros_like(y), mask.copy()
+    y.reshape(len(y), -1)[:, 0] = draw(st.floats(1e306, 1.5e308))
+    mask.reshape(len(mask), -1)[:, 0] = 1.0
+    return y, mask, params
+
+
+def spike_case(kind, shape, at, scale):
+    # One row whose measurements are a single spike: step 1 spreads it over
+    # the row, and step 2's unnormalized FFT sums the spread entries again,
+    # N / sqrt(N) times the spike, which overflows for a spike near 1e308.
+    y = np.zeros((1,) + shape, dtype=np.complex128)
+    y[(0,) + at] = scale
+    frame = Frame(kind=kind, levels=2 if kind.endswith("-dwt") else 0)
+    params = ReconstructionParams(iterations=5, threshold=0.0, subsample_prob=1.0, frame=frame)
+    return y, np.ones(y.shape), params
+
+
+class TestFinitenessCheck:
+    """A solve checks its iterates for a non-finite modulus at every step
+    unless N * cap * max ||M y||^2 < 1e280, where no step can overflow; it
+    raises NumericError exactly where the step-by-step loop does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_loop_cases())
+    @example(spike_case("identity", (64,), (3,), 1e308))
+    @example(spike_case("haar-dwt", (16, 16), (0, 5), 1e308))
+    @example(spike_case("identity", (64,), (3,), 1e138))
+    def test_raises_as_the_step_by_step_loop_or_matches_it(self, case):
+        y, mask, params = case
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want, want_steps = ista_loop(y, mask, params)
+        except NumericError as exc:
+            with pytest.raises(NumericError, match=f"^{re.escape(str(exc))}$"):
+                _ista_coefficients(y, mask, params)
+            return
+        got, steps = _ista_coefficients(y, mask, params)
+        assert_same_bits(got, want)
+        assert steps.tolist() == want_steps.tolist()
+
+    @pytest.mark.parametrize("kind", ["identity", "haar-dwt"])
+    def test_first_overflow_at_step_two_is_named(self, kind):
+        y, mask, params = spike_case(kind, (64,), (3,), 1e308)
+        with pytest.raises(NumericError, match=r"^non-finite iterate at iteration 2$"):
+            _ista_coefficients(y, mask, params)
+
+    @pytest.mark.parametrize(
+        "scale, iterations, checked",
+        [(1.0, 100, False), (1e137, 100, False), (1e139, 100, True), (1.0, 10**9 + 1, True)],
+    )
+    def test_check_runs_only_where_an_iterate_can_overflow(self, monkeypatch, scale, iterations, checked):
+        # One row of 64 entries with ||M y||^2 = 2 scale^2: the bound is
+        # 64 * cap * 2 scale^2 < 1e280, and a cap above 1e9 always checks.
+        calls = []
+        check = reconstruct._check_finite
+        monkeypatch.setattr(reconstruct, "_check_finite", lambda mag, t: calls.append(t) or check(mag, t))
+        y = np.zeros((1, 64), dtype=np.complex128)
+        y[0, :2] = scale
+        params = ReconstructionParams(iterations=iterations, threshold=0.5 * scale, subsample_prob=0.5, frame=IDENTITY)
+        _, steps = _ista_coefficients(y, np.ones(y.shape), params)
+        assert calls == (list(range(1, steps[0] + 1)) if checked else [])
+
+    def test_a_mask_that_is_not_zero_one_is_checked(self):
+        # The bound needs M to be a projection; any other mask checks every
+        # step.  With a mask of 3s a step maps u to -2u plus a constant, so
+        # the iterate doubles until it overflows.
+        y = np.ones((1, 8), dtype=np.complex128)
+        params = ReconstructionParams(iterations=2000, threshold=0.0, subsample_prob=1.0, frame=IDENTITY)
+        with pytest.raises(NumericError, match=r"^non-finite iterate at iteration 10\d\d$"):
+            _ista_coefficients(y, np.full(y.shape, 3.0), params)
 
 
 class TestDefend:
