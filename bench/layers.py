@@ -80,6 +80,8 @@ def layers():
             add(f"frames.analyze.{kind}-3.{len(shape)}d", f"{size}, in place", lambda a=analyze, b=batch: a(b))
             add(f"frames.synthesize.{kind}-3.{len(shape)}d", size, lambda s=synthesize, b=batch: s(b))
     y = sensing._apply_batch(mask, xs_probed)
+    # The loop, under the error state its callers hold for it.
+    ista = frames._solve_errstate(reconstruct._ista_coefficients)
     for cap in (1, 100):
         params = reconstruct.ReconstructionParams(
             iterations=cap, threshold=0.002, subsample_prob=0.5, frame=frames.Frame(kind="identity")
@@ -87,7 +89,7 @@ def layers():
         add(
             f"reconstruct._ista_coefficients.cap{cap}",
             f"identity, {ROWS} probed rows, lam 0.002, q 0.5, cap {cap}",
-            lambda p=params: reconstruct._ista_coefficients(y, mask, p),
+            lambda p=params: ista(y, mask, p),
         )
     identity = frames.Frame(kind="identity")
     add("defect._l1_batch", f"identity, {ROWS} rows", lambda: defect._l1_batch(mask, xs, identity))
@@ -112,12 +114,12 @@ def layers():
     one_y = sensing._apply_batch(one_mask, np.asarray(x0)[None] + 0.2 * probes[:1] / np.linalg.norm(probes[0]))
     for cap in (1, 100):
         params = reconstruct.ReconstructionParams(iterations=cap, threshold=0.02, subsample_prob=0.5, frame=identity)
-        if reconstruct._ista_coefficients(one_y, one_mask, params)[1][0] != cap:
+        if ista(one_y, one_mask, params)[1][0] != cap:
             raise RuntimeError("the one-row layer's row stops before its cap")
         add(
             f"reconstruct._ista_coefficients.one-row.cap{cap}",
             f"identity, 1 probed row, lam 0.02, q 0.5, cap {cap}",
-            lambda p=params: reconstruct._ista_coefficients(one_y, one_mask, p),
+            lambda p=params: ista(one_y, one_mask, p),
         )
     add(
         "classifier.empirical_robust_radius.level",

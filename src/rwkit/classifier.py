@@ -25,10 +25,20 @@ __all__ = [
 
 DEFAULT_PROBES = 200
 DEFAULT_RADIUS_CEILING = 1e6
+_TINY = np.finfo(np.float64).tiny
 
 
 class LinearClassifier(_Record, norepr=("weights",)):
     """f(x) = sign(<w, x>) with sign(0) := +1; w is finite, not all zero.
+
+    ``weights`` is a read-only copy of the array given.  The label, margin
+    and minimal perturbation do not change when w is scaled: all three are
+    computed from u = w * 2**-e, e the ``np.frexp`` exponent of max|w|, kept
+    with its norm and squared norm, and, where <u, x> is not normal, from x
+    scaled by a power of two too (see ``_inner``).  Powers of two are exact,
+    so a result keeps the bits of the plain expression wherever no
+    intermediate leaves the normal range; a w entry below 2**(e - 1022) is
+    subnormal in u and loses digits, one below 2**(e - 1074) is flushed.
 
     ``predict``, ``margin``, ``min_perturbation`` and the certificates raise
     :class:`ShapeError` for an input x whose shape is not w's or that has a
@@ -38,12 +48,15 @@ class LinearClassifier(_Record, norepr=("weights",)):
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64)
         if not np.all(np.isfinite(w)):
             raise ParameterError("weights must be finite")
         if not np.any(w != 0):
             raise ParameterError("weights must not be all zero")
+        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        u = np.ldexp(w, -math.frexp(float(np.max(np.abs(w))))[1])
+        vars(self).update(_u=u, _u_norm=float(np.linalg.norm(u)), _u_sq=float(np.sum(u * u)))
 
     def __call__(self, x):
         return predict(self, x)
@@ -67,29 +80,24 @@ class RadiusMeasurement(_Record):
 
 
 def _inner(clf, x):
-    # The inner product <w, Re x> of a checked x, as a triple (s, v, c).
-    # Unless the plain sum overflows, s is that sum, v is w and c is 1.0.
-    # A finite x can still overflow it; then v = w / max|w|, c = max|x|, and
-    # s is the sum for v and x / c, which cannot overflow.  Either way v is
-    # a positive multiple of w and s * c is its inner product with Re x, so
-    # predict reads the sign of s, and margin and min_perturbation compute
-    # from (s, v) and multiply by c.
+    # (s, c) with s * c = <u, Re x> of a checked x: the plain sum and 1.0 where
+    # it is normal, or subnormal with max|x| >= 1 (scaling x down would flush
+    # it further); else c is the power of two with max|x| / c in [1, 2), and
+    # the sum for x / c neither overflows nor flushes a small x's products.
     x = np.asarray(x)
     if x.shape != clf.weights.shape:
-        raise ShapeError(
-            f"expected shape {clf.weights.shape}, got {x.shape}"
-        )
+        raise ShapeError(f"expected shape {clf.weights.shape}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ShapeError("signal contains non-finite entries")
-    v = clf.weights
     x = np.real(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = float(np.sum(v * x))
-    if math.isfinite(s):
-        return s, v, 1.0
-    v = v / np.max(np.abs(v))
-    c = float(np.max(np.abs(x)))
-    return float(np.sum(v * (x / c))), v, c
+        s = float(np.sum(clf._u * x))
+    if _TINY <= abs(s) < math.inf:
+        return s, 1.0
+    c = math.ldexp(0.5, math.frexp(float(np.max(np.abs(x))))[1])
+    if c >= 1 and math.isfinite(s):
+        return s, 1.0
+    return float(np.sum(clf._u * (x / c))), c
 
 
 def predict(clf, x):
@@ -97,45 +105,22 @@ def predict(clf, x):
     return 1 if _inner(clf, x)[0] >= 0 else -1
 
 
-def _rescaled(v):
-    # (a, u) with v = a * u: a = max|v| and u = v / a, whose norm lies in
-    # [1, sqrt(n)], so that neither ||u|| nor ||u||^2 overflows or
-    # underflows to 0 as ||v|| or ||v||^2 can.
-    a = float(np.max(np.abs(v)))
-    return a, v / a
-
-
 def margin(clf, x):
-    """Exact L2 distance |<w, x>| / ||w||_2 to the decision boundary."""
-    # The plain quotient unless ||v|| leaves the float range or the quotient
-    # overflows; then |s| is divided by ||v|| in two steps, ||u|| and a.
-    s, v, c = _inner(clf, x)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-    m = abs(s) / norm * c if 0 < norm < math.inf else math.inf
-    if math.isfinite(m):
-        return m
-    a, u = _rescaled(v)
-    return abs(s) / float(np.linalg.norm(u)) / a * c
+    """Exact L2 distance |<w, x>| / ||w||_2 to the decision boundary,
+    computed as |<u, x / c>| / ||u||_2 * c (see :class:`LinearClassifier`)."""
+    s, c = _inner(clf, x)
+    return abs(s) / clf._u_norm * c
 
 
 def min_perturbation(clf, x):
     """Closed-form smallest label-flipping direction -<w,x> w / ||w||^2.
 
-    Its norm equals the margin; any strictly longer step along it flips
-    the label.
+    Computed as -<u, x/c> u / ||u||^2 * c (see :class:`LinearClassifier`).
+    Its norm equals the margin; any strictly longer step along it flips the
+    label.
     """
-    # As margin: the plain product unless ||v||^2 leaves the float range or
-    # an entry overflows; then the scalar -s / ||v||^2 is formed in two
-    # steps, ||u||^2 and a, before it multiplies u.
-    s, v, c = _inner(clf, x)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sq = float(np.sum(v * v))
-        p = -s * v / sq * c
-        if 0 < sq < math.inf and np.all(np.isfinite(p)):
-            return p
-        a, u = _rescaled(v)
-        return -s / float(np.sum(u * u)) / a * c * u
+    s, c = _inner(clf, x)
+    return -s * clf._u / clf._u_sq * c
 
 
 def linear_certificate(clf, x, alpha):

@@ -70,9 +70,10 @@ def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
     wrng = np.random.default_rng(derived_seed(wseed, 87))
     w = wrng.standard_normal(n)
     w /= np.linalg.norm(w)
-    # The margin and label of a draw are classifier.margin's and
-    # classifier.predict's: each row sum of w * x is np.sum(w * x) of that
-    # row, bit for bit.
+    # The margin and label of a draw are classifier.margin's and predict's,
+    # bit for bit: each row sum of w * x is np.sum(w * x) of that row, and the
+    # classifier's power-of-two scale of w is exact on draws, whose products
+    # stay normal (w is a unit normal draw, nonzero |x_j| in [2**-52, 1]).
     w_norm = float(np.linalg.norm(w))
     # No margin reaches k + 1 (|x_j| <= 1 and ||w|| = 1), so this keeps every
     # decision and keeps an integer floor beyond the float range out of numpy.

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import sensing
 from ._record import _Record
-from .errors import ParameterError, ShapeError, _index, _real
-from .frames import _stack_signals, _step_transforms, as_signal
+from .errors import NumericError, ParameterError, ShapeError, _index, _real
+from .frames import _solve_errstate, _stack_signals, _step_transforms, as_signal
 from .sensing import _adjoint_batch
 
 __all__ = [
@@ -56,12 +56,16 @@ def _result(l1, bound):
     return DefectResult(defect=float(_excess(l1, bound)), final_l1=min(float(l1), bound))
 
 
+@_solve_errstate
 def _l1_batch(mask, xs, frame):
     # Row i is ||analyze(adjoint(mask[i], xs[i]))||_1, in the batch
     # convention of sensing._adjoint_batch (axis 0 indexes signals, rows are
     # independent).  analyze may overwrite the adjoint, which is fresh.
     w = _step_transforms(frame, xs.shape[1:])[0](_adjoint_batch(mask, xs))
-    return np.sum(np.abs(w.reshape(len(w), -1)), axis=1)
+    l1 = np.sum(np.abs(w.reshape(len(w), -1)), axis=1)
+    if not np.maximum.reduce(l1) < np.inf:
+        raise NumericError("non-finite coefficient L1 norm")
+    return l1
 
 
 def coefficient_defect(w, params):

@@ -122,9 +122,8 @@ class PurifiedSignal(_Record):
     imag_residual: float = 0.0
 
 
-@_solve_errstate
 def _ista_coefficients(y, mask, params):
-    """Run the thresholded gradient iteration; returns ``(u, steps)``.
+    """Run the thresholded gradient iteration in ``_solve_errstate``; returns ``(u, steps)``.
 
     Axis 0 of ``y`` and ``mask`` indexes independent rows.  Every step is
     row-local, so a row's result does not depend on the rows beside it.
@@ -152,9 +151,9 @@ def _ista_coefficients(y, mask, params):
     ``z``, every other step works in place, and ``u`` and ``z`` swap roles
     after each step; the stop check writes the step change into ``z``.  One
     modulus of the new iterate serves the finiteness check and the shrink.
-    The whole solve runs under ``_solve_errstate`` (numpy's divide, invalid
-    and overflow warnings off): the shrink's quotient is -inf or NaN by
-    design where it clamps to 0, and a non-finite iterate still raises
+    The error state turns numpy's divide, invalid and overflow warnings
+    off, for the sensing and synthesis too: the shrink's quotient is -inf or
+    NaN by design where it clamps to 0, and a non-finite iterate still raises
     :class:`NumericError` at the first step that has one.  The check runs
     at every step unless ``_QUIET_BOUND`` shows that no step can overflow,
     from the row sums of squares the stop rule takes anyway.  The
@@ -237,6 +236,7 @@ def _check_finite(mag, t):
     return mag
 
 
+@_solve_errstate
 def ista_reconstruct(y, op, params):
     """Reconstruct a signal from masked Fourier measurements.
 
@@ -247,9 +247,10 @@ def ista_reconstruct(y, op, params):
     arr = as_signal(y)
     sensing._check_shape(op, arr.shape)
     u, _ = _ista_coefficients(arr[None], op.mask[None], params)
-    return _step_transforms(params.frame, arr.shape)[1](u)[0]
+    return _synthesized(params.frame, u)[0]
 
 
+@_solve_errstate
 def _purify_block(xs, mask, params):
     """Purified values and final coefficients of a stacked batch.
 
@@ -260,7 +261,15 @@ def _purify_block(xs, mask, params):
     ``values`` is ``u`` itself; callers read both and write to neither.
     """
     u, steps = _ista_coefficients(_apply_batch(mask, xs), mask, params)
-    return _step_transforms(params.frame, xs.shape[1:])[1](u), u, steps
+    return _synthesized(params.frame, u), u, steps
+
+
+def _synthesized(frame, u):
+    # The values of a batch of final coefficients, which can overflow.
+    values = _step_transforms(frame, u.shape[1:])[1](u)
+    if values is not u and not np.isfinite(values).all():
+        raise NumericError("non-finite synthesized value")
+    return values
 
 
 def purify_many(xs, params, seeds):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwkit import classifier
@@ -43,6 +43,15 @@ class TestConstruction:
     def test_non_finite_weights_rejected(self, bad):
         with pytest.raises(ParameterError, match="weights must be finite"):
             LinearClassifier(weights=np.array([bad, 1.0]))
+
+    def test_weights_are_a_read_only_copy(self):
+        # The direction kept beside them cannot drift from the weights: a
+        # change to the caller's array leaves both alone.
+        w = np.array([1.0, 2.0])
+        clf = LinearClassifier(weights=w)
+        w[0] = -10.0
+        assert clf.weights.tolist() == [1.0, 2.0] and not clf.weights.flags.writeable
+        assert predict(clf, np.array([1.0, 0.0])) == 1
 
 
 class TestPredict:
@@ -136,9 +145,134 @@ class TestMinPerturbation:
         assert flipped == 100
 
 
+def exact_direction(w, x):
+    # <w, x> and ||w||^2 as exact rationals.
+    dot = sum(Fraction(a) * Fraction(b) for a, b in zip(w, x))
+    return dot, sum(Fraction(a) ** 2 for a in w)
+
+
+def decimal(q):
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def normal_at(v, *shifts):
+    # Whether the float v, times 2**k, lies in the normal range for every
+    # k in shifts; 0 is not normal.
+    exponent = math.frexp(v)[1]
+    return v != 0 and math.isfinite(v) and all(-1021 <= exponent + k <= 1024 for k in shifts)
+
+
+def plain_results(w, x):
+    """The plain expressions of margin and min_perturbation, computed from
+    w itself, and whether the classifier must give their bits.
+
+    The classifier computes from u = w * 2**-e, where e is the frexp
+    exponent of max|w|, and, where <u, x> is not normal, from x / c, with c
+    the power of two that puts max|x| / c in [1, 2), if that scales x up or
+    the sum overflows.  Scaling by 2**k commutes with rounding wherever every
+    rounded intermediate is normal in both scales.  A sum needs no check: one
+    below the normal range is exact, and none overflows, as the plain s must
+    be finite and the classifier's sum is finite or, on the fork, at most
+    2 n.  So the bits are due where every product, square and quotient of
+    the plain expressions is normal at each scale the classifier takes, or
+    exactly zero because an operand is zero.  Returns (margin, delta, clean,
+    e, c).
+    """
+    e = math.frexp(float(np.max(np.abs(w))))[1]
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        s, norm, sq = np.sum(w * x), np.linalg.norm(w), np.sum(w * w)
+        m = float(abs(s) / norm)
+        r = -s * w
+        delta = r / sq
+        s, norm, sq = float(s), float(norm), float(sq)
+        s_u = float(np.sum(np.ldexp(w, -e) * x))
+    big = math.frexp(float(np.max(np.abs(x))))[1] - 1
+    fork = not normal_at(s_u) and (big < 0 or not math.isfinite(s_u))
+    k = big if fork else 0
+    clean = (
+        math.isfinite(s)
+        and normal_at(norm, 0, -e)
+        and normal_at(sq, 0, -2 * e)
+        and (s == 0 or normal_at(m, 0, -k))
+        and all(
+            (wi == 0 or xi == 0 or normal_at(wi * xi, 0, -e - k))
+            and (wi == 0 or normal_at(wi * wi, 0, -2 * e))
+            and (wi == 0 or s == 0 or (normal_at(ri, 0, -2 * e - k) and normal_at(di, 0, -k)))
+            for wi, xi, ri, di in zip(w.tolist(), x.tolist(), r.tolist(), delta.tolist())
+        )
+    )
+    return m, delta, clean, e, 2.0**k
+
+
+def assert_plain_bits_or_the_exact_value(w, x):
+    """margin, min_perturbation and predict of LinearClassifier(w) at x,
+    under warnings as errors: the plain expressions' bits and the plain
+    sign where plain_results says they are due, the exact values within the
+    round-off of the scaled computation everywhere, and the exact sign as
+    the label wherever the exact margin clears the inner product's share of
+    that round-off."""
+    clf = LinearClassifier(weights=w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_margin, got_delta, got_label = margin(clf, x), min_perturbation(clf, x), predict(clf, x)
+    plain_margin, plain_delta, clean, e, c = plain_results(w, x)
+    if clean:
+        # The expressions margin, min_perturbation and predict had.
+        assert got_margin == plain_margin
+        assert got_delta.tobytes() == plain_delta.tobytes()
+        assert got_label == (1 if np.sum(w * x) >= 0 else -1)
+    # The exact values, and the round-off of the inner product: 4 (n + 4)
+    # ulps of sum |w_i x_i|, which covers the subnormal products of a normal
+    # sum; n smallest subnormals in the scale of u and x / c, at most
+    # 2**(e - 1074) max|x| each in the scale of w and x, for those of a sum
+    # that is not normal and for the entries of x / c; and, for each w_i below
+    # 2**(e - 1022), the half subnormal by which u_i errs, times |x_i|.
+    dot, norm_sq = exact_direction(w, x)
+    size = sum(abs(Fraction(a) * Fraction(b)) for a, b in zip(w, x))
+    ulp, tiny = Decimal(2) ** -52, Decimal(2) ** -1074
+    root = decimal(norm_sq).sqrt()
+    exact = abs(decimal(dot)) / root
+    scale, x_max = Decimal(2) ** e, Decimal(float(np.max(np.abs(x))))
+    rounded_u = sum(
+        (abs(Decimal(xi)) for wi, xi in zip(w.tolist(), x.tolist()) if 0 < abs(wi) < math.ldexp(1, e - 1022)), Decimal(0)
+    )
+    spread = tiny * scale * (len(w) * x_max + rounded_u / 2)
+    inner = (4 * (len(w) + 4) * ulp * decimal(size) + spread) / root
+    assert abs(Decimal(got_margin) - exact) <= inner + 8 * ulp * exact + tiny
+    if exact > inner:
+        assert got_label == (1 if dot > 0 else -1)
+    for got, wi in zip(got_delta.tolist(), w.tolist()):
+        # Beyond the inner product's round-off, carried in proportion to
+        # w_i, the rounding of u_i, of the subnormal results the direction
+        # passes through before it is multiplied by c, and of the product.
+        want = -decimal(dot) * Decimal(wi) / decimal(norm_sq)
+        assert abs(Decimal(got) - want) <= inner * abs(Decimal(wi)) / root + 8 * ulp * abs(want) + tiny * (3 * Decimal(c) + 1 + 2 * exact)
+
+
+def scaled_vectors(n):
+    # n mantissas in [-1, 1] times one power of ten from 1e-310 to 1e307.
+    return st.tuples(st.lists(st.floats(-1, 1), min_size=n, max_size=n), st.integers(-310, 307))
+
+
+def scaled_pair(case):
+    (w_mant, w_exp), (x_mant, x_exp) = case
+    w = np.array(w_mant) * 10.0**w_exp
+    if not np.any(w):
+        w[0] = 10.0**w_exp
+    return w, np.array(x_mant) * 10.0**x_exp
+
+
+def lowest_bit(v):
+    # The exponent of the lowest set bit of the nonzero float v.
+    num, den = abs(v).as_integer_ratio()
+    return (num & -num).bit_length() - den.bit_length()
+
+
 class TestInnerOverflow:
-    """A finite x whose plain inner product with w overflows: the product is
-    recomputed from w / max|w| and x / max|x|; every finite sum is kept."""
+    """A finite x whose inner product with the direction of w overflows: it
+    is recomputed from x / c, c the power of two with max|x| / c in [1, 2),
+    which is exact, so every finite sum keeps its bits wherever they are
+    due."""
 
     @pytest.mark.parametrize(
         "x, want_margin, want_label",
@@ -156,115 +290,100 @@ class TestInnerOverflow:
             delta = min_perturbation(clf, x)
         np.testing.assert_array_equal(delta, np.full(4, -want_margin / 2))
 
+    def test_a_sum_that_cancels_below_the_normal_range_keeps_its_sign(self):
+        # The big terms cancel exactly and leave -1e-310: x / c, with c near
+        # 5e307, would flush that to 0 and give the label +1.
+        clf = LinearClassifier(weights=np.ones(3))
+        x = np.array([5e307, -5e307, -1e-310])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (predict(clf, x), predict(clf, -x)) == (-1, 1)
+            got = margin(clf, x)
+        assert abs(Decimal(got) - Decimal(1e-310) / Decimal(3).sqrt()) <= Decimal(2) ** -1074
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
         st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
         st.lists(st.one_of(st.floats(-5e307, 5e307), st.sampled_from([-5e307, 5e307])), min_size=n, max_size=n),
     )))
+    # <w, x> is finite there and <u, x> = 4 <w, x> is not: the bits stay.
+    @example(([0.225] * 4, [6e307] * 4))
+    # <u, x> = -0.5 * 5e-324 rounds to -0: the label is the exact sign.
+    @example(([-1.0, 0.0], [5e-324, 0.0]))
+    # 1 * 0 + -1.4e-89 * 2.8e-246 rounds to +0, whose plain label +1 is wrong.
+    @example(([0.0, -1.4081148114064099e-89], [0.0, 2.79199084554136e-246]))
+    # A normal sum keeps its bits: x / c would make the one term subnormal.
+    @example(([0.0, 0.0, 512.1428286789748], [0.0, -5e307, 1.0]))
     def test_margin_and_label_keep_finite_sums_and_rescale_overflow(self, wx):
         w, x = (np.array(v) for v in wx)
         if np.max(np.abs(w)) < 1e-3:
             w[0] = 1.0
-        clf = LinearClassifier(weights=w)
-        with np.errstate(over="ignore", invalid="ignore"):
-            plain = float(np.sum(w * x))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got_margin, got_label = margin(clf, x), predict(clf, x)
-        if math.isfinite(plain):
-            # The expressions margin and predict had.
-            assert got_margin == abs(plain) / float(np.linalg.norm(w))
-            assert got_label == (1 if plain >= 0 else -1)
-            return
-        # Against the exact inner product, in units of max|x| so that every
-        # float stays in range; the bound is the summation's round-off.
-        c = Fraction(float(np.max(np.abs(x))))
-        exact = sum(Fraction(a) * Fraction(b) for a, b in zip(w, x)) / c
-        size = sum(abs(Fraction(a) * Fraction(b)) for a, b in zip(w, x)) / c
-        norm = float(np.linalg.norm(w))
-        slack = 4 * (len(w) + 4) * 2.0**-52 * float(size) / norm
-        assert abs(got_margin / float(c) - abs(float(exact)) / norm) <= slack
-        if abs(float(exact)) / norm > slack:
-            assert got_label == (1 if exact > 0 else -1)
-
-
-def exact_direction(w, x):
-    # <w, x> and ||w||^2 as exact rationals.
-    dot = sum(Fraction(a) * Fraction(b) for a, b in zip(w, x))
-    return dot, sum(Fraction(a) ** 2 for a in w)
-
-
-def decimal(q):
-    return Decimal(q.numerator) / Decimal(q.denominator)
+        assert_plain_bits_or_the_exact_value(w, x)
 
 
 class TestWeightNormRange:
-    """Weights whose norm or squared norm leaves the float range, and a
-    min_perturbation whose product -<w,x> w overflows: the division by the
-    norm runs in two steps; every finite plain result keeps its bits."""
+    """Weights whose norm or squared norm leaves the float range, inner
+    products that underflow, and a min_perturbation whose product -<w,x> w
+    overflows: all three functions compute from the direction of w."""
 
     @pytest.mark.parametrize(
-        "w, x, want_margin, want_delta",
+        "w, x, want_margin, want_delta, want_label",
         [
-            ([1e-200, 0.0], [1.0, 0.0], 1.0, [-1.0, 0.0]),
-            ([1e200, 0.0], [1.0, 0.0], 1.0, [-1.0, 0.0]),
-            ([0.0, 0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, 0.0, -5e307], 5e307, [0.0, 0.0, 0.0, 0.0, 5e307]),
+            ([1e-200, 0.0], [1.0, 0.0], 1.0, [-1.0, 0.0], 1),
+            ([1e200, 0.0], [1.0, 0.0], 1.0, [-1.0, 0.0], 1),
+            ([0.0, 0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, 0.0, -5e307], 5e307, [0.0, 0.0, 0.0, 0.0, 5e307], -1),
+            ([-1e-200, 0.0], [1e-200, 0.0], 1e-200, [-1e-200, 0.0], -1),
+            ([1e-200, 0.0], [1.2345678e-120, 0.0], 1.2345678e-120, [-1.2345678e-120, 0.0], 1),
+            ([1e-160, 0.0], [1.2345678, 0.0], 1.2345678, [-1.2345678, 0.0], 1),
+            ([-1.0, 0.0], [5e-324, 0.0], 5e-324, [-5e-324, 0.0], -1),
         ],
-        ids=["tiny-weights", "huge-weights", "overflowing-product"],
+        ids=[
+            "tiny-weights",
+            "huge-weights",
+            "overflowing-product",
+            "underflowing-product",
+            "subnormal-sum",
+            "subnormal-squared-norm",
+            "subnormal-input",
+        ],
     )
-    def test_under_warnings_as_errors(self, w, x, want_margin, want_delta):
+    def test_under_warnings_as_errors(self, w, x, want_margin, want_delta, want_label):
         # The first raised ZeroDivisionError in margin and warned "invalid
         # value" in min_perturbation; the second warned of overflow in both
-        # and gave margin 0; the third overflowed in min_perturbation.
+        # and gave margin 0; the third overflowed in min_perturbation.  The
+        # fourth's product underflowed to 0: label +1, margin 0, direction 0.
+        # The last two lost digits to a subnormal sum and squared norm:
+        # margins 1.23467e-120 and 1.234575, and a direction of -1.234684.
+        # The last gave label -1 and margin 5e-324 until u = w / 2 made its
+        # product -0 (label +1, margin 0); x / c now keeps it.
         clf = LinearClassifier(weights=np.array(w))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            assert predict(clf, np.array(x)) == want_label
             assert margin(clf, np.array(x)) == want_margin
             np.testing.assert_array_equal(min_perturbation(clf, np.array(x)), want_delta)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-        st.lists(st.floats(-1, 1), min_size=n, max_size=n),
-        st.integers(-310, 307),
-        st.lists(st.floats(-1, 1), min_size=n, max_size=n),
-        st.integers(-310, 307),
-    )))
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(scaled_vectors(n), scaled_vectors(n))))
     def test_plain_bits_or_the_exact_value(self, case):
-        w_mant, w_exp, x_mant, x_exp = case
-        w = np.array(w_mant) * 10.0**w_exp
-        if not np.any(w):
-            w[0] = 10.0**w_exp
-        x = np.array(x_mant) * 10.0**x_exp
-        clf = LinearClassifier(weights=w)
+        assert_plain_bits_or_the_exact_value(*scaled_pair(case))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(scaled_vectors(n), scaled_vectors(n))), st.data())
+    def test_a_power_of_two_scale_of_w_keeps_every_bit(self, case, data):
+        # k runs over [-1000, 1000] where 2**k w is exact: its largest entry
+        # stays below 2**1024 and its lowest bit at or above 2**-1074.
+        w, x = scaled_pair(case)
+        top = math.frexp(float(np.max(np.abs(w))))[1]
+        low = min(lowest_bit(wi) for wi in w.tolist() if wi)
+        k = data.draw(st.integers(max(-1000, -1074 - low), min(1000, 1024 - top)))
+        a, b = LinearClassifier(weights=w), LinearClassifier(weights=np.ldexp(w, k))
+        assert np.array_equal(np.ldexp(b.weights, -k), w)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got_margin, got_delta = margin(clf, x), min_perturbation(clf, x)
-        s, v, c = classifier._inner(clf, x)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            norm, sq = float(np.linalg.norm(v)), float(np.sum(v * v))
-            plain_delta = -s * v / sq * c
-        plain_margin = abs(s) / norm * c if 0 < norm < math.inf else math.inf
-        # The exact values, and the round-off of the inner product: 4 (n + 4)
-        # ulps of sum |w_i x_i| plus as many of the smallest subnormal, in
-        # units of c when the sum was rescaled.
-        dot, norm_sq = exact_direction(w, x)
-        size = sum(abs(Fraction(a) * Fraction(b)) for a, b in zip(w, x))
-        ulp, tiny = Decimal(2) ** -52, Decimal(2) ** -1074
-        root = decimal(norm_sq).sqrt()
-        exact = abs(decimal(dot)) / root
-        slack = 4 * (len(w) + 4) * (ulp * decimal(size) + tiny * Decimal(c)) / root + 8 * ulp * exact
-        if math.isfinite(plain_margin):
-            assert got_margin == plain_margin
-        else:
-            assert abs(Decimal(got_margin) - exact) <= slack + tiny
-        if 0 < sq < math.inf and np.all(np.isfinite(plain_delta)):
-            assert got_delta.tobytes() == plain_delta.tobytes()
-        else:
-            # w / max|w| rounds each entry to a subnormal ulp, so an entry also
-            # errs by that ulp of the largest entry, which is about the margin.
-            for got, wi in zip(got_delta, w):
-                want = -decimal(dot) * Decimal(wi) / decimal(norm_sq)
-                assert abs(Decimal(got) - want) <= slack * abs(Decimal(wi)) / root + tiny * (1 + 2 * exact)
+            assert predict(a, x) == predict(b, x)
+            assert margin(a, x).hex() == margin(b, x).hex()
+            assert min_perturbation(a, x).tobytes() == min_perturbation(b, x).tobytes()
 
 
 class TestLinearCertificate:

@@ -683,6 +683,51 @@ class TestLargeEpsilon:
             assert cli._mean(np.full(4, 1.5e308)) == 1.5e308
 
 
+class TestOverflowingInput:
+    """Finite inputs near the float maximum whose FFTs overflow: each command
+    exits 3 with the one numeric-failure line, and numpy warns of nothing."""
+
+    HUGE = np.array([1.5e308, -1.5e308, 1.5e308, 1e308, 0, 0, 0, 0])
+
+    def run(self, tmp_path, capsys, command, *lines, signal=HUGE):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(fast_config("n=8", "sparsity=1", *lines))
+        write_signal(tmp_path / "huge.csv", signal)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command != "eval":
+            argv += ["--in", str(tmp_path / "huge.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_eval_at_epsilon_near_the_float_maximum(self, tmp_path, capsys):
+        # The sensing ran outside the solve's error state: "overflow
+        # encountered in fft", then "invalid value encountered in multiply".
+        err = self.run(tmp_path, capsys, "eval", "count=50", "epsilon_grid=1e308")
+        assert err == "numeric failure: non-finite iterate at iteration 1\n"
+
+    @pytest.mark.parametrize("frame", ["identity", "unitary-dft"])
+    def test_purify_of_a_huge_signal(self, tmp_path, capsys, frame):
+        err = self.run(tmp_path, capsys, "purify", f"frame={frame}")
+        assert err == "numeric failure: non-finite iterate at iteration 1\n"
+
+    def test_purify_whose_synthesis_overflows(self, tmp_path, capsys):
+        # Its coefficients are finite, about 5.3e307 each, and their inverse
+        # FFT is not: it wrote 0,inf,0 and exited 0.
+        signal = np.array([1.5e308, 0, 0, 0, 0, 0, 0, 0])
+        err = self.run(tmp_path, capsys, "purify", "frame=unitary-dft", "subsample_prob=1", signal=signal)
+        assert err == "numeric failure: non-finite synthesized value\n"
+
+    @pytest.mark.parametrize("frame", ["identity", "unitary-dft"])
+    def test_defect_of_a_huge_signal(self, tmp_path, capsys, frame):
+        # It wrote defect=nan (or inf) and exited 0.
+        err = self.run(tmp_path, capsys, "defect", f"frame={frame}")
+        assert err == "numeric failure: non-finite coefficient L1 norm\n"
+
+
 def _probe(x, epsilon, probe_seed):
     # A random perturbation of norm epsilon, seeded per sample.
     if epsilon == 0:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rwkit import (
     FRAME_KINDS,
     DefectParams,
     Frame,
+    NumericError,
     ParameterError,
     ShapeError,
     coefficient_defect,
@@ -172,6 +174,22 @@ class TestSparsityDefect:
             for t in (1.0, 2.0, 4.0, 8.0)
         ]
         assert all(b <= a + 1e-8 for a, b in zip(defects, defects[1:]))
+
+
+    @pytest.mark.parametrize("kind", ["identity", "unitary-dft"])
+    @pytest.mark.parametrize("q", [1.0, 0.5])
+    def test_overflowing_back_projection_is_a_numeric_error(self, kind, q):
+        # A finite signal near the float maximum overflows the FFTs of the
+        # back-projection; the defect and its L1 norm were NaN, with two
+        # RuntimeWarnings.
+        x = np.array([1.5e308, -1.5e308, 1.5e308, 1e308, 0, 0, 0, 0])
+        op = make_partial_fourier(8, q, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^non-finite coefficient L1 norm$"):
+                sparsity_defect(x, op, Frame(kind=kind), DefectParams(solution_bound=1.0))
+            with pytest.raises(NumericError, match="^non-finite coefficient L1 norm$"):
+                expected_defect([x], Frame(kind=kind), DefectParams(solution_bound=1.0), 1, 0, q)
 
 
 class TestExpectedDefect:

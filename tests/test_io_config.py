@@ -645,6 +645,21 @@ class TestGenData:
         write_dataset(p2, gen_data(16, 5, 2, 3))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_weight_row_scaled_by_1e_200_reads_back_the_same_labels(self, tmp_path, suffix):
+        # A label depends only on the direction of the weights.  With signals
+        # of order 1e-150 the products of the scaled weight row underflow, and
+        # summing them as they stand gave +1 for most rows.
+        dataset = gen_data(32, 50, 3, 5)
+        signals = [1e-150 * x for x in dataset.signals]
+        labels = []
+        for scale in (1.0, 1e-200):
+            path = tmp_path / f"ds-{scale}{suffix}"
+            weights = scale * dataset.weights
+            write_dataset(path, data.Dataset(weights=weights, signals=signals, labels=dataset.labels))
+            labels.append(read_dataset(path).labels)
+        assert labels[0] == labels[1] == dataset.labels
+
 
 DATASET_ROWS = """\
 # shape=2x2

@@ -31,8 +31,11 @@ from rwkit import (
     synthesize,
 )
 from rwkit import reconstruct
-from rwkit.reconstruct import _ista_coefficients
+from rwkit.frames import _solve_errstate
 from rwkit.sensing import _adjoint_batch, _apply_batch
+
+# The reconstruction loop, under the error state its callers hold for it.
+_ista_coefficients = _solve_errstate(reconstruct._ista_coefficients)
 
 IDENTITY = Frame(kind="identity")
 DFT = Frame(kind="unitary-dft")
