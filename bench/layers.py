@@ -63,6 +63,12 @@ def layers():
         out.append((name, what, call))
 
     add("sensing._masks", f"{ROWS} masks of n={N}, q=0.7494", lambda: sensing._masks(states, (N,), 0.7494))
+    # One operator: its mask's draw, check and read-only copy.
+    add(
+        "sensing.make_partial_fourier",
+        f"one operator of n={N}, q=0.5, seed 0",
+        lambda: sensing.make_partial_fourier(N, 0.5, 0),
+    )
     add("frames._fft", f"{ROWS}x{N} complex", lambda: frames._fft(z))
     add("frames._ifft", f"{ROWS}x{N} complex", lambda: frames._ifft(z))
     mag = np.abs(z)

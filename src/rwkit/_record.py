@@ -6,10 +6,11 @@ default is copied, so each instance gets its own.  A record is built
 positionally or by keyword in field order, runs ``__post_init__`` once its
 fields are set, raises :class:`dataclasses.FrozenInstanceError` on
 assignment or deletion (``object.__setattr__`` still works, for
-``__post_init__``), compares and hashes as the tuple of its fields, and
-has a dataclass-style repr that leaves out the fields named in the class
-keyword ``norepr``.  ``cls._fields`` maps each field name to its
-annotation, in declaration order.
+``__post_init__``), compares field by field (see ``_equal``), hashes as
+the tuple of its fields, so a record holding an array, list or dict is
+unhashable, and has a dataclass-style repr that leaves out the fields
+named in the class keyword ``norepr``.  ``cls._fields`` maps each field
+name to its annotation, in declaration order.
 
 This replaces ``@dataclass(frozen=True)``, which writes the source of about
 six methods for each class and ``exec``s it at every import, about 1 ms per
@@ -18,6 +19,8 @@ class; these methods are defined once.  Records are not dataclasses, so
 """
 
 from dataclasses import FrozenInstanceError
+
+import numpy as np
 
 
 class _Record:
@@ -68,7 +71,7 @@ class _Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_equal, self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())
@@ -82,3 +85,16 @@ class _Record:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _equal(a, b):
+    # Field equality: an array by np.array_equal, a list or tuple entry by
+    # entry (so a list of arrays compares), anything else by ==; an object
+    # equals itself, as in a tuple comparison.
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, (list, tuple)) and type(a) is type(b):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    return a == b

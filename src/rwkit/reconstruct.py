@@ -11,20 +11,17 @@ indexes independent signals, each with its own mask; ``purify``,
 five batch-shaped buffers once per solve and its steps work in place on
 them, the FFTs included, so a step allocates nothing beyond what a wavelet
 frame's transforms make.  The step-by-step ``ista_loop`` in the tests is
-its bit-for-bit oracle.  The measurements are masked once, before the
-loop: the mask M is 0/1, so the back-projected residual M(y - M r) is
+its bit-for-bit oracle.  Every mask is 0/1 (``SensingOperator`` checks
+it), so the measurements are masked once, before the loop: M(y - M r) is
 M y - M r, and each step makes one mask product instead of two.
 
 A solve runs with numpy's divide, invalid and overflow warnings off: the
 shrink clamps a quotient that is -inf or NaN by design (see
 ``frames._shrink``).  A non-finite iterate is still caught, by a check of
-the modulus after each step, and raises :class:`NumericError`.  The check
-runs only in a solve where an iterate can overflow: with a 0/1 mask, the
-iterates' norms grow at most as sqrt(t) ||M y||, so a batch whose
-measurements are small enough for the cap (see ``_QUIET_BOUND``) cannot
-overflow, and its steps skip the check.  A step resolves nothing: the
-frame's transforms and the FFT pair, pocketfft's kernels with their
-factors bound, are looked up once per solve.
+the modulus after each step, and raises :class:`NumericError`; the check
+runs only in a solve where an iterate can overflow (see ``_QUIET_BOUND``).
+A step resolves nothing: the frame's transforms and the FFT pair,
+pocketfft's kernels with their factors bound, are looked up once per solve.
 
 With the unitary-dft frame the operator the loop inverts, the sensing
 operator composed with synthesis, is the 0/1 mask itself: diagonal and
@@ -84,8 +81,9 @@ class ReconstructionParams(_Record):
 _STOP_TOL = 1e-14
 _STOP_EVERY = 10
 
-# When a solve checks each step's iterate for a non-finite modulus.  With a
-# 0/1 mask M and an orthonormal frame W, A = M F W^H gives A^H A = P, an
+# When a solve checks each step's iterate for a non-finite modulus.  The
+# mask M is 0/1 (``SensingOperator`` checks it; ``sensing._masks`` draws
+# it so), and with an orthonormal frame W, A = M F W^H gives A^H A = P, an
 # orthogonal projection, and A^H(M y) lies in P's range, so a step's
 # z_t = (I - P) u_{t-1} + A^H(M y) is a sum of orthogonal parts:
 # ||z_t||^2 <= ||u_{t-1}||^2 + ||M y||^2.  The shrink never raises a modulus,
@@ -99,8 +97,7 @@ _STOP_EVERY = 10
 # round-off and the frames' orthonormality error: the db4 taps hold only to
 # about 9e-13, but even a growth of 1 + 1e-11 per step would compound to
 # under e^0.01 over _QUIET_CAP steps (the transforms' measured norms are
-# within 1e-15 of 1).  Any other batch, with huge or non-finite
-# measurements or a mask that is not 0/1, is checked at every step.
+# within 1e-15 of 1).  Any other batch is checked at every step.
 _QUIET_BOUND = 1e280
 _QUIET_CAP = 10**9
 
@@ -131,9 +128,9 @@ def _ista_coefficients(y, mask, params):
 
     Step t maps u to S_lam(u + analyze(adjoint(y - apply(synthesize(u))))).
     The frame's transforms are resolved once and ``y`` is masked once:
-    since M is 0/1, the residual the adjoint masks, M(y - M r), equals
-    M y - M r, so a step needs the mask only on the forward product.  In
-    floating point the two can differ only in the sign of a zero entry.
+    since M is 0/1 (drawn so, or checked by ``SensingOperator``), M(y - M r)
+    equals M y - M r, so a step needs the mask only on the forward product.
+    In floating point the two can differ only in the sign of a zero entry.
 
     ``params.iterations`` is a cap.  After each ``_STOP_EVERY``-th step
     t < cap, a row with ``||u_t - u_{t-1}||**2 <= _STOP_TOL**2 * ||M y||**2``
@@ -173,7 +170,6 @@ def _ista_coefficients(y, mask, params):
         return _shrink(z, mag, lam, np.empty_like(mag)), np.full(len(y), cap)
     analyze, synthesize = _step_transforms(params.frame, y.shape[1:])
     fft, ifft = _fft_pair(y.shape[1:])
-    zero_one = (mask * mask == mask).all()
     # The complex mask every product would cast to, cast once.
     mask = mask.astype(np.complex128)
     y = mask * y
@@ -181,11 +177,7 @@ def _ista_coefficients(y, mask, params):
     limit = np.square(_STOP_TOL) * sumsq
     limit[limit == np.inf] = 0.0
     # Check each step's iterate only where one can overflow (_QUIET_BOUND).
-    check = not (
-        zero_one
-        and cap <= _QUIET_CAP
-        and np.maximum.reduce(sumsq) * (y[0].size * cap) < _QUIET_BOUND
-    )
+    check = not (cap <= _QUIET_CAP and np.maximum.reduce(sumsq) * (y[0].size * cap) < _QUIET_BOUND)
     result = np.empty_like(y)
     steps = np.full(len(y), cap)
     rows = np.arange(len(y))  # each running row's index in result
@@ -242,7 +234,8 @@ def ista_reconstruct(y, op, params):
 
     Runs soft-thresholded gradient steps from a zero initialization, at
     most ``params.iterations`` of them (see :func:`_ista_coefficients` for
-    the stop rule), and returns the synthesized signal.
+    the stop rule), and returns the synthesized signal.  ``op``'s mask is
+    0/1, checked when the operator was built, so the solve tests no mask.
     """
     arr = as_signal(y)
     sensing._check_shape(op, arr.shape)

@@ -27,7 +27,7 @@ from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
 
 from ._record import _Record
 from .errors import ParameterError, ShapeError, _index, _real
-from .frames import _fft, _ifft, as_signal
+from .frames import _fft, _ifft, _read_only, as_signal
 
 __all__ = [
     "SensingOperator",
@@ -137,13 +137,18 @@ class SensingOperator(_Record, norepr=("mask",)):
 
     ``mask`` is a 0/1 array over Fourier coefficients; the operator keeps
     masked coefficients and zeroes the rest, so apply(adjoint(y)) restores
-    any y supported on the mask exactly.
+    any y supported on the mask exactly.  Bool, integer or real entries,
+    each exactly 0 or 1, are kept as a read-only float64 copy; any other
+    (0.5, 3, NaN, inf, complex, non-numeric) raises ``ParameterError``.
     """
 
     mask: np.ndarray
 
     def __post_init__(self):
-        self.mask.setflags(write=False)
+        mask = np.asarray(self.mask)
+        if mask.dtype.kind not in "biuf" or not ((mask == 0) | (mask == 1)).all():
+            raise ParameterError("mask entries must each be 0 or 1")
+        object.__setattr__(self, "mask", _read_only(mask.astype(np.float64)))
 
     @property
     def shape(self):

@@ -10,6 +10,7 @@ BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 LAYERS = {
     "sensing._masks",
+    "sensing.make_partial_fourier",
     "frames._fft",
     "frames._ifft",
     "frames._shrink",

@@ -697,14 +697,13 @@ class TestFinitenessCheck:
         _, steps = _ista_coefficients(y, np.ones(y.shape), params)
         assert calls == (list(range(1, steps[0] + 1)) if checked else [])
 
-    def test_a_mask_that_is_not_zero_one_is_checked(self):
-        # The bound needs M to be a projection; any other mask checks every
-        # step.  With a mask of 3s a step maps u to -2u plus a constant, so
-        # the iterate doubles until it overflows.
-        y = np.ones((1, 8), dtype=np.complex128)
+    def test_a_mask_that_is_not_zero_one_never_reaches_a_solve(self):
+        # The bound needs M to be a projection.  With a mask of 3s a step
+        # would map u to -2u plus a constant, doubling the iterate until it
+        # overflowed; the operator refuses that mask when it is built.
         params = ReconstructionParams(iterations=2000, threshold=0.0, subsample_prob=1.0, frame=IDENTITY)
-        with pytest.raises(NumericError, match=r"^non-finite iterate at iteration 10\d\d$"):
-            _ista_coefficients(y, np.full(y.shape, 3.0), params)
+        with pytest.raises(ParameterError, match="0 or 1"):
+            ista_reconstruct(np.ones(8), SensingOperator(mask=np.full(8, 3.0)), params)
 
 
 class TestDefend:

@@ -129,9 +129,27 @@ class TestRecordContract:
 
     def test_equal_records_have_equal_hashes(self, cls, args, defaults):
         a, b = cls(*args()), cls(*args())
+        assert a == b and not a != b
         if cls in HASHABLE:
-            assert a == b and hash(a) == hash(b)
+            assert hash(a) == hash(b)
+        else:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(a)
         assert a != tuple(args())
+        # A record with one array entry changed, v to 1 - v, is unequal:
+        # an array field's, or that of an array in a list field.
+        changed = 0
+        given = args()
+        for value in given:
+            for arr in value if isinstance(value, list) else [value]:
+                if isinstance(arr, np.ndarray):
+                    arr.flat[0] = 1.0 - arr.flat[0]
+                    other = cls(*given)
+                    assert a != other and not a == other
+                    arr.flat[0] = 1.0 - arr.flat[0]
+                    assert a == cls(*given)
+                    changed += 1
+        assert changed == {SensingOperator: 1, PurifiedSignal: 1, LinearClassifier: 1, Dataset: 2}.get(cls, 0)
 
     def test_repr_lists_fields_in_order(self, cls, args, defaults):
         # The weight and mask arrays are left out.

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwkit import (
+    FRAME_KINDS,
     ConfigError,
     DefectParams,
     ExperimentConfig,
@@ -117,6 +118,71 @@ class TestMakePartialFourier:
             want = make_partial_fourier(shape, q, seq).mask
             assert row.tobytes() == want.tobytes()
             assert row.tobytes() == reference_mask(shape, q, seq).tobytes()
+
+
+# Masks with an entry that is not exactly 0 or 1, each as a caller might
+# pass it.
+NOT_ZERO_ONE = {
+    "half": np.full(16, 0.5),
+    "three": np.full(16, 3.0),
+    "int three": [1, 0, 3, 1],
+    "minus one": np.array([1, 0, -1, 1]),
+    "nan": np.array([1.0, np.nan, 0.0, 1.0]),
+    "inf": np.array([1.0, 0.0, np.inf, 1.0]),
+    "minus inf": [1.0, -np.inf, 0.0, 1.0],
+    "complex entry": [1.0, 0.0, 1j, 1.0],
+    "complex one": np.array([1.0, 0.0, 1.0, 1.0], dtype=np.complex128),
+    "strings": ["1", "0", "1", "1"],
+    "string": "1011",
+    "none": None,
+}
+
+
+class TestMaskCheck:
+    """An operator checks its mask once, when it is built: bool, integer and
+    real entries that are each exactly 0 or 1 are kept as a read-only
+    float64 copy, and any other mask raises ParameterError there, so it
+    never reaches a sensing, reconstruction or defect call."""
+
+    @pytest.mark.parametrize("bad", list(NOT_ZERO_ONE.values()), ids=list(NOT_ZERO_ONE))
+    def test_a_mask_that_is_not_zero_one_raises_at_construction(self, bad):
+        with pytest.raises(ParameterError, match="^mask entries must each be 0 or 1$"):
+            SensingOperator(mask=bad)
+        x = np.ones(np.shape(bad))
+        params = ReconstructionParams(iterations=5, threshold=0.0, subsample_prob=1.0, frame=Frame("identity"))
+        for use in (
+            lambda op: apply(op, x),
+            lambda op: ista_reconstruct(x, op, params),
+            lambda op: sparsity_defect(x, op, Frame("identity"), DefectParams(1.0)),
+        ):
+            with pytest.raises(ParameterError, match="0 or 1"):
+                use(SensingOperator(mask=bad))
+
+    def test_the_callers_array_stays_writeable(self):
+        given = np.ones(4)
+        op = SensingOperator(mask=given)
+        assert given.flags.writeable and not op.mask.flags.writeable
+        given[0] = 0.0
+        assert op.mask.tolist() == [1.0, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("shape", [(16,), (8, 8)], ids=str)
+    def test_bool_int_and_list_masks_give_the_float_masks_bits(self, shape):
+        ref = make_partial_fourier(shape, 0.5, 3)
+        want = ref.mask
+        x = random_signal(shape, 4)
+        frames = [Frame(kind, levels=0 if kind in ("identity", "unitary-dft") else 2) for kind in FRAME_KINDS]
+        assert len(frames) == 4
+        for given in (want.astype(bool), want.astype(np.int64), want.astype(np.uint8), want.tolist()):
+            op = SensingOperator(mask=given)
+            assert op.mask.dtype == np.float64 and op.mask.tobytes() == want.tobytes()
+            assert apply(op, x).tobytes() == apply(ref, x).tobytes()
+            assert adjoint(op, x).tobytes() == adjoint(ref, x).tobytes()
+            for frame in frames:
+                params = ReconstructionParams(iterations=20, threshold=0.01, subsample_prob=0.5, frame=frame)
+                y = apply(ref, x)
+                assert ista_reconstruct(y, op, params).tobytes() == ista_reconstruct(y, ref, params).tobytes()
+                bound = DefectParams(1.0)
+                assert sparsity_defect(x, op, frame, bound) == sparsity_defect(x, ref, frame, bound)
 
 
 class TestApplyAdjoint:
