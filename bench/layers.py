@@ -50,7 +50,8 @@ def _cpu():
 def layers():
     """(name, what it times, zero-argument call) for every layer."""
     rng = np.random.default_rng(0)
-    xs = np.asarray(data.gen_data(N, ROWS, 4, 0).signals)
+    dataset = data.gen_data(N, ROWS, 4, 0)
+    xs = np.asarray(dataset.signals)
     probes = rng.standard_normal((ROWS, N))
     xs_probed = xs + 0.05 * probes / np.linalg.norm(probes, axis=1, keepdims=True)
     states = sensing._states(0, np.stack([np.arange(ROWS), np.zeros(ROWS, dtype=int)], axis=1))
@@ -99,6 +100,18 @@ def layers():
         )
     identity = frames.Frame(kind="identity")
     add("defect._l1_batch", f"identity, {ROWS} rows", lambda: defect._l1_batch(mask, xs, identity))
+    # The label pass of one eval block, and one exact certificate.
+    clf_rows = dataset.classifier
+    add(
+        "classifier.labels",
+        f"labels and margins of {ROWS} probed rows of n={N}",
+        lambda: classifier._label_margin(clf_rows, xs_probed),
+    )
+    add(
+        "classifier.linear_certificate",
+        "one call at a gen_data row: alpha 4, rho 0.05, defect 0.01",
+        lambda: classifier.linear_certificate(clf_rows, xs[0], 4.0, 0.05, 0.01),
+    )
     add(
         "certify.certify_probabilistic",
         "the shipped constants at epsilon 0.05, defect 0.7",

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import certify
 from ._record import _Record
-from .errors import ParameterError, ShapeError, _index, _real
-from .sensing import RwpParameters, derived_seed
+from .errors import ParameterError, ShapeError, _array, _index, _real
+from .sensing import derived_seed
 
 __all__ = [
     "LinearClassifier",
@@ -19,7 +19,6 @@ __all__ = [
     "margin",
     "min_perturbation",
     "linear_certificate",
-    "linear_certificate_approx",
     "empirical_robust_radius",
 ]
 
@@ -40,15 +39,15 @@ class LinearClassifier(_Record, norepr=("weights",)):
     intermediate leaves the normal range; a w entry below 2**(e - 1022) is
     subnormal in u and loses digits, one below 2**(e - 1074) is flushed.
 
-    ``predict``, ``margin``, ``min_perturbation`` and the certificates raise
-    :class:`ShapeError` for an input x whose shape is not w's or that has a
-    non-finite entry.
+    ``predict``, ``margin``, ``min_perturbation`` and the certificate raise
+    :class:`ShapeError` for an input x that is ragged, whose shape is not w's
+    or that has a non-finite entry.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
+        w = _array(self.weights, "weights", ParameterError, np.float64, copy=True)
         if not np.all(np.isfinite(w)):
             raise ParameterError("weights must be finite")
         if not np.any(w != 0):
@@ -79,37 +78,58 @@ class RadiusMeasurement(_Record):
         _real(self.radius, "radius", ge=0)
 
 
-def _inner(clf, x):
-    # (s, c) with s * c = <u, Re x> of a checked x: the plain sum and 1.0 where
-    # it is normal, or subnormal with max|x| >= 1 (scaling x down would flush
-    # it further); else c is the power of two with max|x| / c in [1, 2), and
-    # the sum for x / c neither overflows nor flushes a small x's products.
-    x = np.asarray(x)
-    if x.shape != clf.weights.shape:
-        raise ShapeError(f"expected shape {clf.weights.shape}, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ShapeError("signal contains non-finite entries")
-    x = np.real(x)
+def _inner(clf, xs):
+    # (s, c) over the rows x of xs, with s * c = <u, Re x>: the plain sum and
+    # 1.0 where it is normal, or subnormal with max|x| >= 1 (scaling x down
+    # would flush it further) or x = 0; else c is the power of two with
+    # max|x| / c in [1, 2), and the sum for x / c neither overflows nor
+    # flushes its products.  Runs in its caller's error state, with overflow
+    # and invalid off.
+    xs = _array(xs, "signal")
+    if xs.shape[1:] != clf.weights.shape:
+        raise ShapeError(f"expected shape {clf.weights.shape}, got {xs.shape[1:]}")
+    if np.iscomplexobj(xs):
+        if not np.all(np.isfinite(xs)):
+            raise ShapeError("signal contains non-finite entries")
+        xs = xs.real
+    xs = xs.reshape(len(xs), -1)
+    u = clf._u.ravel()
+    s = np.sum(u * xs, axis=1)
+    c = np.ones(len(s))
+    a = np.abs(s)
+    if not (np.minimum.reduce(a, initial=math.inf) >= _TINY and np.maximum.reduce(a, initial=0.0) < math.inf):
+        rows = np.flatnonzero(~((a >= _TINY) & (a < math.inf)))
+        x = xs[rows]
+        # A zero row keeps its sum, 0.  A non-finite entry of a real row makes
+        # its sum non-finite, so only these rows can hold one.
+        if np.count_nonzero(x):
+            top = np.max(np.abs(x), axis=1)
+            if not np.maximum.reduce(top) < math.inf:
+                raise ShapeError("signal contains non-finite entries")
+            redo = ((top > 0) & (top < 1)) | ~np.isfinite(s[rows])
+            rows, big = rows[redo], np.ldexp(0.5, np.frexp(top[redo])[1])
+            c[rows] = big
+            s[rows] = np.sum(u * (x[redo] / big[:, None]), axis=1)
+    return s, c
+
+
+def _label_margin(clf, xs):
+    # ``predict`` and ``margin`` of each row of xs, as arrays, bit for bit;
+    # a margin beyond the float range is inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        s = float(np.sum(clf._u * x))
-    if _TINY <= abs(s) < math.inf:
-        return s, 1.0
-    c = math.ldexp(0.5, math.frexp(float(np.max(np.abs(x))))[1])
-    if c >= 1 and math.isfinite(s):
-        return s, 1.0
-    return float(np.sum(clf._u * (x / c))), c
+        s, c = _inner(clf, xs)
+        return np.where(s >= 0, 1, -1), np.abs(s) / clf._u_norm * c
 
 
 def predict(clf, x):
     """Label in {-1, +1}; the boundary itself maps to +1."""
-    return 1 if _inner(clf, x)[0] >= 0 else -1
+    return int(_label_margin(clf, _array(x, "signal")[None])[0][0])
 
 
 def margin(clf, x):
     """Exact L2 distance |<w, x>| / ||w||_2 to the decision boundary,
     computed as |<u, x / c>| / ||u||_2 * c (see :class:`LinearClassifier`)."""
-    s, c = _inner(clf, x)
-    return abs(s) / clf._u_norm * c
+    return float(_label_margin(clf, _array(x, "signal")[None])[1][0])
 
 
 def min_perturbation(clf, x):
@@ -119,46 +139,55 @@ def min_perturbation(clf, x):
     Its norm equals the margin; any strictly longer step along it flips the
     label.
     """
-    s, c = _inner(clf, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (s,), (c,) = _inner(clf, _array(x, "signal")[None])
     return -s * clf._u / clf._u_sq * c
 
 
-def linear_certificate(clf, x, alpha):
-    """Certified radius alpha * margin / 2 for exactly sparse inputs.
+def linear_certificate(clf, x, alpha, rho, defect):
+    """Certified radius alpha * (m - 4*rho*defect) / 2 at x, m its margin.
 
-    Requires alpha > 2 (otherwise the guaranteed gain alpha/2 is not an
-    improvement and no certificate is issued).
+    The radius and the gain radius / m (1/kappa(radius); alpha/2 at defect 0)
+    are exact values of the float inputs, rounded once (inf beyond the float
+    range).  None (no certificate) where a positive defect has m <=
+    4*rho*defect, decided exactly, or is infinite; an infinite m gives radius
+    inf and gain alpha/2.  Needs a finite alpha > 2 and a finite rho > 0.
     """
-    _real(alpha, "certificate alpha", gt=2)
-    m = margin(clf, x)
-    return certify.Certificate(
-        radius=alpha * m / 2.0,
-        probability=1.0,
-        gain=alpha / 2.0,
-        inputs={"alpha": alpha, "margin": m},
-    )
-
-
-def linear_certificate_approx(clf, x, alpha, rho, defect):
-    """Certificate for approximately sparse inputs.
-
-    Radius (alpha/2) * (margin - 4*rho*defect); returns None (no
-    certificate) when the margin does not exceed 4*rho*defect.
-    """
-    _real(alpha, "certificate alpha", gt=2)
-    RwpParameters(rho=rho, alpha=alpha)
+    _real(alpha, "certificate alpha", gt=2, lt=math.inf)
+    _real(rho, "rho", gt=0, lt=math.inf)
     _real(defect, "defect", ge=0)
     m = margin(clf, x)
-    if defect > 0 and m <= 4.0 * rho * defect:
+    if defect == math.inf or (defect and not m):
         return None
-    radius = (alpha / 2.0) * (m - 4.0 * rho * defect)
-    gain = certify.robustness_gain(certify.kappa(radius, alpha, rho, defect)) if radius > 0 else alpha / 2.0
+    radius, gain = (math.inf if m else 0.0), alpha / 2.0
+    if 0 < m < math.inf:
+        (sn, sd), (wn, wd), (dn, dd), (mn, md) = certify._slack(alpha, rho, m, 0.0, defect, m)
+        # raw / den = (alpha*m - 4*alpha*rho*defect) / 2, the exact radius.
+        raw, den = sn * wd * dd - wn * dn * sd, 2 * sd * wd * dd
+        if raw <= 0:
+            return None
+        try:
+            radius = raw / den
+        except OverflowError:
+            pass
+        gain = raw * md / (den * mn)
     return certify.Certificate(
         radius=radius,
         probability=1.0,
         gain=gain,
         inputs={"alpha": alpha, "rho": rho, "defect": defect, "margin": m},
     )
+
+
+def _real_signal(v, what):
+    # v as a real float64 array: ShapeError where it is ragged, has a
+    # non-finite entry or an imaginary part that is not all zero.
+    v = _array(v, what, dtype=np.complex128)
+    if not np.all(np.isfinite(v)):
+        raise ShapeError(f"{what} contains non-finite entries")
+    if np.any(v.imag):
+        raise ShapeError(f"{what} has a non-zero imaginary part")
+    return v.real.copy()
 
 
 def empirical_robust_radius(
@@ -179,26 +208,23 @@ def empirical_robust_radius(
     directions come from the stream ``derived_seed(seed)``.  An
     upper bracket is first established by doubling from ``tol``; if none
     is found below ``radius_ceiling`` the measurement is returned with
-    ``flip_found=False``.  A non-finite ``x`` or extra direction, or one whose
-    shape is not ``x``'s, raises :class:`ShapeError`; a zero one is dropped.
+    ``flip_found=False``.  An ``x`` or extra direction that is ragged, not
+    finite or not real, or one whose shape is not ``x``'s, raises
+    :class:`ShapeError`; a zero imaginary part or direction is dropped.
     """
     _real(_index(probes, "probes"), "probes", ge=1)
     # A non-finite value would keep the bracket doubling forever.
     _real(tol, "tol", gt=0, lt=np.inf)
     _real(radius_ceiling, "radius_ceiling", gt=0, lt=np.inf)
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ShapeError("signal contains non-finite entries")
+    x = _real_signal(x, "signal")
     rng = np.random.default_rng(derived_seed(seed))
     extra = []
     for u in extra_directions:
-        u = np.asarray(u, dtype=np.float64)
+        u = _real_signal(u, "extra direction")
         if u.shape != x.shape:
             raise ShapeError(
                 f"extra direction of shape {u.shape} does not match signal shape {x.shape}"
             )
-        if not np.all(np.isfinite(u)):
-            raise ShapeError("extra direction contains non-finite entries")
         # Scaled by its largest entry first, so that the norm of a finite
         # direction can neither overflow nor underflow to 0.
         scale = np.max(np.abs(u), initial=0.0)

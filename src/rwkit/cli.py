@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import certify, data, defect, io, reconstruct, sensing
+from . import certify, classifier, data, defect, io, reconstruct, sensing
 from .config import _fmt, config_hash, load_config
 from .errors import ConfigError, InfeasibleError, ParameterError, RwkitError, ShapeError, _real
 from .frames import _check_levels
@@ -193,7 +193,7 @@ def run_eval(cfg, seed):
     except ShapeError as exc:
         raise ConfigError(f"levels: {exc}") from None
     dataset = _dataset(cfg, seed)
-    weights = dataset.weights
+    clf = dataset.classifier
     signals = np.asarray(dataset.signals)
     labels = np.asarray(dataset.labels)
     grid = cfg.epsilon_grid
@@ -229,7 +229,7 @@ def run_eval(cfg, seed):
         values = reconstruct._purify_block(xs, np.concatenate([mask, mask]), params)[0]
         # The purified rows of real inputs are reported as real signals.
         values = values.real
-        predicted = np.where(np.sum(weights * values, axis=1) >= 0, 1, -1)
+        predicted = classifier._label_margin(clf, values)[0]
         clean_ok[start:stop] = predicted[:b] == labels[i_index]
         defended_ok[start:stop] = predicted[b:] == labels[i_index]
         errors[start:stop] = _row_norms(values[b:] - clean)

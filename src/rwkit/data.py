@@ -14,7 +14,7 @@ import numpy as np
 
 from . import io
 from ._record import _Record
-from .classifier import LinearClassifier, predict
+from .classifier import LinearClassifier, _label_margin
 from .errors import ConfigError, ParameterError, ShapeError, _index, _real
 from .sensing import derived_seed
 
@@ -55,7 +55,9 @@ def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
     and the signals from ``derived_seed(seed, 88)``; ``weights_seed``
     defaults to ``seed``.  Each draw takes a support (``choice`` of k of the
     n indices, without replacement) and then its values (``uniform(-1, 1)``)
-    from that stream.  A draw with a zero value, or whose margin is below
+    from that stream.  Its label and margin are ``predict``'s and
+    ``margin``'s under the weights, bit for bit, from the classifier's batch
+    arithmetic.  A draw with a zero value, or whose margin is below
     ``margin_floor``, is rejected, and the next draw becomes the candidate
     for the same sample; ``ParameterError`` is raised after ``_MAX_RESAMPLES``
     rejections in a row.  Acceptance never changes which numbers a draw
@@ -70,11 +72,7 @@ def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
     wrng = np.random.default_rng(derived_seed(wseed, 87))
     w = wrng.standard_normal(n)
     w /= np.linalg.norm(w)
-    # The margin and label of a draw are classifier.margin's and predict's,
-    # bit for bit: each row sum of w * x is np.sum(w * x) of that row, and the
-    # classifier's power-of-two scale of w is exact on draws, whose products
-    # stay normal (w is a unit normal draw, nonzero |x_j| in [2**-52, 1]).
-    w_norm = float(np.linalg.norm(w))
+    clf = LinearClassifier(weights=w)
     # No margin reaches k + 1 (|x_j| <= 1 and ||w|| = 1), so this keeps every
     # decision and keeps an integer floor beyond the float range out of numpy.
     floor = min(margin_floor, k + 1)
@@ -94,8 +92,8 @@ def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
             values[i] = rng.uniform(-1.0, 1.0, size=k)
         x = np.zeros((m, n))
         x[np.arange(m)[:, None], support] = values
-        inner = (w * x).sum(axis=1)
-        accepted = (values != 0.0).all(axis=1) & (np.abs(inner) / w_norm >= floor)
+        label, margin = _label_margin(clf, x)
+        accepted = (values != 0.0).all(axis=1) & (margin >= floor)
         hits = accepted.nonzero()[0][:needed]
         # A round holds at most _MAX_RESAMPLES draws, so only the run carried
         # into it, with the rejections before its first accepted draw, can
@@ -107,7 +105,7 @@ def gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
         run = m - 1 - hits[-1] if hits.size else run + m
         # A round whose draws are all accepted keeps its rows, uncopied.
         signals.extend(x if hits.size == m else x[hits])
-        labels.extend(np.where(inner[hits] >= 0, 1, -1).tolist())
+        labels.extend(label[hits].tolist())
         size = needed - hits.size if hits.size else 2 * m
     return Dataset(weights=w, signals=signals, labels=labels)
 
@@ -143,9 +141,9 @@ def read_dataset(path):
         clf = LinearClassifier(weights=w)
     except ParameterError as exc:
         raise ConfigError(f"{path}: the weight row is refused: {exc}") from None
-    signals = [x.real if np.all(x.imag == 0) else x for x in table[1:]]
     try:
-        labels = [predict(clf, x) for x in signals]
+        labels = _label_margin(clf, table[1:])[0].tolist()
     except ShapeError as exc:
         raise ConfigError(f"{path}: a signal row is refused: {exc}") from None
+    signals = [x.real if np.all(x.imag == 0) else x for x in table[1:]]
     return Dataset(weights=w, signals=signals, labels=labels)

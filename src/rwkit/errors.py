@@ -1,15 +1,17 @@
-"""Exception hierarchy shared by all rwkit modules, and the two parameter
-rules they share, each raising :class:`ParameterError` that names the
-parameter and its range.  :func:`_index`: an integer >= 0 that is not a
-``bool`` (seeds, counts, axis lengths).  :func:`_real`: a ``numbers.Real``
-that is not a ``bool``, inside the range the call states; NaN fails every
-range, a call that states none checks only the type, and the value is
-never converted.
+"""Exception hierarchy shared by all rwkit modules, and the input rules they
+share.  :func:`_index` and :func:`_real` raise :class:`ParameterError` that
+names the parameter and its range: an integer >= 0 that is not a ``bool``
+(seeds, counts, axis lengths), and a ``numbers.Real`` that is not a
+``bool``, inside the range the call states; NaN fails every range, a call
+that states none checks only the type, and the value is never converted.
+:func:`_array` reads an array, raising the caller's error where numpy cannot.
 """
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 __all__ = ["RwkitError", "ParameterError", "ShapeError", "NumericError", "InfeasibleError", "ConfigError"]
 
@@ -47,6 +49,14 @@ def _index(value, what):
     if i < 0 or isinstance(value, bool):
         raise ParameterError(f"{what} must be an integer >= 0, got {value!r}")
     return i
+
+
+def _array(value, what, error=ShapeError, dtype=None, copy=None):
+    # np.array(value, dtype, copy=copy); a ragged or non-numeric value raises ``error``.
+    try:
+        return np.array(value, dtype=dtype, copy=copy)
+    except ValueError as exc:
+        raise error(f"{what} must be a rectangular array of numbers ({exc})") from None
 
 
 def _real(value, what, ge=None, gt=None, le=None, lt=None):

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from ._record import _Record
-from .errors import ParameterError, ShapeError, _index, _real
+from .errors import ParameterError, ShapeError, _array, _index, _real
 
 __all__ = ["FRAME_KINDS", "Frame", "as_signal", "analyze", "synthesize", "sparsity_norm", "soft_threshold"]
 
@@ -132,7 +132,7 @@ def as_signal(x):
     is a signal; whether a frame can transform it is the frame's check
     (a wavelet with L levels needs every axis divisible by 2**L).
     """
-    arr = np.asarray(x, dtype=np.complex128)
+    arr = _array(x, "signal", dtype=np.complex128)
     if arr.ndim not in (1, 2):
         raise ShapeError(f"signal must be 1D or 2D, got ndim={arr.ndim}")
     if arr.size < 1:
@@ -358,7 +358,7 @@ def soft_threshold(u, lam):
     halved modulus, ``(|u|/2 - lam/2) / (|u|/2)``, the same factor.
     """
     _real(lam, "threshold", ge=0)
-    u = np.array(u, dtype=np.complex128)
+    u = _array(u, "coefficients", dtype=np.complex128, copy=True)
     mag = np.abs(u)
     lam = float(lam)
     over = np.isinf(mag) & np.isfinite(u)

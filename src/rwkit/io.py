@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, ShapeError
+from .errors import ConfigError, ParameterError, ShapeError, _array
 
 MAGIC = b"RWKSIG1\x00"
 
@@ -66,12 +66,12 @@ def write_signal(path, x, comments=()):
 
     Before anything is written, a comment holding a line break, or whose
     stripped text starts with ``shape=``, raises :class:`ParameterError`,
-    and an array that is not 1D or 2D, or is empty, :class:`ShapeError`.
+    and an array that is ragged, not 1D or 2D, or empty, :class:`ShapeError`.
     A path that cannot be opened for writing raises :class:`ConfigError`.
     """
     for comment in comments:
         _check_comment(comment)
-    x = np.asarray(x, dtype=np.complex128)
+    x = _array(x, "signal", dtype=np.complex128)
     if x.ndim not in (1, 2) or 0 in x.shape:
         raise ShapeError(f"a signal file holds a non-empty 1D or 2D array, got shape {x.shape}")
     path = str(path)

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
 
 from ._record import _Record
-from .errors import ParameterError, ShapeError, _index, _real
+from .errors import ParameterError, ShapeError, _array, _index, _real
 from .frames import _fft, _ifft, _read_only, as_signal
 
 __all__ = [
@@ -139,13 +139,13 @@ class SensingOperator(_Record, norepr=("mask",)):
     masked coefficients and zeroes the rest, so apply(adjoint(y)) restores
     any y supported on the mask exactly.  Bool, integer or real entries,
     each exactly 0 or 1, are kept as a read-only float64 copy; any other
-    (0.5, 3, NaN, inf, complex, non-numeric) raises ``ParameterError``.
+    (0.5, 3, NaN, inf, complex, non-numeric, ragged) raises ``ParameterError``.
     """
 
     mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.asarray(self.mask)
+        mask = _array(self.mask, "mask", ParameterError)
         if mask.dtype.kind not in "biuf" or not ((mask == 0) | (mask == 1)).all():
             raise ParameterError("mask entries must each be 0 or 1")
         object.__setattr__(self, "mask", _read_only(mask.astype(np.float64)))
@@ -181,7 +181,7 @@ def make_partial_fourier(shape, q, seed):
     raise :class:`~rwkit.errors.ParameterError`, and 0 a ``ShapeError``.
     The mask is a deterministic function of (shape, q, seed).
     """
-    dims = (shape,) if np.ndim(shape) == 0 else shape
+    dims = (shape,) if _array(shape, "shape", ParameterError).ndim == 0 else shape
     shape = tuple([_index(ax_len, "axis length") for ax_len in dims])
     for ax_len in shape:
         if not ax_len >= 1:

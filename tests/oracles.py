@@ -61,6 +61,31 @@ def exact_certificate(rwp_prob, alpha, rho, tau, epsilon, expected):
     return float(min(max(raw, 0), 1)), raw < 0
 
 
+def exact_linear_certificate(alpha, rho, margin, defect):
+    """Oracle: linear_certificate's (radius, gain) at a finite alpha and rho
+    from exact rationals, each rounded once (a radius beyond the float range
+    is inf), or None where it must give no certificate.
+
+    The radius is alpha * (m - 4 rho d) / 2 and the gain radius / m, alpha / 2
+    at m = 0; a positive d with m <= 4 rho d gives None.  An infinite d gives
+    None, and an infinite m, with a finite d, an infinite radius and gain
+    alpha / 2, the limit of radius / m.
+    """
+    if defect == math.inf:
+        return None
+    if margin == math.inf:
+        return math.inf, alpha / 2
+    a, r, m, d = map(Fraction, (alpha, rho, margin, defect))
+    radius = a * (m - 4 * r * d) / 2
+    if d > 0 and radius <= 0:
+        return None
+    try:
+        rounded = float(radius)
+    except OverflowError:
+        rounded = math.inf
+    return rounded, float(radius / m) if m else alpha / 2
+
+
 def looped_gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
     """Oracle: ``data.gen_data`` as one draw at a time, each decided alone
     by the public ``margin`` and ``predict``.

@@ -43,7 +43,6 @@ from rwkit import (
     gen_data,
     kappa,
     linear_certificate,
-    linear_certificate_approx,
     make_partial_fourier,
     margin,
     min_perturbation,
@@ -246,13 +245,13 @@ def test_criterion_6_certification_arithmetic():
     assert abs(robustness_gain(kappa(0.1, 5.0, 0.05, 0.0)) - 2.5) <= tol
     # linear classifier certificates
     clf = LinearClassifier(weights=np.array([1.0, 0.0]))
-    cert = linear_certificate(clf, np.array([2.0, 0.0]), alpha=3.0)
+    cert = linear_certificate(clf, np.array([2.0, 0.0]), alpha=3.0, rho=0.05, defect=0.0)
     assert abs(cert.radius - 3.0) <= tol and abs(cert.gain - 1.5) <= tol
-    assert linear_certificate(clf, np.array([0.0, 1.0]), alpha=3.0).radius == 0.0
+    assert linear_certificate(clf, np.array([0.0, 1.0]), alpha=3.0, rho=0.05, defect=0.0).radius == 0.0
     clf34 = LinearClassifier(weights=np.array([3.0, 4.0]))
     assert abs(margin(clf34, np.array([1.0, 1.0])) - 1.4) <= tol
-    approx = linear_certificate_approx(clf34, np.array([1.0, 1.0]), alpha=4.0, rho=0.05, defect=1.0)
-    assert abs(approx.radius - 2.4) <= tol
+    with_defect = linear_certificate(clf34, np.array([1.0, 1.0]), alpha=4.0, rho=0.05, defect=1.0)
+    assert abs(with_defect.radius - 2.4) <= tol
     # predictions and the minimal perturbation
     assert predict(clf, np.array([2.0, 3.0])) == 1
     assert predict(clf, np.array([-2.0, 3.0])) == -1

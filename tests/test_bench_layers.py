@@ -25,6 +25,8 @@ LAYERS = {
     "reconstruct._ista_coefficients.one-row.cap1",
     "reconstruct._ista_coefficients.one-row.cap100",
     "defect._l1_batch",
+    "classifier.labels",
+    "classifier.linear_certificate",
     "certify.certify_probabilistic",
     "classifier.empirical_robust_radius.level",
     "cli.run_eval.shipped",

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -17,12 +18,18 @@ from rwkit import (
     RadiusMeasurement,
     ReconstructionParams,
     RwpParameters,
+    SensingOperator,
+    ShapeError,
+    analyze,
+    as_signal,
+    coefficient_defect,
     empirical_robust_radius,
     expected_defect,
     gen_data,
     linear_certificate,
-    linear_certificate_approx,
     make_partial_fourier,
+    margin,
+    purify,
     soft_threshold,
     certify_probabilistic,
     defect_budget,
@@ -32,6 +39,7 @@ from rwkit import (
     rip_from_rwp,
     robustness_gain,
     rwp_probability_exponent,
+    write_signal,
 )
 
 from oracles import brute_force_defect, exact_certificate
@@ -391,10 +399,11 @@ NAN_CASES = [
      ParameterError, "gain"),
     ("RadiusMeasurement", lambda v: RadiusMeasurement(radius=v, trials=1, method="m"),
      ParameterError, "radius"),
-    ("linear_certificate", lambda v: linear_certificate(CLF, X, v), ParameterError, "alpha"),
-    ("linear_certificate_approx-defect", lambda v: linear_certificate_approx(CLF, X, 4.0, 0.05, v),
+    ("linear_certificate-alpha", lambda v: linear_certificate(CLF, X, v, 0.05, 0.0),
+     ParameterError, "alpha"),
+    ("linear_certificate-defect", lambda v: linear_certificate(CLF, X, 4.0, 0.05, v),
      ParameterError, "defect"),
-    ("linear_certificate_approx-rho", lambda v: linear_certificate_approx(CLF, X, 4.0, v, 0.0),
+    ("linear_certificate-rho", lambda v: linear_certificate(CLF, X, 4.0, v, 0.0),
      ParameterError, "rho"),
     ("empirical_robust_radius-probes", lambda v: empirical_robust_radius(lambda z: 1, X, probes=v),
      ParameterError, "probes"),
@@ -415,3 +424,28 @@ def test_nan_fails_scalar_checks(call, error, match, value):
     # took True as 1.  Only NaN may reach a check that relates parameters.
     with pytest.raises(error if isinstance(value, float) else ParameterError, match=match):
         call(value)
+
+
+RAGGED = [[1.0, 0.0], [1.0]]
+
+# (id, call, error): each call passes a ragged nested list to one array input.
+RAGGED_CASES = [
+    ("SensingOperator", lambda v: SensingOperator(mask=v), ParameterError),
+    ("LinearClassifier", lambda v: LinearClassifier(weights=v), ParameterError),
+    ("make_partial_fourier", lambda v: make_partial_fourier(v, 0.5, 0), ParameterError),
+    ("as_signal", as_signal, ShapeError),
+    ("analyze", lambda v: analyze(IDENTITY, v), ShapeError),
+    ("purify", lambda v: purify(v, ReconstructionParams(10, 0.1, 0.5, IDENTITY), 0), ShapeError),
+    ("soft_threshold", lambda v: soft_threshold(v, 0.1), ShapeError),
+    ("coefficient_defect", lambda v: coefficient_defect(v, DefectParams(1.0)), ShapeError),
+    ("margin", lambda v: margin(CLF, v), ShapeError),
+    ("empirical_robust_radius", lambda v: empirical_robust_radius(lambda z: 1, v), ShapeError),
+    ("write_signal", lambda v: write_signal(os.devnull, v), ShapeError),
+]
+
+
+@pytest.mark.parametrize("call, error", [c[1:] for c in RAGGED_CASES], ids=[c[0] for c in RAGGED_CASES])
+def test_ragged_input_is_an_rwkit_error(call, error):
+    # Each raised numpy's bare ValueError ("inhomogeneous shape").
+    with pytest.raises(error, match="must be a rectangular array of numbers"):
+        call(RAGGED)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -20,11 +21,12 @@ from rwkit import (
     empirical_robust_radius,
     gen_data,
     linear_certificate,
-    linear_certificate_approx,
     margin,
     min_perturbation,
     predict,
 )
+
+from oracles import exact_linear_certificate
 
 
 def random_pair(n, seed):
@@ -92,7 +94,7 @@ class TestPredict:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     @pytest.mark.parametrize(
         "call",
-        [predict, margin, min_perturbation, lambda clf, x: linear_certificate(clf, x, 3.0)],
+        [predict, margin, min_perturbation, lambda clf, x: linear_certificate(clf, x, 3.0, 0.05, 0.0)],
         ids=["predict", "margin", "min_perturbation", "linear_certificate"],
     )
     def test_non_finite_input_rejected(self, call, bad):
@@ -386,59 +388,164 @@ class TestWeightNormRange:
             assert min_perturbation(a, x).tobytes() == min_perturbation(b, x).tobytes()
 
 
+def extreme_rows(n):
+    # Rows of entries whose sums with unit-scale weights overflow, are
+    # subnormal or cancel, mixed with normal ones.
+    return st.lists(
+        st.sampled_from([1.7e308, -1.7e308, 1e-310, -5e-324, 0.0, 1.0, -0.5]), min_size=n, max_size=n
+    )
+
+
+class TestBatchLabels:
+    """The batch path that gen_data, read_dataset and run_eval label through
+    gives each row the label and margin that predict and margin give it
+    alone, including rows that take _inner's scaled fallback beside rows
+    that do not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                scaled_vectors(n),
+                st.lists(
+                    st.one_of(scaled_vectors(n).map(lambda v: np.array(v[0]) * 10.0 ** v[1]), extreme_rows(n)),
+                    min_size=1,
+                    max_size=8,
+                ),
+            )
+        )
+    )
+    @example((([1.0, 1.0], 0), [[1.7e308, 1.7e308], [1e-310, 0.0], [1.0, -0.5], [5e307, -5e307], [0.0, -0.0]]))
+    def test_rows_match_predict_and_margin_bit_for_bit(self, case):
+        (w_mant, w_exp), rows = case
+        w = np.array(w_mant) * 10.0**w_exp
+        if not np.any(w):
+            w[0] = 10.0**w_exp
+        clf = LinearClassifier(weights=w)
+        xs = np.array(rows, dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, margins = classifier._label_margin(clf, xs)
+            alone = [(predict(clf, x), margin(clf, x)) for x in xs]
+        assert labels.tolist() == [label for label, _ in alone]
+        assert margins.tobytes() == np.array([m for _, m in alone]).tobytes()
+
+    def test_complex_rows_label_their_real_parts(self):
+        clf, x = random_pair(8, 5)
+        xs = np.stack([x, -x]) + 3j
+        labels, margins = classifier._label_margin(clf, xs)
+        assert labels.tolist() == [predict(clf, x), predict(clf, -x)]
+        assert margins.tolist() == [margin(clf, x)] * 2
+
+
 class TestLinearCertificate:
     def test_worked_value(self):
         clf = LinearClassifier(weights=np.array([1.0, 0.0]))
-        cert = linear_certificate(clf, np.array([2.0, 0.0]), alpha=3.0)
+        cert = linear_certificate(clf, np.array([2.0, 0.0]), alpha=3.0, rho=0.05, defect=0.0)
         assert cert.radius == pytest.approx(3.0, abs=1e-12)
         assert cert.gain == pytest.approx(1.5, abs=1e-12)
 
+    def test_worked_value_with_defect(self):
+        clf = LinearClassifier(weights=np.array([3.0, 4.0]))
+        x = np.array([1.0, 1.0])  # margin 1.4
+        cert = linear_certificate(clf, x, alpha=4.0, rho=0.05, defect=1.0)
+        assert cert.radius == pytest.approx(2.4, abs=1e-12)
+        assert cert.gain == pytest.approx(2.4 / 1.4, abs=1e-12)
+
     def test_boundary_point_trivial(self):
         clf = LinearClassifier(weights=np.array([1.0, 0.0]))
-        cert = linear_certificate(clf, np.array([0.0, 3.0]), alpha=3.0)
-        assert cert.radius == 0.0
+        cert = linear_certificate(clf, np.array([0.0, 3.0]), alpha=3.0, rho=0.05, defect=0.0)
+        assert (cert.radius, cert.gain) == (0.0, 1.5)
 
-    def test_alpha_at_most_two_rejected(self):
+    def test_zero_defect_is_alpha_margin_over_two(self):
+        # The parent's two certificates agreed here to 1e-12; with one
+        # function the zero-defect radius is alpha * m / 2 and the gain
+        # alpha / 2, bit for bit.
+        clf, x = random_pair(8, 3)
+        cert = linear_certificate(clf, x, alpha=4.0, rho=0.05, defect=0.0)
+        assert (cert.radius, cert.gain) == (2.0 * margin(clf, x), 2.0)
+
+    def test_defect_at_or_above_the_margin_gives_no_certificate(self):
+        clf = LinearClassifier(weights=np.array([3.0, 4.0]))
+        x = np.array([1.0, 1.0])
+        assert linear_certificate(clf, x, alpha=4.0, rho=0.05, defect=100.0) is None
+        assert linear_certificate(clf, x, alpha=4.0, rho=0.25, defect=1.4) is None
+        assert linear_certificate(clf, np.array([0.0, 0.0]), alpha=4.0, rho=0.05, defect=5e-324) is None
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.0, np.inf])
+    def test_alpha_at_most_two_or_infinite_rejected(self, alpha):
         clf = LinearClassifier(weights=np.array([1.0, 0.0]))
-        with pytest.raises(ParameterError):
-            linear_certificate(clf, np.array([2.0, 0.0]), alpha=2.0)
+        with pytest.raises(ParameterError, match="certificate alpha"):
+            linear_certificate(clf, np.array([2.0, 0.0]), alpha=alpha, rho=0.05, defect=0.0)
+
+    def test_infinite_rho_rejected(self):
+        clf = LinearClassifier(weights=np.array([1.0, 0.0]))
+        with pytest.raises(ParameterError, match="rho must be finite"):
+            linear_certificate(clf, np.array([2.0, 0.0]), alpha=4.0, rho=np.inf, defect=0.0)
+
+    def test_infinite_margin_and_infinite_defect(self):
+        # The margin of [1.5e308, 1.5e308] under weights of ones is 2.1e308.
+        clf = LinearClassifier(weights=np.ones(2))
+        cert = linear_certificate(clf, np.array([1.5e308, 1.5e308]), alpha=4.0, rho=0.05, defect=1.0)
+        assert (cert.radius, cert.gain, cert.inputs["margin"]) == (np.inf, 2.0, np.inf)
+        assert linear_certificate(clf, np.array([1.0, 0.0]), alpha=4.0, rho=0.05, defect=np.inf) is None
 
     def test_monotone_in_alpha_and_margin(self):
         clf = LinearClassifier(weights=np.array([1.0, 0.0]))
         radii = [
-            linear_certificate(clf, np.array([2.0, 0.0]), alpha=a).radius
+            linear_certificate(clf, np.array([2.0, 0.0]), alpha=a, rho=0.05, defect=0.0).radius
             for a in (2.5, 3.0, 4.0)
         ]
         assert all(b > a for a, b in zip(radii, radii[1:]))
         radii = [
-            linear_certificate(clf, np.array([m, 0.0]), alpha=3.0).radius
+            linear_certificate(clf, np.array([m, 0.0]), alpha=3.0, rho=0.05, defect=0.0).radius
             for m in (1.0, 2.0, 3.0)
         ]
         assert all(b > a for a, b in zip(radii, radii[1:]))
 
-
-class TestLinearCertificateApprox:
-    def test_zero_defect_matches_exact(self):
-        clf, x = random_pair(8, 3)
-        exact = linear_certificate(clf, x, alpha=4.0)
-        approx = linear_certificate_approx(clf, x, alpha=4.0, rho=0.05, defect=0.0)
-        assert approx.radius == pytest.approx(exact.radius, abs=1e-12)
-
-    def test_worked_value(self):
-        clf = LinearClassifier(weights=np.array([3.0, 4.0]))
-        x = np.array([1.0, 1.0])  # margin 1.4
-        cert = linear_certificate_approx(clf, x, alpha=4.0, rho=0.05, defect=1.0)
-        assert cert.radius == pytest.approx(2.4, abs=1e-12)
-
-    def test_hypothesis_violation_gives_no_certificate(self):
-        clf = LinearClassifier(weights=np.array([3.0, 4.0]))
-        x = np.array([1.0, 1.0])
-        assert linear_certificate_approx(clf, x, alpha=4.0, rho=0.05, defect=100.0) is None
-
-    def test_alpha_validated(self):
-        clf, x = random_pair(4, 0)
-        with pytest.raises(ParameterError):
-            linear_certificate_approx(clf, x, alpha=2.0, rho=0.05, defect=0.0)
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(2, 1e308, exclude_min=True),
+            st.sampled_from([math.nextafter(2, 3), 2.5, 4.0, 1e308, sys.float_info.max]),
+        ),
+        st.one_of(st.floats(5e-324, 1e308), st.sampled_from([5e-324, 2.2e-308, 0.05, 1e308])),
+        st.one_of(st.floats(0, 1e308), st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf])),
+        st.one_of(
+            st.integers(-3, 3).map(lambda k: ("tie", k)),
+            st.floats(0, sys.float_info.max).map(lambda m: ("free", m)),
+        ),
+        st.booleans(),
+    )
+    # alpha/2 * (m - fl(4 rho d)) in floats gave 8.3e-17 here, 19 % above the
+    # exact 7.0e-17.
+    @example(4.0, 0.1, 0.3, ("tie", 3), False)
+    @example(3.0, 0.05, 0.0, ("free", 0.0), False)
+    @example(3.0, 0.05, 5e-324, ("free", 0.0), True)
+    @example(1e308, 1e308, 1e308, ("tie", 1), False)
+    def test_matches_the_exact_oracle(self, alpha, rho, defect, where, negative):
+        # A margin k ulps from fl(4 rho d), or any finite margin; the
+        # one-weight classifier at x = [+-m] has margin m exactly.
+        kind, v = where
+        m = v
+        if kind == "tie":
+            m = min(4.0 * rho * defect, sys.float_info.max) if defect else 0.0
+            for _ in range(abs(v)):
+                m = min(math.nextafter(m, math.inf if v > 0 else 0.0), sys.float_info.max)
+        x = np.array([-m if negative else m])
+        clf = LinearClassifier(weights=np.array([1.0]))
+        assert margin(clf, x) == m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = linear_certificate(clf, x, alpha, rho, defect)
+        want = exact_linear_certificate(alpha, rho, m, defect)
+        if want is None:
+            assert cert is None
+        else:
+            assert cert is not None
+            assert (cert.radius, cert.gain) == want
+            assert cert.probability == 1.0
+            assert cert.inputs == {"alpha": alpha, "rho": rho, "defect": defect, "margin": m}
 
 
 class TestEmpiricalRobustRadius:
@@ -514,6 +621,19 @@ class TestEmpiricalRobustRadius:
         )
         assert measured.method == "bisection+random-probe"
         assert not measured.flip_found
+
+    def test_complex_signal(self):
+        # A complex x was read through a ComplexWarning as its real part.
+        clf = LinearClassifier(weights=np.ones(4))
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="signal has a non-zero imaginary part"):
+                empirical_robust_radius(lambda z: predict(clf, z), x + 1e-300j, probes=2, seed=0)
+            with pytest.raises(ShapeError, match="extra direction has a non-zero imaginary part"):
+                empirical_robust_radius(lambda z: predict(clf, z), x, probes=2, seed=0, extra_directions=(x * 1j,))
+            got = empirical_robust_radius(lambda z: predict(clf, z), x + 0j, probes=2, seed=0)
+        assert got == empirical_robust_radius(lambda z: predict(clf, z), x, probes=2, seed=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_signal_rejected(self, bad):
