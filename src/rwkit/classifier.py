@@ -9,7 +9,7 @@ import numpy as np
 
 from . import certify
 from ._record import _Record
-from .errors import ParameterError, ShapeError, _array, _index, _real
+from .errors import ParameterError, ShapeError, _array, _index, _real, _real_array
 from .sensing import derived_seed
 
 __all__ = [
@@ -30,26 +30,25 @@ _TINY = np.finfo(np.float64).tiny
 class LinearClassifier(_Record, norepr=("weights",)):
     """f(x) = sign(<w, x>) with sign(0) := +1; w is finite, not all zero.
 
-    ``weights`` is a read-only copy of the array given.  The label, margin
-    and minimal perturbation do not change when w is scaled: all three are
-    computed from u = w * 2**-e, e the ``np.frexp`` exponent of max|w|, kept
-    with its norm and squared norm, and, where <u, x> is not normal, from x
-    scaled by a power of two too (see ``_inner``).  Powers of two are exact,
-    so a result keeps the bits of the plain expression wherever no
-    intermediate leaves the normal range; a w entry below 2**(e - 1022) is
-    subnormal in u and loses digits, one below 2**(e - 1074) is flushed.
+    ``weights`` is a read-only float64 copy of the real array given (a zero
+    imaginary part is dropped).  The label, margin and minimal perturbation
+    do not change when w is scaled: all three are computed from u = w *
+    2**-e, e the ``np.frexp`` exponent of max|w|, kept with its norm and
+    squared norm, and, where <u, x> is not normal, from x scaled by a power
+    of two too (see ``_inner``).  Powers of two are exact, so a result keeps
+    the bits of the plain expression wherever no intermediate leaves the
+    normal range; a w entry below 2**(e - 1022) is subnormal in u and loses
+    digits, one below 2**(e - 1074) is flushed.
 
     ``predict``, ``margin``, ``min_perturbation`` and the certificate raise
-    :class:`ShapeError` for an input x that is ragged, whose shape is not w's
-    or that has a non-finite entry.
+    :class:`ShapeError` for an x that is ragged, not numbers, not finite or
+    not of w's shape; a complex x is labelled by its real part.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _array(self.weights, "weights", ParameterError, np.float64, copy=True)
-        if not np.all(np.isfinite(w)):
-            raise ParameterError("weights must be finite")
+        w = _real_array(self.weights, "weight vector", ParameterError)
         if not np.any(w != 0):
             raise ParameterError("weights must not be all zero")
         w.setflags(write=False)
@@ -85,13 +84,10 @@ def _inner(clf, xs):
     # max|x| / c in [1, 2), and the sum for x / c neither overflows nor
     # flushes its products.  Runs in its caller's error state, with overflow
     # and invalid off.
-    xs = _array(xs, "signal")
     if xs.shape[1:] != clf.weights.shape:
         raise ShapeError(f"expected shape {clf.weights.shape}, got {xs.shape[1:]}")
-    if np.iscomplexobj(xs):
-        if not np.all(np.isfinite(xs)):
-            raise ShapeError("signal contains non-finite entries")
-        xs = xs.real
+    if xs.dtype.kind not in "biuf":
+        xs = _array(xs, "signal", finite=True).real
     xs = xs.reshape(len(xs), -1)
     u = clf._u.ravel()
     s = np.sum(u * xs, axis=1)
@@ -179,17 +175,6 @@ def linear_certificate(clf, x, alpha, rho, defect):
     )
 
 
-def _real_signal(v, what):
-    # v as a real float64 array: ShapeError where it is ragged, has a
-    # non-finite entry or an imaginary part that is not all zero.
-    v = _array(v, what, dtype=np.complex128)
-    if not np.all(np.isfinite(v)):
-        raise ShapeError(f"{what} contains non-finite entries")
-    if np.any(v.imag):
-        raise ShapeError(f"{what} has a non-zero imaginary part")
-    return v.real.copy()
-
-
 def empirical_robust_radius(
     pipeline,
     x,
@@ -209,18 +194,18 @@ def empirical_robust_radius(
     upper bracket is first established by doubling from ``tol``; if none
     is found below ``radius_ceiling`` the measurement is returned with
     ``flip_found=False``.  An ``x`` or extra direction that is ragged, not
-    finite or not real, or one whose shape is not ``x``'s, raises
+    numbers, not finite or not real, or one whose shape is not ``x``'s, raises
     :class:`ShapeError`; a zero imaginary part or direction is dropped.
     """
     _real(_index(probes, "probes"), "probes", ge=1)
     # A non-finite value would keep the bracket doubling forever.
     _real(tol, "tol", gt=0, lt=np.inf)
     _real(radius_ceiling, "radius_ceiling", gt=0, lt=np.inf)
-    x = _real_signal(x, "signal")
+    x = _real_array(x, "signal", ShapeError)
     rng = np.random.default_rng(derived_seed(seed))
     extra = []
     for u in extra_directions:
-        u = _real_signal(u, "extra direction")
+        u = _real_array(u, "extra direction", ShapeError)
         if u.shape != x.shape:
             raise ShapeError(
                 f"extra direction of shape {u.shape} does not match signal shape {x.shape}"

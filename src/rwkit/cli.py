@@ -69,8 +69,7 @@ def _cmd_gen_data(cfg, args, seed):
 def _cmd_purify(cfg, args, seed):
     if not args.infile:
         raise ConfigError("purify requires --in <signal file>")
-    x = io.read_signal(args.infile)
-    x = x.real if np.all(x.imag == 0) else x
+    x = io._real_if_zero_imag(io.read_signal(args.infile))
     result = reconstruct.purify(x, cfg.recon_params, seed)
     out = args.out or "purified.csv"
     io.write_signal(

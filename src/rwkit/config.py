@@ -13,7 +13,9 @@ Values follow the parameter rules of :mod:`rwkit.errors` (a float value
 is a real number that is not a ``bool``, and NaN fails every range).  The
 config owns only the rules that no library type does: every float value is
 finite, ``epsilon_grid`` is a sequence (not a string) of numbers >= 0,
-strictly increasing, ``defect_operators`` >= 1 and ``tau`` > 0.  The seeds
+strictly increasing, ``defect_operators`` >= 1 and ``tau`` > 0.
+``defect_operators`` is checked and enters the hash, but no command reads
+it: ``eval`` takes each cell's defect under that cell's own mask.  The seeds
 are checked by :func:`~rwkit.sensing.derived_seed`, and every other range
 is checked by building the type that consumes the value:
 :class:`~rwkit.reconstruct.ReconstructionParams` and its

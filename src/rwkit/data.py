@@ -125,25 +125,21 @@ def read_dataset(path):
     Signal rows whose imaginary parts are all zero come back real, and the
     labels are recomputed from the weights.  On top of :func:`io.read_signal`'s
     errors, a table that is not 2D, has fewer than two rows, or has a weight
-    row that is not real or that :class:`LinearClassifier` refuses (not
-    finite, or all zero), or a signal row with a non-finite entry raises
-    :class:`ConfigError`.
+    row that :class:`LinearClassifier` refuses (not real, not finite, or all
+    zero), or a signal row with a non-finite entry raises :class:`ConfigError`.
     """
     table = io.read_signal(path)
     if table.ndim != 2:
         raise ConfigError(f"{path}: a dataset is a 2D array, got shape {table.shape}")
     if table.shape[0] < 2:
         raise ConfigError(f"{path}: a dataset needs a weight row and at least one signal row")
-    if np.any(table[0].imag != 0):
-        raise ConfigError(f"{path}: the weight row is not real")
-    w = table[0].real
     try:
-        clf = LinearClassifier(weights=w)
+        clf = LinearClassifier(weights=table[0])
     except ParameterError as exc:
         raise ConfigError(f"{path}: the weight row is refused: {exc}") from None
     try:
         labels = _label_margin(clf, table[1:])[0].tolist()
     except ShapeError as exc:
         raise ConfigError(f"{path}: a signal row is refused: {exc}") from None
-    signals = [x.real if np.all(x.imag == 0) else x for x in table[1:]]
-    return Dataset(weights=w, signals=signals, labels=labels)
+    signals = [io._real_if_zero_imag(x) for x in table[1:]]
+    return Dataset(weights=clf.weights, signals=signals, labels=labels)

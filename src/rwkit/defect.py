@@ -18,7 +18,7 @@ import numpy as np
 
 from . import sensing
 from ._record import _Record
-from .errors import NumericError, ParameterError, ShapeError, _array, _index, _real
+from .errors import NumericError, ParameterError, _array, _index, _real
 from .frames import _solve_errstate, _stack_signals, _step_transforms, as_signal
 from .sensing import _adjoint_batch
 
@@ -71,11 +71,10 @@ def _l1_batch(mask, xs, frame):
 def coefficient_defect(w, params):
     """Defect of a raw coefficient vector w: min ||w - a||_1, ||a||_1 <= T.
 
-    A ragged w, or a non-finite entry of w, raises :class:`ShapeError`.
+    A w that is ragged or not numbers, or a non-finite entry of w, raises
+    :class:`ShapeError`.
     """
-    w = _array(w, "coefficients", dtype=np.complex128).ravel()
-    if not np.all(np.isfinite(w)):
-        raise ShapeError("coefficients contain non-finite entries")
+    w = _array(w, "coefficient vector", dtype=np.complex128, finite=True).ravel()
     return _result(np.sum(np.abs(w)), params.solution_bound)
 
 

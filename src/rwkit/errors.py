@@ -4,7 +4,7 @@ names the parameter and its range: an integer >= 0 that is not a ``bool``
 (seeds, counts, axis lengths), and a ``numbers.Real`` that is not a
 ``bool``, inside the range the call states; NaN fails every range, a call
 that states none checks only the type, and the value is never converted.
-:func:`_array` reads an array, raising the caller's error where numpy cannot.
+:func:`_array` and :func:`_real_array` read the arrays that callers pass.
 """
 
 import math
@@ -51,12 +51,35 @@ def _index(value, what):
     return i
 
 
-def _array(value, what, error=ShapeError, dtype=None, copy=None):
-    # np.array(value, dtype, copy=copy); a ragged or non-numeric value raises ``error``.
+def _array(value, what, error=ShapeError, dtype=None, copy=None, finite=False):
+    # np.array(value, dtype, copy=copy); ``error`` if ragged or, given a dtype
+    # or ``finite``, not numbers (a cast reads None as NaN) or not finite.
     try:
-        return np.array(value, dtype=dtype, copy=copy)
-    except ValueError as exc:
+        if dtype is None and not finite:
+            return np.array(value, copy=copy)
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "biufc":
+            raise TypeError(f"got {arr.dtype} entries")
+        arr = np.array(arr, dtype=dtype, copy=copy)
+    except (TypeError, ValueError) as exc:
         raise error(f"{what} must be a rectangular array of numbers ({exc})") from None
+    if finite and not np.isfinite(arr).all():
+        raise error(f"{what} contains non-finite entries")
+    return arr
+
+
+def _real_array(value, what, error):
+    # A finite array of numbers as a real float64 copy; ``error`` if not real.
+    v = _array(value, what, error, np.complex128, finite=True)
+    if np.any(v.imag):
+        raise error(f"{what} has a non-zero imaginary part")
+    return v.real.copy()
+
+
+def _signal_shape(shape, what, error=ShapeError):
+    # A signal, and a mask or a file meant for one: 1 or 2 axes, none empty.
+    if len(shape) not in (1, 2) or 0 in shape:
+        raise error(f"{what} must be a non-empty 1D or 2D array, got shape {shape}")
 
 
 def _real(value, what, ge=None, gt=None, le=None, lt=None):

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from ._record import _Record
-from .errors import ParameterError, ShapeError, _array, _index, _real
+from .errors import ParameterError, ShapeError, _array, _index, _real, _signal_shape
 
 __all__ = ["FRAME_KINDS", "Frame", "as_signal", "analyze", "synthesize", "sparsity_norm", "soft_threshold"]
 
@@ -128,29 +128,20 @@ def _ifft(x):
 def as_signal(x):
     """Validate and promote a signal to a complex array.
 
-    Accepts non-empty 1D or 2D input with finite entries.  Any axis length
-    is a signal; whether a frame can transform it is the frame's check
-    (a wavelet with L levels needs every axis divisible by 2**L).
+    Accepts a non-empty 1D or 2D array of finite numbers, else raises
+    :class:`ShapeError`.  Any axis length is a signal; whether a frame can
+    transform it is the frame's check (a wavelet with L levels needs every
+    axis divisible by 2**L).
     """
-    arr = _array(x, "signal", dtype=np.complex128)
-    if arr.ndim not in (1, 2):
-        raise ShapeError(f"signal must be 1D or 2D, got ndim={arr.ndim}")
-    if arr.size < 1:
-        raise ShapeError("signal must have at least one element")
-    if not np.all(np.isfinite(arr)):
-        raise ShapeError("signal contains non-finite entries")
+    arr = _array(x, "signal", dtype=np.complex128, finite=True)
+    _signal_shape(arr.shape, "signal")
     return arr
 
 
 def _stack_signals(xs):
     # Validate a non-empty sequence of signals of one shape and stack them
     # on a new axis 0, the batch axis of the batch transforms.
-    rows = [as_signal(x) for x in xs]
-    shape = rows[0].shape
-    for arr in rows:
-        if arr.shape != shape:
-            raise ShapeError(f"batch mixes signal shapes {shape} and {arr.shape}")
-    return np.stack(rows)
+    return _array([as_signal(x) for x in xs], "signal batch")
 
 
 class Frame(_Record):

@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, ShapeError, _array
+from .errors import ConfigError, ParameterError, _array, _signal_shape
 
 MAGIC = b"RWKSIG1\x00"
 
@@ -66,14 +66,13 @@ def write_signal(path, x, comments=()):
 
     Before anything is written, a comment holding a line break, or whose
     stripped text starts with ``shape=``, raises :class:`ParameterError`,
-    and an array that is ragged, not 1D or 2D, or empty, :class:`ShapeError`.
-    A path that cannot be opened for writing raises :class:`ConfigError`.
+    and an array that is ragged, not numbers, not 1D or 2D, or empty,
+    :class:`ShapeError`.  A path that cannot be opened raises :class:`ConfigError`.
     """
     for comment in comments:
         _check_comment(comment)
     x = _array(x, "signal", dtype=np.complex128)
-    if x.ndim not in (1, 2) or 0 in x.shape:
-        raise ShapeError(f"a signal file holds a non-empty 1D or 2D array, got shape {x.shape}")
+    _signal_shape(x.shape, "signal")
     path = str(path)
     if path.endswith(".bin"):
         rows, cols = (0, x.shape[0]) if x.ndim == 1 else x.shape
@@ -102,9 +101,13 @@ def read_signal(path):
     """
     path = str(path)
     x = _read_signal(path)
-    if x.size == 0:
-        raise ConfigError(f"{path}: a signal file holds a non-empty array, got shape {x.shape}")
+    _signal_shape(x.shape, f"{path}: signal", ConfigError)
     return x
+
+
+def _real_if_zero_imag(x):
+    # A file stores signals as complex; one with no imaginary part is real.
+    return x.real if np.all(x.imag == 0) else x
 
 
 def _read_signal(path):

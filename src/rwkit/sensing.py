@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence, _coerce_to_uint32_array
 
 from ._record import _Record
-from .errors import ParameterError, ShapeError, _array, _index, _real
+from .errors import ParameterError, ShapeError, _array, _index, _real, _signal_shape
 from .frames import _fft, _ifft, _read_only, as_signal
 
 __all__ = [
@@ -139,7 +139,8 @@ class SensingOperator(_Record, norepr=("mask",)):
     masked coefficients and zeroes the rest, so apply(adjoint(y)) restores
     any y supported on the mask exactly.  Bool, integer or real entries,
     each exactly 0 or 1, are kept as a read-only float64 copy; any other
-    (0.5, 3, NaN, inf, complex, non-numeric, ragged) raises ``ParameterError``.
+    (0.5, 3, NaN, inf, complex, non-numeric, ragged, or of no signal's
+    shape) raises ``ParameterError``.
     """
 
     mask: np.ndarray
@@ -148,6 +149,7 @@ class SensingOperator(_Record, norepr=("mask",)):
         mask = _array(self.mask, "mask", ParameterError)
         if mask.dtype.kind not in "biuf" or not ((mask == 0) | (mask == 1)).all():
             raise ParameterError("mask entries must each be 0 or 1")
+        _signal_shape(mask.shape, "mask", ParameterError)
         object.__setattr__(self, "mask", _read_only(mask.astype(np.float64)))
 
     @property
@@ -176,16 +178,15 @@ class RwpParameters(_Record):
 def make_partial_fourier(shape, q, seed):
     """Sample a Bernoulli(q) mask over the given signal shape.
 
-    ``shape`` may be an int (1D) or a tuple of axis lengths, each an
-    integer >= 1 under the seed rule's integer check: 12.5, "8" or ``True``
-    raise :class:`~rwkit.errors.ParameterError`, and 0 a ``ShapeError``.
+    ``shape`` may be an int (1D) or a tuple of one or two axis lengths,
+    each an integer >= 1 under the seed rule's integer check: 12.5, "8" or
+    ``True`` raise :class:`~rwkit.errors.ParameterError`, and a shape no
+    signal has (an axis of 0, no axes, more than two) a ``ShapeError``.
     The mask is a deterministic function of (shape, q, seed).
     """
     dims = (shape,) if _array(shape, "shape", ParameterError).ndim == 0 else shape
     shape = tuple([_index(ax_len, "axis length") for ax_len in dims])
-    for ax_len in shape:
-        if not ax_len >= 1:
-            raise ShapeError(f"axis length must be >= 1, got {ax_len}")
+    _signal_shape(shape, "signal")
     _real(q, "subsampling probability", ge=0, le=1)
     return SensingOperator(mask=_masks([_state(seed)], shape, q)[0])
 

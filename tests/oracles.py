@@ -5,10 +5,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linprog
 
 from rwkit import data
 from rwkit.classifier import LinearClassifier, margin, predict
 from rwkit.errors import ParameterError, _real
+from rwkit.frames import synthesize
 from rwkit.sensing import derived_seed
 
 
@@ -119,3 +121,27 @@ def looped_gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):
         signals.append(x)
         labels.append(predict(clf, x))
     return data.Dataset(weights=w, signals=signals, labels=labels)
+
+
+def basis_pursuit(x, mask, frame):
+    """Oracle: the epsilon = 0 decoder, min ||c||_1 over real frame
+    coefficients c of a real 1D signal x, subject to the kept bins of the
+    unitary FFT of synthesize(frame, c) equalling those of x; returns
+    synthesize(frame, c).
+
+    The constraint is linear in c, so it is a linear program in c = p - q
+    with p, q >= 0, one row for the real part and one for the imaginary
+    part of each kept bin, solved by HiGHS.  Only real frames fit (identity
+    and the wavelets): unitary-dft coefficients are complex.
+    """
+    n = len(x)
+    basis = np.array([synthesize(frame, e).real for e in np.eye(n)]).T
+    kept = np.fft.fft(np.eye(n), norm="ortho")[mask == 1]
+    sense = kept @ basis
+    y = kept @ x
+    a = np.vstack([sense.real, sense.imag])
+    b = np.concatenate([y.real, y.imag])
+    fit = linprog(np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=b, bounds=(0, None), method="highs")
+    if fit.status != 0:
+        raise RuntimeError(f"basis pursuit failed: {fit.message}")
+    return synthesize(frame, fit.x[:n] - fit.x[n:]).real

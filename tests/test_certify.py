@@ -23,12 +23,16 @@ from rwkit import (
     analyze,
     as_signal,
     coefficient_defect,
+    defend,
     empirical_robust_radius,
     expected_defect,
     gen_data,
+    ista_reconstruct,
     linear_certificate,
     make_partial_fourier,
     margin,
+    min_perturbation,
+    predict,
     purify,
     soft_threshold,
     certify_probabilistic,
@@ -428,24 +432,57 @@ def test_nan_fails_scalar_checks(call, error, match, value):
 
 RAGGED = [[1.0, 0.0], [1.0]]
 
-# (id, call, error): each call passes a ragged nested list to one array input.
+# Values that are not rectangular arrays of numbers: ragged, or holding
+# entries that numpy reads as objects or strings.
+NOT_NUMBERS = {"dict": [{}, 1.0], "strings": ["a", "b"], "none": [None, 1.0]}
+
+PURIFY_PARAMS = ReconstructionParams(10, 0.1, 0.5, IDENTITY)
+
+# (id, call, error[, message]): each call passes the value to one array
+# input.  A call whose own rule judges entries that are not numbers names
+# that rule's message; the others refuse them as not an array of numbers.
 RAGGED_CASES = [
-    ("SensingOperator", lambda v: SensingOperator(mask=v), ParameterError),
+    ("SensingOperator", lambda v: SensingOperator(mask=v), ParameterError, "^mask entries must each be 0 or 1$"),
     ("LinearClassifier", lambda v: LinearClassifier(weights=v), ParameterError),
-    ("make_partial_fourier", lambda v: make_partial_fourier(v, 0.5, 0), ParameterError),
+    ("make_partial_fourier", lambda v: make_partial_fourier(v, 0.5, 0), ParameterError, "axis length must be an integer"),
     ("as_signal", as_signal, ShapeError),
     ("analyze", lambda v: analyze(IDENTITY, v), ShapeError),
-    ("purify", lambda v: purify(v, ReconstructionParams(10, 0.1, 0.5, IDENTITY), 0), ShapeError),
+    ("purify", lambda v: purify(v, PURIFY_PARAMS, 0), ShapeError),
+    ("defend", lambda v: defend(CLF, v, PURIFY_PARAMS, 0), ShapeError),
+    ("ista_reconstruct", lambda v: ista_reconstruct(v, make_partial_fourier(2, 0.5, 0), PURIFY_PARAMS), ShapeError),
     ("soft_threshold", lambda v: soft_threshold(v, 0.1), ShapeError),
     ("coefficient_defect", lambda v: coefficient_defect(v, DefectParams(1.0)), ShapeError),
+    ("predict", lambda v: predict(CLF, v), ShapeError),
     ("margin", lambda v: margin(CLF, v), ShapeError),
+    ("min_perturbation", lambda v: min_perturbation(CLF, v), ShapeError),
+    ("linear_certificate", lambda v: linear_certificate(CLF, v, 4.0, 0.05, 0.0), ShapeError),
     ("empirical_robust_radius", lambda v: empirical_robust_radius(lambda z: 1, v), ShapeError),
+    ("extra_directions", lambda v: empirical_robust_radius(lambda z: 1, X, extra_directions=[v]), ShapeError),
     ("write_signal", lambda v: write_signal(os.devnull, v), ShapeError),
 ]
 
+RECTANGULAR = "must be a rectangular array of numbers"
 
-@pytest.mark.parametrize("call, error", [c[1:] for c in RAGGED_CASES], ids=[c[0] for c in RAGGED_CASES])
-def test_ragged_input_is_an_rwkit_error(call, error):
-    # Each raised numpy's bare ValueError ("inhomogeneous shape").
-    with pytest.raises(error, match="must be a rectangular array of numbers"):
-        call(RAGGED)
+BAD_ARRAY_CASES = [
+    pytest.param(call, RAGGED, error, RECTANGULAR, id=name) for name, call, error, *_ in RAGGED_CASES
+] + [
+    pytest.param(call, value, error, own[0] if own else RECTANGULAR, id=f"{name}-{kind}")
+    for name, call, error, *own in RAGGED_CASES
+    for kind, value in NOT_NUMBERS.items()
+] + [
+    pytest.param(
+        lambda v: LinearClassifier(weights=v), np.array([1 + 1j, 2.0]), ParameterError,
+        "^weight vector has a non-zero imaginary part$", id="LinearClassifier-complex",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, value, error, match", BAD_ARRAY_CASES)
+def test_ragged_input_is_an_rwkit_error(call, value, error, match):
+    # Each raised numpy's bare ValueError ("inhomogeneous shape") for the
+    # ragged list.  For entries that are not numbers most raised a bare
+    # TypeError or UFuncTypeError, and soft_threshold and write_signal read
+    # None as NaN; complex weights gave a ComplexWarning.  The suite turns
+    # warnings into errors, so none may warn either.
+    with pytest.raises(error, match=match):
+        call(value)

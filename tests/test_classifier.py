@@ -43,8 +43,40 @@ class TestConstruction:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
-        with pytest.raises(ParameterError, match="weights must be finite"):
+        with pytest.raises(ParameterError, match="^weight vector contains non-finite entries$"):
             LinearClassifier(weights=np.array([bad, 1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_numeric_array_likes_read_as_their_real_part(self, data):
+        # Lists, tuples and bool, integer, real and zero-imaginary complex
+        # arrays: the weights, and the x the radius reader hands its
+        # pipeline, keep the bits of the complex128 read's real part (-0.0
+        # and subnormals included), with no ComplexWarning.
+        shape = data.draw(st.sampled_from([(3,), (2, 2)]))
+        size = math.prod(shape)
+        reals = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, -1e-310]))
+        kind = data.draw(st.sampled_from(["list", "tuple", "bool", "int", "float", "complex"]))
+        if kind == "bool":
+            entries = st.booleans()
+        elif kind == "int":
+            entries = st.integers(-(2**63), 2**63 - 1)
+        else:
+            entries = reals
+        arr = np.array(data.draw(st.lists(entries, min_size=size, max_size=size))).reshape(shape)
+        if kind == "complex":
+            arr = arr + data.draw(st.sampled_from([0.0, -0.0])) * 1j
+        v = {"list": arr.tolist(), "tuple": tuple(map(tuple, arr)) if arr.ndim == 2 else tuple(arr)}.get(kind, arr)
+        want = np.array(v, dtype=np.complex128).real
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empirical_robust_radius(lambda z: seen.append(z) or 1, v, probes=1, tol=1.0, radius_ceiling=1.0)
+            if np.any(want):
+                clf = LinearClassifier(weights=v)
+                assert clf == LinearClassifier(weights=np.real(v))
+                assert clf.weights.dtype == np.float64 and clf.weights.tobytes() == want.tobytes()
+        assert seen[0].dtype == np.float64 and seen[0].tobytes() == want.tobytes()
 
     def test_weights_are_a_read_only_copy(self):
         # The direction kept beside them cannot drift from the weights: a

@@ -258,9 +258,9 @@ class TestAsSignal:
     @pytest.mark.parametrize(
         "x, message",
         [
-            (np.ones((2, 4, 4)), "signal must be 1D or 2D, got ndim=3"),
-            (np.ones(0), "signal must have at least one element"),
-            (np.ones((3, 0)), "signal must have at least one element"),
+            (np.ones((2, 4, 4)), r"^signal must be a non-empty 1D or 2D array, got shape \(2, 4, 4\)$"),
+            (np.ones(0), r"^signal must be a non-empty 1D or 2D array, got shape \(0,\)$"),
+            (np.ones((3, 0)), r"^signal must be a non-empty 1D or 2D array, got shape \(3, 0\)$"),
         ],
     )
     def test_public_entry_points_reject_what_is_not_a_signal(self, x, message):

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from unittest import mock
 
@@ -181,18 +182,19 @@ class TestSignalIO:
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "name,content",
+        "name,content,shape",
         [
-            ("sig.bin", io.MAGIC + struct.pack("<II", 0, 0)),
-            ("sig.bin", io.MAGIC + struct.pack("<II", 3, 0)),
+            ("sig.bin", io.MAGIC + struct.pack("<II", 0, 0), "(0,)"),
+            ("sig.bin", io.MAGIC + struct.pack("<II", 3, 0), "(3, 0)"),
             # No data row and no shape line.
-            ("sig.csv", b"index,real,imag\n"),
+            ("sig.csv", b"index,real,imag\n", "(0,)"),
         ],
     )
-    def test_reader_refuses_file_with_an_empty_axis(self, tmp_path, name, content):
+    def test_reader_refuses_file_with_an_empty_axis(self, tmp_path, name, content, shape):
         path = tmp_path / name
         path.write_bytes(content)
-        with pytest.raises(ConfigError, match="non-empty array"):
+        message = f"{path}: signal must be a non-empty 1D or 2D array, got shape {shape}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             read_signal(path)
 
     @pytest.mark.parametrize("comment", ["xshape=", "# shape=", "shape", "shape =4", "operator_seed=3"])
@@ -690,8 +692,8 @@ class TestReadDatasetErrors:
             ("# shape=2x2", "# shape=3x2", "shape=3x2 does not match 4 rows"),
             ("# shape=2x2\n", "", r"a dataset is a 2D array, got shape \(4,\)"),
             ("# shape=2x2", "# shape=1x4", "a weight row and at least one signal row"),
-            ("1,0.8,0", "1,0.8,0.5", "the weight row is not real"),
-            ("1,0.8,0", "1,nan,0", "the weight row is refused: weights must be finite"),
+            ("1,0.8,0", "1,0.8,0.5", "the weight row is refused: weight vector has a non-zero imaginary part"),
+            ("1,0.8,0", "1,nan,0", "the weight row is refused: weight vector contains non-finite entries"),
             ("2,1,0", "2,nan,0", "a signal row is refused: signal contains non-finite entries"),
             ("3,0,0", "3,0,inf", "a signal row is refused: signal contains non-finite entries"),
             ("0,0.6,0\n1,0.8,0", "0,0,0\n1,0,0", "the weight row is refused: weights must not be all zero"),

@@ -73,6 +73,15 @@ class TestMakePartialFourier:
         assert make_partial_fourier(12, 0.5, 0).mask.shape == (12,)
         with pytest.raises(ShapeError):
             make_partial_fourier(0, 0.5, 0)
+        # A signal is non-empty and 1D or 2D, so no signal fits an operator
+        # of any other shape, drawn or given; () once raised numpy's bare
+        # ValueError, and the others built an operator.
+        for shape in ((), (2, 2, 2), (1, 1, 1, 1)):
+            with pytest.raises(ShapeError, match=r"^signal must be a non-empty 1D or 2D array, got shape \("):
+                make_partial_fourier(shape, 0.5, 0)
+        for mask in (np.ones((2, 2, 2)), 1.0, np.ones(0), np.ones((2, 0))):
+            with pytest.raises(ParameterError, match="^mask must be a non-empty 1D or 2D array, got shape"):
+                SensingOperator(mask=mask)
 
     @pytest.mark.parametrize("shape", [(12.5,), "8", (True, 3), 12.5], ids=["float-axis", "str", "bool-axis", "float"])
     def test_non_integer_shape_rejected(self, shape):
