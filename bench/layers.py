@@ -100,6 +100,8 @@ def layers():
         )
     identity = frames.Frame(kind="identity")
     add("defect._l1_batch", f"identity, {ROWS} rows", lambda: defect._l1_batch(mask, xs, identity))
+    dft = frames.Frame(kind="unitary-dft")
+    add("defect._l1_batch.unitary-dft", f"unitary-dft, {ROWS} rows", lambda: defect._l1_batch(mask, xs, dft))
     # The label pass of one eval block, and one exact certificate.
     clf_rows = dataset.classifier
     add(

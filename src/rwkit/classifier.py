@@ -9,7 +9,7 @@ import numpy as np
 
 from . import certify
 from ._record import _Record
-from .errors import ParameterError, ShapeError, _array, _index, _real, _real_array
+from .errors import ParameterError, ShapeError, _array, _entries, _index, _real, _real_array
 from .sensing import derived_seed
 
 __all__ = [
@@ -196,12 +196,15 @@ def empirical_robust_radius(
     ``flip_found=False``.  An ``x`` or extra direction that is ragged, not
     numbers, not finite or not real, or one whose shape is not ``x``'s, raises
     :class:`ShapeError`; a zero imaginary part or direction is dropped.
+    ``probes`` directions of x's size that no array can hold raise
+    :class:`ParameterError`, before anything is drawn.
     """
     _real(_index(probes, "probes"), "probes", ge=1)
     # A non-finite value would keep the bracket doubling forever.
     _real(tol, "tol", gt=0, lt=np.inf)
     _real(radius_ceiling, "radius_ceiling", gt=0, lt=np.inf)
     x = _real_array(x, "signal", ShapeError)
+    _entries(probes * x.size, f"probes ({probes}) times the signal's size ({x.size})", ParameterError)
     rng = np.random.default_rng(derived_seed(seed))
     extra = []
     for u in extra_directions:

@@ -94,7 +94,7 @@ def _cmd_defect(cfg, args, seed):
     params = defect.DefectParams(solution_bound=cfg.defect_bound)
     result = defect.sparsity_defect(x, op, cfg.recon_params.frame, params)
     lines = [
-        f"rwkit-defect v2 config={config_hash(cfg)} master_seed={seed}",
+        f"rwkit-defect v3 config={config_hash(cfg)} master_seed={seed}",
         f"defect={_fmt(result.defect)}",
         f"final_l1={_fmt(result.final_l1)}",
     ]
@@ -262,7 +262,7 @@ def run_eval(cfg, seed):
 
 def _cmd_eval(cfg, args, seed):
     rows = run_eval(cfg, seed)
-    lines = [f"rwkit-report v5 config={config_hash(cfg)} master_seed={seed}"]
+    lines = [f"rwkit-report v6 config={config_hash(cfg)} master_seed={seed}"]
     # The columns are run_eval's row keys, in the order it builds them.
     lines.append(",".join(rows[0]))
     lines.extend(",".join(map(_fmt, row.values())) for row in rows)

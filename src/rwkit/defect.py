@@ -9,9 +9,9 @@ entries taken as moduli.
 
 The coefficients of a signal x are its back-projection through a sensing
 operator, w = analyze(adjoint(x)).  With the unitary-dft frame ``analyze``
-undoes the inverse FFT inside ``adjoint``, so the composition is diagonal
-and w is the mask times x up to round-off; every frame still takes the
-same path through the transforms.
+undoes the inverse FFT inside ``adjoint``, so the composition is diagonal:
+w is the mask times x, and ||w||_1 is the sum of |x_k| over the kept bins
+k, computed so without an FFT.  The other frames run the transforms.
 """
 
 import numpy as np
@@ -60,9 +60,14 @@ def _result(l1, bound):
 def _l1_batch(mask, xs, frame):
     # Row i is ||analyze(adjoint(mask[i], xs[i]))||_1, in the batch
     # convention of sensing._adjoint_batch (axis 0 indexes signals, rows are
-    # independent).  analyze may overwrite the adjoint, which is fresh.
-    w = _step_transforms(frame, xs.shape[1:])[0](_adjoint_batch(mask, xs))
-    l1 = np.sum(np.abs(w.reshape(len(w), -1)), axis=1)
+    # independent).  In unitary-dft, analyze undoes adjoint's inverse FFT,
+    # so the row is sum(mask[i] * |xs[i]|), taken without the FFT pair and
+    # its round-off.  Elsewhere analyze may overwrite the fresh adjoint.
+    if frame.kind == "unitary-dft":
+        w = mask * np.abs(xs)
+    else:
+        w = np.abs(_step_transforms(frame, xs.shape[1:])[0](_adjoint_batch(mask, xs)))
+    l1 = np.sum(w.reshape(len(xs), -1), axis=1)
     if not np.maximum.reduce(l1) < np.inf:
         raise NumericError("non-finite coefficient L1 norm")
     return l1

@@ -5,6 +5,7 @@ names the parameter and its range: an integer >= 0 that is not a ``bool``
 ``bool``, inside the range the call states; NaN fails every range, a call
 that states none checks only the type, and the value is never converted.
 :func:`_array` and :func:`_real_array` read the arrays that callers pass.
+:func:`_entries` refuses more entries than an array can hold.
 """
 
 import math
@@ -76,10 +77,23 @@ def _real_array(value, what, error):
     return v.real.copy()
 
 
+# The most entries of an array: numpy indexes a complex128 array of at most
+# intp.max bytes, and a larger size ends in its bare ValueError.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 16
+
+
+def _entries(count, what, error):
+    # ``error`` if no array can hold ``count`` entries, an integer.
+    if count > _MAX_ENTRIES:
+        raise error(f"{what}: {count} entries, more than the {_MAX_ENTRIES} an array can hold")
+
+
 def _signal_shape(shape, what, error=ShapeError):
-    # A signal, and a mask or a file meant for one: 1 or 2 axes, none empty.
+    # A signal, and a mask or a file meant for one: 1 or 2 axes, none empty,
+    # and no more entries than an array can hold.
     if len(shape) not in (1, 2) or 0 in shape:
         raise error(f"{what} must be a non-empty 1D or 2D array, got shape {shape}")
+    _entries(math.prod(shape), f"{what} of shape {shape}", error)
 
 
 def _real(value, what, ge=None, gt=None, le=None, lt=None):

@@ -181,7 +181,8 @@ def make_partial_fourier(shape, q, seed):
     ``shape`` may be an int (1D) or a tuple of one or two axis lengths,
     each an integer >= 1 under the seed rule's integer check: 12.5, "8" or
     ``True`` raise :class:`~rwkit.errors.ParameterError`, and a shape no
-    signal has (an axis of 0, no axes, more than two) a ``ShapeError``.
+    signal has (an axis of 0, no axes, more than two, or more entries than
+    an array can hold) a ``ShapeError``.
     The mask is a deterministic function of (shape, q, seed).
     """
     dims = (shape,) if _array(shape, "shape", ParameterError).ndim == 0 else shape

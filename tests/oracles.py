@@ -10,8 +10,8 @@ from scipy.optimize import linprog
 from rwkit import data
 from rwkit.classifier import LinearClassifier, margin, predict
 from rwkit.errors import ParameterError, _real
-from rwkit.frames import synthesize
-from rwkit.sensing import derived_seed
+from rwkit.frames import _step_transforms, synthesize
+from rwkit.sensing import _adjoint_batch, derived_seed
 
 
 def brute_force_defect(x, solution_bound, grid_step):
@@ -48,6 +48,15 @@ def brute_force_defect(x, solution_bound, grid_step):
         dist = abs(x[0] - a0) + np.abs(x[1] - a1) + np.abs(x[2] - a2)
         best = min(best, float(np.min(dist[feasible])))
     return best
+
+
+def transform_l1(mask, xs, frame):
+    """Oracle: row i of ``defect._l1_batch``, ||analyze(adjoint(mask[i],
+    xs[i]))||_1, through the frame's batch transforms.  The unitary-dft
+    rows ran this path, an inverse FFT and the forward FFT that undoes it,
+    before the closed form sum(mask * |x|) replaced it."""
+    w = _step_transforms(frame, xs.shape[1:])[0](_adjoint_batch(mask, xs))
+    return np.sum(np.abs(w.reshape(len(w), -1)), axis=1)
 
 
 def exact_certificate(rwp_prob, alpha, rho, tau, epsilon, expected):

@@ -13,7 +13,8 @@ stated runtime budgets:
 8. byte-identical eval reports: a fixed config must reproduce a recorded
    report, and each recording differs from the one it replaced only as its
    report version says (v1 -> v2: round-off and the v1 defect solver's
-   error; v3 -> v4: the dropped cert_radius column).
+   error; v3 -> v4: the dropped cert_radius column; v5 -> v6: the
+   unitary-dft defect without its FFT pair's round-off).
 
 Criterion 9: large-scale image-classification accuracy tables are out of
 scope by design and are replaced by criteria 3-7; nothing to execute.
@@ -21,6 +22,7 @@ scope by design and are replaced by criteria 3-7; nothing to execute.
 
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -298,7 +300,7 @@ def test_criterion_8_report_matches_recorded(tmp_path):
     cfg.write_text(CRITERION_8_CONFIG)
     out = tmp_path / "report.csv"
     assert cli_main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA_DIR / "criterion_8_report_v5.csv").read_bytes()
+    assert out.read_bytes() == (DATA_DIR / "criterion_8_report_v6.csv").read_bytes()
     elapsed_guard(start, 120.0)
 
 
@@ -385,6 +387,43 @@ def test_criterion_8_v5_report_differs_from_v4_only_by_the_header():
     assert v4_header.startswith("# rwkit-report v4 ")
     assert v5_header == v4_header.replace(" v4 ", " v5 ", 1)
     assert v5 == v4
+
+
+def test_criterion_8_v6_report_differs_from_v5_only_by_the_defect_round_off():
+    # v6 sums the unitary-dft defect in closed form, over the kept bins'
+    # moduli, where v5 ran an inverse and a forward FFT that cancel.
+    # mean_defect moves by the FFT pair's round-off, to the exact mean of the
+    # closed form rounded once, and the certificate columns, computed from
+    # it, move with it; every other column keeps its v5 text.
+    v5_header, *v5 = (DATA_DIR / "criterion_8_report_v5.csv").read_text().splitlines()
+    v6_header, *v6 = (DATA_DIR / "criterion_8_report_v6.csv").read_text().splitlines()
+    assert v5_header.startswith("# rwkit-report v5 ")
+    assert v6_header == v5_header.replace(" v5 ", " v6 ", 1)
+    assert len(v6) == len(v5) and v6[0] == v5[0]
+    columns = v5[0].split(",")
+    moved = {"mean_defect", "cert_probability", "cert_gain"}
+    cfg = parse_config(CRITERION_8_CONFIG)
+    dataset = gen_data(cfg.n, cfg.count, cfg.sparsity, 0, margin_floor=cfg.margin_floor)
+    for eps_index, (old, new) in enumerate(zip(v5[1:], v6[1:])):
+        old = dict(zip(columns, old.split(",")))
+        new = dict(zip(columns, new.split(",")))
+        for column in columns:
+            if column not in moved:
+                assert new[column] == old[column], column
+        for column in moved:
+            assert float(new[column]) == pytest.approx(float(old[column]), rel=2e-15)
+        for row in (old, new):
+            cert = certify_probabilistic(
+                cfg.rwp_prob, cfg.alpha, cfg.rho, cfg.tau, float(row["epsilon"]), float(row["mean_defect"])
+            )
+            assert (float(row["cert_probability"]), float(row["cert_gain"])) == (cert.probability, cert.gain)
+        excess = []
+        for i, x in enumerate(dataset.signals):
+            operator_seed, _ = derived_seed(0, eps_index, i).spawn(2)
+            op = make_partial_fourier(x.shape, cfg.subsample_prob, operator_seed)
+            l1 = sum(map(Fraction, op.mask * np.abs(x)))
+            excess.append(max(l1 - Fraction(cfg.defect_bound), 0))
+        assert float(new["mean_defect"]) == float(sum(excess) / len(excess))
 
 
 def test_criterion_9_out_of_scope_documented():

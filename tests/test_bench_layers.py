@@ -25,6 +25,7 @@ LAYERS = {
     "reconstruct._ista_coefficients.one-row.cap1",
     "reconstruct._ista_coefficients.one-row.cap100",
     "defect._l1_batch",
+    "defect._l1_batch.unitary-dft",
     "classifier.labels",
     "classifier.linear_certificate",
     "certify.certify_probabilistic",

@@ -474,6 +474,19 @@ BAD_ARRAY_CASES = [
         lambda v: LinearClassifier(weights=v), np.array([1 + 1j, 2.0]), ParameterError,
         "^weight vector has a non-zero imaginary part$", id="LinearClassifier-complex",
     ),
+] + [
+    # Sizes that no array can have, for the operator's shape and for one
+    # bisection level's directions, probes times the signal's size.
+    pytest.param(call, value, error, "entries, more than the", id=name)
+    for name, call, value, error in [
+        ("make_partial_fourier-huge-1d", lambda v: make_partial_fourier(v, 0.5, 0), (2**70,), ShapeError),
+        ("make_partial_fourier-huge-2d", lambda v: make_partial_fourier(v, 0.5, 0), (2**35, 2**35), ShapeError),
+        ("empirical_robust_radius-huge-probes", lambda v: empirical_robust_radius(lambda z: 1, X, probes=v),
+         2**70, ParameterError),
+        # Within the limit alone, past it times X's two entries.
+        ("empirical_robust_radius-huge-probes-times-size",
+         lambda v: empirical_robust_radius(lambda z: 1, X, probes=v), 2**58, ParameterError),
+    ]
 ]
 
 
@@ -482,7 +495,9 @@ def test_ragged_input_is_an_rwkit_error(call, value, error, match):
     # Each raised numpy's bare ValueError ("inhomogeneous shape") for the
     # ragged list.  For entries that are not numbers most raised a bare
     # TypeError or UFuncTypeError, and soft_threshold and write_signal read
-    # None as NaN; complex weights gave a ComplexWarning.  The suite turns
-    # warnings into errors, so none may warn either.
+    # None as NaN; complex weights gave a ComplexWarning.  A size beyond
+    # numpy's reach raised its bare ValueError ("Maximum allowed dimension
+    # exceeded", or "array is too big").  The suite turns warnings into
+    # errors, so none may warn either.
     with pytest.raises(error, match=match):
         call(value)

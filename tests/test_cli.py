@@ -398,7 +398,7 @@ class TestSubcommands:
     def test_defect_reports_value(self, config_path, signal_path, tmp_path, capsys):
         assert main(["defect", "--config", config_path, "--in", signal_path]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("# rwkit-defect v2 config=")
+        assert lines[0].startswith("# rwkit-defect v3 config=")
         assert "master_seed=0" in lines[0]
         assert [line.split("=")[0] for line in lines[1:]] == ["defect", "final_l1"]
         assert float(lines[1].split("=")[1]) >= 0.0
@@ -412,7 +412,7 @@ class TestSubcommands:
         out = tmp_path / "report.csv"
         assert main(["eval", "--config", config_path, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("# rwkit-report v5 config=")
+        assert lines[0].startswith("# rwkit-report v6 config=")
         assert lines[1] == (
             "epsilon,clean_accuracy,defended_accuracy_under_probe,"
             "mean_reconstruction_error,mean_defect,"
@@ -684,8 +684,9 @@ class TestLargeEpsilon:
 
 
 class TestOverflowingInput:
-    """Finite inputs near the float maximum whose FFTs overflow: each command
-    exits 3 with the one numeric-failure line, and numpy warns of nothing."""
+    """Finite inputs near the float maximum whose FFTs, or whose kept
+    moduli's sum, overflow: each command exits 3 with the one
+    numeric-failure line, and numpy warns of nothing."""
 
     HUGE = np.array([1.5e308, -1.5e308, 1.5e308, 1e308, 0, 0, 0, 0])
 
@@ -723,9 +724,23 @@ class TestOverflowingInput:
 
     @pytest.mark.parametrize("frame", ["identity", "unitary-dft"])
     def test_defect_of_a_huge_signal(self, tmp_path, capsys, frame):
-        # It wrote defect=nan (or inf) and exited 0.
+        # It wrote defect=nan (or inf) and exited 0.  In unitary-dft the mask
+        # keeps all four huge entries, and their moduli's sum overflows.
         err = self.run(tmp_path, capsys, "defect", f"frame={frame}")
         assert err == "numeric failure: non-finite coefficient L1 norm\n"
+
+    def test_dft_defect_whose_fft_pair_overflowed(self, tmp_path, capsys):
+        # The mask keeps bin 0, so the defect is 1.5e308 - T, finite; its
+        # FFT pair overflowed, and the command exited 3.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(fast_config("n=8", "sparsity=1", "defect_bound=1"))
+        write_signal(tmp_path / "huge.csv", np.array([1.5e308, 0, 0, 0, 0, 0, 0, 0]))
+        argv = ["defect", "--config", str(cfg), "--in", str(tmp_path / "huge.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["defect=1.5e+308", "final_l1=1"]
 
 
 def _probe(x, epsilon, probe_seed):

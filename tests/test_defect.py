@@ -1,12 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwkit import defect
+from rwkit import defect, frames
 from rwkit import (
     FRAME_KINDS,
     DefectParams,
@@ -21,9 +22,10 @@ from rwkit import (
     sparsity_defect,
 )
 
-from oracles import brute_force_defect
+from oracles import brute_force_defect, transform_l1
 
 IDENTITY = Frame(kind="identity")
+DFT = Frame(kind="unitary-dft")
 
 
 def analytic_defect(w, budget):
@@ -180,16 +182,38 @@ class TestSparsityDefect:
     @pytest.mark.parametrize("q", [1.0, 0.5])
     def test_overflowing_back_projection_is_a_numeric_error(self, kind, q):
         # A finite signal near the float maximum overflows the FFTs of the
-        # back-projection; the defect and its L1 norm were NaN, with two
-        # RuntimeWarnings.
+        # back-projection in the identity frame, and in unitary-dft the sum
+        # of the kept moduli: each mask here keeps at least two of the four
+        # huge entries, and any two sum past the float maximum.  The defect
+        # and its L1 norm were NaN, with two RuntimeWarnings.
         x = np.array([1.5e308, -1.5e308, 1.5e308, 1e308, 0, 0, 0, 0])
         op = make_partial_fourier(8, q, 0)
+        for mask in (op.mask, make_partial_fourier(8, q, derived_seed(0, 0)).mask):
+            assert mask[:4].sum() >= 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="^non-finite coefficient L1 norm$"):
                 sparsity_defect(x, op, Frame(kind=kind), DefectParams(solution_bound=1.0))
             with pytest.raises(NumericError, match="^non-finite coefficient L1 norm$"):
                 expected_defect([x], Frame(kind=kind), DefectParams(solution_bound=1.0), 1, 0, q)
+
+    @pytest.mark.parametrize("q", [1.0, 0.7494])
+    def test_dft_defect_whose_fft_pair_overflows_is_finite(self, q):
+        # Kept, the entry's modulus is the L1 norm: 1.5e308, finite.  The
+        # FFT pair through which it was computed overflowed at the forward
+        # FFT, whose DC bin sums every entry of the inverse's flat output.
+        # expected_defect's one operator keeps every bin at q 1.
+        x = np.zeros(8)
+        x[0] = 1.5e308
+        op = make_partial_fourier(8, q, 0)
+        assert op.mask[0] == 1
+        params = DefectParams(solution_bound=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = sparsity_defect(x, op, DFT, params)
+            estimate = expected_defect([x], DFT, params, 1, 0, 1.0).estimate
+        assert result == defect.DefectResult(defect=1.5e308 - 1.0, final_l1=1.0)
+        assert estimate == 1.5e308 - 1.0
 
 
 class TestExpectedDefect:
@@ -271,6 +295,41 @@ def defect_batches(draw):
     ops = [make_partial_fourier(shape, q, int(s)) for s in rng.integers(0, 2**31, rows)]
     budget = draw(st.sampled_from((0.5, 2.0, 50.0)))
     return xs, ops, Frame(kind=kind, levels=levels), DefectParams(solution_bound=budget)
+
+
+@st.composite
+def dft_batches(draw):
+    # Masks of every row's own, or one shared by all rows as expected_defect
+    # passes it; odd lengths take pocketfft's other kernels.
+    shape = draw(st.sampled_from([(7,), (8,), (128,), (1024,), (5, 12), (16, 16), (64, 64)]))
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.standard_normal((rows,) + shape) * 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        xs = xs + 1j * rng.standard_normal(xs.shape)
+    q = draw(st.sampled_from((0.0, 0.3, 0.7494, 1.0)))
+    seeds = rng.integers(0, 2**31, rows if draw(st.booleans()) else 1)
+    mask = np.stack([make_partial_fourier(shape, q, int(s)).mask for s in seeds])
+    return mask, xs
+
+
+class TestDftClosedForm:
+    @settings(max_examples=100, deadline=None)
+    @given(dft_batches())
+    def test_rows_match_the_transform_path_without_an_fft(self, case):
+        mask, xs = case
+        with mock.patch.object(frames, "_fft_pair", wraps=frames._fft_pair) as fft_pair:
+            l1 = defect._l1_batch(mask, xs, DFT)
+        assert fft_pair.call_count == 0
+        np.testing.assert_allclose(l1, transform_l1(mask, xs, DFT), rtol=1e-12, atol=0)
+
+    def test_the_spy_sees_the_transform_path(self):
+        # Every FFT goes through frames._fft_pair: the identity frame's
+        # defect runs the adjoint's inverse FFT.
+        mask = make_partial_fourier(8, 0.5, 0).mask[None]
+        with mock.patch.object(frames, "_fft_pair", wraps=frames._fft_pair) as fft_pair:
+            defect._l1_batch(mask, np.ones((2, 8)), IDENTITY)
+        assert fft_pair.call_count == 1
 
 
 class TestDefectBatch:

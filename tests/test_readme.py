@@ -35,5 +35,5 @@ def test_shell_example(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0
     assert Path("dataset.csv").read_text().startswith("# rwkit v1 config=")
     report = Path("report.csv").read_text().splitlines()
-    assert report[0].startswith("# rwkit-report v5 config=")
+    assert report[0].startswith("# rwkit-report v6 config=")
     assert len(report) == 2 + 4  # header, column names, one row per epsilon
