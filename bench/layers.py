@@ -6,8 +6,9 @@ Run from the repository root, with the rwkit to be timed importable::
 
 Each layer is one call of the kernel that does its work, on fixed inputs
 made from fixed seeds: 64 rows of n = 128, or one 64x64 image, one row of
-n = 128 at the ``radius`` workload's settings, and the shipped configs for
-``run_eval`` and ``gen_data``.  Every layer is called
+n = 128 at the ``radius`` workload's settings (bare, through ``defend`` and
+in a bisection level), and the shipped configs for ``run_eval`` and
+``gen_data``.  Every layer is called
 once before timing.  Then, for ``--repeats`` rounds, each layer is timed
 once per round, forward in even rounds and backward in odd ones, so that a
 drift in host speed falls on every layer alike.  A sample is the mean time
@@ -131,8 +132,9 @@ def layers():
     # One purify of the radius workload, bare: a probe at radius 0.2 through
     # its mask (seed 7), a row that runs every step of the 100-step cap, so
     # that the two caps give the cost of a one-row step.
+    one_probe = np.asarray(x0) + 0.2 * probes[0] / np.linalg.norm(probes[0])
     one_mask = sensing._masks([sensing._state(7)], (N,), 0.5)
-    one_y = sensing._apply_batch(one_mask, np.asarray(x0)[None] + 0.2 * probes[:1] / np.linalg.norm(probes[0]))
+    one_y = sensing._apply_batch(one_mask, one_probe[None])
     for cap in (1, 100):
         params = reconstruct.ReconstructionParams(iterations=cap, threshold=0.02, subsample_prob=0.5, frame=identity)
         if ista(one_y, one_mask, params)[1][0] != cap:
@@ -142,6 +144,13 @@ def layers():
             f"identity, 1 probed row, lam 0.02, q 0.5, cap {cap}",
             lambda p=params: ista(one_y, one_mask, p),
         )
+    # The same probe through defend, whose solve proves the label at step
+    # 30 of the 100 that the bare solve above runs.
+    add(
+        "reconstruct.defend",
+        "identity, 1 probed row, lam 0.02, q 0.5, cap 100: label proven at step 30",
+        lambda: reconstruct.defend(clf, one_probe, radius_params, 7),
+    )
     add(
         "classifier.empirical_robust_radius.level",
         "identity, 100 steps, lam 0.02, q 0.5: the label and 5 probes at radius 1e-3",

@@ -12,7 +12,10 @@ bisection).  Each recorded row is then purified again, as a complex signal
 so that the purified value is the final iterate itself, with the step caps
 below and with a cap of 6000 steps, which stands in for the minimiser.
 Distances are per row, relative to the row's ``||M y||``, over all rows and
-over the clean rows alone.  The summary is printed as JSON.
+over the clean rows alone.  The summary also counts the steps that
+``defend``'s solves ran during the recording, which stop once the label is
+proven, against the steps that the full solves of the same rows run at the
+workload's cap.  It is printed as JSON.
 """
 
 import argparse
@@ -36,24 +39,32 @@ REFERENCE_CAP = 6000
 
 def recorded_rows(cases):
     """The workload's purified inputs of the first ``cases`` cases, their
-    operator seeds, the workload's reconstruction parameters, and which
-    rows are the clean signals (each case's first purify)."""
+    operator seeds, the workload's reconstruction parameters, which rows
+    are the clean signals (each case's first purify), and the steps that
+    ``defend``'s solves ran on them."""
     workload = RadiusWorkload()
-    rows, seeds, clean = [], [], []
+    rows, seeds, clean, steps = [], [], [], []
     defend = reconstruct.defend
+    solve = reconstruct._ista_coefficients
 
     def recording(clf, z, params, seed):
         rows.append(np.array(z, dtype=np.float64))
         seeds.append(seed)
         return defend(clf, z, params, seed)
 
+    def counting(*args):
+        u, run = solve(*args)
+        steps.append(int(run.sum()))
+        return u, run
+
     with tempfile.TemporaryDirectory() as workdir:
         workload.setup(rwkit, 0, workdir)
-        with mock.patch.object(reconstruct, "defend", recording):
+        with mock.patch.object(reconstruct, "defend", recording), \
+                mock.patch.object(reconstruct, "_ista_coefficients", counting):
             for case in range(cases):
                 clean.append(len(rows))
                 workload.call(workload.spec(case))
-    return np.asarray(rows), seeds, workload.params, np.asarray(clean)
+    return np.asarray(rows), seeds, workload.params, np.asarray(clean), sum(steps)
 
 
 def final_iterates(xs, seeds, params, cap):
@@ -68,14 +79,22 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cases", type=int, default=8)
     args = parser.parse_args(argv)
-    xs, seeds, params, clean = recorded_rows(args.cases)
+    xs, seeds, params, clean, defend_steps = recorded_rows(args.cases)
     shape = xs.shape[1:]
     scale = np.asarray([
         np.linalg.norm(sensing.apply(sensing.make_partial_fourier(shape, params.subsample_prob, s), x))
         for x, s in zip(xs, seeds)
     ])
     reference = final_iterates(xs, seeds, params, REFERENCE_CAP)
-    summary = {"cases": args.cases, "rows": len(xs), "reference_cap": REFERENCE_CAP, "caps": {}}
+    full_steps = sum(p.iterations_run for p in reconstruct.purify_many(xs, params, seeds))
+    summary = {
+        "cases": args.cases,
+        "rows": len(xs),
+        "defend_steps": defend_steps,
+        "full_solve_steps": full_steps,
+        "reference_cap": REFERENCE_CAP,
+        "caps": {},
+    }
     for cap in CAPS:
         distance = np.linalg.norm(final_iterates(xs, seeds, params, cap) - reference, axis=1) / scale
         summary["caps"][cap] = {

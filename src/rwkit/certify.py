@@ -11,6 +11,7 @@ rwp_prob) checks their ranges by building :class:`RwpParameters`.
 """
 
 import math
+import sys
 
 from ._record import _Record
 from .errors import InfeasibleError, _real
@@ -88,18 +89,29 @@ def _slack(alpha, rho, tau, epsilon, *values):
     )
 
 
+def _toward_zero(num, den):
+    """The exact ratio num / den of ints num >= 0 and den > 0, rounded
+    toward zero: the largest float at most the ratio, which is the largest
+    finite float for a ratio beyond the float range.  A bound rounded so
+    never claims more than is proven."""
+    try:
+        ratio = num / den  # correctly rounded to nearest
+    except OverflowError:
+        return sys.float_info.max
+    n, d = ratio.as_integer_ratio()
+    return math.nextafter(ratio, 0.0) if n * den > num * d else ratio
+
+
 def defect_budget(tau, epsilon, alpha, rho):
     """Largest max-defect keeping the performance bound below tau.
 
-    (alpha*tau - 2*epsilon) / (4*alpha*rho), rounded once from its exact
-    value (to inf beyond the float range); it needs a finite rho.
+    (alpha*tau - 2*epsilon) / (4*alpha*rho), rounded toward zero from its
+    exact value (to the largest float beyond the float range), so that the
+    budget returned is never above the exact one; it needs a finite rho.
     """
     RwpParameters(rho=rho, alpha=alpha)
     (sn, sd), (wn, wd) = _slack(alpha, rho, tau, epsilon)
-    try:
-        return sn * wd / (sd * wn)
-    except OverflowError:
-        return math.inf
+    return _toward_zero(sn * wd, sd * wn)
 
 
 def certify_probabilistic(rwp_prob, alpha, rho, tau, epsilon, expected_defect):

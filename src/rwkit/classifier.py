@@ -144,8 +144,9 @@ def linear_certificate(clf, x, alpha, rho, defect):
     """Certified radius alpha * (m - 4*rho*defect) / 2 at x, m its margin.
 
     The radius and the gain radius / m (1/kappa(radius); alpha/2 at defect 0)
-    are exact values of the float inputs, rounded once (inf beyond the float
-    range).  None (no certificate) where a positive defect has m <=
+    are exact values of the float inputs, rounded toward zero (to the
+    largest float beyond the float range), so neither claims more than is
+    proven.  None (no certificate) where a positive defect has m <=
     4*rho*defect, decided exactly, or is infinite; an infinite m gives radius
     inf and gain alpha/2.  Needs a finite alpha > 2 and a finite rho > 0.
     """
@@ -162,11 +163,8 @@ def linear_certificate(clf, x, alpha, rho, defect):
         raw, den = sn * wd * dd - wn * dn * sd, 2 * sd * wd * dd
         if raw <= 0:
             return None
-        try:
-            radius = raw / den
-        except OverflowError:
-            pass
-        gain = raw * md / (den * mn)
+        radius = certify._toward_zero(raw, den)
+        gain = certify._toward_zero(raw * md, den * mn)
     return certify.Certificate(
         radius=radius,
         probability=1.0,

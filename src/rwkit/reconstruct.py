@@ -28,12 +28,18 @@ operator composed with synthesis, is the 0/1 mask itself: diagonal and
 idempotent.  The first step lands on the soft-thresholded masked
 measurements and every later step maps that iterate to itself, so this
 frame skips the loop and returns that first iterate directly.
+
+``defend`` with a :class:`LinearClassifier` asks the solve for a label, not
+a value, and the solve stops a row as soon as that label is proven (see
+``_LABEL_GAP``): the remaining steps cannot carry the iterate across the
+decision boundary.  Every other caller runs the solve as described above.
 """
 
 import numpy as np
 
 from . import sensing
 from ._record import _Record
+from .classifier import LinearClassifier
 from .errors import NumericError, ShapeError, _index, _real
 from .frames import (
     Frame,
@@ -101,6 +107,43 @@ _STOP_EVERY = 10
 _QUIET_BOUND = 1e280
 _QUIET_CAP = 10**9
 
+# The label stop, which only ``defend`` asks for.  Its classifier labels a
+# purified value v by sign<w, Re v>, and v = W^H u for the final
+# coefficients u, with W real and orthonormal for the loop frames, so the
+# label is sign<w^, Re u> with w^ = W w = analyze(w), taken once per solve
+# (from the classifier's scaled weights, which give the same sign).  The
+# step map is nonexpansive: ||A|| <= 1, and the complex shrink is firmly
+# nonexpansive.  So the step lengths d_t = ||u_t - u_{t-1}|| never grow, and
+# the iterate the full solve returns, at the cap or at its round-off stop,
+# lies within (cap - t) d_t of u_t.  At a stop check t < cap a row therefore
+# stops once
+#     |<w^, Re u_t>| > 2 ||w^|| (cap - t) d_t + slack,
+#     slack = ||w^|| ||M y|| (cap^2 _STOP_TOL + (N + 64) sqrt(cap) _LABEL_GAP),
+# for a row of N entries.  The slack covers three things.
+# - Round-off of the steps: a computed step errs by at most _STOP_TOL
+#   ||M y|| / 2 (a converged row moves by at most 1.2e-15 ||M y|| per step,
+#   see _STOP_TOL), so each computed step can be _STOP_TOL ||M y|| longer
+#   than the one before it, and the remaining path gains at most
+#   (cap - t)^2 _STOP_TOL ||M y||.
+# - The db4 taps' orthonormality error, about 9e-13: synthesis is the exact
+#   transpose of analysis under the stored taps, so ||A|| <= 1 + 1e-12
+#   still leaves I - A^H A nonexpansive.  Were it not, a growth of 1 + 1e-12
+#   per step would compound to under e^0.001 over _QUIET_CAP steps, inside
+#   the factor 2, which also covers the rounding of d_t and ||w^||.
+# - The gap between the computed <w^, Re u_t> and ``predict``'s scaled sum
+#   over the synthesized value: the two dot products, w^ and the synthesis
+#   together err by at most 4 (N + 64) eps ||w^|| ||u|| (a sum of N terms
+#   errs by N eps, a transform by levels times taps, at most 8 log2 N <=
+#   N + 64, units of eps), with ||u|| <= sqrt(cap) ||M y|| (see
+#   _QUIET_BOUND).  _LABEL_GAP, 64 eps, is 16 times that.
+# The rule runs only in solves that _QUIET_BOUND proves cannot overflow,
+# with a loop frame (unitary-dft is solved in closed form), a weight vector
+# of the signal's shape, and every ||M y||^2 above _LABEL_FLOOR, where no
+# sum it takes can lose digits to underflow.  At the ``radius`` workload
+# (cap 100, N 128) the slack is about 1e-10 ||w^|| ||M y||.
+_LABEL_GAP = 2.0**-46
+_LABEL_FLOOR = 1e-200
+
 
 class PurifiedSignal(_Record):
     """Purifier output plus diagnostics.
@@ -119,7 +162,7 @@ class PurifiedSignal(_Record):
     imag_residual: float = 0.0
 
 
-def _ista_coefficients(y, mask, params):
+def _ista_coefficients(y, mask, params, label=None):
     """Run the thresholded gradient iteration in ``_solve_errstate``; returns ``(u, steps)``.
 
     Axis 0 of ``y`` and ``mask`` indexes independent rows.  Every step is
@@ -141,6 +184,13 @@ def _ista_coefficients(y, mask, params):
     stopped row is within ``(cap - t) * _STOP_TOL * ||M y||`` of them, up to
     the round-off of the skipped steps.  Stopped rows leave ``u``, ``y``,
     ``mask`` and the scratch buffers; the loop ends when no row is left.
+
+    ``label``, which only ``defend`` passes, is a real weight vector w of
+    the signal's shape.  With it, a stop check also stops each row whose
+    label sign<w, Re synthesize(u)> is proven final (see ``_LABEL_GAP``),
+    with result u_t and count t: its label is the full solve's, its value
+    need not be.  The rule is off, and the solve is the one above bit for
+    bit, where ``_LABEL_GAP`` says it does not apply.
 
     The loop allocates its buffers once per solve: the complex iterate
     ``u``, the next iterate ``z`` and the residual ``r``, and the real
@@ -177,7 +227,15 @@ def _ista_coefficients(y, mask, params):
     limit = np.square(_STOP_TOL) * sumsq
     limit[limit == np.inf] = 0.0
     # Check each step's iterate only where one can overflow (_QUIET_BOUND).
-    check = not (cap <= _QUIET_CAP and np.maximum.reduce(sumsq) * (y[0].size * cap) < _QUIET_BOUND)
+    n = y[0].size
+    check = not (cap <= _QUIET_CAP and np.maximum.reduce(sumsq) * (n * cap) < _QUIET_BOUND)
+    if label is not None:
+        if check or label.shape != y.shape[1:] or not np.minimum.reduce(sumsq) > _LABEL_FLOOR:
+            label = None
+        else:
+            label = analyze(label.astype(np.complex128)[None]).real.ravel()
+            norm = np.sqrt(np.add.reduce(np.square(label)))
+            slack = norm * np.sqrt(sumsq) * (cap * cap * _STOP_TOL + (n + 64) * np.sqrt(cap) * _LABEL_GAP)
     result = np.empty_like(y)
     steps = np.full(len(y), cap)
     rows = np.arange(len(y))  # each running row's index in result
@@ -197,7 +255,11 @@ def _ista_coefficients(y, mask, params):
         u, z = z, u
         if t % _STOP_EVERY or t == cap:
             continue
-        done = _row_sumsq(np.subtract(u, z, out=z)) <= limit
+        moved = _row_sumsq(np.subtract(u, z, out=z))
+        done = moved <= limit
+        if label is not None:
+            reach = 2.0 * (cap - t) * np.sqrt(moved) * norm + slack
+            done |= np.abs(np.add.reduce(u.real.reshape(len(u), -1) * label, axis=1)) > reach
         if not done.any():
             continue
         result[rows[done]] = u[done]
@@ -206,6 +268,8 @@ def _ista_coefficients(y, mask, params):
         if not running.any():
             return result, steps
         rows, limit = rows[running], limit[running]
+        if label is not None:
+            slack = slack[running]
         u, y, mask = u[running], y[running], mask[running]
         k = len(u)
         z, r, mag, f = z[:k], r[:k], mag[:k], f[:k]
@@ -244,7 +308,7 @@ def ista_reconstruct(y, op, params):
 
 
 @_solve_errstate
-def _purify_block(xs, mask, params):
+def _purify_block(xs, mask, params, label=None):
     """Purified values and final coefficients of a stacked batch.
 
     Row i of the complex array ``xs`` is sensed through ``mask[i]`` and
@@ -252,8 +316,9 @@ def _purify_block(xs, mask, params):
     steps)``: the complex values and final coefficients, with the batch on
     axis 0, and the number of steps each row ran.  For the identity frame
     ``values`` is ``u`` itself; callers read both and write to neither.
+    ``label`` is the solve's (see :func:`_ista_coefficients`).
     """
-    u, steps = _ista_coefficients(_apply_batch(mask, xs), mask, params)
+    u, steps = _ista_coefficients(_apply_batch(mask, xs), mask, params, label)
     return _synthesized(params.frame, u), u, steps
 
 
@@ -273,6 +338,11 @@ def purify_many(xs, params, seeds):
     Returns one :class:`PurifiedSignal` per row, bit-identical to
     ``purify(xs[i], params, seeds[i])``.
     """
+    return _purify_rows(xs, params, seeds)
+
+
+def _purify_rows(xs, params, seeds, label=None):
+    # purify_many, with the solve's ``label`` (see _ista_coefficients).
     if len(xs) != len(seeds):
         raise ShapeError(f"{len(xs)} signals but {len(seeds)} seeds")
     if len(xs) == 0:
@@ -280,7 +350,7 @@ def purify_many(xs, params, seeds):
     batch = _stack_signals(xs)
     states = [sensing._state(seed) for seed in seeds]
     mask = sensing._masks(states, batch.shape[1:], params.subsample_prob)
-    values, u, steps = _purify_block(batch, mask, params)
+    values, u, steps = _purify_block(batch, mask, params, label)
     out = []
     for x, value, coeffs, run in zip(xs, values, u, steps.tolist()):
         imag_residual = 0.0
@@ -309,5 +379,13 @@ def purify(x, params, seed):
 
 
 def defend(classifier, x, params, seed):
-    """Label ``x`` through the purification pipeline."""
-    return classifier(purify(x, params, seed).value)
+    """Label ``x`` through the purification pipeline:
+    ``classifier(purify(x, params, seed).value)``.
+
+    With a :class:`LinearClassifier`, the solve stops as soon as the label
+    of its iterate is proven final (see :func:`_ista_coefficients`), and
+    ``defend`` labels that iterate: the label, and every error raised, are
+    the full solve's.  Any other classifier labels the full solve's value.
+    """
+    label = classifier._u if type(classifier) is LinearClassifier else None
+    return classifier(_purify_rows([x], params, [seed], label)[0].value)

@@ -2,6 +2,7 @@
 forms and batched paths against."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -72,10 +73,29 @@ def exact_certificate(rwp_prob, alpha, rho, tau, epsilon, expected):
     return float(min(max(raw, 0), 1)), raw < 0
 
 
+def toward_zero(value):
+    """Oracle: a Fraction >= 0 rounded toward zero to a float, the largest
+    float for a value beyond the float range.  The largest float at most
+    ``value`` is the nearest one, or the one below it when the nearest is
+    above ``value``."""
+    try:
+        nearest = float(value)
+    except OverflowError:
+        return sys.float_info.max
+    return math.nextafter(nearest, 0.0) if Fraction(nearest) > value else nearest
+
+
+def assert_toward_zero(got, exact):
+    """``got`` is a float at most the Fraction ``exact``, and within an ulp
+    of it: the next float up is above ``exact``, or there is none."""
+    assert Fraction(got) <= exact
+    assert got == sys.float_info.max or Fraction(math.nextafter(got, math.inf)) > exact
+
+
 def exact_linear_certificate(alpha, rho, margin, defect):
     """Oracle: linear_certificate's (radius, gain) at a finite alpha and rho
-    from exact rationals, each rounded once (a radius beyond the float range
-    is inf), or None where it must give no certificate.
+    from exact rationals, each rounded toward zero (a radius beyond the float
+    range is the largest float), or None where it must give no certificate.
 
     The radius is alpha * (m - 4 rho d) / 2 and the gain radius / m, alpha / 2
     at m = 0; a positive d with m <= 4 rho d gives None.  An infinite d gives
@@ -90,11 +110,7 @@ def exact_linear_certificate(alpha, rho, margin, defect):
     radius = a * (m - 4 * r * d) / 2
     if d > 0 and radius <= 0:
         return None
-    try:
-        rounded = float(radius)
-    except OverflowError:
-        rounded = math.inf
-    return rounded, float(radius / m) if m else alpha / 2
+    return toward_zero(radius), toward_zero(radius / m) if m else alpha / 2
 
 
 def looped_gen_data(n, count, k, seed, margin_floor=1e-3, weights_seed=None):

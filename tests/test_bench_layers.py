@@ -24,6 +24,7 @@ LAYERS = {
     "reconstruct._ista_coefficients.cap100",
     "reconstruct._ista_coefficients.one-row.cap1",
     "reconstruct._ista_coefficients.one-row.cap100",
+    "reconstruct.defend",
     "defect._l1_batch",
     "defect._l1_batch.unitary-dft",
     "classifier.labels",
@@ -64,3 +65,5 @@ def test_radius_minimiser_measures_one_case(capsys):
     assert list(summary["caps"]) == [str(cap) for cap in minimiser.CAPS]
     medians = [row["median"] for row in summary["caps"].values()]
     assert 0 < medians[-1] < medians[0]
+    # defend's solves stop once the label is proven, short of the full solves.
+    assert 0 < summary["defend_steps"] / summary["full_solve_steps"] < 1

@@ -46,21 +46,18 @@ from rwkit import (
     write_signal,
 )
 
-from oracles import brute_force_defect, exact_certificate
+from oracles import assert_toward_zero, brute_force_defect, exact_certificate, toward_zero
 
 
 def exact_budget(tau, epsilon, alpha, rho):
-    """Oracle: defect_budget from exact rationals, or None where it must refuse."""
+    """Oracle: defect_budget from exact rationals, rounded toward zero, or
+    None where it must refuse."""
     if not all(math.isfinite(v) for v in (tau, epsilon, alpha, rho)):
         return None
     t, e, a, r = map(Fraction, (tau, epsilon, alpha, rho))
     if not (a > 0 and r > 0 and a * t > 2 * e):
         return None
-    budget = (a * t - 2 * e) / (4 * a * r)
-    try:
-        return float(budget)
-    except OverflowError:  # rounds beyond the largest float
-        return math.inf
+    return toward_zero((a * t - 2 * e) / (4 * a * r))
 
 
 @st.composite
@@ -145,12 +142,28 @@ class TestDefectBudget:
 
     def test_underflowing_slack_is_feasible(self):
         # alpha * tau underflows to 0 in floats; the exact slack is 1e-400.
-        assert defect_budget(1e-200, 0.0, 1e-200, 0.05) == 5e-200
+        # The exact budget lies just below 5e-200, the nearest float.
+        assert defect_budget(1e-200, 0.0, 1e-200, 0.05) == math.nextafter(5e-200, 0.0)
 
     def test_budget_saturates_performance_bound(self):
         tau, eps, alpha, rho = 0.5, 0.2, 4.0, 0.05
         budget = defect_budget(tau, eps, alpha, rho)
         assert abs(performance_bound(eps, alpha, rho, budget) - tau) <= 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+    def test_budget_is_on_the_safe_side_within_an_ulp(self, tau, epsilon, alpha, rho):
+        # Never above the exact budget, and less than an ulp below it; a
+        # finite budget beyond the float range is the largest float.
+        try:
+            budget = defect_budget(tau, epsilon, alpha, rho)
+        except (ParameterError, InfeasibleError):
+            return
+        t, e, a, r = map(Fraction, (tau, epsilon, alpha, rho))
+        assert_toward_zero(budget, (a * t - 2 * e) / (4 * a * r))
+
+    def test_budget_beyond_the_float_range_is_the_largest_float(self):
+        assert defect_budget(1e308, 0.0, 4.0, 1e-10) == sys.float_info.max
 
     def test_monotone_in_tau_and_rho(self):
         budgets = [defect_budget(t, 0.1, 4.0, 0.05) for t in (0.3, 0.5, 0.8)]

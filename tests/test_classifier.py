@@ -26,7 +26,7 @@ from rwkit import (
     predict,
 )
 
-from oracles import exact_linear_certificate
+from oracles import assert_toward_zero, exact_linear_certificate
 
 
 def random_pair(n, seed):
@@ -522,6 +522,12 @@ class TestLinearCertificate:
         assert (cert.radius, cert.gain, cert.inputs["margin"]) == (np.inf, 2.0, np.inf)
         assert linear_certificate(clf, np.array([1.0, 0.0]), alpha=4.0, rho=0.05, defect=np.inf) is None
 
+    def test_radius_beyond_the_float_range_is_the_largest_float(self):
+        # alpha * m / 2 is finite but above the largest float.
+        clf = LinearClassifier(weights=np.array([1.0]))
+        cert = linear_certificate(clf, np.array([1e308]), alpha=4.0, rho=0.05, defect=0.0)
+        assert (cert.radius, cert.gain) == (sys.float_info.max, 2.0)
+
     def test_monotone_in_alpha_and_margin(self):
         clf = LinearClassifier(weights=np.array([1.0, 0.0]))
         radii = [
@@ -578,6 +584,26 @@ class TestLinearCertificate:
             assert (cert.radius, cert.gain) == want
             assert cert.probability == 1.0
             assert cert.inputs == {"alpha": alpha, "rho": rho, "defect": defect, "margin": m}
+
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(st.floats(2, 1e308, exclude_min=True), st.sampled_from([2.5, 3.0, sys.float_info.max])),
+        st.one_of(st.floats(5e-324, 1e308), st.sampled_from([0.05, 0.1, 1e-300])),
+        st.one_of(st.floats(0, 1e308), st.sampled_from([0.0, 5e-324, 0.01, 0.3])),
+        st.one_of(st.floats(0, sys.float_info.max), st.sampled_from([1.0, 1.4, 1e-300, sys.float_info.max])),
+    )
+    def test_each_value_is_on_the_safe_side_within_an_ulp(self, alpha, rho, defect, m):
+        # The exact radius and gain, rounded toward zero: never above the
+        # proven value, and less than an ulp below it.
+        cert = linear_certificate(LinearClassifier(weights=np.array([1.0])), np.array([m]), alpha, rho, defect)
+        a, r, d, mm = map(Fraction, (alpha, rho, defect, m))
+        radius = a * (mm - 4 * r * d) / 2
+        if cert is None:
+            assert d > 0 and radius <= 0
+            return
+        assert_toward_zero(cert.radius, radius)
+        assert_toward_zero(cert.gain, radius / mm if mm else a / 2)
 
 
 class TestEmpiricalRobustRadius:

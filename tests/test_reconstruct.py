@@ -13,6 +13,7 @@ from rwkit import (
     NumericError,
     ParameterError,
     ReconstructionParams,
+    RwkitError,
     SensingOperator,
     ShapeError,
     analyze,
@@ -46,6 +47,15 @@ DFT = Frame(kind="unitary-dft")
 # cap, a row stops once ||u_t - u_{t-1}||^2 <= (1e-14)^2 ||M y||^2.
 STOP_TOL = 1e-14
 STOP_EVERY = 10
+# The label stop, written out here: with weights w, in a solve where no
+# step can overflow (N cap max ||M y||^2 < 1e280, cap <= 1e9) and every
+# ||M y||^2 > 1e-200, a stop check t < cap also stops a row once
+# |<w^, Re u_t>| > 2 ||w^|| (cap - t) d_t + ||w^|| ||M y|| (cap^2 1e-14 +
+# (N + 64) sqrt(cap) 2^-46), with w^ = analyze(w) and d_t the step's length.
+LABEL_GAP = 2.0**-46
+LABEL_FLOOR = 1e-200
+QUIET_BOUND = 1e280
+QUIET_CAP = 10**9
 
 
 def sum_of_squares(z):
@@ -55,7 +65,7 @@ def sum_of_squares(z):
         return np.sum(np.square(np.ascontiguousarray(z).view(np.float64)))
 
 
-def ista_loop(y, mask, params, stop=True):
+def ista_loop(y, mask, params, stop=True, label=None):
     """Reference: the thresholded gradient loop, run step by step, row by row.
 
     Axis 0 of ``y`` and ``mask`` indexes rows; each row runs alone.  Returns
@@ -71,18 +81,36 @@ def ista_loop(y, mask, params, stop=True):
     per-row ``analyze`` and ``synthesize``, so the two loops share only the
     arithmetic of the transforms.
 
+    ``label``, weights of the signal's shape, adds the label stop written
+    out above, where the whole batch is in its range.
+
     A row whose iterate has a non-finite modulus at step t fails there; if
     any row fails, the loop raises :class:`NumericError` naming the first
     such step over the rows, as the batch loop does that runs them together.
     """
     frame = params.frame
     lam = float(params.threshold)
+    cap = params.iterations
+    n = y[0].size
+    sums = [sum_of_squares(mask_row * y_row) for y_row, mask_row in zip(y, mask)]
+    what = None
+    if (
+        label is not None
+        and label.shape == y.shape[1:]
+        and cap <= QUIET_CAP
+        and max(sums) * (n * cap) < QUIET_BOUND
+        and min(sums) > LABEL_FLOOR
+    ):
+        what = analyze(frame, label).real.ravel()
+        norm = np.sqrt(np.sum(np.square(what)))
     rows, steps, failed = [], [], []
-    for y_row, mask_row in zip(y, mask):
+    for y_row, mask_row, sumsq in zip(y, mask, sums):
         y_row, mask_row = y_row[None], mask_row[None]
-        limit = STOP_TOL**2 * sum_of_squares(mask_row * y_row)
+        limit = STOP_TOL**2 * sumsq
         if limit == np.inf:
             limit = 0.0
+        if what is not None:
+            slack = norm * np.sqrt(sumsq) * (cap * cap * STOP_TOL + (n + 64) * np.sqrt(cap) * LABEL_GAP)
         u = np.zeros(y_row.shape, dtype=np.complex128)
         t = 0
         while t < params.iterations:
@@ -99,8 +127,13 @@ def ista_loop(y, mask, params, stop=True):
             z = z * (np.maximum(mag - lam, 0.0) / np.where(mag == 0.0, 1.0, mag))
             moved = sum_of_squares(z - u)
             u = z
-            if stop and t % STOP_EVERY == 0 and t < params.iterations and moved <= limit:
-                break
+            if stop and t % STOP_EVERY == 0 and t < params.iterations:
+                if moved <= limit:
+                    break
+                if what is not None:
+                    reach = 2.0 * (cap - t) * np.sqrt(moved) * norm + slack
+                    if abs(np.sum(u.real.ravel() * what)) > reach:
+                        break
         rows.append(u[0])
         steps.append(t)
     if failed:
@@ -721,3 +754,203 @@ class TestDefend:
                 trials += 1
                 flips += defend(clf, x + delta, params, derived_seed(1, i, trial)) != label
         assert flips / trials <= 0.01
+
+
+def full_defend(clf, x, params, seed):
+    # The oracle of defend: the label of the full solve's value.
+    return predict(clf, purify(x, params, seed).value)
+
+
+def near_tie_weights(w0, x_hat, tau):
+    # w0 with its component along x_hat replaced by tau * x_hat, so that
+    # <w, x_hat> = tau ||x_hat||^2: the full solve's value lies a relative
+    # tau from the decision boundary.
+    sq = np.sum(np.square(x_hat))
+    if not sq > 0:
+        return w0
+    return w0 - (np.sum(w0 * x_hat) / sq - tau) * x_hat
+
+
+@st.composite
+def defend_cases(draw):
+    # A signal, weights and parameters for a loop frame: 1D or 2D, real or
+    # complex, caps from 1 to 200 and thresholds from 0 to 0.1; half the
+    # weights are near-ties of the full solve's value.
+    kind = draw(st.sampled_from(("identity", "haar-dwt", "db4-dwt")))
+    shape = draw(st.sampled_from(SHAPES[draw(st.sampled_from((1, 2)))]))
+    top = min(3, dyadic_levels(shape))
+    levels = draw(st.integers(min(1, top), top)) if kind != "identity" else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = ReconstructionParams(
+        iterations=draw(st.one_of(st.integers(1, 200), st.integers(40, 200), st.sampled_from((100, 200)))),
+        threshold=draw(st.one_of(st.floats(0.0, 0.1), st.floats(0.002, 0.05), st.sampled_from((0.0, 0.02, 0.1)))),
+        subsample_prob=draw(st.sampled_from((0.3, 0.5, 0.5, 0.7494, 1.0))),
+        frame=Frame(kind=kind, levels=levels),
+    )
+    # Sparse in the frame plus noise, so that solves run for a while.
+    coeffs = np.zeros(shape)
+    k = min(4, coeffs.size)
+    coeffs.flat[rng.choice(coeffs.size, k, replace=False)] = rng.choice([-1.0, 1.0], k)
+    x = synthesize(params.frame, coeffs).real + draw(st.sampled_from((0.0, 0.05, 0.3))) * rng.standard_normal(shape)
+    if draw(st.booleans()):
+        x = x + 0.3j * rng.standard_normal(shape)
+    seed = int(rng.integers(0, 2**31))
+    w = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        tau = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-12, -3))
+        w = near_tie_weights(w, np.real(purify(x, params, seed).value), tau)
+    return LinearClassifier(weights=w), x, params, seed
+
+
+class SolveSpy:
+    """Records each solve ``defend`` runs: whether it had a label, the steps
+    its rows ran, and whether its result is the full solve's bit for bit."""
+
+    def __init__(self, monkeypatch):
+        self.solves = []
+        solve = reconstruct._ista_coefficients
+
+        def spy(y, mask, params, label=None):
+            u, steps = solve(y, mask, params, label)
+            full_u, full_steps = solve(y, mask, params)
+            same = steps.tolist() == full_steps.tolist() and np.array_equal(u.view(np.uint64), full_u.view(np.uint64))
+            self.solves.append((label is not None, int(steps[0]), int(full_steps[0]), same))
+            return u, steps
+
+        monkeypatch.setattr(reconstruct, "_ista_coefficients", spy)
+
+
+def radius_probes(count=6):
+    # The radius workload's settings: 4-sparse signals of n = 128 with margin
+    # at least 0.1, identity, 100 steps, lam 0.02, q 0.5; each signal and
+    # probes of it at radii 0.05, 0.2 and 0.5, through its case's operator
+    # seed.
+    dataset = gen_data(128, count, 4, 0, margin_floor=0.1, weights_seed=0)
+    params = ReconstructionParams(iterations=100, threshold=0.02, subsample_prob=0.5, frame=IDENTITY)
+    rng = np.random.default_rng(3)
+    probes = []
+    for case, x in enumerate(dataset.signals):
+        seed = np.random.SeedSequence(0, spawn_key=(7, case))
+        probes.append((x, seed))
+        for radius in (0.05, 0.2, 0.5):
+            d = rng.standard_normal(128)
+            probes.append((x + radius * d / np.linalg.norm(d), seed))
+    return dataset.classifier, params, probes
+
+
+class TestLabelStop:
+    """``defend`` with a linear classifier stops its solve once the label is
+    proven; the oracle is the full solve's label."""
+
+    def test_label_stop_constants(self):
+        assert reconstruct._LABEL_GAP == LABEL_GAP
+        assert reconstruct._LABEL_FLOOR == LABEL_FLOOR
+        assert reconstruct._QUIET_BOUND == QUIET_BOUND
+        assert reconstruct._QUIET_CAP == QUIET_CAP
+
+    @settings(max_examples=150, deadline=None)
+    @given(defend_cases())
+    @example((LinearClassifier(weights=np.ones(64)), np.zeros(64), ReconstructionParams(
+        iterations=50, threshold=0.0, subsample_prob=0.5, frame=IDENTITY), 0))
+    def test_defend_is_the_label_of_the_full_solve(self, case):
+        clf, x, params, seed = case
+        assert defend(clf, x, params, seed) == full_defend(clf, x, params, seed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(loop_cases(), st.integers(0, 2**32 - 1))
+    def test_matches_the_step_by_step_loop_bit_for_bit(self, case, wseed):
+        y, mask, params = case
+        w = np.random.default_rng(wseed).standard_normal(y.shape[1:])
+        got, steps = _ista_coefficients(y, mask, params, w)
+        want, want_steps = ista_loop(y, mask, params, label=w)
+        assert_same_bits(got, want)
+        assert steps.tolist() == want_steps.tolist()
+
+    @pytest.mark.parametrize("kind,shape", STOPPING_CASES, ids=str)
+    def test_rows_stop_by_label_as_the_step_by_step_loop(self, kind, shape):
+        y, mask, params = stopping_rows(kind, shape)
+        w = np.random.default_rng(5).standard_normal(shape)
+        got, steps = _ista_coefficients(y, mask, params, w)
+        want, want_steps = ista_loop(y, mask, params, label=w)
+        assert_same_bits(got, want)
+        assert steps.tolist() == want_steps.tolist()
+        _, full_steps = _ista_coefficients(y, mask, params)
+        assert np.all(steps <= full_steps) and np.sum(steps) < np.sum(full_steps)
+        # Each stopped row has the full solve's label.
+        frame = params.frame
+        fixed, _ = ista_loop(y, mask, params)
+        clf = LinearClassifier(weights=w)
+        for u, full in zip(got, fixed):
+            assert predict(clf, synthesize(frame, u)) == predict(clf, synthesize(frame, full))
+
+    def test_radius_probes_stop_early(self, monkeypatch):
+        clf, params, probes = radius_probes()
+        spy = SolveSpy(monkeypatch)
+        for x, seed in probes:
+            assert defend(clf, x, params, seed) == full_defend(clf, x, params, seed)
+        # Every spied solve is defend's; purify's run without a label.
+        runs = [s for s in spy.solves if s[0]]
+        assert len(runs) == len(probes)
+        early = [steps < full for _, steps, full, _ in runs]
+        assert sum(early) >= 0.75 * len(runs)
+        assert sum(s[1] for s in runs) < 0.7 * sum(s[2] for s in runs)
+
+    @pytest.mark.parametrize("tau", [1e-12, -1e-12, 1e-11, -3e-11])
+    def test_near_ties_run_to_round_off_or_the_cap(self, monkeypatch, tau):
+        clf, params, probes = radius_probes(count=3)
+        spy = SolveSpy(monkeypatch)
+        rng = np.random.default_rng(11)
+        for x, seed in probes:
+            w = near_tie_weights(rng.standard_normal(128), purify(x, params, seed).value, tau)
+            near = LinearClassifier(weights=w)
+            assert defend(near, x, params, seed) == full_defend(near, x, params, seed)
+        runs = [s for s in spy.solves if s[0]]
+        assert len(runs) == len(probes)
+        assert all(same for *_, same in runs)
+
+    def test_other_classifiers_and_the_closed_form_never_take_the_rule(self, monkeypatch):
+        clf, params, probes = radius_probes(count=2)
+        spy = SolveSpy(monkeypatch)
+        dft = ReconstructionParams(iterations=100, threshold=0.02, subsample_prob=0.5, frame=DFT)
+        for x, seed in probes:
+            assert defend(lambda v: predict(clf, v), x, params, seed) == full_defend(clf, x, params, seed)
+            assert defend(clf, x, dft, seed) == full_defend(clf, x, dft, seed)
+        assert spy.solves
+        # The lambda's solves get no label; the closed form ignores it.
+        assert all(same for *_, same in spy.solves)
+        assert sum(has_label for has_label, *_ in spy.solves) == len(probes)
+
+    def test_a_batch_that_can_overflow_never_takes_the_rule(self, monkeypatch):
+        # ||M y||^2 of about 64 (1e139)^2 / 2 times 64 * 100 exceeds 1e280, so
+        # the solve checks every step and takes no label stop.
+        clf, params, probes = radius_probes(count=2)
+        spy = SolveSpy(monkeypatch)
+        loud = ReconstructionParams(iterations=100, threshold=2e137, subsample_prob=0.5, frame=IDENTITY)
+        for x, seed in probes:
+            x = 1e139 * (x + 0.1 * np.random.default_rng(2).standard_normal(128))
+            assert defend(clf, x, loud, seed) == full_defend(clf, x, loud, seed)
+        assert len(spy.solves) == 2 * len(probes) and all(same for *_, same in spy.solves)
+        # The same probes at unit scale do take it.
+        spy.solves.clear()
+        for x, seed in probes:
+            defend(clf, x, params, seed)
+        assert not all(same for *_, same in spy.solves)
+
+    @pytest.mark.parametrize(
+        "x, weights",
+        [
+            (np.full(64, np.nan), np.ones(64)),
+            ([[1.0, 2.0], [3.0]], np.ones(2)),
+            (np.ones(64), np.ones(32)),
+            (np.ones((8, 8)), np.ones(64)),
+            (np.full(64, 1e308), np.ones(64)),
+        ],
+        ids=["nan", "ragged", "weights-short", "weights-flat", "overflowing"],
+    )
+    def test_errors_are_the_full_solves(self, x, weights):
+        clf = LinearClassifier(weights=weights)
+        params = ReconstructionParams(iterations=100, threshold=0.02, subsample_prob=1.0, frame=IDENTITY)
+        with pytest.raises(RwkitError) as want:
+            full_defend(clf, x, params, 0)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            defend(clf, x, params, 0)

@@ -1,10 +1,16 @@
-"""Replay of the benchmark's ``eval-identity`` reference pool.
+"""Replay of the benchmark's ``eval-identity`` and ``radius`` reference pools.
 
 ``perfbench/reference/eval-identity.json`` holds the report rows that 64
 ``rwkit eval`` runs gave at the benchmark's first commit.  Each case is run
 again through ``rwkit.cli.main`` and held to the benchmark's own rule:
 accuracies, epsilons and seeds exactly, reconstruction errors and defects
-to 1e-8 relative (1e-12 absolute near zero).  The file is only read.
+to 1e-8 relative (1e-12 absolute near zero).
+
+``perfbench/reference/radius.json`` holds the robust radii that 128
+``empirical_robust_radius`` runs over a ``defend`` pipeline gave there.
+Every 4th case is run again with the benchmark's seeds and held to its
+rule: ``flip_found`` exactly and the radius within the run's ``tol``.  The
+files are only read.
 """
 
 import functools
@@ -12,11 +18,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rwkit import Frame, ReconstructionParams, defend, empirical_robust_radius, gen_data
 from rwkit.cli import main
 
-POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "eval-identity.json"
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 RTOL = 1e-8
 ATOL = 1e-12
 EXACT = ("epsilon", "seed", "clean_accuracy", "defended_accuracy_under_probe")
@@ -24,8 +32,8 @@ NEAR = ("mean_reconstruction_error", "mean_defect")
 
 
 @functools.lru_cache(maxsize=None)
-def reference():
-    return json.loads(POOL.read_text())
+def reference(name="eval-identity"):
+    return json.loads((REFERENCE / f"{name}.json").read_text())
 
 
 def close(a, b):
@@ -56,3 +64,37 @@ def test_eval_identity_case_matches_the_reference_pool(config_path, tmp_path, ca
             assert float(row[column]) == float(want[column]), column
         for column in NEAR:
             assert close(float(row[column]), float(want[column])), column
+
+
+@functools.lru_cache(maxsize=None)
+def radius_setup():
+    # The pool's dataset and reconstruction parameters, one signal per case.
+    c = reference("radius")["config"]
+    dataset = gen_data(
+        c["n"], len(reference("radius")["cases"]), c["sparsity"], c["dataset_seed"],
+        margin_floor=c["margin_floor"], weights_seed=c["weights_seed"],
+    )
+    params = ReconstructionParams(
+        iterations=c["iterations"], threshold=c["threshold"],
+        subsample_prob=c["subsample_prob"], frame=Frame(kind=c["frame"]),
+    )
+    return dataset, params
+
+
+@pytest.mark.parametrize("case", range(0, 128, 4))
+def test_radius_case_matches_the_reference_pool(case):
+    c = reference("radius")["config"]
+    want = reference("radius")["cases"][case]
+    dataset, params = radius_setup()
+    clf = dataset.classifier
+    operator_seed = np.random.SeedSequence(c["dataset_seed"], spawn_key=(7, case))
+    measured = empirical_robust_radius(
+        lambda z: defend(clf, z, params, operator_seed),
+        dataset.signals[case],
+        probes=c["probes"],
+        tol=c["tol"],
+        seed=case,
+        radius_ceiling=c["radius_ceiling"],
+    )
+    assert measured.flip_found == want["flip_found"]
+    assert abs(measured.radius - want["radius"]) <= c["tol"]
