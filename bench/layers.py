@@ -7,8 +7,8 @@ Run from the repository root, with the rwkit to be timed importable::
 Each layer is one call of the kernel that does its work, on fixed inputs
 made from fixed seeds: 64 rows of n = 128, or one 64x64 image, one row of
 n = 128 at the ``radius`` workload's settings (bare, through ``defend`` and
-in a bisection level), and the shipped configs for ``run_eval`` and
-``gen_data``.  Every layer is called
+in a bisection level) and 64 probes of it in one labelled solve, and the
+shipped configs for ``run_eval`` and ``gen_data``.  Every layer is called
 once before timing.  Then, for ``--repeats`` rounds, each layer is timed
 once per round, forward in even rounds and backward in odd ones, so that a
 drift in host speed falls on every layer alike.  A sample is the mean time
@@ -133,7 +133,7 @@ def layers():
     # its mask (seed 7), a row that runs every step of the 100-step cap, so
     # that the two caps give the cost of a one-row step.
     one_probe = np.asarray(x0) + 0.2 * probes[0] / np.linalg.norm(probes[0])
-    one_mask = sensing._masks([sensing._state(7)], (N,), 0.5)
+    one_mask = sensing._seed_masks([7], (N,), 0.5)
     one_y = sensing._apply_batch(one_mask, one_probe[None])
     for cap in (1, 100):
         params = reconstruct.ReconstructionParams(iterations=cap, threshold=0.02, subsample_prob=0.5, frame=identity)
@@ -150,6 +150,17 @@ def layers():
         "reconstruct.defend",
         "identity, 1 probed row, lam 0.02, q 0.5, cap 100: label proven at step 30",
         lambda: reconstruct.defend(clf, one_probe, radius_params, 7),
+    )
+    # The same solve over a batch: probes at radius 0.2 of that row through
+    # its one mask, as a batched bisection level would purify them, each row
+    # stopping once its own label is proven.
+    batch_probes = np.asarray(x0) + 0.2 * probes / np.linalg.norm(probes, axis=1, keepdims=True)
+    batch_mask = np.repeat(one_mask, ROWS, axis=0)
+    batch_y = sensing._apply_batch(batch_mask, batch_probes)
+    add(
+        "reconstruct._ista_coefficients.labelled",
+        f"identity, {ROWS} probes at radius 0.2 of one row, one mask, lam 0.02, q 0.5, cap 100, with a label",
+        lambda: ista(batch_y, batch_mask, radius_params, clf._u),
     )
     add(
         "classifier.empirical_robust_radius.level",

@@ -162,8 +162,6 @@ def _parse_shape(path, text):
         shape = tuple(int(s) for s in text.split("x"))
     except ValueError:
         raise ConfigError(f"{path}: malformed shape line {text!r}") from None
-    if len(shape) not in (1, 2):
-        raise ConfigError(f"{path}: shape must have 1 or 2 axes, got {text!r}")
     if min(shape) < 1:
         raise ConfigError(f"{path}: shape axes must be >= 1, got {text!r}")
     return shape

@@ -32,7 +32,8 @@ frame skips the loop and returns that first iterate directly.
 ``defend`` with a :class:`LinearClassifier` asks the solve for a label, not
 a value, and the solve stops a row as soon as that label is proven (see
 ``_LABEL_GAP``): the remaining steps cannot carry the iterate across the
-decision boundary.  Every other caller runs the solve as described above.
+decision boundary.  The rule, like the round-off stop, reads only the row,
+and ``defend`` enters the solve through ``_purify_block`` as ``purify`` does.
 """
 
 import numpy as np
@@ -50,7 +51,6 @@ from .frames import (
     _step_transforms,
     as_signal,
 )
-from .sensing import _apply_batch
 
 __all__ = [
     "ReconstructionParams",
@@ -136,11 +136,12 @@ _QUIET_CAP = 10**9
 #   errs by N eps, a transform by levels times taps, at most 8 log2 N <=
 #   N + 64, units of eps), with ||u|| <= sqrt(cap) ||M y|| (see
 #   _QUIET_BOUND).  _LABEL_GAP, 64 eps, is 16 times that.
-# The rule runs only in solves that _QUIET_BOUND proves cannot overflow,
-# with a loop frame (unitary-dft is solved in closed form), a weight vector
-# of the signal's shape, and every ||M y||^2 above _LABEL_FLOOR, where no
-# sum it takes can lose digits to underflow.  At the ``radius`` workload
-# (cap 100, N 128) the slack is about 1e-10 ||w^|| ||M y||.
+# Each bound used here holds per row, so the rule is decided per row: a row
+# takes it when its own N cap ||M y||^2 < _QUIET_BOUND (none of its steps can
+# overflow) and its own ||M y||^2 > _LABEL_FLOOR (no sum it takes can lose
+# digits to underflow), else its slack is inf; only cap > _QUIET_CAP or
+# weights not of the signal's shape drop the rule for the whole solve.  At
+# the ``radius`` workload (cap 100, N 128) the slack is ~1e-10 ||w^|| ||M y||.
 _LABEL_GAP = 2.0**-46
 _LABEL_FLOOR = 1e-200
 
@@ -189,8 +190,8 @@ def _ista_coefficients(y, mask, params, label=None):
     the signal's shape.  With it, a stop check also stops each row whose
     label sign<w, Re synthesize(u)> is proven final (see ``_LABEL_GAP``),
     with result u_t and count t: its label is the full solve's, its value
-    need not be.  The rule is off, and the solve is the one above bit for
-    bit, where ``_LABEL_GAP`` says it does not apply.
+    need not be.  Each row is in the rule's range or not by its own sums
+    alone, and a row outside it runs as above bit for bit.
 
     The loop allocates its buffers once per solve: the complex iterate
     ``u``, the next iterate ``z`` and the residual ``r``, and the real
@@ -228,14 +229,16 @@ def _ista_coefficients(y, mask, params, label=None):
     limit[limit == np.inf] = 0.0
     # Check each step's iterate only where one can overflow (_QUIET_BOUND).
     n = y[0].size
-    check = not (cap <= _QUIET_CAP and np.maximum.reduce(sumsq) * (n * cap) < _QUIET_BOUND)
+    quiet = sumsq * (n * cap) < _QUIET_BOUND
+    check = not (cap <= _QUIET_CAP and quiet.all())
     if label is not None:
-        if check or label.shape != y.shape[1:] or not np.minimum.reduce(sumsq) > _LABEL_FLOOR:
+        if cap > _QUIET_CAP or label.shape != y.shape[1:]:
             label = None
         else:
             label = analyze(label.astype(np.complex128)[None]).real.ravel()
             norm = np.sqrt(np.add.reduce(np.square(label)))
             slack = norm * np.sqrt(sumsq) * (cap * cap * _STOP_TOL + (n + 64) * np.sqrt(cap) * _LABEL_GAP)
+            slack[~(quiet & (sumsq > _LABEL_FLOOR))] = np.inf
     result = np.empty_like(y)
     steps = np.full(len(y), cap)
     rows = np.arange(len(y))  # each running row's index in result
@@ -318,7 +321,7 @@ def _purify_block(xs, mask, params, label=None):
     ``values`` is ``u`` itself; callers read both and write to neither.
     ``label`` is the solve's (see :func:`_ista_coefficients`).
     """
-    u, steps = _ista_coefficients(_apply_batch(mask, xs), mask, params, label)
+    u, steps = _ista_coefficients(sensing._apply_batch(mask, xs), mask, params, label)
     return _synthesized(params.frame, u), u, steps
 
 
@@ -338,19 +341,13 @@ def purify_many(xs, params, seeds):
     Returns one :class:`PurifiedSignal` per row, bit-identical to
     ``purify(xs[i], params, seeds[i])``.
     """
-    return _purify_rows(xs, params, seeds)
-
-
-def _purify_rows(xs, params, seeds, label=None):
-    # purify_many, with the solve's ``label`` (see _ista_coefficients).
     if len(xs) != len(seeds):
         raise ShapeError(f"{len(xs)} signals but {len(seeds)} seeds")
     if len(xs) == 0:
         return []
     batch = _stack_signals(xs)
-    states = [sensing._state(seed) for seed in seeds]
-    mask = sensing._masks(states, batch.shape[1:], params.subsample_prob)
-    values, u, steps = _purify_block(batch, mask, params, label)
+    mask = sensing._seed_masks(seeds, batch.shape[1:], params.subsample_prob)
+    values, u, steps = _purify_block(batch, mask, params)
     out = []
     for x, value, coeffs, run in zip(xs, values, u, steps.tolist()):
         imag_residual = 0.0
@@ -382,10 +379,14 @@ def defend(classifier, x, params, seed):
     """Label ``x`` through the purification pipeline:
     ``classifier(purify(x, params, seed).value)``.
 
-    With a :class:`LinearClassifier`, the solve stops as soon as the label
-    of its iterate is proven final (see :func:`_ista_coefficients`), and
-    ``defend`` labels that iterate: the label, and every error raised, are
-    the full solve's.  Any other classifier labels the full solve's value.
+    With a :class:`LinearClassifier`, the solve, a batch of one entered
+    through :func:`_purify_block`, stops as soon as the label of its iterate
+    is proven final (see :func:`_ista_coefficients`), and ``defend`` labels
+    that iterate: the label, and every error raised, are the full solve's.
+    Any other classifier labels the full solve's value.
     """
+    batch = _stack_signals([x])
+    mask = sensing._seed_masks([seed], batch.shape[1:], params.subsample_prob)
     label = classifier._u if type(classifier) is LinearClassifier else None
-    return classifier(_purify_rows([x], params, [seed], label)[0].value)
+    value = _purify_block(batch, mask, params, label)[0][0]
+    return classifier(value.real if np.isrealobj(x) else value)

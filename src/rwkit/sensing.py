@@ -112,11 +112,6 @@ def _states(seed, keys):
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def _state(seed):
-    # The PCG64 seed words of the stream ``seed``.
-    return derived_seed(seed).generate_state(4, np.uint64)
-
-
 class _Words(ISeedSequence):
     # A seed sequence that hands PCG64 precomputed seed words.
     def __init__(self, words):
@@ -189,7 +184,12 @@ def make_partial_fourier(shape, q, seed):
     shape = tuple([_index(ax_len, "axis length") for ax_len in dims])
     _signal_shape(shape, "signal")
     _real(q, "subsampling probability", ge=0, le=1)
-    return SensingOperator(mask=_masks([_state(seed)], shape, q)[0])
+    return SensingOperator(mask=_seed_masks([seed], shape, q)[0])
+
+
+def _seed_masks(seeds, shape, q):
+    # Row k is the mask drawn under seeds[k] by the seed rule (see _masks).
+    return _masks([derived_seed(s).generate_state(4, np.uint64) for s in seeds], shape, q)
 
 
 def _masks(states, shape, q):

@@ -279,6 +279,16 @@ class TestSignalIO:
         with pytest.raises(ConfigError):
             read_signal(path)
 
+    def test_csv_shape_line_of_three_axes_gets_the_signal_shape_rule(self, tmp_path):
+        # The shape line's axis count is checked once, by the rule every
+        # signal is read under, after the reshape.
+        path = tmp_path / "sig.csv"
+        body = "".join(f"{i},{i}.5,0\n" for i in range(4))
+        path.write_text(f"# shape=2x2x1\nindex,real,imag\n{body}")
+        want = f"^{re.escape(str(path))}: signal must be a non-empty 1D or 2D array, got shape \\(2, 2, 1\\)$"
+        with pytest.raises(ConfigError, match=want):
+            read_signal(path)
+
     def test_csv_malformed_number_rejected(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("# shape=2\nindex,real,imag\n0,1,0\n1,x,0\n")

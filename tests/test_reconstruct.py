@@ -30,7 +30,7 @@ from rwkit import (
     soft_threshold,
     synthesize,
 )
-from rwkit import reconstruct
+from rwkit import reconstruct, sensing
 from rwkit.frames import _solve_errstate
 from rwkit.sensing import _adjoint_batch, _apply_batch
 
@@ -47,11 +47,12 @@ DFT = Frame(kind="unitary-dft")
 # cap, a row stops once ||u_t - u_{t-1}||^2 <= (1e-14)^2 ||M y||^2.
 STOP_TOL = 1e-14
 STOP_EVERY = 10
-# The label stop, written out here: with weights w, in a solve where no
-# step can overflow (N cap max ||M y||^2 < 1e280, cap <= 1e9) and every
-# ||M y||^2 > 1e-200, a stop check t < cap also stops a row once
-# |<w^, Re u_t>| > 2 ||w^|| (cap - t) d_t + ||w^|| ||M y|| (cap^2 1e-14 +
-# (N + 64) sqrt(cap) 2^-46), with w^ = analyze(w) and d_t the step's length.
+# The label stop, written out here: with weights w of the signal's shape
+# and cap <= 1e9, a stop check t < cap also stops a row that no step can
+# overflow (its own N cap ||M y||^2 < 1e280) and whose own ||M y||^2 >
+# 1e-200, once |<w^, Re u_t>| > 2 ||w^|| (cap - t) d_t + ||w^|| ||M y||
+# (cap^2 1e-14 + (N + 64) sqrt(cap) 2^-46), with w^ = analyze(w) and d_t
+# the step's length.
 LABEL_GAP = 2.0**-46
 LABEL_FLOOR = 1e-200
 QUIET_BOUND = 1e280
@@ -82,7 +83,7 @@ def ista_loop(y, mask, params, stop=True, label=None):
     arithmetic of the transforms.
 
     ``label``, weights of the signal's shape, adds the label stop written
-    out above, where the whole batch is in its range.
+    out above to each row in its range.
 
     A row whose iterate has a non-finite modulus at step t fails there; if
     any row fails, the loop raises :class:`NumericError` naming the first
@@ -94,13 +95,7 @@ def ista_loop(y, mask, params, stop=True, label=None):
     n = y[0].size
     sums = [sum_of_squares(mask_row * y_row) for y_row, mask_row in zip(y, mask)]
     what = None
-    if (
-        label is not None
-        and label.shape == y.shape[1:]
-        and cap <= QUIET_CAP
-        and max(sums) * (n * cap) < QUIET_BOUND
-        and min(sums) > LABEL_FLOOR
-    ):
+    if label is not None and label.shape == y.shape[1:] and cap <= QUIET_CAP:
         what = analyze(frame, label).real.ravel()
         norm = np.sqrt(np.sum(np.square(what)))
     rows, steps, failed = [], [], []
@@ -109,7 +104,8 @@ def ista_loop(y, mask, params, stop=True, label=None):
         limit = STOP_TOL**2 * sumsq
         if limit == np.inf:
             limit = 0.0
-        if what is not None:
+        by_label = what is not None and sumsq * (n * cap) < QUIET_BOUND and sumsq > LABEL_FLOOR
+        if by_label:
             slack = norm * np.sqrt(sumsq) * (cap * cap * STOP_TOL + (n + 64) * np.sqrt(cap) * LABEL_GAP)
         u = np.zeros(y_row.shape, dtype=np.complex128)
         t = 0
@@ -130,7 +126,7 @@ def ista_loop(y, mask, params, stop=True, label=None):
             if stop and t % STOP_EVERY == 0 and t < params.iterations:
                 if moved <= limit:
                     break
-                if what is not None:
+                if by_label:
                     reach = 2.0 * (cap - t) * np.sqrt(moved) * norm + slack
                     if abs(np.sum(u.real.ravel() * what)) > reach:
                         break
@@ -838,6 +834,21 @@ def radius_probes(count=6):
     return dataset.classifier, params, probes
 
 
+@st.composite
+def mixed_loop_cases(draw):
+    # loop_cases with weights for half the batches, and one row of half the
+    # batches scaled by 1e150: past the bound below which its steps cannot
+    # overflow, so it takes no label stop, yet its steps stay finite.
+    y, mask, params = draw(loop_cases())
+    if draw(st.booleans()):
+        y = y.copy()
+        y[draw(st.integers(0, len(y) - 1))] *= 1e150
+    w = None
+    if draw(st.booleans()):
+        w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(y.shape[1:])
+    return y, mask, params, w
+
+
 class TestLabelStop:
     """``defend`` with a linear classifier stops its solve once the label is
     proven; the oracle is the full solve's label."""
@@ -865,6 +876,40 @@ class TestLabelStop:
         want, want_steps = ista_loop(y, mask, params, label=w)
         assert_same_bits(got, want)
         assert steps.tolist() == want_steps.tolist()
+
+    @settings(max_examples=120, deadline=None)
+    @given(mixed_loop_cases())
+    def test_each_row_stops_as_it_does_alone(self, case):
+        # Both stop rules read only the row: its bits and steps are those of
+        # the row solved alone, whatever rows run beside it.
+        y, mask, params, w = case
+        got, steps = _ista_coefficients(y, mask, params, w)
+        for i in range(len(y)):
+            alone, alone_steps = _ista_coefficients(y[i : i + 1], mask[i : i + 1], params, w)
+            assert_same_bits(got[i], alone[0])
+            assert steps[i] == alone_steps[0]
+
+    @pytest.mark.parametrize("beside", ["zero-mask", "scaled-1e150"])
+    def test_a_labelled_row_beside_a_row_outside_the_rule_stops_as_alone(self, beside):
+        # A clean radius-workload row whose label is proven at step 20 of a
+        # solve that runs 80 steps without it.  A zero-mask row has ||M y||
+        # = 0, below the floor; a row scaled by 1e150 can overflow, so its
+        # solve checks every step.  Neither takes the rule, and neither
+        # keeps the row beside it from taking it.
+        clf, params, probes = radius_probes(count=1)
+        x, seed = probes[0]
+        mask = sensing._seed_masks([seed], x.shape, params.subsample_prob)
+        y = _apply_batch(mask, x[None] + 0j)
+        w = clf.weights
+        alone, alone_steps = _ista_coefficients(y, mask, params, w)
+        assert alone_steps.tolist() == [20]
+        assert _ista_coefficients(y, mask, params)[1].tolist() == [80]
+        other_y, other_mask = (y, 0.0 * mask) if beside == "zero-mask" else (1e150 * y, mask)
+        got, steps = _ista_coefficients(np.concatenate([y, other_y]), np.concatenate([mask, other_mask]), params, w)
+        assert steps.tolist() == [20, 10]
+        assert_same_bits(got[0], alone[0])
+        _, other_steps = _ista_coefficients(other_y, other_mask, params, w)
+        assert other_steps.tolist() == [10]
 
     @pytest.mark.parametrize("kind,shape", STOPPING_CASES, ids=str)
     def test_rows_stop_by_label_as_the_step_by_step_loop(self, kind, shape):
