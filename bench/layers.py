@@ -144,11 +144,15 @@ def layers():
             f"identity, 1 probed row, lam 0.02, q 0.5, cap {cap}",
             lambda p=params: ista(one_y, one_mask, p),
         )
-    # The same probe through defend, whose solve proves the label at step
-    # 30 of the 100 that the bare solve above runs.
+    # The same probe through defend, whose solve proves the label before
+    # the 100 steps that the bare solve above runs; the step is read from
+    # the solve, as defend runs it.
+    proven = int(ista(one_y, one_mask, radius_params, clf._u)[1][0])
+    if proven >= radius_params.iterations:
+        raise RuntimeError("the defend layer's label is not proven before the cap")
     add(
         "reconstruct.defend",
-        "identity, 1 probed row, lam 0.02, q 0.5, cap 100: label proven at step 30",
+        f"identity, 1 probed row, lam 0.02, q 0.5, cap 100: label proven at step {proven}",
         lambda: reconstruct.defend(clf, one_probe, radius_params, 7),
     )
     # The same solve over a batch: probes at radius 0.2 of that row through

@@ -12,10 +12,11 @@ bisection).  Each recorded row is then purified again, as a complex signal
 so that the purified value is the final iterate itself, with the step caps
 below and with a cap of 6000 steps, which stands in for the minimiser.
 Distances are per row, relative to the row's ``||M y||``, over all rows and
-over the clean rows alone.  The summary also counts the steps that
-``defend``'s solves ran during the recording, which stop once the label is
-proven, against the steps that the full solves of the same rows run at the
-workload's cap.  It is printed as JSON.
+over the clean rows alone.  The summary also counts ``defend``'s solves
+during the recording and the steps that they ran, which stop once the label
+is proven, against the steps that the full solves of the same rows run at
+the workload's cap.  Both counts are deterministic, so they compare two
+versions of the label stop without timing noise.  It is printed as JSON.
 """
 
 import argparse
@@ -40,8 +41,8 @@ REFERENCE_CAP = 6000
 def recorded_rows(cases):
     """The workload's purified inputs of the first ``cases`` cases, their
     operator seeds, the workload's reconstruction parameters, which rows
-    are the clean signals (each case's first purify), and the steps that
-    ``defend``'s solves ran on them."""
+    are the clean signals (each case's first purify), and the step count of
+    each solve that ``defend`` ran on them."""
     workload = RadiusWorkload()
     rows, seeds, clean, steps = [], [], [], []
     defend = reconstruct.defend
@@ -64,7 +65,7 @@ def recorded_rows(cases):
             for case in range(cases):
                 clean.append(len(rows))
                 workload.call(workload.spec(case))
-    return np.asarray(rows), seeds, workload.params, np.asarray(clean), sum(steps)
+    return np.asarray(rows), seeds, workload.params, np.asarray(clean), steps
 
 
 def final_iterates(xs, seeds, params, cap):
@@ -90,7 +91,8 @@ def main(argv=None):
     summary = {
         "cases": args.cases,
         "rows": len(xs),
-        "defend_steps": defend_steps,
+        "defend_solves": len(defend_steps),
+        "defend_steps": sum(defend_steps),
         "full_solve_steps": full_steps,
         "reference_cap": REFERENCE_CAP,
         "caps": {},

@@ -63,11 +63,22 @@ def kappa(epsilon, alpha, rho, max_defect):
 
 
 def performance_bound(epsilon, alpha, rho, max_defect):
-    """Guaranteed denoiser output error C(eps) = 2*eps/alpha + 4*rho*max_defect."""
+    """Guaranteed denoiser output error C(eps) = 2*eps/alpha + 4*rho*max_defect.
+
+    Computed exactly from the float inputs, as an int ratio (1/alpha is 0
+    at an infinite alpha), and rounded up, to inf beyond the float range, so
+    that the bound returned is never below the exact one.  An infinite
+    epsilon, rho or max_defect gives the float expression.
+    """
     RwpParameters(rho=rho, alpha=alpha)
     _real(max_defect, "max_defect", ge=0)
     _real(epsilon, "epsilon", ge=0)
-    return 2.0 * epsilon / alpha + 4.0 * rho * max_defect
+    if not (math.isfinite(epsilon) and math.isfinite(rho) and math.isfinite(max_defect)):
+        return 2.0 * epsilon / alpha + 4.0 * rho * max_defect
+    (ne, de), (nr, dr), (nd, dd) = (float(v).as_integer_ratio() for v in (epsilon, rho, max_defect))
+    ni, di = (0, 1) if alpha == math.inf else float(alpha).as_integer_ratio()[::-1]
+    # 2 (ne/de)(ni/di) + 4 (nr/dr)(nd/dd), where ni/di is 1/alpha.
+    return _away_from_zero(2 * ne * ni * dr * dd + 4 * nr * nd * de * di, de * di * dr * dd)
 
 
 def _slack(alpha, rho, tau, epsilon, *values):
@@ -100,6 +111,19 @@ def _toward_zero(num, den):
         return sys.float_info.max
     n, d = ratio.as_integer_ratio()
     return math.nextafter(ratio, 0.0) if n * den > num * d else ratio
+
+
+def _away_from_zero(num, den):
+    """The exact ratio num / den of ints num >= 0 and den > 0, rounded away
+    from zero: the smallest float at least the ratio, which is inf for a
+    ratio beyond the largest finite float.  The twin of ``_toward_zero``
+    for a bound that must never be below what is proven."""
+    try:
+        ratio = num / den  # correctly rounded to nearest
+    except OverflowError:
+        return math.inf
+    n, d = ratio.as_integer_ratio()
+    return math.nextafter(ratio, math.inf) if n * den < num * d else ratio
 
 
 def defect_budget(tau, epsilon, alpha, rho):

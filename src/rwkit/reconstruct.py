@@ -31,7 +31,7 @@ frame skips the loop and returns that first iterate directly.
 
 ``defend`` with a :class:`LinearClassifier` asks the solve for a label, not
 a value, and the solve stops a row as soon as that label is proven (see
-``_LABEL_GAP``): the remaining steps cannot carry the iterate across the
+``_LABEL_PATH``): the remaining steps cannot carry the iterate across the
 decision boundary.  The rule, like the round-off stop, reads only the row,
 and ``defend`` enters the solve through ``_purify_block`` as ``purify`` does.
 """
@@ -115,21 +115,28 @@ _QUIET_CAP = 10**9
 # step map is nonexpansive: ||A|| <= 1, and the complex shrink is firmly
 # nonexpansive.  So the step lengths d_t = ||u_t - u_{t-1}|| never grow, and
 # the iterate the full solve returns, at the cap or at its round-off stop,
-# lies within (cap - t) d_t of u_t.  At a stop check t < cap a row therefore
-# stops once
-#     |<w^, Re u_t>| > 2 ||w^|| (cap - t) d_t + slack,
+# lies within (cap - t) d_t of u_t: the path bound.  Call that iterate
+# u_cap; then |<w^, Re u_cap> - <w^, Re u_t>| <= ||w^|| (cap - t) d_t, and
+# at a stop check t < cap a row stops once
+#     |<w^, Re u_t>| > _LABEL_PATH ||w^|| (cap - t) d_t + slack,
 #     slack = ||w^|| ||M y|| (cap^2 _STOP_TOL + (N + 64) sqrt(cap) _LABEL_GAP),
-# for a row of N entries.  The slack covers three things.
+# for a row of N entries.  In exact arithmetic the path bound needs a
+# factor of 1; _LABEL_PATH, 1 + 2^-8, covers two things.
+# - The db4 taps' orthonormality error, about 9e-13: synthesis is the exact
+#   transpose of analysis under the stored taps, so ||A|| <= 1 + 1e-12
+#   still leaves I - A^H A nonexpansive.  Were it not, each step could be
+#   1 + 1e-12 times longer than the one before it, and the remaining path
+#   would grow by under e^0.001 - 1 < 2^-9 over _QUIET_CAP steps.
+# - The rounding of d_t (the square root of a sum of 2N squares), of ||w^||
+#   (of N squares) and of the three products that make the reach: together
+#   they err relatively by at most 1.5 N eps + 3 eps, under 2^-10 for a row
+#   of fewer than 2^42 entries, inside the other 2^-9.
+# The slack covers the rest.
 # - Round-off of the steps: a computed step errs by at most _STOP_TOL
 #   ||M y|| / 2 (a converged row moves by at most 1.2e-15 ||M y|| per step,
 #   see _STOP_TOL), so each computed step can be _STOP_TOL ||M y|| longer
 #   than the one before it, and the remaining path gains at most
 #   (cap - t)^2 _STOP_TOL ||M y||.
-# - The db4 taps' orthonormality error, about 9e-13: synthesis is the exact
-#   transpose of analysis under the stored taps, so ||A|| <= 1 + 1e-12
-#   still leaves I - A^H A nonexpansive.  Were it not, a growth of 1 + 1e-12
-#   per step would compound to under e^0.001 over _QUIET_CAP steps, inside
-#   the factor 2, which also covers the rounding of d_t and ||w^||.
 # - The gap between the computed <w^, Re u_t> and ``predict``'s scaled sum
 #   over the synthesized value: the two dot products, w^ and the synthesis
 #   together err by at most 4 (N + 64) eps ||w^|| ||u|| (a sum of N terms
@@ -142,6 +149,7 @@ _QUIET_CAP = 10**9
 # digits to underflow), else its slack is inf; only cap > _QUIET_CAP or
 # weights not of the signal's shape drop the rule for the whole solve.  At
 # the ``radius`` workload (cap 100, N 128) the slack is ~1e-10 ||w^|| ||M y||.
+_LABEL_PATH = 1 + 2**-8
 _LABEL_GAP = 2.0**-46
 _LABEL_FLOOR = 1e-200
 
@@ -188,7 +196,7 @@ def _ista_coefficients(y, mask, params, label=None):
 
     ``label``, which only ``defend`` passes, is a real weight vector w of
     the signal's shape.  With it, a stop check also stops each row whose
-    label sign<w, Re synthesize(u)> is proven final (see ``_LABEL_GAP``),
+    label sign<w, Re synthesize(u)> is proven final (see ``_LABEL_PATH``),
     with result u_t and count t: its label is the full solve's, its value
     need not be.  Each row is in the rule's range or not by its own sums
     alone, and a row outside it runs as above bit for bit.
@@ -261,7 +269,7 @@ def _ista_coefficients(y, mask, params, label=None):
         moved = _row_sumsq(np.subtract(u, z, out=z))
         done = moved <= limit
         if label is not None:
-            reach = 2.0 * (cap - t) * np.sqrt(moved) * norm + slack
+            reach = _LABEL_PATH * (cap - t) * np.sqrt(moved) * norm + slack
             done |= np.abs(np.add.reduce(u.real.reshape(len(u), -1) * label, axis=1)) > reach
         if not done.any():
             continue

@@ -92,6 +92,24 @@ def assert_toward_zero(got, exact):
     assert got == sys.float_info.max or Fraction(math.nextafter(got, math.inf)) > exact
 
 
+def assert_away_from_zero(got, exact):
+    """``got`` is a float at least the Fraction ``exact``, and within an ulp
+    of it: the next float down is below ``exact``.  It is inf only for a
+    value beyond the largest float."""
+    if got == math.inf:
+        assert exact > Fraction(sys.float_info.max)
+        return
+    assert Fraction(got) >= exact
+    assert Fraction(math.nextafter(got, -math.inf)) < exact
+
+
+def exact_performance_bound(epsilon, alpha, rho, defect):
+    """Oracle: C(eps) = 2 eps / alpha + 4 rho d as a Fraction of the finite
+    float inputs, with 2 eps / alpha = 0 at an infinite alpha."""
+    first = 0 if alpha == math.inf else 2 * Fraction(epsilon) / Fraction(alpha)
+    return first + 4 * Fraction(rho) * Fraction(defect)
+
+
 def exact_linear_certificate(alpha, rho, margin, defect):
     """Oracle: linear_certificate's (radius, gain) at a finite alpha and rho
     from exact rationals, each rounded toward zero (a radius beyond the float

@@ -67,4 +67,5 @@ def test_radius_minimiser_measures_one_case(capsys):
     medians = [row["median"] for row in summary["caps"].values()]
     assert 0 < medians[-1] < medians[0]
     # defend's solves stop once the label is proven, short of the full solves.
+    assert summary["defend_solves"] == summary["rows"]
     assert 0 < summary["defend_steps"] / summary["full_solve_steps"] < 1

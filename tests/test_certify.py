@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwkit import (
@@ -46,7 +46,14 @@ from rwkit import (
     write_signal,
 )
 
-from oracles import assert_toward_zero, brute_force_defect, exact_certificate, toward_zero
+from oracles import (
+    assert_away_from_zero,
+    assert_toward_zero,
+    brute_force_defect,
+    exact_certificate,
+    exact_performance_bound,
+    toward_zero,
+)
 
 
 def exact_budget(tau, epsilon, alpha, rho):
@@ -130,6 +137,33 @@ class TestPerformanceBound:
         for eps in (0.01, 0.1, 0.7):
             lhs = performance_bound(eps, 4.0, 0.05, 0.3) / eps
             assert lhs == pytest.approx(kappa(eps, 4.0, 0.05, 0.3), abs=1e-12)
+
+    def test_a_tie_rounds_up(self):
+        # 2 * 2^-53 / 2 + 4 * 0.25 * 1 = 1 + 2^-53, halfway between 1 and the
+        # float above it; the plain float expression gives 1.
+        assert performance_bound(2.0**-53, 2.0, 0.25, 1.0) == 1.0 + 2.0**-52
+
+    @settings(max_examples=500, deadline=None)
+    @given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+    @example(0.0, 4.0, 0.05, 0.2)
+    @example(2.0**-53, 2.0, 0.25, 1.0)
+    @example(sys.float_info.max, 5e-324, 1.0, 0.0)
+    @example(sys.float_info.max, 1.0, sys.float_info.max, 1.0)
+    @example(5e-324, sys.float_info.max, 5e-324, 5e-324)
+    @example(0.1, math.inf, 0.05, 0.2)
+    def test_bound_is_on_the_safe_side_within_an_ulp(self, epsilon, alpha, rho, defect):
+        # Never below the exact bound, and less than an ulp above it; a bound
+        # beyond the float range is inf.  An infinite epsilon, rho or defect
+        # gives the float expression.
+        try:
+            bound = performance_bound(epsilon, alpha, rho, defect)
+        except ParameterError:
+            return
+        if math.isfinite(epsilon) and math.isfinite(rho) and math.isfinite(defect):
+            assert_away_from_zero(bound, exact_performance_bound(epsilon, alpha, rho, defect))
+        else:
+            want = 2.0 * epsilon / alpha + 4.0 * rho * defect
+            assert bound == want or math.isnan(bound) and math.isnan(want)
 
 
 class TestDefectBudget:

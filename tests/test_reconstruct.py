@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
@@ -31,7 +31,7 @@ from rwkit import (
     synthesize,
 )
 from rwkit import reconstruct, sensing
-from rwkit.frames import _solve_errstate
+from rwkit.frames import _solve_errstate, _stack_signals
 from rwkit.sensing import _adjoint_batch, _apply_batch
 
 from oracles import basis_pursuit
@@ -50,9 +50,10 @@ STOP_EVERY = 10
 # The label stop, written out here: with weights w of the signal's shape
 # and cap <= 1e9, a stop check t < cap also stops a row that no step can
 # overflow (its own N cap ||M y||^2 < 1e280) and whose own ||M y||^2 >
-# 1e-200, once |<w^, Re u_t>| > 2 ||w^|| (cap - t) d_t + ||w^|| ||M y||
-# (cap^2 1e-14 + (N + 64) sqrt(cap) 2^-46), with w^ = analyze(w) and d_t
-# the step's length.
+# 1e-200, once |<w^, Re u_t>| > (1 + 2^-8) ||w^|| (cap - t) d_t + ||w^||
+# ||M y|| (cap^2 1e-14 + (N + 64) sqrt(cap) 2^-46), with w^ = analyze(w)
+# and d_t the step's length.
+LABEL_PATH = 1 + 2**-8
 LABEL_GAP = 2.0**-46
 LABEL_FLOOR = 1e-200
 QUIET_BOUND = 1e280
@@ -127,7 +128,7 @@ def ista_loop(y, mask, params, stop=True, label=None):
                 if moved <= limit:
                     break
                 if by_label:
-                    reach = 2.0 * (cap - t) * np.sqrt(moved) * norm + slack
+                    reach = LABEL_PATH * (cap - t) * np.sqrt(moved) * norm + slack
                     if abs(np.sum(u.real.ravel() * what)) > reach:
                         break
         rows.append(u[0])
@@ -798,6 +799,71 @@ def defend_cases(draw):
     return LinearClassifier(weights=w), x, params, seed
 
 
+def defend_rows(x, params, seed):
+    # The measurements and mask of the one-row solve that defend runs.
+    mask = sensing._seed_masks([seed], np.shape(x), params.subsample_prob)
+    return _apply_batch(mask, _stack_signals([x])), mask
+
+
+def capped(params, cap):
+    # params with the step cap ``cap``.
+    return ReconstructionParams(
+        iterations=cap, threshold=params.threshold, subsample_prob=params.subsample_prob, frame=params.frame
+    )
+
+
+@st.composite
+def path_cases(draw, kind, dim):
+    # A defend case at the rule's tight spot.  From the full solve's result
+    # u_cap and its iterate u_t at a stop check t before its round-off stop,
+    # w^ = analyze(w) is the unit vector cos(phi) e + sin(phi) h, with
+    # e = -Re(u_cap - u_t) / ||Re(u_cap - u_t)||, which the remaining steps
+    # move <w^, Re u> along, toward the boundary, as far as they can, and h
+    # the unit part of Re u_t orthogonal to e.  phi, the smallest angle that
+    # does it, puts the margin <w^, Re u_t> a relative 2^-12 above or below
+    # the reach (1 + 2^-8) (cap - t) d_t + slack.  In some draws the
+    # remaining path is 0.995 of (cap - t) d_t, so that a rule with a factor
+    # of 0.98 gives such a case the wrong label.  Draws whose margin would
+    # sit within 2^-20 ||Re u_t|| of zero are rejected: there the db4 taps'
+    # error, 1e-12 ||Re u_t|| through synthesize and analyze, could move it
+    # past the reach.
+    shape = draw(st.sampled_from(SHAPES[dim]))
+    top = min(3, dyadic_levels(shape))
+    levels = draw(st.integers(min(1, top), top)) if kind != "identity" else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = ReconstructionParams(
+        iterations=draw(st.integers(40, 200)),
+        threshold=draw(st.floats(0.002, 0.05)),
+        subsample_prob=draw(st.sampled_from((0.3, 0.5, 0.7494))),
+        frame=Frame(kind=kind, levels=levels),
+    )
+    coeffs = np.zeros(shape)
+    k = min(4, coeffs.size)
+    coeffs.flat[rng.choice(coeffs.size, k, replace=False)] = rng.choice([-1.0, 1.0], k)
+    x = synthesize(params.frame, coeffs).real + draw(st.sampled_from((0.0, 0.05, 0.3))) * rng.standard_normal(shape)
+    seed = int(rng.integers(0, 2**31))
+    y, mask = defend_rows(x, params, seed)
+    full, full_steps = _ista_coefficients(y, mask, params)
+    assume(full_steps[0] > STOP_EVERY)
+    t = STOP_EVERY * draw(st.integers(1, (int(full_steps[0]) - 1) // STOP_EVERY))
+    u_t = _ista_coefficients(y, mask, capped(params, t))[0]
+    d_t = np.sqrt(sum_of_squares(u_t - _ista_coefficients(y, mask, capped(params, t - 1))[0]))
+    cap, n = params.iterations, x.size
+    slack = np.sqrt(sum_of_squares(y)) * (cap * cap * STOP_TOL + (n + 64) * np.sqrt(cap) * LABEL_GAP)
+    above = draw(st.booleans())
+    margin_t = (1 + (2**-12 if above else -(2**-12))) * (LABEL_PATH * (cap - t) * d_t + slack)
+    path, v = (full - u_t).real.ravel(), u_t.real.ravel()
+    e = -path / np.linalg.norm(path)
+    h = v - (v @ e) * e
+    size = np.hypot(v @ e, np.linalg.norm(h))
+    assume(np.linalg.norm(h) > 0 and 2**-20 * size < margin_t < size)
+    angle = np.arctan2(np.linalg.norm(h), v @ e)
+    phi = min(angle - np.arccos(margin_t / size), angle + np.arccos(margin_t / size), key=abs)
+    w_hat = np.cos(phi) * e + np.sin(phi) * h / np.linalg.norm(h)
+    w = synthesize(params.frame, w_hat.reshape(shape)).real
+    return LinearClassifier(weights=w), x, params, seed, t, above
+
+
 class SolveSpy:
     """Records each solve ``defend`` runs: whether it had a label, the steps
     its rows ran, and whether its result is the full solve's bit for bit."""
@@ -854,6 +920,7 @@ class TestLabelStop:
     proven; the oracle is the full solve's label."""
 
     def test_label_stop_constants(self):
+        assert reconstruct._LABEL_PATH == LABEL_PATH
         assert reconstruct._LABEL_GAP == LABEL_GAP
         assert reconstruct._LABEL_FLOOR == LABEL_FLOOR
         assert reconstruct._QUIET_BOUND == QUIET_BOUND
@@ -866,6 +933,19 @@ class TestLabelStop:
     def test_defend_is_the_label_of_the_full_solve(self, case):
         clf, x, params, seed = case
         assert defend(clf, x, params, seed) == full_defend(clf, x, params, seed)
+
+    @pytest.mark.parametrize("dim", (1, 2))
+    @pytest.mark.parametrize("kind", ("identity", "haar-dwt", "db4-dwt"))
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_a_margin_at_the_reach_along_the_remaining_path(self, kind, dim, data):
+        # Just above the reach the rule proves the label at t at the latest;
+        # just below it, not at t; either way the label is the full solve's.
+        clf, x, params, seed, t, above = data.draw(path_cases(kind, dim))
+        assert defend(clf, x, params, seed) == full_defend(clf, x, params, seed)
+        y, mask = defend_rows(x, params, seed)
+        steps = _ista_coefficients(y, mask, params, clf.weights)[1][0]
+        assert steps <= t if above else steps != t
 
     @settings(max_examples=80, deadline=None)
     @given(loop_cases(), st.integers(0, 2**32 - 1))

@@ -8,9 +8,12 @@ to 1e-8 relative (1e-12 absolute near zero).
 
 ``perfbench/reference/radius.json`` holds the robust radii that 128
 ``empirical_robust_radius`` runs over a ``defend`` pipeline gave there.
-Every 4th case is run again with the benchmark's seeds and held to its
-rule: ``flip_found`` exactly and the radius within the run's ``tol``.  The
-files are only read.
+Every 4th case is run again with the benchmark's seeds and held to more
+than its rule, which asks for ``flip_found`` exactly and the radius within
+the run's ``tol``: ``flip_found``, ``trials`` and the radius must all equal
+the pool's, as they do for all 128 cases.  A change that moves the label of one
+probe of the bisection then fails here, even where the radius stays within
+``tol``.  The files are only read.
 """
 
 import functools
@@ -97,4 +100,5 @@ def test_radius_case_matches_the_reference_pool(case):
         radius_ceiling=c["radius_ceiling"],
     )
     assert measured.flip_found == want["flip_found"]
-    assert abs(measured.radius - want["radius"]) <= c["tol"]
+    assert measured.trials == want["trials"]
+    assert measured.radius == want["radius"]
