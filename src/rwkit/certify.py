@@ -65,20 +65,25 @@ def kappa(epsilon, alpha, rho, max_defect):
 def performance_bound(epsilon, alpha, rho, max_defect):
     """Guaranteed denoiser output error C(eps) = 2*eps/alpha + 4*rho*max_defect.
 
-    Computed exactly from the float inputs, as an int ratio (1/alpha is 0
-    at an infinite alpha), and rounded up, to inf beyond the float range, so
-    that the bound returned is never below the exact one.  An infinite
-    epsilon, rho or max_defect gives the float expression.
+    Computed exactly from the float inputs, as an int ratio, and rounded
+    up, to inf beyond the float range, so that the bound returned is never
+    below the exact one.  A term with a zero factor is 0, as in
+    :func:`kappa` (1/alpha is 0 at an infinite alpha), and any other term
+    with an infinite factor is inf, so the bound is never NaN.
     """
     RwpParameters(rho=rho, alpha=alpha)
     _real(max_defect, "max_defect", ge=0)
     _real(epsilon, "epsilon", ge=0)
-    if not (math.isfinite(epsilon) and math.isfinite(rho) and math.isfinite(max_defect)):
-        return 2.0 * epsilon / alpha + 4.0 * rho * max_defect
-    (ne, de), (nr, dr), (nd, dd) = (float(v).as_integer_ratio() for v in (epsilon, rho, max_defect))
-    ni, di = (0, 1) if alpha == math.inf else float(alpha).as_integer_ratio()[::-1]
-    # 2 (ne/de)(ni/di) + 4 (nr/dr)(nd/dd), where ni/di is 1/alpha.
-    return _away_from_zero(2 * ne * ni * dr * dd + 4 * nr * nd * de * di, de * di * dr * dd)
+    if alpha == math.inf:
+        epsilon, alpha = 0.0, 1.0
+    if max_defect == 0:
+        rho = 0.0
+    if math.inf in (epsilon, rho, max_defect):
+        return math.inf
+    ratios = (float(v).as_integer_ratio() for v in (epsilon, alpha, rho, max_defect))
+    (ne, de), (na, da), (nr, dr), (nd, dd) = ratios
+    # 2 (ne/de)(da/na) + 4 (nr/dr)(nd/dd).
+    return _away_from_zero(2 * ne * da * dr * dd + 4 * nr * nd * de * na, de * na * dr * dd)
 
 
 def _slack(alpha, rho, tau, epsilon, *values):

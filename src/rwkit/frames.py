@@ -315,9 +315,9 @@ def sparsity_norm(frame, x):
 
 
 # The error state of a solve: the shrink's quotient divides by zero, takes
-# 0/0 and can overflow by design (see _shrink), and a solve that must stop
-# on a non-finite iterate checks for one itself.  Used only as a decorator,
-# which keeps the saved state per call.
+# 0/0 and can overflow by design (see _shrink), and a value that can
+# overflow is checked where it is made.  Used only as a decorator, which
+# keeps the saved state per call.
 _solve_errstate = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 

@@ -7,21 +7,23 @@ fallen to round-off stops early (see ``_STOP_TOL``).
 
 There is one reconstruction loop.  It runs over a batch whose axis 0
 indexes independent signals, each with its own mask; ``purify``,
-``ista_reconstruct`` and ``defend`` are batches of one.  It allocates its
-five batch-shaped buffers once per solve and its steps work in place on
-them, the FFTs included, so a step allocates nothing beyond what a wavelet
-frame's transforms make.  The step-by-step ``ista_loop`` in the tests is
-its bit-for-bit oracle.  Every mask is 0/1 (``SensingOperator`` checks
-it), so the measurements are masked once, before the loop: M(y - M r) is
-M y - M r, and each step makes one mask product instead of two.
+``ista_reconstruct`` and ``defend`` are batches of one.  It allocates five
+batch-shaped buffers once per solve (the complex iterate, next iterate and
+residual, the real modulus and shrink factor) and its steps work in place
+on them, the FFTs included, so a step allocates nothing beyond what a
+wavelet frame's transforms make.  The step-by-step ``ista_loop`` in the
+tests is its bit-for-bit oracle.  Every mask is 0/1 (``SensingOperator``
+checks it), so the measurements are masked once, before the loop:
+M(y - M r) is M y - M r, and each step makes one mask product, not two.
 
 A solve runs with numpy's divide, invalid and overflow warnings off: the
 shrink clamps a quotient that is -inf or NaN by design (see
-``frames._shrink``).  A non-finite iterate is still caught, by a check of
-the modulus after each step, and raises :class:`NumericError`; the check
-runs only in a solve where an iterate can overflow (see ``_QUIET_BOUND``).
-A step resolves nothing: the frame's transforms and the FFT pair,
-pocketfft's kernels with their factors bound, are looked up once per solve.
+``frames._shrink``).  No step can overflow: the solve is homogeneous, and
+each row whose parts reach 2^_LOUD is solved at a power-of-two scale (see
+``_scaled``) and rescaled at the end, where a value that overflows raises
+:class:`NumericError`.  A step resolves nothing: the frame's transforms
+and the FFT pair, pocketfft's kernels with their factors bound, are looked
+up once per solve.
 
 With the unitary-dft frame the operator the loop inverts, the sensing
 operator composed with synthesis, is the 0/1 mask itself: diagonal and
@@ -29,11 +31,9 @@ idempotent.  The first step lands on the soft-thresholded masked
 measurements and every later step maps that iterate to itself, so this
 frame skips the loop and returns that first iterate directly.
 
-``defend`` with a :class:`LinearClassifier` asks the solve for a label, not
-a value, and the solve stops a row as soon as that label is proven (see
-``_LABEL_PATH``): the remaining steps cannot carry the iterate across the
-decision boundary.  The rule, like the round-off stop, reads only the row,
-and ``defend`` enters the solve through ``_purify_block`` as ``purify`` does.
+``defend`` with a :class:`LinearClassifier` asks the solve for a label, and
+the solve stops a row as soon as the remaining steps cannot carry its
+iterate across the decision boundary (see ``_LABEL_PATH``).
 """
 
 import numpy as np
@@ -70,6 +70,7 @@ class ReconstructionParams(_Record):
 
     def __post_init__(self):
         _real(_index(self.iterations, "iterations"), "iterations", ge=1)
+        _real(self.iterations, "iterations", le=_QUIET_CAP)
         _real(self.threshold, "threshold", ge=0)
         _real(self.subsample_prob, "subsample_prob", ge=0, le=1)
 
@@ -87,25 +88,29 @@ class ReconstructionParams(_Record):
 _STOP_TOL = 1e-14
 _STOP_EVERY = 10
 
-# When a solve checks each step's iterate for a non-finite modulus.  The
-# mask M is 0/1 (``SensingOperator`` checks it; ``sensing._masks`` draws
-# it so), and with an orthonormal frame W, A = M F W^H gives A^H A = P, an
-# orthogonal projection, and A^H(M y) lies in P's range, so a step's
+# Why no step of a solve can overflow.  The mask M is 0/1
+# (``SensingOperator`` checks it; ``sensing._masks`` draws it so), and with
+# an orthonormal frame W, A = M F W^H gives A^H A = P, an orthogonal
+# projection, and A^H(M y) lies in P's range, so a step's
 # z_t = (I - P) u_{t-1} + A^H(M y) is a sum of orthogonal parts:
 # ||z_t||^2 <= ||u_{t-1}||^2 + ||M y||^2.  The shrink never raises a modulus,
 # so ||z_t||^2 <= t ||M y||^2 on every row.  A row of N entries then keeps
 # every entry below sqrt(t) ||M y||, and every partial sum of an FFT
 # (pocketfft scales after summing, and Bluestein's convolution sums fewer
 # than 4 N terms) or of a frame transform below 4 N sqrt(N t) ||M y||.
-# When N * cap * max ||M y||^2 < _QUIET_BOUND that is under 4e140 N, far
-# inside the float range for any N an array can hold: no step of the batch
-# can overflow, and the check could never fire.  The margin also covers
+# When N * cap * ||M y||^2 < _QUIET_BOUND that is under 4e140 N, far inside
+# the float range for any N an array can hold.  The margin also covers
 # round-off and the frames' orthonormality error: the db4 taps hold only to
 # about 9e-13, but even a growth of 1 + 1e-11 per step would compound to
 # under e^0.01 over _QUIET_CAP steps (the transforms' measured norms are
-# within 1e-15 of 1).  Any other batch is checked at every step.
+# within 1e-15 of 1).  Every row that reaches a solve has parts below
+# 2^_LOUD (``_scaled`` scales it so), so a row x of N entries has
+# ||M y||^2 <= ||x||^2 < 2 N 4^_LOUD, and N cap ||M y||^2 < 2 N^2 cap
+# 4^_LOUD: under 2.7e278 for N < 2^47 and cap <= _QUIET_CAP, the most that
+# ``ReconstructionParams`` allows.
 _QUIET_BOUND = 1e280
 _QUIET_CAP = 10**9
+_LOUD = 400
 
 # The label stop, which only ``defend`` asks for.  Its classifier labels a
 # purified value v by sign<w, Re v>, and v = W^H u for the final
@@ -144,11 +149,10 @@ _QUIET_CAP = 10**9
 #   N + 64, units of eps), with ||u|| <= sqrt(cap) ||M y|| (see
 #   _QUIET_BOUND).  _LABEL_GAP, 64 eps, is 16 times that.
 # Each bound used here holds per row, so the rule is decided per row: a row
-# takes it when its own N cap ||M y||^2 < _QUIET_BOUND (none of its steps can
-# overflow) and its own ||M y||^2 > _LABEL_FLOOR (no sum it takes can lose
-# digits to underflow), else its slack is inf; only cap > _QUIET_CAP or
-# weights not of the signal's shape drop the rule for the whole solve.  At
-# the ``radius`` workload (cap 100, N 128) the slack is ~1e-10 ||w^|| ||M y||.
+# takes it when its own ||M y||^2 > _LABEL_FLOOR (no sum it takes can lose
+# digits to underflow), else its slack is inf; only weights not of the
+# signal's shape drop the rule for the whole solve.  At the ``radius``
+# workload (cap 100, N 128) the slack is ~1e-10 ||w^|| ||M y||.
 _LABEL_PATH = 1 + 2**-8
 _LABEL_GAP = 2.0**-46
 _LABEL_FLOOR = 1e-200
@@ -171,28 +175,29 @@ class PurifiedSignal(_Record):
     imag_residual: float = 0.0
 
 
-def _ista_coefficients(y, mask, params, label=None):
+def _ista_coefficients(y, mask, params, lam, label=None):
     """Run the thresholded gradient iteration in ``_solve_errstate``; returns ``(u, steps)``.
 
     Axis 0 of ``y`` and ``mask`` indexes independent rows.  Every step is
     row-local, so a row's result does not depend on the rows beside it.
     ``u`` holds each row's final coefficients and ``steps`` its step count.
+    Every part of ``y`` lies below 2^_LOUD, so no step can overflow (see
+    ``_QUIET_BOUND``).  ``lam`` is the threshold: a float, or a column of
+    one per row (see ``_scaled``).
 
-    Step t maps u to S_lam(u + analyze(adjoint(y - apply(synthesize(u))))).
-    The frame's transforms are resolved once and ``y`` is masked once:
-    since M is 0/1 (drawn so, or checked by ``SensingOperator``), M(y - M r)
-    equals M y - M r, so a step needs the mask only on the forward product.
-    In floating point the two can differ only in the sign of a zero entry.
+    Step t maps u to S_lam(u + analyze(adjoint(y - apply(synthesize(u))))),
+    with ``y`` masked once, before the loop; in floating point the two can
+    differ only in the sign of a zero entry.
 
     ``params.iterations`` is a cap.  After each ``_STOP_EVERY``-th step
     t < cap, a row with ``||u_t - u_{t-1}||**2 <= _STOP_TOL**2 * ||M y||**2``
-    stops with result u_t and count t; a row whose ``||M y||**2`` overflows
-    stops only at an exact fixed point.  Both sums are ufunc reductions over
+    stops with result u_t and count t.  Both sums are ufunc reductions over
     the row's float64 view, never BLAS, so the rule reads only the row.  A
     row that never stops gives the bits of the fixed-count loop, and a
     stopped row is within ``(cap - t) * _STOP_TOL * ||M y||`` of them, up to
     the round-off of the skipped steps.  Stopped rows leave ``u``, ``y``,
-    ``mask`` and the scratch buffers; the loop ends when no row is left.
+    ``mask``, ``lam`` and the scratch buffers; the loop ends when no row is
+    left.
 
     ``label``, which only ``defend`` passes, is a real weight vector w of
     the signal's shape.  With it, a stop check also stops each row whose
@@ -201,31 +206,13 @@ def _ista_coefficients(y, mask, params, label=None):
     need not be.  Each row is in the rule's range or not by its own sums
     alone, and a row outside it runs as above bit for bit.
 
-    The loop allocates its buffers once per solve: the complex iterate
-    ``u``, the next iterate ``z`` and the residual ``r``, and the real
-    modulus ``mag`` and shrink factor ``f``.  The FFTs write into ``r`` and
-    ``z``, every other step works in place, and ``u`` and ``z`` swap roles
-    after each step; the stop check writes the step change into ``z``.  One
-    modulus of the new iterate serves the finiteness check and the shrink.
-    The error state turns numpy's divide, invalid and overflow warnings
-    off, for the sensing and synthesis too: the shrink's quotient is -inf or
-    NaN by design where it clamps to 0, and a non-finite iterate still raises
-    :class:`NumericError` at the first step that has one.  The check runs
-    at every step unless ``_QUIET_BOUND`` shows that no step can overflow,
-    from the row sums of squares the stop rule takes anyway.  The
-    step-by-step ``ista_loop`` in the tests, which masks twice and runs
-    each row alone, is its bit-for-bit oracle.
-
-    For the unitary-dft frame the result is S_lam(mask * y) in closed form:
-    it is the iterate at every step t >= 1, so it is the iterate after
-    ``params.iterations`` steps, which ``steps`` reports for every row.
-    ``y`` is masked first, as the adjoint inside the loop would mask it.
+    For the unitary-dft frame the result is S_lam(mask * y), the iterate at
+    every step t >= 1, and ``steps`` reports ``params.iterations``.
     """
-    lam = float(params.threshold)
     cap = params.iterations
     if params.frame.kind == "unitary-dft":
         z = mask * y
-        mag = _check_finite(np.abs(z), 1)
+        mag = np.abs(z)
         return _shrink(z, mag, lam, np.empty_like(mag)), np.full(len(y), cap)
     analyze, synthesize = _step_transforms(params.frame, y.shape[1:])
     fft, ifft = _fft_pair(y.shape[1:])
@@ -234,19 +221,15 @@ def _ista_coefficients(y, mask, params, label=None):
     y = mask * y
     sumsq = _row_sumsq(y.copy())
     limit = np.square(_STOP_TOL) * sumsq
-    limit[limit == np.inf] = 0.0
-    # Check each step's iterate only where one can overflow (_QUIET_BOUND).
-    n = y[0].size
-    quiet = sumsq * (n * cap) < _QUIET_BOUND
-    check = not (cap <= _QUIET_CAP and quiet.all())
     if label is not None:
-        if cap > _QUIET_CAP or label.shape != y.shape[1:]:
+        if label.shape != y.shape[1:]:
             label = None
         else:
+            n = y[0].size
             label = analyze(label.astype(np.complex128)[None]).real.ravel()
             norm = np.sqrt(np.add.reduce(np.square(label)))
             slack = norm * np.sqrt(sumsq) * (cap * cap * _STOP_TOL + (n + 64) * np.sqrt(cap) * _LABEL_GAP)
-            slack[~(quiet & (sumsq > _LABEL_FLOOR))] = np.inf
+            slack[~(sumsq > _LABEL_FLOOR)] = np.inf
     result = np.empty_like(y)
     steps = np.full(len(y), cap)
     rows = np.arange(len(y))  # each running row's index in result
@@ -259,10 +242,7 @@ def _ista_coefficients(y, mask, params, label=None):
         np.subtract(y, r, out=r)
         z = analyze(ifft(r, z))
         z += u
-        np.abs(z, out=mag)
-        if check:
-            _check_finite(mag, t)
-        _shrink(z, mag, lam, f)
+        _shrink(z, np.abs(z, out=mag), lam, f)
         u, z = z, u
         if t % _STOP_EVERY or t == cap:
             continue
@@ -281,6 +261,7 @@ def _ista_coefficients(y, mask, params, label=None):
         rows, limit = rows[running], limit[running]
         if label is not None:
             slack = slack[running]
+        lam = lam[running] if isinstance(lam, np.ndarray) else lam
         u, y, mask = u[running], y[running], mask[running]
         k = len(u)
         z, r, mag, f = z[:k], r[:k], mag[:k], f[:k]
@@ -295,12 +276,22 @@ def _row_sumsq(z):
     return np.add.reduce(np.square(d, out=d), axis=1)
 
 
-def _check_finite(mag, t):
-    # mag, the modulus of the iterate of step t, after checking that it is
-    # finite.
-    if not np.maximum.reduce(mag, axis=None) < np.inf:
-        raise NumericError(f"non-finite iterate at iteration {t}")
-    return mag
+def _scaled(xs, threshold):
+    # The rows, threshold and column of exponents k a solve of the real or
+    # complex batch xs takes: a row with a part of at least 2^_LOUD is scaled
+    # by 2^-k into [2^(_LOUD - 1), 2^_LOUD), in a new array, with its
+    # threshold, and every other row keeps k = 0 and its bits.  The
+    # threshold is a float unless the k differ; with no such row, xs and
+    # k = None come back.
+    parts = np.ascontiguousarray(xs).view(np.float64).reshape(len(xs), -1)
+    loud = 2.0**_LOUD
+    if -loud < np.minimum.reduce(parts, axis=None) and np.maximum.reduce(parts, axis=None) < loud:
+        return xs, float(threshold), None
+    k = np.maximum(np.frexp(np.maximum.reduce(np.abs(parts), axis=1))[1] - _LOUD, 0)
+    xs = np.ldexp(parts, -k[:, None]).view(xs.dtype).reshape(xs.shape)
+    k = k.reshape((-1,) + (1,) * (xs.ndim - 1))
+    lam = np.ldexp(float(threshold), -k)
+    return xs, float(lam.flat[0]) if (k == k.flat[0]).all() else lam, k
 
 
 @_solve_errstate
@@ -314,40 +305,50 @@ def ista_reconstruct(y, op, params):
     """
     arr = as_signal(y)
     sensing._check_shape(op, arr.shape)
-    u, _ = _ista_coefficients(arr[None], op.mask[None], params)
-    return _synthesized(params.frame, u)[0]
+    y, lam, k = _scaled(arr[None], params.threshold)
+    u, _ = _ista_coefficients(y, op.mask[None], params, lam)
+    return _synthesized(params.frame, u, k)[0]
 
 
 @_solve_errstate
 def _purify_block(xs, mask, params, label=None):
     """Purified values and final coefficients of a stacked batch.
 
-    Row i of the complex array ``xs`` is sensed through ``mask[i]`` and
-    reconstructed; the rows are not validated.  Returns ``(values, u,
-    steps)``: the complex values and final coefficients, with the batch on
-    axis 0, and the number of steps each row ran.  For the identity frame
-    ``values`` is ``u`` itself; callers read both and write to neither.
-    ``label`` is the solve's (see :func:`_ista_coefficients`).
+    Row i of the real or complex array ``xs`` is sensed through ``mask[i]``
+    and reconstructed, at the scale of :func:`_scaled`; the rows are not
+    validated.  Returns ``(values, u, steps)``: the complex values and final
+    coefficients, with the batch on axis 0, and the number of steps each
+    row ran.  For the identity frame ``values`` is ``u`` itself; callers
+    read both and write to neither.  ``label`` is the solve's (see
+    :func:`_ista_coefficients`).
     """
-    u, steps = _ista_coefficients(sensing._apply_batch(mask, xs), mask, params, label)
-    return _synthesized(params.frame, u), u, steps
+    xs, lam, k = _scaled(xs, params.threshold)
+    u, steps = _ista_coefficients(sensing._apply_batch(mask, xs), mask, params, lam, label)
+    return _synthesized(params.frame, u, k), u, steps
 
 
-def _synthesized(frame, u):
-    # The values of a batch of final coefficients, which can overflow.
+def _synthesized(frame, u, k):
+    # The values of final coefficients u solved at the scales 2^-k of
+    # _scaled, with u and the values rescaled on their float64 views (a
+    # complex product turns a -0 part to +0): only there can one overflow.
     values = _step_transforms(frame, u.shape[1:])[1](u)
-    if values is not u and not np.isfinite(values).all():
-        raise NumericError("non-finite synthesized value")
+    if k is not None:
+        for z in (u,) if values is u else (u, values):
+            np.ldexp(z.view(np.float64), k, out=z.view(np.float64))
+        if not np.isfinite(values).all():
+            raise NumericError("non-finite synthesized value")
     return values
 
 
+@_solve_errstate
 def purify_many(xs, params, seeds):
     """Purify a batch of same-shape signals in one reconstruction loop.
 
     Row i is sensed through the mask drawn from ``seeds[i]`` under the seed
     rule of :mod:`rwkit.sensing`; rows that share a seed share a mask.
     Returns one :class:`PurifiedSignal` per row, bit-identical to
-    ``purify(xs[i], params, seeds[i])``.
+    ``purify(xs[i], params, seeds[i])``.  A coefficient L1 norm past the
+    float maximum raises :class:`NumericError`.
     """
     if len(xs) != len(seeds):
         raise ShapeError(f"{len(xs)} signals but {len(seeds)} seeds")
@@ -362,14 +363,10 @@ def purify_many(xs, params, seeds):
         if np.isrealobj(x):
             imag_residual = float(np.max(np.abs(value.imag)))
             value = value.real
-        out.append(
-            PurifiedSignal(
-                value=value,
-                iterations_run=run,
-                final_coefficient_l1=float(np.sum(np.abs(coeffs))),
-                imag_residual=imag_residual,
-            )
-        )
+        l1 = float(np.sum(np.abs(coeffs)))
+        if l1 == np.inf:
+            raise NumericError("non-finite coefficient L1 norm")
+        out.append(PurifiedSignal(value, run, l1, imag_residual))
     return out
 
 
@@ -390,8 +387,10 @@ def defend(classifier, x, params, seed):
     With a :class:`LinearClassifier`, the solve, a batch of one entered
     through :func:`_purify_block`, stops as soon as the label of its iterate
     is proven final (see :func:`_ista_coefficients`), and ``defend`` labels
-    that iterate: the label, and every error raised, are the full solve's.
-    Any other classifier labels the full solve's value.
+    that iterate: the label, and every error raised, are the full solve's,
+    but that a row solved at a scale (see :func:`_scaled`) can overflow
+    when rescaled at its stopped iterate and not at the full solve's value,
+    or the reverse.  Any other classifier labels the full solve's value.
     """
     batch = _stack_signals([x])
     mask = sensing._seed_masks([seed], batch.shape[1:], params.subsample_prob)

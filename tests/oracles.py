@@ -104,10 +104,27 @@ def assert_away_from_zero(got, exact):
 
 
 def exact_performance_bound(epsilon, alpha, rho, defect):
-    """Oracle: C(eps) = 2 eps / alpha + 4 rho d as a Fraction of the finite
-    float inputs, with 2 eps / alpha = 0 at an infinite alpha."""
-    first = 0 if alpha == math.inf else 2 * Fraction(epsilon) / Fraction(alpha)
-    return first + 4 * Fraction(rho) * Fraction(defect)
+    """Oracle: C(eps) = 2 eps / alpha + 4 rho d as a Fraction of the float
+    inputs, or inf.  A term with a zero factor is 0 (1/alpha is 0 at an
+    infinite alpha), and any other term with an infinite factor is inf."""
+    first = second = 0
+    if epsilon != 0 and alpha != math.inf:
+        first = math.inf if epsilon == math.inf else 2 * Fraction(epsilon) / Fraction(alpha)
+    if defect != 0:
+        second = math.inf if math.inf in (rho, defect) else 4 * Fraction(rho) * Fraction(defect)
+    return first + second
+
+
+def exact_kappa(epsilon, alpha, rho, defect):
+    """Oracle: kappa = 2 / alpha + 4 rho d / eps as a Fraction of the float
+    inputs at a finite eps, or inf, with the zero-factor rule of
+    exact_performance_bound."""
+    first = 0 if alpha == math.inf else 2 / Fraction(alpha)
+    if defect == 0:
+        return first
+    if epsilon == 0 or math.inf in (rho, defect):
+        return math.inf
+    return first + 4 * Fraction(rho) * Fraction(defect) / Fraction(epsilon)
 
 
 def exact_linear_certificate(alpha, rho, margin, defect):

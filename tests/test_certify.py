@@ -51,6 +51,7 @@ from oracles import (
     assert_toward_zero,
     brute_force_defect,
     exact_certificate,
+    exact_kappa,
     exact_performance_bound,
     toward_zero,
 )
@@ -151,19 +152,38 @@ class TestPerformanceBound:
     @example(sys.float_info.max, 1.0, sys.float_info.max, 1.0)
     @example(5e-324, sys.float_info.max, 5e-324, 5e-324)
     @example(0.1, math.inf, 0.05, 0.2)
+    @example(0.1, 4.0, math.inf, 0.0)
+    @example(math.inf, math.inf, 0.05, 0.0)
     def test_bound_is_on_the_safe_side_within_an_ulp(self, epsilon, alpha, rho, defect):
         # Never below the exact bound, and less than an ulp above it; a bound
-        # beyond the float range is inf.  An infinite epsilon, rho or defect
-        # gives the float expression.
+        # beyond the float range, or with a term that has an infinite factor
+        # and no zero one, is inf.  It is never NaN.
         try:
             bound = performance_bound(epsilon, alpha, rho, defect)
         except ParameterError:
             return
-        if math.isfinite(epsilon) and math.isfinite(rho) and math.isfinite(defect):
-            assert_away_from_zero(bound, exact_performance_bound(epsilon, alpha, rho, defect))
+        exact = exact_performance_bound(epsilon, alpha, rho, defect)
+        if exact == math.inf:
+            assert bound == math.inf
         else:
-            want = 2.0 * epsilon / alpha + 4.0 * rho * defect
-            assert bound == want or math.isnan(bound) and math.isnan(want)
+            assert_away_from_zero(bound, exact)
+
+    @settings(max_examples=500, deadline=None)
+    @given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+    @example(0.1, 4.0, math.inf, 0.0)
+    @example(math.inf, math.inf, 0.05, 0.0)
+    @example(0.1, math.inf, math.inf, 0.0)
+    def test_is_epsilon_times_kappa_rounded_up(self, epsilon, alpha, rho, defect):
+        # Wherever epsilon and kappa are finite, C(eps) = eps * kappa(eps)
+        # exactly, and the bound is that product rounded up.
+        try:
+            bound = performance_bound(epsilon, alpha, rho, defect)
+        except ParameterError:
+            return
+        assert not math.isnan(bound)
+        factor = exact_kappa(epsilon, alpha, rho, defect) if math.isfinite(epsilon) else math.inf
+        if factor != math.inf:
+            assert_away_from_zero(bound, Fraction(epsilon) * factor)
 
 
 class TestDefectBudget:

@@ -208,6 +208,20 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "purify"])
+    def test_more_than_1e9_iterations_is_config_error(self, signal_path, tmp_path, capsys, command):
+        # No solve may run more steps than the purifier's overflow bound
+        # and label rule allow for.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(fast_config("iterations=1000000001"))
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "purify":
+            argv += ["--in", signal_path]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: iterations must be <= 1000000000, got 1000000001\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "gen-data", "purify", "defect", "certify"])
     def test_negative_seed_flag_is_config_error(self, config_path, signal_path, tmp_path, capsys, command):
         out = tmp_path / "out.csv"
@@ -684,13 +698,15 @@ class TestLargeEpsilon:
 
 
 class TestOverflowingInput:
-    """Finite inputs near the float maximum whose FFTs, or whose kept
-    moduli's sum, overflow: each command exits 3 with the one
-    numeric-failure line, and numpy warns of nothing."""
+    """Finite inputs near the float maximum.  The purifier solves a row whose
+    parts reach 2^400 at a power-of-two scale, so its sensing and its steps
+    cannot overflow; a value or coefficient L1 norm past the float maximum
+    once rescaled, and a defect whose FFTs or kept moduli's sum overflow,
+    exit 3 with the one numeric-failure line.  numpy warns of nothing."""
 
     HUGE = np.array([1.5e308, -1.5e308, 1.5e308, 1e308, 0, 0, 0, 0])
 
-    def run(self, tmp_path, capsys, command, *lines, signal=HUGE):
+    def run(self, tmp_path, capsys, command, *lines, signal=HUGE, status=3):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(fast_config("n=8", "sparsity=1", *lines))
         write_signal(tmp_path / "huge.csv", signal)
@@ -699,28 +715,47 @@ class TestOverflowingInput:
             argv += ["--in", str(tmp_path / "huge.csv")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(argv) == 3
+            assert main(argv) == status
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == ("" if status else f"{tmp_path / 'out'}\n")
         return captured.err
 
     def test_eval_at_epsilon_near_the_float_maximum(self, tmp_path, capsys):
-        # The sensing ran outside the solve's error state: "overflow
-        # encountered in fft", then "invalid value encountered in multiply".
-        err = self.run(tmp_path, capsys, "eval", "count=50", "epsilon_grid=1e308")
-        assert err == "numeric failure: non-finite iterate at iteration 1\n"
+        # Its probes' FFTs overflowed, and it exited 3 with "non-finite
+        # iterate at iteration 1"; solved at their scale, they give finite
+        # errors of about epsilon.
+        assert self.run(tmp_path, capsys, "eval", "count=50", "epsilon_grid=1e308", status=0) == ""
+        report = (tmp_path / "out").read_text()
+        assert report.startswith("# rwkit-report v6 config=") and "inf" not in report
+        row = dict(zip(*[line.split(",") for line in report.splitlines()[1:]]))
+        assert 1e307 < float(row["mean_reconstruction_error"]) < 1e308
 
     @pytest.mark.parametrize("frame", ["identity", "unitary-dft"])
     def test_purify_of_a_huge_signal(self, tmp_path, capsys, frame):
+        # Its FFTs overflowed at iteration 1; solved at its scale, its
+        # coefficients' moduli sum past the float maximum.
         err = self.run(tmp_path, capsys, "purify", f"frame={frame}")
-        assert err == "numeric failure: non-finite iterate at iteration 1\n"
+        assert err == "numeric failure: non-finite coefficient L1 norm\n"
 
-    def test_purify_whose_synthesis_overflows(self, tmp_path, capsys):
-        # Its coefficients are finite, about 5.3e307 each, and their inverse
-        # FFT is not: it wrote 0,inf,0 and exited 0.
-        signal = np.array([1.5e308, 0, 0, 0, 0, 0, 0, 0])
-        err = self.run(tmp_path, capsys, "purify", "frame=unitary-dft", "subsample_prob=1", signal=signal)
+    @pytest.mark.parametrize("frame", ["identity", "unitary-dft"])
+    def test_purify_whose_rescaled_value_overflows(self, tmp_path, capsys, frame):
+        # The purified value of these parts has one beyond the float maximum.
+        signal = 1.5e308 * np.array([-1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1.0])
+        err = self.run(tmp_path, capsys, "purify", f"frame={frame}", signal=signal)
         assert err == "numeric failure: non-finite synthesized value\n"
+
+    @pytest.mark.parametrize("frame, status", [("identity", 0), ("unitary-dft", 3)])
+    def test_purify_of_a_huge_spike(self, tmp_path, capsys, frame, status):
+        # Each inverse FFT of it overflowed at its own scale.  In identity it
+        # is its own answer; in unitary-dft its eight coefficients of 5.3e307
+        # sum past the float maximum.
+        signal = np.array([1.5e308, 0, 0, 0, 0, 0, 0, 0])
+        err = self.run(tmp_path, capsys, "purify", f"frame={frame}", "subsample_prob=1", signal=signal, status=status)
+        if status == 0:
+            assert err == ""
+            assert np.array_equal(read_signal(tmp_path / "out"), signal)
+        else:
+            assert err == "numeric failure: non-finite coefficient L1 norm\n"
 
     @pytest.mark.parametrize("frame", ["identity", "unitary-dft"])
     def test_defect_of_a_huge_signal(self, tmp_path, capsys, frame):

@@ -415,6 +415,7 @@ class TestConfig:
             ("levels", -1, "levels must be an integer >= 0"),
             ("threshold", -0.1, "threshold must be >= 0"),
             ("iterations", 0, "iterations must be >= 1"),
+            ("iterations", 10**9 + 1, "iterations must be <= 1000000000"),
             ("count", 0, "count must be >= 1"),
             ("sparsity", 200, "sparsity k must lie in"),
             ("margin_floor", 0.0, "margin_floor must be positive"),

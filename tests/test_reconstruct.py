@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -36,8 +37,14 @@ from rwkit.sensing import _adjoint_batch, _apply_batch
 
 from oracles import basis_pursuit
 
-# The reconstruction loop, under the error state its callers hold for it.
-_ista_coefficients = _solve_errstate(reconstruct._ista_coefficients)
+# The reconstruction loop at the threshold of ``params``, under the error
+# state its callers hold for it.
+_solve = _solve_errstate(reconstruct._ista_coefficients)
+
+
+def _ista_coefficients(y, mask, params, label=None):
+    return _solve(y, mask, params, params.threshold, label)
+
 
 IDENTITY = Frame(kind="identity")
 DFT = Frame(kind="unitary-dft")
@@ -47,17 +54,19 @@ DFT = Frame(kind="unitary-dft")
 # cap, a row stops once ||u_t - u_{t-1}||^2 <= (1e-14)^2 ||M y||^2.
 STOP_TOL = 1e-14
 STOP_EVERY = 10
-# The label stop, written out here: with weights w of the signal's shape
-# and cap <= 1e9, a stop check t < cap also stops a row that no step can
-# overflow (its own N cap ||M y||^2 < 1e280) and whose own ||M y||^2 >
-# 1e-200, once |<w^, Re u_t>| > (1 + 2^-8) ||w^|| (cap - t) d_t + ||w^||
-# ||M y|| (cap^2 1e-14 + (N + 64) sqrt(cap) 2^-46), with w^ = analyze(w)
-# and d_t the step's length.
+# The label stop, written out here: with weights w of the signal's shape,
+# a stop check t < cap also stops a row whose own ||M y||^2 > 1e-200 once
+# |<w^, Re u_t>| > (1 + 2^-8) ||w^|| (cap - t) d_t + ||w^|| ||M y||
+# (cap^2 1e-14 + (N + 64) sqrt(cap) 2^-46), with w^ = analyze(w) and d_t
+# the step's length.
 LABEL_PATH = 1 + 2**-8
 LABEL_GAP = 2.0**-46
 LABEL_FLOOR = 1e-200
+# A row with a part of at least 2^400 is solved at a power-of-two scale, and
+# no solve runs more than 1e9 steps, so that N cap ||M y||^2 < 1e280.
 QUIET_BOUND = 1e280
 QUIET_CAP = 10**9
+LOUD = 400
 
 
 def sum_of_squares(z):
@@ -67,45 +76,40 @@ def sum_of_squares(z):
         return np.sum(np.square(np.ascontiguousarray(z).view(np.float64)))
 
 
-def ista_loop(y, mask, params, stop=True, label=None):
+def ista_loop(y, mask, params, lam=None, stop=True, label=None):
     """Reference: the thresholded gradient loop, run step by step, row by row.
 
-    Axis 0 of ``y`` and ``mask`` indexes rows; each row runs alone.  Returns
-    ``(u, steps)``: the final coefficients of each row and the number of
-    steps it ran.  With ``stop`` a row ends at the first step t that is a
-    multiple of ``STOP_EVERY``, below ``params.iterations``, and moved the
-    row by at most ``STOP_TOL * ||M y||`` (by nothing at all if ``||M
-    y||^2`` overflows); without it, every row runs ``params.iterations``
-    steps.  The purifier runs this loop for every frame but unitary-dft,
-    whose answer it computes in closed form, and its in-place batch loop
-    must match this one bit for bit.  The shrink is written out, not taken
-    from ``soft_threshold``, and the frame's transforms are the public
-    per-row ``analyze`` and ``synthesize``, so the two loops share only the
+    Axis 0 of ``y`` and ``mask`` indexes rows; each row runs alone, at the
+    threshold ``lam``: a float, a column of one per row, or None for
+    ``params.threshold``.  Returns ``(u, steps)``: the final coefficients
+    of each row and the number of steps it ran.  With ``stop`` a row ends
+    at the first step t that is a multiple of ``STOP_EVERY``, below
+    ``params.iterations``, and moved the row by at most ``STOP_TOL * ||M
+    y||``; without it, every row runs ``params.iterations`` steps.  The
+    purifier runs this loop for every frame but unitary-dft, whose answer
+    it computes in closed form, and its in-place batch loop must match this
+    one bit for bit.  The shrink is written out, not taken from
+    ``soft_threshold``, and the frame's transforms are the public per-row
+    ``analyze`` and ``synthesize``, so the two loops share only the
     arithmetic of the transforms.
 
     ``label``, weights of the signal's shape, adds the label stop written
     out above to each row in its range.
-
-    A row whose iterate has a non-finite modulus at step t fails there; if
-    any row fails, the loop raises :class:`NumericError` naming the first
-    such step over the rows, as the batch loop does that runs them together.
     """
     frame = params.frame
-    lam = float(params.threshold)
+    lams = np.broadcast_to(params.threshold if lam is None else lam, (len(y),) + (1,) * (y.ndim - 1))
     cap = params.iterations
     n = y[0].size
     sums = [sum_of_squares(mask_row * y_row) for y_row, mask_row in zip(y, mask)]
     what = None
-    if label is not None and label.shape == y.shape[1:] and cap <= QUIET_CAP:
+    if label is not None and label.shape == y.shape[1:]:
         what = analyze(frame, label).real.ravel()
         norm = np.sqrt(np.sum(np.square(what)))
-    rows, steps, failed = [], [], []
-    for y_row, mask_row, sumsq in zip(y, mask, sums):
+    rows, steps = [], []
+    for y_row, mask_row, sumsq, lam_row in zip(y, mask, sums, lams.ravel()):
         y_row, mask_row = y_row[None], mask_row[None]
         limit = STOP_TOL**2 * sumsq
-        if limit == np.inf:
-            limit = 0.0
-        by_label = what is not None and sumsq * (n * cap) < QUIET_BOUND and sumsq > LABEL_FLOOR
+        by_label = what is not None and sumsq > LABEL_FLOOR
         if by_label:
             slack = norm * np.sqrt(sumsq) * (cap * cap * STOP_TOL + (n + 64) * np.sqrt(cap) * LABEL_GAP)
         u = np.zeros(y_row.shape, dtype=np.complex128)
@@ -113,15 +117,9 @@ def ista_loop(y, mask, params, stop=True, label=None):
         while t < params.iterations:
             t += 1
             residual = y_row - _apply_batch(mask_row, synthesize_rows(frame, u))
-            back = _adjoint_batch(mask_row, residual)
-            # analyze refuses a non-finite signal, whose coefficients, and
-            # so the iterate, are not finite either.
-            z = u + analyze(frame, back[0])[None] if np.all(np.isfinite(back)) else back
+            z = u + analyze(frame, _adjoint_batch(mask_row, residual)[0])[None]
             mag = np.abs(z)
-            if not np.all(np.isfinite(mag)):
-                failed.append(t)
-                break
-            z = z * (np.maximum(mag - lam, 0.0) / np.where(mag == 0.0, 1.0, mag))
+            z = z * (np.maximum(mag - lam_row, 0.0) / np.where(mag == 0.0, 1.0, mag))
             moved = sum_of_squares(z - u)
             u = z
             if stop and t % STOP_EVERY == 0 and t < params.iterations:
@@ -133,8 +131,6 @@ def ista_loop(y, mask, params, stop=True, label=None):
                         break
         rows.append(u[0])
         steps.append(t)
-    if failed:
-        raise NumericError(f"non-finite iterate at iteration {min(failed)}")
     return np.stack(rows), np.array(steps)
 
 
@@ -143,11 +139,13 @@ def synthesize_rows(frame, coeffs):
     return np.stack([synthesize(frame, row) for row in coeffs])
 
 
-def assert_close_rel(got, want, rel=1e-12):
-    # Entrywise within ``rel`` of the largest entry of ``want``.
+def assert_close_rel(got, want, rel=1e-12, scale=None):
+    # Entrywise within ``rel`` of ``scale``, by default the largest entry of
+    # ``want``.
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+    scale = np.max(np.abs(want), initial=0.0) if scale is None else scale
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * scale
 
 
 def sparse_signal(n, k, seed):
@@ -426,12 +424,15 @@ class TestPurifyMany:
         with pytest.raises(ParameterError):
             purify_many([np.zeros(8), np.zeros(8)], params, [0, 1.5])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_iterate_in_any_row_fails_the_batch(self):
-        params = ReconstructionParams(iterations=3, threshold=0.0, subsample_prob=1.0, frame=IDENTITY)
-        overflowing = np.full(64, 1e308)  # finite, but its DFT is not
-        with pytest.raises(NumericError, match=r"at iteration 1$"):
-            purify_many([np.zeros(64), overflowing], params, [0, 1])
+    @pytest.mark.parametrize("frame", [IDENTITY, DFT], ids=lambda f: f.kind)
+    def test_an_overflowing_coefficient_l1_norm_fails_the_batch(self, frame):
+        # The row's values are 1e308 each, finite; the sum of its
+        # coefficients' moduli is not, and numpy warns of nothing.
+        params = ReconstructionParams(iterations=3, threshold=0.0, subsample_prob=1.0, frame=frame)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^non-finite coefficient L1 norm$"):
+                purify_many([np.zeros(64), np.full(64, 1e308)], params, [0, 1])
 
 
 @st.composite
@@ -452,9 +453,23 @@ def dft_cases(draw):
     return xs, params, seeds
 
 
+def tiny_dft_case():
+    # Four rows of 15 entries at threshold 1 and q = 0.3: nearly every kept
+    # coefficient is shrunk to 0, and the largest purified entry is 2.3e-5,
+    # while the two sides differ by 1.1e-16, the round-off of unit entries.
+    rng = np.random.default_rng(0)
+    xs = rng.standard_normal((4, 15))
+    params = ReconstructionParams(iterations=1, threshold=1.0, subsample_prob=0.3, frame=DFT)
+    return xs, params, [int(s) for s in rng.integers(0, 2**31, 4)]
+
+
 class TestUnitaryDftClosedForm:
+    # Both sides round at the scale of the input, not of the output, which
+    # the threshold can make as small as it likes.
+
     @settings(max_examples=80, deadline=None)
     @given(dft_cases())
+    @example(tiny_dft_case())
     def test_purify_many_matches_the_loop(self, case):
         xs, params, seeds = case
         ops = [make_partial_fourier(xs.shape[1:], params.subsample_prob, s) for s in seeds]
@@ -467,24 +482,19 @@ class TestUnitaryDftClosedForm:
                 assert got.value.dtype == np.float64
                 assert got.imag_residual == pytest.approx(np.max(np.abs(w.imag)), abs=1e-12)
                 w = w.real
-            assert_close_rel(got.value, w)
-            assert got.final_coefficient_l1 == pytest.approx(np.sum(np.abs(coeffs)), rel=1e-12)
+            scale = np.max(np.abs(x))
+            assert_close_rel(got.value, w, scale=scale)
+            assert got.final_coefficient_l1 == pytest.approx(np.sum(np.abs(coeffs)), rel=1e-12, abs=1e-12 * scale)
 
     @settings(max_examples=40, deadline=None)
     @given(dft_cases())
+    @example(tiny_dft_case())
     def test_ista_reconstruct_with_off_mask_measurements(self, case):
         xs, params, seeds = case
         op = make_partial_fourier(xs.shape[1:], params.subsample_prob, seeds[0])
         y = np.fft.fftn(xs[0], norm="ortho") + 0.5  # nonzero off the mask too
         u, _ = ista_loop(y[None], op.mask[None], params, stop=False)
-        assert_close_rel(ista_reconstruct(y, op, params), synthesize(DFT, u[0]))
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_measurements_fail(self):
-        params = ReconstructionParams(iterations=3, threshold=0.0, subsample_prob=1.0, frame=DFT)
-        overflowing = np.full(64, 1e308)  # finite, but its DFT is not
-        with pytest.raises(NumericError):
-            purify_many([np.zeros(64), overflowing], params, [0, 1])
+        assert_close_rel(ista_reconstruct(y, op, params), synthesize(DFT, u[0]), scale=np.max(np.abs(y)))
 
 
 @st.composite
@@ -521,10 +531,10 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def stopping_rows(kind, shape, rows=16, seed=0):
-    # Measurements, masks and parameters where rows stop at many different
-    # steps and some run to the cap: 4-sparse signals in the frame plus
-    # probes of norm 0, 0.01, 0.05 or 0.1, sensed at q = 0.5.
+def stopping_signals(kind, shape, rows=16, seed=0):
+    # Signals, masks and parameters where rows stop at many different steps
+    # and some run to the cap: 4-sparse signals in the frame plus probes of
+    # norm 0, 0.01, 0.05 or 0.1, sensed at q = 0.5.
     frame = Frame(kind=kind, levels=2 if kind.endswith("-dwt") else 0)
     rng = np.random.default_rng(seed)
     coeffs = np.zeros((rows, int(np.prod(shape))))
@@ -537,6 +547,12 @@ def stopping_rows(kind, shape, rows=16, seed=0):
     xs += noise * eps.reshape((rows,) + (1,) * len(shape))
     mask = (rng.random(xs.shape) < 0.5).astype(np.float64)
     params = ReconstructionParams(iterations=120, threshold=0.02, subsample_prob=0.5, frame=frame)
+    return xs, mask, params
+
+
+def stopping_rows(kind, shape, rows=16, seed=0):
+    # The measurements of stopping_signals, with its masks and parameters.
+    xs, mask, params = stopping_signals(kind, shape, rows, seed)
     return _apply_batch(mask, xs.astype(np.complex128)), mask, params
 
 
@@ -594,21 +610,6 @@ class TestIstaLoop:
         assert steps.tolist() == want_steps.tolist()
         assert_within_the_nonexpansive_bound(got, steps, y, mask, params)
 
-    def test_row_whose_measurement_norm_overflows_stops_only_at_a_fixed_point(self):
-        # ||M y||^2 overflows for the first row, so its limit is 0: it runs
-        # to the cap while its steps still move it by round-off.  The
-        # all-zero second row is a fixed point and stops at step 10.
-        rng = np.random.default_rng(4)
-        y = np.zeros((2, 64), dtype=np.complex128)
-        y[0] = 1e200 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
-        mask = np.ones((2, 64))
-        params = ReconstructionParams(iterations=30, threshold=0.0, subsample_prob=1.0, frame=IDENTITY)
-        got, steps = _ista_coefficients(y, mask, params)
-        assert steps.tolist() == [30, 10]
-        want, want_steps = ista_loop(y, mask, params)
-        assert_same_bits(got, want)
-        assert want_steps.tolist() == [30, 10]
-
     @pytest.mark.parametrize("kind,shape", STOPPING_CASES, ids=str)
     def test_each_row_matches_itself_run_alone(self, kind, shape):
         y, mask, params = stopping_rows(kind, shape, rows=24, seed=1)
@@ -639,77 +640,147 @@ class TestIstaLoop:
         assert steps.tolist() == [params.iterations] * len(y)
 
 
+def times_power_of_two(z, k):
+    # A copy of the real or complex array z times 2^k, part by part: a
+    # complex product would turn a -0 part to +0.
+    z = np.array(z)
+    np.ldexp(z.view(np.float64), k, out=z.view(np.float64))
+    return z
+
+
+def at_threshold(params, threshold):
+    # params with the threshold ``threshold``.
+    return ReconstructionParams(
+        iterations=params.iterations, threshold=threshold, subsample_prob=params.subsample_prob, frame=params.frame
+    )
+
+
 @st.composite
-def scaled_loop_cases(draw):
-    # loop_cases with the measurements scaled by 1e100 to 1e307, across the
-    # bound below which a solve skips its per-step finiteness check.  Half
-    # the batches are spikes instead: each row's only nonzero measurement,
-    # 1e306 to 1.5e308 at its first entry, which step 1 spreads over the row
-    # and step 2 sums back (see spike_case), so that steps overflow.
-    y, mask, params = draw(loop_cases())
+def scale_cases(draw):
+    # A signal, measurements of it that are nonzero off the mask, weights
+    # and parameters on every frame, 1D or 2D, real or complex, and k from
+    # -40 to the most that keeps 16 times the signal, the measurements, the
+    # answers and the coefficient L1 norm finite times 2^k; a third of the
+    # draws take that most.
+    kind = draw(st.sampled_from(FRAME_KINDS))
+    shape = draw(st.sampled_from(SHAPES[draw(st.sampled_from((1, 2)))]))
+    top = min(3, dyadic_levels(shape))
+    levels = draw(st.integers(min(1, top), top)) if kind.endswith("-dwt") else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = ReconstructionParams(
+        iterations=draw(st.sampled_from((1, 5, 40, 100))),
+        threshold=draw(st.sampled_from((0.0, 0.002, 0.02, 0.3))),
+        subsample_prob=draw(st.sampled_from((0.3, 0.5, 1.0))),
+        frame=Frame(kind=kind, levels=levels),
+    )
+    coeffs = np.zeros(shape)
+    coeffs.flat[rng.choice(coeffs.size, min(4, coeffs.size), replace=False)] = 1.0
+    x = synthesize(params.frame, coeffs).real + draw(st.sampled_from((0.0, 0.05, 0.3))) * rng.standard_normal(shape)
     if draw(st.booleans()):
-        return y * 10.0 ** draw(st.floats(100, 307)), mask, params
-    y, mask = np.zeros_like(y), mask.copy()
-    y.reshape(len(y), -1)[:, 0] = draw(st.floats(1e306, 1.5e308))
-    mask.reshape(len(mask), -1)[:, 0] = 1.0
-    return y, mask, params
+        x = x + 0.3j * rng.standard_normal(shape)
+    seed = int(rng.integers(0, 2**31))
+    op = make_partial_fourier(shape, params.subsample_prob, seed)
+    y = apply(op, x) + 0.25 * np.roll(apply(op, x), 1)
+    plain = purify(x, params, seed)
+    answers = (x, y, plain.value, ista_reconstruct(y, op, params), plain.final_coefficient_l1)
+    most = 1019 - int(np.ceil(np.log2(max(np.max(np.abs(a)) for a in answers))))
+    k = draw(st.one_of(st.integers(-40, most), st.just(most)))
+    return x, y, rng.standard_normal(shape), params, seed, k
 
 
-def spike_case(kind, shape, at, scale):
-    # One row whose measurements are a single spike: step 1 spreads it over
-    # the row, and step 2's unnormalized FFT sums the spread entries again,
-    # N / sqrt(N) times the spike, which overflows for a spike near 1e308.
-    y = np.zeros((1,) + shape, dtype=np.complex128)
-    y[(0,) + at] = scale
-    frame = Frame(kind=kind, levels=2 if kind.endswith("-dwt") else 0)
-    params = ReconstructionParams(iterations=5, threshold=0.0, subsample_prob=1.0, frame=frame)
-    return y, np.ones(y.shape), params
+class TestScale:
+    """A row with a part of at least 2^400 is solved at a power-of-two scale
+    2^-k, with its threshold, and rescaled at the end.  The solve is
+    homogeneous, so a row and threshold times 2^k give the unscaled bits
+    times 2^k wherever every entry stays in the normal range."""
 
-
-class TestFinitenessCheck:
-    """A solve checks its iterates for a non-finite modulus at every step
-    unless N * cap * max ||M y||^2 < 1e280, where no step can overflow; it
-    raises NumericError exactly where the step-by-step loop does."""
+    def test_the_scale_keeps_every_solve_below_the_bound(self):
+        # N cap ||M y||^2 < 2 N^2 cap 4^400 for a row of N < 2^47 entries
+        # whose parts lie below 2^400, and no cap is above 1e9.
+        assert reconstruct._LOUD == LOUD
+        assert 2 * 4.0**47 * QUIET_CAP * 4.0**LOUD < QUIET_BOUND
 
     @settings(max_examples=150, deadline=None)
-    @given(scaled_loop_cases())
-    @example(spike_case("identity", (64,), (3,), 1e308))
-    @example(spike_case("haar-dwt", (16, 16), (0, 5), 1e308))
-    @example(spike_case("identity", (64,), (3,), 1e138))
-    def test_raises_as_the_step_by_step_loop_or_matches_it(self, case):
-        y, mask, params = case
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                want, want_steps = ista_loop(y, mask, params)
-        except NumericError as exc:
-            with pytest.raises(NumericError, match=f"^{re.escape(str(exc))}$"):
-                _ista_coefficients(y, mask, params)
-            return
-        got, steps = _ista_coefficients(y, mask, params)
+    @given(scale_cases())
+    def test_a_row_times_a_power_of_two_gives_its_bits_times_that_power(self, case):
+        x, y, w, params, seed, k = case
+        scaled = at_threshold(params, float(np.ldexp(params.threshold, k)))
+        big = times_power_of_two(x, k)
+        want, got = purify(x, params, seed), purify(big, scaled, seed)
+        assert got.value.tobytes() == times_power_of_two(want.value, k).tobytes()
+        assert got.iterations_run == want.iterations_run
+        assert got.final_coefficient_l1 == np.ldexp(want.final_coefficient_l1, k)
+        assert got.imag_residual == np.ldexp(want.imag_residual, k)
+        # defend's solve, with its label stop: the same steps and label.
+        clf = LinearClassifier(weights=w)
+        mask = sensing._seed_masks([seed], x.shape, params.subsample_prob)
+        values, _, steps = reconstruct._purify_block(_stack_signals([x]), mask, params, clf._u)
+        big_values, _, big_steps = reconstruct._purify_block(_stack_signals([big]), mask, scaled, clf._u)
+        assert_same_bits(big_values, times_power_of_two(values, k))
+        assert big_steps.tolist() == steps.tolist()
+        assert defend(clf, big, scaled, seed) == defend(clf, x, params, seed)
+        # ista_reconstruct scales its measurements, off the mask too.
+        op = make_partial_fourier(x.shape, params.subsample_prob, seed)
+        want = ista_reconstruct(y, op, params)
+        assert_same_bits(ista_reconstruct(times_power_of_two(y, k), op, scaled), times_power_of_two(want, k))
+
+    @pytest.mark.parametrize("labelled", [False, True], ids=["value", "label"])
+    @pytest.mark.parametrize("kind,shape", STOPPING_CASES + [("unitary-dft", (64,))], ids=str)
+    def test_a_loud_row_among_quiet_ones_is_solved_as_alone(self, kind, shape, labelled):
+        # Row 3 is scaled by 2^700, so its threshold is 2^-k that of the
+        # rows beside it, which stop at many different steps.
+        xs, mask, params = stopping_signals(kind, shape)
+        xs[3] = times_power_of_two(xs[3], 700)
+        label = np.random.default_rng(5).standard_normal(shape) if labelled else None
+        values, u, steps = reconstruct._purify_block(xs, mask, params, label)
+        assert len(set(steps.tolist())) >= (1 if kind == "unitary-dft" else 3)
+        for i in range(len(xs)):
+            alone = reconstruct._purify_block(xs[i : i + 1], mask[i : i + 1], params, label)
+            assert_same_bits(values[i], alone[0][0])
+            assert_same_bits(u[i], alone[1][0])
+            assert steps[i] == alone[2][0]
+
+    def test_a_threshold_column_solves_as_each_row_alone(self):
+        # The solve at a threshold of one per row, as a batch that mixes
+        # scales runs it, against the step-by-step loop.
+        y, mask, params = stopping_rows("haar-dwt", (64,))
+        lam = np.random.default_rng(2).choice([0.0, 0.002, 0.02, 0.05], (len(y), 1))
+        got, steps = _solve(y, mask, params, lam)
+        want, want_steps = ista_loop(y, mask, params, lam)
         assert_same_bits(got, want)
         assert steps.tolist() == want_steps.tolist()
+        assert len(set(steps.tolist())) >= 3
 
-    @pytest.mark.parametrize("kind", ["identity", "haar-dwt"])
-    def test_first_overflow_at_step_two_is_named(self, kind):
-        y, mask, params = spike_case(kind, (64,), (3,), 1e308)
-        with pytest.raises(NumericError, match=r"^non-finite iterate at iteration 2$"):
-            _ista_coefficients(y, mask, params)
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_a_spike_near_the_float_maximum_gets_its_answer(self, kind):
+        # Its measurements are 5.3e307 each, and the inverse FFT of the first
+        # step, or of the closed form's synthesis, sums them past the float
+        # maximum at their own scale, not at 2^-624.
+        frame = Frame(kind=kind, levels=1 if kind.endswith("-dwt") else 0)
+        params = ReconstructionParams(iterations=50, threshold=0.0, subsample_prob=1.0, frame=frame)
+        x = np.array([1.5e308, 0, 0, 0, 0, 0, 0, 0])
+        op = make_partial_fourier(8, 1.0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ista_reconstruct(apply(op, x), op, params)
+            if kind == "identity":
+                assert purify(x, params, 0).value.tobytes() == value.real.tobytes()
+        assert_close_rel(value, x, rel=1e-10)
 
-    @pytest.mark.parametrize(
-        "scale, iterations, checked",
-        [(1.0, 100, False), (1e137, 100, False), (1e139, 100, True), (1.0, 10**9 + 1, True)],
-    )
-    def test_check_runs_only_where_an_iterate_can_overflow(self, monkeypatch, scale, iterations, checked):
-        # One row of 64 entries with ||M y||^2 = 2 scale^2: the bound is
-        # 64 * cap * 2 scale^2 < 1e280, and a cap above 1e9 always checks.
-        calls = []
-        check = reconstruct._check_finite
-        monkeypatch.setattr(reconstruct, "_check_finite", lambda mag, t: calls.append(t) or check(mag, t))
-        y = np.zeros((1, 64), dtype=np.complex128)
-        y[0, :2] = scale
-        params = ReconstructionParams(iterations=iterations, threshold=0.5 * scale, subsample_prob=0.5, frame=IDENTITY)
-        _, steps = _ista_coefficients(y, np.ones(y.shape), params)
-        assert calls == (list(range(1, steps[0] + 1)) if checked else [])
+    def test_a_rescaled_value_that_overflows_fails(self):
+        # The projection of these +-1.5e308 parts onto the kept frequencies
+        # has a part beyond the float maximum.
+        x = 1.5e308 * np.array([-1.0, 1.0, 1.0, -1.0, 0.0, 1.0, 0.0, -1.0])
+        params = ReconstructionParams(iterations=100, threshold=0.02, subsample_prob=0.7494, frame=IDENTITY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^non-finite synthesized value$"):
+                purify(x, params, 76)
+
+    def test_more_than_1e9_steps_are_refused(self):
+        ReconstructionParams(iterations=QUIET_CAP, threshold=0.1, subsample_prob=0.5, frame=IDENTITY)
+        with pytest.raises(ParameterError, match="^iterations must be <= 1000000000, got 1000000001$"):
+            ReconstructionParams(iterations=QUIET_CAP + 1, threshold=0.1, subsample_prob=0.5, frame=IDENTITY)
 
     def test_a_mask_that_is_not_zero_one_never_reaches_a_solve(self):
         # The bound needs M to be a projection.  With a mask of 3s a step
@@ -812,6 +883,27 @@ def capped(params, cap):
     )
 
 
+def margin_direction(e, v, margin):
+    # The unit vector w^ = cos(phi) e + sin(phi) h, with h the unit part of
+    # v orthogonal to the unit vector e, at the smallest angle phi that puts
+    # <w^, v> at ``margin``; None where no h exists or |margin| is not below
+    # the length of v's part in the plane of e and h.  h takes two
+    # Gram-Schmidt passes: where v lies almost along e, one pass leaves h's
+    # round-off along e, and w^ is not a unit vector.
+    h = v - (v @ e) * e
+    h -= (h @ e) * e
+    if not np.linalg.norm(h) > 0:
+        return None
+    h /= np.linalg.norm(h)
+    a, b = v @ e, v @ h
+    size = np.hypot(a, b)
+    if not abs(margin) < size:
+        return None
+    angle = np.arctan2(b, a)
+    phi = min(angle - np.arccos(margin / size), angle + np.arccos(margin / size), key=abs)
+    return np.cos(phi) * e + np.sin(phi) * h
+
+
 @st.composite
 def path_cases(draw, kind, dim):
     # A defend case at the rule's tight spot.  From the full solve's result
@@ -821,12 +913,12 @@ def path_cases(draw, kind, dim):
     # move <w^, Re u> along, toward the boundary, as far as they can, and h
     # the unit part of Re u_t orthogonal to e.  phi, the smallest angle that
     # does it, puts the margin <w^, Re u_t> a relative 2^-12 above or below
-    # the reach (1 + 2^-8) (cap - t) d_t + slack.  In some draws the
-    # remaining path is 0.995 of (cap - t) d_t, so that a rule with a factor
-    # of 0.98 gives such a case the wrong label.  Draws whose margin would
-    # sit within 2^-20 ||Re u_t|| of zero are rejected: there the db4 taps'
-    # error, 1e-12 ||Re u_t|| through synthesize and analyze, could move it
-    # past the reach.
+    # the reach (1 + 2^-8) (cap - t) d_t + slack (see margin_direction).
+    # In some draws the remaining path is 0.995 of (cap - t) d_t, so that a
+    # rule with a factor of 0.98 gives such a case the wrong label.  Draws
+    # whose margin would sit within 2^-20 ||Re u_t|| of zero are rejected:
+    # there the db4 taps' error, 1e-12 ||Re u_t|| through synthesize and
+    # analyze, could move it past the reach.
     shape = draw(st.sampled_from(SHAPES[dim]))
     top = min(3, dyadic_levels(shape))
     levels = draw(st.integers(min(1, top), top)) if kind != "identity" else 0
@@ -853,13 +945,11 @@ def path_cases(draw, kind, dim):
     above = draw(st.booleans())
     margin_t = (1 + (2**-12 if above else -(2**-12))) * (LABEL_PATH * (cap - t) * d_t + slack)
     path, v = (full - u_t).real.ravel(), u_t.real.ravel()
-    e = -path / np.linalg.norm(path)
-    h = v - (v @ e) * e
-    size = np.hypot(v @ e, np.linalg.norm(h))
-    assume(np.linalg.norm(h) > 0 and 2**-20 * size < margin_t < size)
-    angle = np.arctan2(np.linalg.norm(h), v @ e)
-    phi = min(angle - np.arccos(margin_t / size), angle + np.arccos(margin_t / size), key=abs)
-    w_hat = np.cos(phi) * e + np.sin(phi) * h / np.linalg.norm(h)
+    assume(2**-20 * np.linalg.norm(v) < margin_t)
+    w_hat = margin_direction(-path / np.linalg.norm(path), v, margin_t)
+    assume(w_hat is not None)
+    # A construction error would move the margin off the reach unseen.
+    assert abs(w_hat @ v - margin_t) <= 2**-20 * margin_t
     w = synthesize(params.frame, w_hat.reshape(shape)).real
     return LinearClassifier(weights=w), x, params, seed, t, above
 
@@ -872,9 +962,9 @@ class SolveSpy:
         self.solves = []
         solve = reconstruct._ista_coefficients
 
-        def spy(y, mask, params, label=None):
-            u, steps = solve(y, mask, params, label)
-            full_u, full_steps = solve(y, mask, params)
+        def spy(y, mask, params, lam, label=None):
+            u, steps = solve(y, mask, params, lam, label)
+            full_u, full_steps = solve(y, mask, params, lam)
             same = steps.tolist() == full_steps.tolist() and np.array_equal(u.view(np.uint64), full_u.view(np.uint64))
             self.solves.append((label is not None, int(steps[0]), int(full_steps[0]), same))
             return u, steps
@@ -903,12 +993,12 @@ def radius_probes(count=6):
 @st.composite
 def mixed_loop_cases(draw):
     # loop_cases with weights for half the batches, and one row of half the
-    # batches scaled by 1e150: past the bound below which its steps cannot
-    # overflow, so it takes no label stop, yet its steps stay finite.
+    # batches scaled by 1e-110: its ||M y||^2 is below the floor, so it
+    # takes no label stop.
     y, mask, params = draw(loop_cases())
     if draw(st.booleans()):
         y = y.copy()
-        y[draw(st.integers(0, len(y) - 1))] *= 1e150
+        y[draw(st.integers(0, len(y) - 1))] *= 1e-110
     w = None
     if draw(st.booleans()):
         w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(y.shape[1:])
@@ -925,6 +1015,7 @@ class TestLabelStop:
         assert reconstruct._LABEL_FLOOR == LABEL_FLOOR
         assert reconstruct._QUIET_BOUND == QUIET_BOUND
         assert reconstruct._QUIET_CAP == QUIET_CAP
+        assert reconstruct._LOUD == LOUD
 
     @settings(max_examples=150, deadline=None)
     @given(defend_cases())
@@ -946,6 +1037,22 @@ class TestLabelStop:
         y, mask = defend_rows(x, params, seed)
         steps = _ista_coefficients(y, mask, params, clf.weights)[1][0]
         assert steps <= t if above else steps != t
+
+    @pytest.mark.parametrize("off", [0.0, 1e-13, 1e-12, 1e-9, 0.3])
+    def test_a_margin_direction_is_a_unit_vector_at_its_margin(self, off):
+        # v at 0.587 along e and ``off`` across it: at 1e-12 a one-pass h
+        # made ||w^|| 1 + 5e-7 and put the margin 3 % above its target.
+        rng = np.random.default_rng(9)
+        e = rng.standard_normal(12)
+        e /= np.linalg.norm(e)
+        across = rng.standard_normal(12)
+        across -= (across @ e) * e
+        v = 0.587 * e + off * across / np.linalg.norm(across)
+        w_hat = margin_direction(e, v, 0.0023575)
+        if off == 0.0 and w_hat is None:
+            return
+        assert abs(np.linalg.norm(w_hat) - 1) <= 2**-40
+        assert abs(w_hat @ v - 0.0023575) <= 2**-40 * 0.0023575
 
     @settings(max_examples=80, deadline=None)
     @given(loop_cases(), st.integers(0, 2**32 - 1))
@@ -969,13 +1076,13 @@ class TestLabelStop:
             assert_same_bits(got[i], alone[0])
             assert steps[i] == alone_steps[0]
 
-    @pytest.mark.parametrize("beside", ["zero-mask", "scaled-1e150"])
+    @pytest.mark.parametrize("beside", ["zero-mask", "scaled-1e-110"])
     def test_a_labelled_row_beside_a_row_outside_the_rule_stops_as_alone(self, beside):
         # A clean radius-workload row whose label is proven at step 20 of a
         # solve that runs 80 steps without it.  A zero-mask row has ||M y||
-        # = 0, below the floor; a row scaled by 1e150 can overflow, so its
-        # solve checks every step.  Neither takes the rule, and neither
-        # keeps the row beside it from taking it.
+        # = 0, and a row scaled by 1e-110 has ||M y||^2 below the floor.
+        # Neither takes the rule, and neither keeps the row beside it from
+        # taking it.
         clf, params, probes = radius_probes(count=1)
         x, seed = probes[0]
         mask = sensing._seed_masks([seed], x.shape, params.subsample_prob)
@@ -984,7 +1091,7 @@ class TestLabelStop:
         alone, alone_steps = _ista_coefficients(y, mask, params, w)
         assert alone_steps.tolist() == [20]
         assert _ista_coefficients(y, mask, params)[1].tolist() == [80]
-        other_y, other_mask = (y, 0.0 * mask) if beside == "zero-mask" else (1e150 * y, mask)
+        other_y, other_mask = (y, 0.0 * mask) if beside == "zero-mask" else (1e-110 * y, mask)
         got, steps = _ista_coefficients(np.concatenate([y, other_y]), np.concatenate([mask, other_mask]), params, w)
         assert steps.tolist() == [20, 10]
         assert_same_bits(got[0], alone[0])
@@ -1045,21 +1152,16 @@ class TestLabelStop:
         assert all(same for *_, same in spy.solves)
         assert sum(has_label for has_label, *_ in spy.solves) == len(probes)
 
-    def test_a_batch_that_can_overflow_never_takes_the_rule(self, monkeypatch):
-        # ||M y||^2 of about 64 (1e139)^2 / 2 times 64 * 100 exceeds 1e280, so
-        # the solve checks every step and takes no label stop.
+    def test_a_loud_row_takes_the_rule_at_its_scale(self, monkeypatch):
+        # The probes and threshold times 2^460 are solved at 2^-k, and their
+        # solves stop at the steps of the unit-scale ones, with their labels.
         clf, params, probes = radius_probes(count=2)
         spy = SolveSpy(monkeypatch)
-        loud = ReconstructionParams(iterations=100, threshold=2e137, subsample_prob=0.5, frame=IDENTITY)
+        loud = at_threshold(params, float(np.ldexp(params.threshold, 460)))
         for x, seed in probes:
-            x = 1e139 * (x + 0.1 * np.random.default_rng(2).standard_normal(128))
-            assert defend(clf, x, loud, seed) == full_defend(clf, x, loud, seed)
-        assert len(spy.solves) == 2 * len(probes) and all(same for *_, same in spy.solves)
-        # The same probes at unit scale do take it.
-        spy.solves.clear()
-        for x, seed in probes:
-            defend(clf, x, params, seed)
-        assert not all(same for *_, same in spy.solves)
+            assert defend(clf, x, params, seed) == defend(clf, times_power_of_two(x, 460), loud, seed)
+        unit, scaled = spy.solves[0::2], spy.solves[1::2]
+        assert unit == scaled and not all(same for *_, same in unit)
 
     @pytest.mark.parametrize(
         "x, weights",
@@ -1068,14 +1170,15 @@ class TestLabelStop:
             ([[1.0, 2.0], [3.0]], np.ones(2)),
             (np.ones(64), np.ones(32)),
             (np.ones((8, 8)), np.ones(64)),
-            (np.full(64, 1e308), np.ones(64)),
+            (1.5e308 * np.array([-1.0, 1.0, 1.0, -1.0, 0.0, 1.0, 0.0, -1.0]), np.ones(8)),
         ],
         ids=["nan", "ragged", "weights-short", "weights-flat", "overflowing"],
     )
     def test_errors_are_the_full_solves(self, x, weights):
+        # The overflowing row's rescaled value overflows (see TestScale).
         clf = LinearClassifier(weights=weights)
-        params = ReconstructionParams(iterations=100, threshold=0.02, subsample_prob=1.0, frame=IDENTITY)
+        params = ReconstructionParams(iterations=100, threshold=0.02, subsample_prob=0.7494, frame=IDENTITY)
         with pytest.raises(RwkitError) as want:
-            full_defend(clf, x, params, 0)
+            full_defend(clf, x, params, 76)
         with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-            defend(clf, x, params, 0)
+            defend(clf, x, params, 76)
