@@ -325,7 +325,8 @@ def _shrink(u, mag, lam, f):
     # soft_threshold's arithmetic, u * (max(mag - lam, 0) / where(mag == 0,
     # 1, mag)), in place and under _solve_errstate: u (complex128) becomes
     # the result, mag = |u| is finite and only read, f is a real scratch
-    # array of u's shape apart from mag, and lam is a float >= 0.  Returns u.
+    # array of u's shape apart from mag, and lam is a float >= 0 or a column
+    # of them that broadcasts over u's rows.  Returns u.
     # f is (mag - lam) / mag, then fmax(f, 0).  Where mag - lam > 0 that is
     # the formula's division.  Elsewhere the quotient is < 0, +0 (mag = lam),
     # -inf (mag = 0 < lam) or NaN (mag = lam = 0), never -0, and fmax maps

@@ -7,14 +7,13 @@ fallen to round-off stops early (see ``_STOP_TOL``).
 
 There is one reconstruction loop.  It runs over a batch whose axis 0
 indexes independent signals, each with its own mask; ``purify``,
-``ista_reconstruct`` and ``defend`` are batches of one.  It allocates five
-batch-shaped buffers once per solve (the complex iterate, next iterate and
-residual, the real modulus and shrink factor) and its steps work in place
-on them, the FFTs included, so a step allocates nothing beyond what a
-wavelet frame's transforms make.  The step-by-step ``ista_loop`` in the
-tests is its bit-for-bit oracle.  Every mask is 0/1 (``SensingOperator``
-checks it), so the measurements are masked once, before the loop:
-M(y - M r) is M y - M r, and each step makes one mask product, not two.
+``ista_reconstruct`` and ``defend`` are batches of one.  It allocates its
+five batch-shaped buffers once per solve and its steps work in place on
+them, the FFTs included, so a step allocates nothing beyond what a wavelet
+frame's transforms make.  The step-by-step ``ista_loop`` in the tests is
+its bit-for-bit oracle.  Every mask is 0/1 (``SensingOperator`` checks
+it), so the measurements are masked once, before the loop: M(y - M r) is
+M y - M r, and each step makes one mask product instead of two.
 
 A solve runs with numpy's divide, invalid and overflow warnings off: the
 shrink clamps a quotient that is -inf or NaN by design (see
@@ -31,9 +30,11 @@ idempotent.  The first step lands on the soft-thresholded masked
 measurements and every later step maps that iterate to itself, so this
 frame skips the loop and returns that first iterate directly.
 
-``defend`` with a :class:`LinearClassifier` asks the solve for a label, and
-the solve stops a row as soon as the remaining steps cannot carry its
-iterate across the decision boundary (see ``_LABEL_PATH``).
+``defend`` with a :class:`LinearClassifier` asks the solve for a label, not
+a value, and the solve stops a row as soon as that label is proven (see
+``_LABEL_PATH``): the remaining steps cannot carry the iterate across the
+decision boundary.  The rule, like the round-off stop, reads only the row,
+and ``defend`` enters the solve through ``_purify_block`` as ``purify`` does.
 """
 
 import numpy as np
@@ -150,8 +151,8 @@ _LOUD = 400
 #   _QUIET_BOUND).  _LABEL_GAP, 64 eps, is 16 times that.
 # Each bound used here holds per row, so the rule is decided per row: a row
 # takes it when its own ||M y||^2 > _LABEL_FLOOR (no sum it takes can lose
-# digits to underflow), else its slack is inf; only weights not of the
-# signal's shape drop the rule for the whole solve.  At the ``radius``
+# digits to underflow), else its slack is inf; ``defend`` passes no weights
+# that are not of the signal's shape.  At the ``radius``
 # workload (cap 100, N 128) the slack is ~1e-10 ||w^|| ||M y||.
 _LABEL_PATH = 1 + 2**-8
 _LABEL_GAP = 2.0**-46
@@ -181,13 +182,14 @@ def _ista_coefficients(y, mask, params, lam, label=None):
     Axis 0 of ``y`` and ``mask`` indexes independent rows.  Every step is
     row-local, so a row's result does not depend on the rows beside it.
     ``u`` holds each row's final coefficients and ``steps`` its step count.
-    Every part of ``y`` lies below 2^_LOUD, so no step can overflow (see
-    ``_QUIET_BOUND``).  ``lam`` is the threshold: a float, or a column of
-    one per row (see ``_scaled``).
+    ``lam`` is the threshold: a float, or a column of one per row (see
+    ``_scaled``).
 
-    Step t maps u to S_lam(u + analyze(adjoint(y - apply(synthesize(u))))),
-    with ``y`` masked once, before the loop; in floating point the two can
-    differ only in the sign of a zero entry.
+    Step t maps u to S_lam(u + analyze(adjoint(y - apply(synthesize(u))))).
+    The frame's transforms are resolved once and ``y`` is masked once:
+    since M is 0/1 (drawn so, or checked by ``SensingOperator``), M(y - M r)
+    equals M y - M r, so a step needs the mask only on the forward product.
+    In floating point the two can differ only in the sign of a zero entry.
 
     ``params.iterations`` is a cap.  After each ``_STOP_EVERY``-th step
     t < cap, a row with ``||u_t - u_{t-1}||**2 <= _STOP_TOL**2 * ||M y||**2``
@@ -206,8 +208,22 @@ def _ista_coefficients(y, mask, params, lam, label=None):
     need not be.  Each row is in the rule's range or not by its own sums
     alone, and a row outside it runs as above bit for bit.
 
-    For the unitary-dft frame the result is S_lam(mask * y), the iterate at
-    every step t >= 1, and ``steps`` reports ``params.iterations``.
+    The loop allocates its buffers once per solve: the complex iterate
+    ``u``, the next iterate ``z`` and the residual ``r``, and the real
+    modulus ``mag`` and shrink factor ``f``.  The FFTs write into ``r`` and
+    ``z``, every other step works in place, and ``u`` and ``z`` swap roles
+    after each step; the stop check writes the step change into ``z``.
+    The error state turns numpy's divide, invalid and overflow warnings
+    off, for the sensing and synthesis too: the shrink's quotient is -inf or
+    NaN by design where it clamps to 0.  Every part of ``y`` lies below
+    2^_LOUD (``_scaled`` sees to it), so no step can overflow (see
+    ``_QUIET_BOUND``).  The step-by-step ``ista_loop`` in the tests, which
+    masks twice and runs each row alone, is its bit-for-bit oracle.
+
+    For the unitary-dft frame the result is S_lam(mask * y) in closed form:
+    it is the iterate at every step t >= 1, so it is the iterate after
+    ``params.iterations`` steps, which ``steps`` reports for every row.
+    ``y`` is masked first, as the adjoint inside the loop would mask it.
     """
     cap = params.iterations
     if params.frame.kind == "unitary-dft":
@@ -222,14 +238,11 @@ def _ista_coefficients(y, mask, params, lam, label=None):
     sumsq = _row_sumsq(y.copy())
     limit = np.square(_STOP_TOL) * sumsq
     if label is not None:
-        if label.shape != y.shape[1:]:
-            label = None
-        else:
-            n = y[0].size
-            label = analyze(label.astype(np.complex128)[None]).real.ravel()
-            norm = np.sqrt(np.add.reduce(np.square(label)))
-            slack = norm * np.sqrt(sumsq) * (cap * cap * _STOP_TOL + (n + 64) * np.sqrt(cap) * _LABEL_GAP)
-            slack[~(sumsq > _LABEL_FLOOR)] = np.inf
+        n = y[0].size
+        label = analyze(label.astype(np.complex128)[None]).real.ravel()
+        norm = np.sqrt(np.add.reduce(np.square(label)))
+        slack = norm * np.sqrt(sumsq) * (cap * cap * _STOP_TOL + (n + 64) * np.sqrt(cap) * _LABEL_GAP)
+        slack[~(sumsq > _LABEL_FLOOR)] = np.inf
     result = np.empty_like(y)
     steps = np.full(len(y), cap)
     rows = np.arange(len(y))  # each running row's index in result
@@ -320,11 +333,12 @@ def _purify_block(xs, mask, params, label=None):
     coefficients, with the batch on axis 0, and the number of steps each
     row ran.  For the identity frame ``values`` is ``u`` itself; callers
     read both and write to neither.  ``label`` is the solve's (see
-    :func:`_ista_coefficients`).
+    :func:`_ista_coefficients`); with it, a row solved at a scale keeps
+    that scale in ``values`` and ``u``, which changes no label.
     """
     xs, lam, k = _scaled(xs, params.threshold)
     u, steps = _ista_coefficients(sensing._apply_batch(mask, xs), mask, params, lam, label)
-    return _synthesized(params.frame, u, k), u, steps
+    return _synthesized(params.frame, u, None if label is not None else k), u, steps
 
 
 def _synthesized(frame, u, k):
@@ -366,7 +380,14 @@ def purify_many(xs, params, seeds):
         l1 = float(np.sum(np.abs(coeffs)))
         if l1 == np.inf:
             raise NumericError("non-finite coefficient L1 norm")
-        out.append(PurifiedSignal(value, run, l1, imag_residual))
+        out.append(
+            PurifiedSignal(
+                value=value,
+                iterations_run=run,
+                final_coefficient_l1=l1,
+                imag_residual=imag_residual,
+            )
+        )
     return out
 
 
@@ -384,16 +405,20 @@ def defend(classifier, x, params, seed):
     """Label ``x`` through the purification pipeline:
     ``classifier(purify(x, params, seed).value)``.
 
-    With a :class:`LinearClassifier`, the solve, a batch of one entered
-    through :func:`_purify_block`, stops as soon as the label of its iterate
-    is proven final (see :func:`_ista_coefficients`), and ``defend`` labels
-    that iterate: the label, and every error raised, are the full solve's,
-    but that a row solved at a scale (see :func:`_scaled`) can overflow
-    when rescaled at its stopped iterate and not at the full solve's value,
-    or the reverse.  Any other classifier labels the full solve's value.
+    With a :class:`LinearClassifier` whose weights w have the signal's
+    shape, the solve, a batch of one entered through :func:`_purify_block`,
+    stops as soon as the label of its iterate is proven final (see
+    :func:`_ista_coefficients`), and ``defend`` labels that iterate at the
+    scale it was solved at (see :func:`_scaled`), not rescaled: a power of
+    two leaves sign<w, Re v> as it is.  The label, and every error raised,
+    are the full solve's; where ``purify``'s value or coefficient L1 norm
+    overflows, ``defend`` still labels.  Any other classifier labels the
+    full solve's value.
     """
     batch = _stack_signals([x])
     mask = sensing._seed_masks([seed], batch.shape[1:], params.subsample_prob)
-    label = classifier._u if type(classifier) is LinearClassifier else None
+    label = None
+    if type(classifier) is LinearClassifier and classifier._u.shape == batch.shape[1:]:
+        label = classifier._u
     value = _purify_block(batch, mask, params, label)[0][0]
     return classifier(value.real if np.isrealobj(x) else value)

@@ -112,7 +112,8 @@ def exact_performance_bound(epsilon, alpha, rho, defect):
         first = math.inf if epsilon == math.inf else 2 * Fraction(epsilon) / Fraction(alpha)
     if defect != 0:
         second = math.inf if math.inf in (rho, defect) else 4 * Fraction(rho) * Fraction(defect)
-    return first + second
+    # inf + a Fraction beyond the float range would convert the Fraction.
+    return math.inf if math.inf in (first, second) else first + second
 
 
 def exact_kappa(epsilon, alpha, rho, defect):

@@ -154,6 +154,7 @@ class TestPerformanceBound:
     @example(0.1, math.inf, 0.05, 0.2)
     @example(0.1, 4.0, math.inf, 0.0)
     @example(math.inf, math.inf, 0.05, 0.0)
+    @example(math.inf, 1.0, 1e300, 1e300)
     def test_bound_is_on_the_safe_side_within_an_ulp(self, epsilon, alpha, rho, defect):
         # Never below the exact bound, and less than an ulp above it; a bound
         # beyond the float range, or with a term that has an infinite factor
