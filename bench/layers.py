@@ -88,8 +88,6 @@ def layers():
             add(f"frames.analyze.{kind}-3.{len(shape)}d", f"{size}, in place", lambda a=analyze, b=batch: a(b))
             add(f"frames.synthesize.{kind}-3.{len(shape)}d", size, lambda s=synthesize, b=batch: s(b))
     y = sensing._apply_batch(mask, xs_probed)
-    # The loop, under the error state its callers hold for it.
-    ista = frames._solve_errstate(reconstruct._ista_coefficients)
     for cap in (1, 100):
         params = reconstruct.ReconstructionParams(
             iterations=cap, threshold=0.002, subsample_prob=0.5, frame=frames.Frame(kind="identity")
@@ -97,7 +95,7 @@ def layers():
         add(
             f"reconstruct._ista_coefficients.cap{cap}",
             f"identity, {ROWS} probed rows, lam 0.002, q 0.5, cap {cap}",
-            lambda p=params: ista(y, mask, p, p.threshold),
+            lambda p=params: reconstruct._ista_coefficients(y, mask, p),
         )
     identity = frames.Frame(kind="identity")
     add("defect._l1_batch", f"identity, {ROWS} rows", lambda: defect._l1_batch(mask, xs, identity))
@@ -137,17 +135,17 @@ def layers():
     one_y = sensing._apply_batch(one_mask, one_probe[None])
     for cap in (1, 100):
         params = reconstruct.ReconstructionParams(iterations=cap, threshold=0.02, subsample_prob=0.5, frame=identity)
-        if ista(one_y, one_mask, params, params.threshold)[1][0] != cap:
+        if reconstruct._ista_coefficients(one_y, one_mask, params)[1][0] != cap:
             raise RuntimeError("the one-row layer's row stops before its cap")
         add(
             f"reconstruct._ista_coefficients.one-row.cap{cap}",
             f"identity, 1 probed row, lam 0.02, q 0.5, cap {cap}",
-            lambda p=params: ista(one_y, one_mask, p, p.threshold),
+            lambda p=params: reconstruct._ista_coefficients(one_y, one_mask, p),
         )
     # The same probe through defend, whose solve proves the label before
     # the 100 steps that the bare solve above runs; the step is read from
     # the solve, as defend runs it.
-    proven = int(ista(one_y, one_mask, radius_params, radius_params.threshold, clf._u)[1][0])
+    proven = int(reconstruct._ista_coefficients(one_y, one_mask, radius_params, clf._u)[1][0])
     if proven >= radius_params.iterations:
         raise RuntimeError("the defend layer's label is not proven before the cap")
     add(
@@ -164,7 +162,7 @@ def layers():
     add(
         "reconstruct._ista_coefficients.labelled",
         f"identity, {ROWS} probes at radius 0.2 of one row, one mask, lam 0.02, q 0.5, cap 100, with a label",
-        lambda: ista(batch_y, batch_mask, radius_params, radius_params.threshold, clf._u),
+        lambda: reconstruct._ista_coefficients(batch_y, batch_mask, radius_params, clf._u),
     )
     add(
         "classifier.empirical_robust_radius.level",

@@ -106,10 +106,10 @@ def _cmd_certify(cfg, args, seed):
         if value is not None:
             _real(value, f"{flag}:", gt=-math.inf, lt=math.inf)
             _real(value, f"{flag}:", ge=0)
-    expected = args.expected_defect
+    expected = args.expected_defect + 0.0  # -0 reads as +0, as in a config
     epsilon = cfg.epsilon_grid[0] if cfg.epsilon_grid else 0.0
     if args.epsilon is not None:
-        epsilon = args.epsilon
+        epsilon = args.epsilon + 0.0
     cert = certify.certify_probabilistic(
         cfg.rwp_prob, cfg.alpha, cfg.rho, cfg.tau, epsilon, expected
     )

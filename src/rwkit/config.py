@@ -155,11 +155,11 @@ def parse_config(text):
             raise ConfigError(f"unknown config key {key!r}")
         try:
             if key == "epsilon_grid":
-                kwargs[key] = tuple(map(float, value.split(","))) if value else ()
+                kwargs[key] = tuple(float(e) + 0.0 for e in value.split(",")) if value else ()
             elif known[key] is int:
                 kwargs[key] = int(value)
             elif known[key] is float:
-                kwargs[key] = float(value)
+                kwargs[key] = float(value) + 0.0  # -0 reads as +0, so equal configs hash alike
             else:
                 kwargs[key] = value
         except ValueError as exc:

@@ -15,14 +15,15 @@ its bit-for-bit oracle.  Every mask is 0/1 (``SensingOperator`` checks
 it), so the measurements are masked once, before the loop: M(y - M r) is
 M y - M r, and each step makes one mask product instead of two.
 
-A solve runs with numpy's divide, invalid and overflow warnings off: the
-shrink clamps a quotient that is -inf or NaN by design (see
-``frames._shrink``).  No step can overflow: the solve is homogeneous, and
-each row whose parts reach 2^_LOUD is solved at a power-of-two scale (see
-``_scaled``) and rescaled at the end, where a value that overflows raises
-:class:`NumericError`.  A step resolves nothing: the frame's transforms
-and the FFT pair, pocketfft's kernels with their factors bound, are looked
-up once per solve.
+The solve holds its own error state, numpy's divide, invalid and overflow
+warnings off: the shrink clamps a quotient that is -inf or NaN by design
+(see ``frames._shrink``).  No step can overflow: the solve is homogeneous,
+and each row whose parts reach 2^_LOUD is solved at a power-of-two scale
+2^-k (see ``_scaled``), at its threshold times 2^-k, and rescaled at the
+end, the one place outside the solve that can overflow: a value that does
+raises :class:`NumericError`.  A step resolves nothing: the frame's
+transforms and the FFT pair, pocketfft's kernels with their factors bound,
+are looked up once per solve.
 
 With the unitary-dft frame the operator the loop inverts, the sensing
 operator composed with synthesis, is the 0/1 mask itself: diagonal and
@@ -176,14 +177,15 @@ class PurifiedSignal(_Record):
     imag_residual: float = 0.0
 
 
-def _ista_coefficients(y, mask, params, lam, label=None):
-    """Run the thresholded gradient iteration in ``_solve_errstate``; returns ``(u, steps)``.
+@_solve_errstate
+def _ista_coefficients(y, mask, params, label=None, k=None):
+    """Run the thresholded gradient iteration; returns ``(u, steps)``.
 
     Axis 0 of ``y`` and ``mask`` indexes independent rows.  Every step is
     row-local, so a row's result does not depend on the rows beside it.
     ``u`` holds each row's final coefficients and ``steps`` its step count.
-    ``lam`` is the threshold: a float, or a column of one per row (see
-    ``_scaled``).
+    The threshold lam is ``params.threshold``, or with ``k``, the column of
+    exponents of :func:`_scaled`, each row's threshold at its scale 2^-k.
 
     Step t maps u to S_lam(u + analyze(adjoint(y - apply(synthesize(u))))).
     The frame's transforms are resolved once and ``y`` is masked once:
@@ -213,10 +215,10 @@ def _ista_coefficients(y, mask, params, lam, label=None):
     modulus ``mag`` and shrink factor ``f``.  The FFTs write into ``r`` and
     ``z``, every other step works in place, and ``u`` and ``z`` swap roles
     after each step; the stop check writes the step change into ``z``.
-    The error state turns numpy's divide, invalid and overflow warnings
-    off, for the sensing and synthesis too: the shrink's quotient is -inf or
-    NaN by design where it clamps to 0.  Every part of ``y`` lies below
-    2^_LOUD (``_scaled`` sees to it), so no step can overflow (see
+    The solve holds its own error state, ``_solve_errstate``, with numpy's
+    divide, invalid and overflow warnings off: the shrink's quotient is
+    -inf or NaN by design where it clamps to 0.  Every part of ``y`` lies
+    below 2^_LOUD (``_scaled`` sees to it), so no step can overflow (see
     ``_QUIET_BOUND``).  The step-by-step ``ista_loop`` in the tests, which
     masks twice and runs each row alone, is its bit-for-bit oracle.
 
@@ -226,6 +228,7 @@ def _ista_coefficients(y, mask, params, lam, label=None):
     ``y`` is masked first, as the adjoint inside the loop would mask it.
     """
     cap = params.iterations
+    lam = float(params.threshold) if k is None else np.ldexp(float(params.threshold), -k)
     if params.frame.kind == "unitary-dft":
         z = mask * y
         mag = np.abs(z)
@@ -276,8 +279,8 @@ def _ista_coefficients(y, mask, params, lam, label=None):
             slack = slack[running]
         lam = lam[running] if isinstance(lam, np.ndarray) else lam
         u, y, mask = u[running], y[running], mask[running]
-        k = len(u)
-        z, r, mag, f = z[:k], r[:k], mag[:k], f[:k]
+        left = len(u)
+        z, r, mag, f = z[:left], r[:left], mag[:left], f[:left]
     result[rows] = u
     return result, steps
 
@@ -289,25 +292,21 @@ def _row_sumsq(z):
     return np.add.reduce(np.square(d, out=d), axis=1)
 
 
-def _scaled(xs, threshold):
-    # The rows, threshold and column of exponents k a solve of the real or
-    # complex batch xs takes: a row with a part of at least 2^_LOUD is scaled
-    # by 2^-k into [2^(_LOUD - 1), 2^_LOUD), in a new array, with its
-    # threshold, and every other row keeps k = 0 and its bits.  The
-    # threshold is a float unless the k differ; with no such row, xs and
-    # k = None come back.
+def _scaled(xs):
+    # The rows and column of exponents k a solve of the real or complex
+    # batch xs takes: a row with a part of at least 2^_LOUD is scaled by
+    # 2^-k into [2^(_LOUD - 1), 2^_LOUD), in a new array, and every other
+    # row keeps k = 0 and its bits.  With no such row, xs and k = None come
+    # back.
     parts = np.ascontiguousarray(xs).view(np.float64).reshape(len(xs), -1)
     loud = 2.0**_LOUD
     if -loud < np.minimum.reduce(parts, axis=None) and np.maximum.reduce(parts, axis=None) < loud:
-        return xs, float(threshold), None
+        return xs, None
     k = np.maximum(np.frexp(np.maximum.reduce(np.abs(parts), axis=1))[1] - _LOUD, 0)
     xs = np.ldexp(parts, -k[:, None]).view(xs.dtype).reshape(xs.shape)
-    k = k.reshape((-1,) + (1,) * (xs.ndim - 1))
-    lam = np.ldexp(float(threshold), -k)
-    return xs, float(lam.flat[0]) if (k == k.flat[0]).all() else lam, k
+    return xs, k.reshape((-1,) + (1,) * (xs.ndim - 1))
 
 
-@_solve_errstate
 def ista_reconstruct(y, op, params):
     """Reconstruct a signal from masked Fourier measurements.
 
@@ -318,26 +317,26 @@ def ista_reconstruct(y, op, params):
     """
     arr = as_signal(y)
     sensing._check_shape(op, arr.shape)
-    y, lam, k = _scaled(arr[None], params.threshold)
-    u, _ = _ista_coefficients(y, op.mask[None], params, lam)
+    y, k = _scaled(arr[None])
+    u, _ = _ista_coefficients(y, op.mask[None], params, None, k)
     return _synthesized(params.frame, u, k)[0]
 
 
-@_solve_errstate
 def _purify_block(xs, mask, params, label=None):
     """Purified values and final coefficients of a stacked batch.
 
     Row i of the real or complex array ``xs`` is sensed through ``mask[i]``
-    and reconstructed, at the scale of :func:`_scaled`; the rows are not
-    validated.  Returns ``(values, u, steps)``: the complex values and final
-    coefficients, with the batch on axis 0, and the number of steps each
-    row ran.  For the identity frame ``values`` is ``u`` itself; callers
-    read both and write to neither.  ``label`` is the solve's (see
-    :func:`_ista_coefficients`); with it, a row solved at a scale keeps
-    that scale in ``values`` and ``u``, which changes no label.
+    and reconstructed, at the scale of :func:`_scaled`, whose exponents
+    also set the solve's threshold; the rows are not validated.  Returns
+    ``(values, u, steps)``: the complex values and final coefficients, with
+    the batch on axis 0, and the number of steps each row ran.  For the
+    identity frame ``values`` is ``u`` itself; callers read both and write
+    to neither.  ``label`` is the solve's (see :func:`_ista_coefficients`);
+    with it, a row solved at a scale keeps that scale in ``values`` and
+    ``u``, which changes no label.
     """
-    xs, lam, k = _scaled(xs, params.threshold)
-    u, steps = _ista_coefficients(sensing._apply_batch(mask, xs), mask, params, lam, label)
+    xs, k = _scaled(xs)
+    u, steps = _ista_coefficients(sensing._apply_batch(mask, xs), mask, params, label, k)
     return _synthesized(params.frame, u, None if label is not None else k), u, steps
 
 
@@ -347,8 +346,9 @@ def _synthesized(frame, u, k):
     # complex product turns a -0 part to +0): only there can one overflow.
     values = _step_transforms(frame, u.shape[1:])[1](u)
     if k is not None:
-        for z in (u,) if values is u else (u, values):
-            np.ldexp(z.view(np.float64), k, out=z.view(np.float64))
+        with np.errstate(over="ignore"):
+            for z in (u,) if values is u else (u, values):
+                np.ldexp(z.view(np.float64), k, out=z.view(np.float64))
         if not np.isfinite(values).all():
             raise NumericError("non-finite synthesized value")
     return values

@@ -296,7 +296,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "grid, epsilon_args",
-        [("epsilon_grid=0,0.05", []), ("epsilon_grid=", []), ("epsilon_grid=0.01,0.05", ["--epsilon", "0"])],
+        [
+            ("epsilon_grid=0,0.05", []),
+            ("epsilon_grid=-0,0.05", []),
+            ("epsilon_grid=", []),
+            ("epsilon_grid=0.01,0.05", ["--epsilon", "0"]),
+            ("epsilon_grid=0.01,0.05", ["--epsilon", "-0"]),
+        ],
     )
     def test_certify_zero_epsilon_with_positive_defect_has_gain_zero(
         self, tmp_path, grid, epsilon_args
@@ -416,6 +422,26 @@ class TestSubcommands:
         assert "master_seed=0" in lines[0]
         assert [line.split("=")[0] for line in lines[1:]] == ["defect", "final_l1"]
         assert float(lines[1].split("=")[1]) >= 0.0
+
+    def test_certify_reads_minus_zero_flags_as_zero(self, config_path, capsys):
+        # --epsilon -0 and --expected-defect -0 certify, and print, as 0.
+        assert main(["certify", "--config", config_path, "--epsilon", "0", "--expected-defect", "0"]) == 0
+        want = capsys.readouterr().out
+        assert main(["certify", "--config", config_path, "--epsilon", "-0", "--expected-defect", "-0"]) == 0
+        got = capsys.readouterr().out
+        assert got == want
+        assert "radius=0\n" in got and "expected_defect=0\n" in got
+
+    def test_eval_reads_a_minus_zero_grid_entry_as_zero(self, tmp_path):
+        reports = []
+        for entry in ("0", "-0"):
+            cfg = tmp_path / f"cfg{entry}.txt"
+            cfg.write_text(fast_config(f"epsilon_grid={entry}", "count=2"))
+            out = tmp_path / f"report{entry}.csv"
+            assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert reports[1].splitlines()[2].startswith(b"0,")
 
     def test_certify_zero_defect_prints_q(self, config_path, capsys):
         assert main(["certify", "--config", config_path, "--expected-defect", "0"]) == 0

@@ -366,6 +366,24 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
 
+    @pytest.mark.parametrize(
+        "key", [name for name, kind in ExperimentConfig._fields.items() if kind is float] + ["epsilon_grid"]
+    )
+    def test_minus_zero_reads_as_zero(self, key):
+        # -0 and 0 are equal, so their configs serialize and hash alike; a
+        # key that refuses 0 refuses -0 with the same message.
+        def read(value):
+            text = f"{key}={value},0.05\n" if key == "epsilon_grid" else f"{key}={value}\n"
+            try:
+                cfg = parse_config(text)
+            except ConfigError as exc:
+                return str(exc)
+            zero = cfg.epsilon_grid[0] if key == "epsilon_grid" else getattr(cfg, key)
+            assert math.copysign(1.0, zero) == 1.0
+            return serialize_config(cfg), config_hash(cfg)
+
+        assert read("-0") == read("0") == read("-0.0") == read("0.0")
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# a comment\n\nn=64\n")
         assert cfg.n == 64

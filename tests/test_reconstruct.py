@@ -32,19 +32,10 @@ from rwkit import (
     synthesize,
 )
 from rwkit import reconstruct, sensing
-from rwkit.frames import _solve_errstate, _stack_signals
+from rwkit.frames import _stack_signals
 from rwkit.sensing import _adjoint_batch, _apply_batch
 
 from oracles import basis_pursuit
-
-# The reconstruction loop at the threshold of ``params``, under the error
-# state its callers hold for it.
-_solve = _solve_errstate(reconstruct._ista_coefficients)
-
-
-def _ista_coefficients(y, mask, params, label=None):
-    return _solve(y, mask, params, params.threshold, label)
-
 
 IDENTITY = Frame(kind="identity")
 DFT = Frame(kind="unitary-dft")
@@ -451,23 +442,40 @@ def dft_cases(draw):
     return xs, params, seeds
 
 
+def replayed_dft_case():
+    # A draw whose third row thresholds to 2.3e-5 from measurements of
+    # about 1: the two sides differ there by the FFT round trip's 1.1e-16,
+    # 5e-12 of that output but 1e-16 of the measurements.
+    rng = np.random.default_rng(0)
+    xs = rng.standard_normal((4, 15))
+    params = ReconstructionParams(iterations=1, threshold=1.0, subsample_prob=0.3, frame=DFT)
+    return xs, params, [int(s) for s in rng.integers(0, 2**31, 4)]
+
+
 class TestUnitaryDftClosedForm:
     @settings(max_examples=80, deadline=None)
     @given(dft_cases())
+    @example(replayed_dft_case())
     def test_purify_many_matches_the_loop(self, case):
+        # The closed form and the loop differ by the round-off of an FFT
+        # round trip, which scales with the measurements M F x, not with the
+        # thresholded output: each row's value is within 1e-12 of its
+        # largest measurement, and its coefficient L1 norm within 1e-12 of
+        # its measurements' L1 norm.
         xs, params, seeds = case
         ops = [make_partial_fourier(xs.shape[1:], params.subsample_prob, s) for s in seeds]
         mask = np.stack([op.mask for op in ops])
-        u, _ = ista_loop(_apply_batch(mask, xs.astype(np.complex128)), mask, params, stop=False)
+        y = _apply_batch(mask, xs.astype(np.complex128))
+        u, _ = ista_loop(y, mask, params, stop=False)
         want = synthesize_rows(DFT, u)
-        for x, got, w, coeffs in zip(xs, purify_many(xs, params, seeds), want, u):
+        for x, got, w, coeffs, y_row in zip(xs, purify_many(xs, params, seeds), want, u, y):
             assert got.iterations_run == params.iterations
             if np.isrealobj(x):
                 assert got.value.dtype == np.float64
                 assert got.imag_residual == pytest.approx(np.max(np.abs(w.imag)), abs=1e-12)
                 w = w.real
-            assert_close_rel(got.value, w)
-            assert got.final_coefficient_l1 == pytest.approx(np.sum(np.abs(coeffs)), rel=1e-12)
+            assert np.max(np.abs(got.value - w)) <= 1e-12 * np.max(np.abs(y_row))
+            assert abs(got.final_coefficient_l1 - np.sum(np.abs(coeffs))) <= 1e-12 * np.sum(np.abs(y_row))
 
     @settings(max_examples=40, deadline=None)
     @given(dft_cases())
@@ -565,7 +573,7 @@ class TestIstaLoop:
     def test_matches_the_step_by_step_loop_bit_for_bit(self, case):
         y, mask, params = case
         y_before, mask_before = y.copy(), mask.copy()
-        got, steps = _ista_coefficients(y, mask, params)
+        got, steps = reconstruct._ista_coefficients(y, mask, params)
         want, want_steps = ista_loop(y, mask, params)
         assert_same_bits(got, want)
         assert steps.tolist() == want_steps.tolist()
@@ -578,13 +586,13 @@ class TestIstaLoop:
     @given(loop_cases())
     def test_capped_rows_match_the_fixed_count_loop_and_stopped_rows_its_bound(self, case):
         y, mask, params = case
-        got, steps = _ista_coefficients(y, mask, params)
+        got, steps = reconstruct._ista_coefficients(y, mask, params)
         assert_within_the_nonexpansive_bound(got, steps, y, mask, params)
 
     @pytest.mark.parametrize("kind,shape", STOPPING_CASES, ids=str)
     def test_rows_stopping_at_different_steps_match_the_loop(self, kind, shape):
         y, mask, params = stopping_rows(kind, shape)
-        got, steps = _ista_coefficients(y, mask, params)
+        got, steps = reconstruct._ista_coefficients(y, mask, params)
         # Rows stop at three or more different steps: the batch shrinks twice.
         assert len(set(steps.tolist())) >= 3
         want, want_steps = ista_loop(y, mask, params)
@@ -595,10 +603,10 @@ class TestIstaLoop:
     @pytest.mark.parametrize("kind,shape", STOPPING_CASES, ids=str)
     def test_each_row_matches_itself_run_alone(self, kind, shape):
         y, mask, params = stopping_rows(kind, shape, rows=24, seed=1)
-        got, steps = _ista_coefficients(y, mask, params)
+        got, steps = reconstruct._ista_coefficients(y, mask, params)
         assert len(set(steps.tolist())) >= 3
         for i in range(len(y)):
-            alone, alone_steps = _ista_coefficients(y[i : i + 1], mask[i : i + 1], params)
+            alone, alone_steps = reconstruct._ista_coefficients(y[i : i + 1], mask[i : i + 1], params)
             assert_same_bits(got[i], alone[0])
             assert steps[i] == alone_steps[0]
 
@@ -617,7 +625,7 @@ class TestIstaLoop:
         rng = np.random.default_rng(seeds[0])
         mask = (rng.random(xs.shape) < params.subsample_prob).astype(np.float64)
         y = np.fft.fft(xs, norm="ortho") + 0.5
-        got, steps = _ista_coefficients(y, mask, params)
+        got, steps = reconstruct._ista_coefficients(y, mask, params)
         assert_same_bits(got, soft_threshold(mask * y, params.threshold))
         assert steps.tolist() == [params.iterations] * len(y)
 
@@ -729,16 +737,64 @@ class TestScale:
             assert_same_bits(u[i], alone[1][0])
             assert steps[i] == alone[2][0]
 
-    def test_a_threshold_column_solves_as_each_row_alone(self):
-        # The solve at a threshold of one per row, as a batch that mixes
-        # scales runs it, against the step-by-step loop.
-        y, mask, params = stopping_rows("haar-dwt", (64,))
-        lam = np.random.default_rng(2).choice([0.0, 0.002, 0.02, 0.05], (len(y), 1))
-        got, steps = _solve(y, mask, params, lam)
-        want, want_steps = ista_loop(y, mask, params, lam)
+    @pytest.mark.parametrize("labelled", [False, True], ids=["value", "label"])
+    @pytest.mark.parametrize("kind", ["identity", "haar-dwt", "db4-dwt"])
+    def test_per_row_exponents_solve_as_each_row_alone(self, kind, labelled):
+        # The solve with a column of exponents k, as a batch that mixes
+        # scales runs it: each row's threshold is 2^-k times that of params.
+        # Each row gives its bits solved alone, and the step-by-step loop's
+        # at the threshold column ldexp(threshold, -k).
+        y, mask, params = stopping_rows(kind, (64,))
+        k = np.random.default_rng(2).choice([0, 1, 3, 60], (len(y), 1))
+        w = np.random.default_rng(5).standard_normal(64) if labelled else None
+        got, steps = reconstruct._ista_coefficients(y, mask, params, w, k)
+        want, want_steps = ista_loop(y, mask, params, np.ldexp(params.threshold, -k), label=w)
         assert_same_bits(got, want)
         assert steps.tolist() == want_steps.tolist()
         assert len(set(steps.tolist())) >= 3
+        for i in range(len(y)):
+            alone, alone_steps = reconstruct._ista_coefficients(y[i : i + 1], mask[i : i + 1], params, w, k[i : i + 1])
+            assert_same_bits(got[i], alone[0])
+            assert steps[i] == alone_steps[0]
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_a_direct_call_holds_its_own_error_state(self, kind):
+        # Outside any error state, a zero row's shrink divides 0 by 0 (at
+        # threshold 0) or the threshold by 0, and a row with entries below
+        # the threshold makes negative quotients; the solve raises no
+        # warning for either.
+        assert np.geterr() == {"divide": "warn", "over": "warn", "under": "ignore", "invalid": "warn"}
+        frame = Frame(kind=kind, levels=1 if kind.endswith("-dwt") else 0)
+        rng = np.random.default_rng(3)
+        mask = (rng.random((2, 16)) < 0.5).astype(np.float64)
+        y = np.zeros((2, 16), dtype=np.complex128)
+        y[1] = mask[1] * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        for threshold in (0.0, 0.3):
+            params = ReconstructionParams(iterations=30, threshold=threshold, subsample_prob=0.5, frame=frame)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                u, _ = reconstruct._ista_coefficients(y, mask, params)
+            assert not np.any(u[0])
+            assert np.any(u[1])
+            if threshold > 0:
+                assert not np.all(u[1])
+
+    def test_a_rescale_that_overflows_fails_without_a_warning(self):
+        # The rescale runs outside the solve's error state, in its own: a
+        # value that overflows raises NumericError, with no warning on the
+        # way, through ista_reconstruct (flat measurements of 1.5e308 give
+        # a spike of 1.5e308 sqrt(8)) and through defend with a classifier
+        # that labels the value (the row of test_a_rescaled_value_that_overflows_fails).
+        flat = np.full(8, 1.5e308)
+        spike = ReconstructionParams(iterations=1, threshold=0.0, subsample_prob=1.0, frame=IDENTITY)
+        x = 1.5e308 * np.array([-1.0, 1.0, 1.0, -1.0, 0.0, 1.0, 0.0, -1.0])
+        params = ReconstructionParams(iterations=100, threshold=0.02, subsample_prob=0.7494, frame=IDENTITY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^non-finite synthesized value$"):
+                ista_reconstruct(flat, make_partial_fourier(8, 1.0, 0), spike)
+            with pytest.raises(NumericError, match="^non-finite synthesized value$"):
+                defend(lambda v: 0, x, params, 76)
 
     @pytest.mark.parametrize("kind", FRAME_KINDS)
     def test_a_spike_near_the_float_maximum_gets_its_answer(self, kind):
@@ -924,11 +980,11 @@ def path_cases(draw, kind, dim):
     x = synthesize(params.frame, coeffs).real + draw(st.sampled_from((0.0, 0.05, 0.3))) * rng.standard_normal(shape)
     seed = int(rng.integers(0, 2**31))
     y, mask = defend_rows(x, params, seed)
-    full, full_steps = _ista_coefficients(y, mask, params)
+    full, full_steps = reconstruct._ista_coefficients(y, mask, params)
     assume(full_steps[0] > STOP_EVERY)
     t = STOP_EVERY * draw(st.integers(1, (int(full_steps[0]) - 1) // STOP_EVERY))
-    u_t = _ista_coefficients(y, mask, capped(params, t))[0]
-    d_t = np.sqrt(sum_of_squares(u_t - _ista_coefficients(y, mask, capped(params, t - 1))[0]))
+    u_t = reconstruct._ista_coefficients(y, mask, capped(params, t))[0]
+    d_t = np.sqrt(sum_of_squares(u_t - reconstruct._ista_coefficients(y, mask, capped(params, t - 1))[0]))
     cap, n = params.iterations, x.size
     slack = np.sqrt(sum_of_squares(y)) * (cap * cap * STOP_TOL + (n + 64) * np.sqrt(cap) * LABEL_GAP)
     above = draw(st.booleans())
@@ -951,9 +1007,9 @@ class SolveSpy:
         self.solves = []
         solve = reconstruct._ista_coefficients
 
-        def spy(y, mask, params, lam, label=None):
-            u, steps = solve(y, mask, params, lam, label)
-            full_u, full_steps = solve(y, mask, params, lam)
+        def spy(y, mask, params, label=None, k=None):
+            u, steps = solve(y, mask, params, label, k)
+            full_u, full_steps = solve(y, mask, params, None, k)
             same = steps.tolist() == full_steps.tolist() and np.array_equal(u.view(np.uint64), full_u.view(np.uint64))
             self.solves.append((label is not None, int(steps[0]), int(full_steps[0]), same))
             return u, steps
@@ -1024,7 +1080,7 @@ class TestLabelStop:
         clf, x, params, seed, t, above = data.draw(path_cases(kind, dim))
         assert defend(clf, x, params, seed) == full_defend(clf, x, params, seed)
         y, mask = defend_rows(x, params, seed)
-        steps = _ista_coefficients(y, mask, params, clf.weights)[1][0]
+        steps = reconstruct._ista_coefficients(y, mask, params, clf.weights)[1][0]
         assert steps <= t if above else steps != t
 
     @pytest.mark.parametrize("off", [0.0, 1e-13, 1e-12, 1e-9, 0.3])
@@ -1048,7 +1104,7 @@ class TestLabelStop:
     def test_matches_the_step_by_step_loop_bit_for_bit(self, case, wseed):
         y, mask, params = case
         w = np.random.default_rng(wseed).standard_normal(y.shape[1:])
-        got, steps = _ista_coefficients(y, mask, params, w)
+        got, steps = reconstruct._ista_coefficients(y, mask, params, w)
         want, want_steps = ista_loop(y, mask, params, label=w)
         assert_same_bits(got, want)
         assert steps.tolist() == want_steps.tolist()
@@ -1059,9 +1115,9 @@ class TestLabelStop:
         # Both stop rules read only the row: its bits and steps are those of
         # the row solved alone, whatever rows run beside it.
         y, mask, params, w = case
-        got, steps = _ista_coefficients(y, mask, params, w)
+        got, steps = reconstruct._ista_coefficients(y, mask, params, w)
         for i in range(len(y)):
-            alone, alone_steps = _ista_coefficients(y[i : i + 1], mask[i : i + 1], params, w)
+            alone, alone_steps = reconstruct._ista_coefficients(y[i : i + 1], mask[i : i + 1], params, w)
             assert_same_bits(got[i], alone[0])
             assert steps[i] == alone_steps[0]
 
@@ -1077,25 +1133,26 @@ class TestLabelStop:
         mask = sensing._seed_masks([seed], x.shape, params.subsample_prob)
         y = _apply_batch(mask, x[None] + 0j)
         w = clf.weights
-        alone, alone_steps = _ista_coefficients(y, mask, params, w)
+        alone, alone_steps = reconstruct._ista_coefficients(y, mask, params, w)
         assert alone_steps.tolist() == [20]
-        assert _ista_coefficients(y, mask, params)[1].tolist() == [80]
+        assert reconstruct._ista_coefficients(y, mask, params)[1].tolist() == [80]
         other_y, other_mask = (y, 0.0 * mask) if beside == "zero-mask" else (1e-110 * y, mask)
-        got, steps = _ista_coefficients(np.concatenate([y, other_y]), np.concatenate([mask, other_mask]), params, w)
+        both_y, both_mask = np.concatenate([y, other_y]), np.concatenate([mask, other_mask])
+        got, steps = reconstruct._ista_coefficients(both_y, both_mask, params, w)
         assert steps.tolist() == [20, 10]
         assert_same_bits(got[0], alone[0])
-        _, other_steps = _ista_coefficients(other_y, other_mask, params, w)
+        _, other_steps = reconstruct._ista_coefficients(other_y, other_mask, params, w)
         assert other_steps.tolist() == [10]
 
     @pytest.mark.parametrize("kind,shape", STOPPING_CASES, ids=str)
     def test_rows_stop_by_label_as_the_step_by_step_loop(self, kind, shape):
         y, mask, params = stopping_rows(kind, shape)
         w = np.random.default_rng(5).standard_normal(shape)
-        got, steps = _ista_coefficients(y, mask, params, w)
+        got, steps = reconstruct._ista_coefficients(y, mask, params, w)
         want, want_steps = ista_loop(y, mask, params, label=w)
         assert_same_bits(got, want)
         assert steps.tolist() == want_steps.tolist()
-        _, full_steps = _ista_coefficients(y, mask, params)
+        _, full_steps = reconstruct._ista_coefficients(y, mask, params)
         assert np.all(steps <= full_steps) and np.sum(steps) < np.sum(full_steps)
         # Each stopped row has the full solve's label.
         frame = params.frame
